@@ -31,10 +31,9 @@ bench-smoke:
 # calibration-scaled ns/cycle must stay within 10% (+ a small absolute noise
 # floor), the event-horizon speedup must hold on the miss-heavy profiles, no
 # profile may be slower than the per-cycle path, and the loop must not
-# allocate. The grid_fused record is re-measured too: lane fusion must hold
-# parity within noise with per-run streaming on the 16-config grid (both
-# sides measured in the same run, machine-independent) and allocation-free.
-# Mirrors CI's bench-gate job.
+# allocate. The grid_snapshot record is re-measured too: restoring warm-state
+# snapshots must beat cold warm-up by the 1.2x floor (both sides measured in
+# the same run, machine-independent). Mirrors CI's bench-gate job.
 bench-gate:
 	$(GO) run ./cmd/clgpsim bench -grid=false -core-json BENCH_core.fresh.json -gate BENCH_core.json -max-regress 0.10
 

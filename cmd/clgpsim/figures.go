@@ -140,8 +140,7 @@ func cmdFigures(args []string) error {
 	benchJSON := fs.String("json", "", "also write a BENCH-format throughput record to this path")
 	traceFile := fs.String("tracefile", "", "stream every job's trace from this recorded container (single-profile grids only)")
 	window := fs.Int("window", 0, "resident-record cap when streaming (0 = default)")
-	fused := fs.Bool("fused", false, "fuse each workload's configs into lockstep lanes over one shared trace (bit-identical results, one decode per workload)")
-	warmupFlag := fs.Int("warmup", 0, "warm-state snapshot boundary in committed instructions: grid points sharing a warm configuration restore one checkpoint through the sweep store instead of re-simulating warm-up (0 = off; incompatible with -fused)")
+	warmupFlag := fs.Int("warmup", 0, "warm-state snapshot boundary in committed instructions: grid points sharing a warm configuration restore one checkpoint through the sweep store instead of re-simulating warm-up (0 = off)")
 	progress := fs.Bool("progress", false, "report per-shard sweep progress (state, jobs, ETA) from the store and exit without running anything")
 	heartbeat := fs.Duration("heartbeat", 0, "in-process shard heartbeat period (0 = default, negative disables)")
 	stallAfter := fs.Duration("stall-after", 0, "flag a shard stalled when its heartbeats are older than this (0 = auto, negative disables)")
@@ -206,12 +205,6 @@ func cmdFigures(args []string) error {
 		}
 	}
 
-	// Fused lanes restore to a shared decode frontier; warm snapshots restore
-	// each lane to its own mid-run point. The sim layer rejects the combination
-	// per job — refuse it up front with a message naming the flags instead.
-	if *warmupFlag > 0 && *fused {
-		return fmt.Errorf("-warmup and -fused are mutually exclusive: lockstep lanes cannot restore to per-config warm states")
-	}
 	specs, err := dispatch.GridSpecs(dispatch.GridConfig{
 		Profiles: profiles, Insts: *insts, Seed: *seed, Seeds: *seeds,
 		Techs:        techs,
@@ -231,7 +224,6 @@ func cmdFigures(args []string) error {
 	}
 	o := &dispatch.Orchestrator{
 		Dir: *dir, Workers: *workers, Parallel: *parallel, Mode: mode, Logger: lg,
-		Fused:             *fused,
 		Retry:             dispatch.RetryPolicy{Attempts: *retries + 1},
 		HeartbeatInterval: *heartbeat,
 		StallAfter:        *stallAfter,

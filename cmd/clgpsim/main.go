@@ -517,15 +517,6 @@ func cmdBench(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("fused grid bench: 16-config %s grid, %d insts (lane-fused vs per-run streamed)\n",
-		*profile, *coreInsts)
-	cb.GridFused, err = sim.MeasureFusedGrid(*profile, *coreInsts, *seed)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("grid_fused: %d lanes: %12.0f cycles/sec fused vs %12.0f streamed (%.2fx), %.2f allocs/kcycle\n",
-		cb.GridFused.Lanes, cb.GridFused.FusedCyclesPerSec, cb.GridFused.StreamedCyclesPerSec,
-		cb.GridFused.SpeedupVsStreamed, cb.GridFused.AllocsPerKCycle)
 	fmt.Printf("snapshot grid bench: %d-point %s grid, %d insts (warm-restore vs cold, warm-up at half)\n",
 		8, *profile, *coreInsts)
 	cb.GridSnapshot, err = sim.MeasureSnapshotGrid(*profile, *coreInsts, *seed)

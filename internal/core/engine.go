@@ -304,12 +304,6 @@ type windowStats interface {
 // bit-identical across clock modes.
 func (e *Engine) CycleAccounts() stats.CycleAccounts { return e.accounts }
 
-// Committed returns the number of committed instructions so far.
-func (e *Engine) Committed() uint64 { return e.backend.Committed() }
-
-// Done reports whether the simulation has finished.
-func (e *Engine) Done() bool { return e.done }
-
 // Err returns the error that stopped the simulation, if any.
 func (e *Engine) Err() error { return e.err }
 

@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"bytes"
 	"fmt"
 	"log/slog"
 	"os"
@@ -350,6 +351,30 @@ func TestInterruptedSweepResumesAndMatchesSingleProcess(t *testing.T) {
 		t.Errorf("fully-complete resume ran %v / skipped %v", out2.Ran, out2.Skipped)
 	}
 	checkAgainstBaseline(t, baseline, out2)
+
+	// A checkpoint planned by the retired lane-fusion mode (bit-identical to
+	// per-run execution) carries an extra manifest key. It still resumes:
+	// the key is ignored and the missing shard re-runs.
+	mpath := filepath.Join(dir, ManifestFile)
+	data, err := os.ReadFile(mpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = bytes.Replace(data, []byte("{"), []byte(`{"fused": true, `), 1)
+	if err := os.WriteFile(mpath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, ShardsDir, m.Shards[3].Name+".jsonl")); err != nil {
+		t.Fatal(err)
+	}
+	out3, err := o.Run(specs, 4, true)
+	if err != nil {
+		t.Fatalf("resuming a checkpoint with a retired manifest key: %v", err)
+	}
+	if got, want := fmt.Sprint(out3.Ran), fmt.Sprint([]int{3}); got != want {
+		t.Errorf("legacy-manifest resume ran %v, want %v", out3.Ran, want)
+	}
+	checkAgainstBaseline(t, baseline, out3)
 }
 
 func shardMtime(t *testing.T, dir string, sp ShardPlan) time.Time {
@@ -513,34 +538,5 @@ func TestTechEngineRoundTrip(t *testing.T) {
 		if err != nil || back != eng {
 			t.Errorf("engine %v does not round-trip: %v %v", eng, back, err)
 		}
-	}
-}
-
-// TestFusedSweepMatchesBaseline: a sweep planned with Fused runs every
-// workload column as lockstep lanes over one shared trace, records the flag
-// in the manifest for remote workers, and merges records identical to the
-// per-run single-process baseline.
-func TestFusedSweepMatchesBaseline(t *testing.T) {
-	specs := testGrid(t)
-	baseline := runBaseline(t, specs)
-	dir := t.TempDir()
-	o := &Orchestrator{Dir: dir, Workers: 2, Fused: true}
-	out, err := o.Run(specs, 0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Manifest.Fused {
-		t.Error("fused sweep's manifest does not carry the fused flag")
-	}
-	checkAgainstBaseline(t, baseline, out)
-
-	// The flag must survive the store round trip — that is how child and
-	// remote workers learn about it.
-	m, err := NewDirStore(dir).LoadManifest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.Fused {
-		t.Error("fused flag lost across the manifest store round trip")
 	}
 }

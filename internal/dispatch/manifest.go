@@ -37,15 +37,6 @@ type Manifest struct {
 	Version int `json:"version"`
 	// GridHash is the hash of the ordered job grid (GridHash function).
 	GridHash string `json:"grid_hash"`
-	// Fused selects lane-fused shard execution: every worker runs its
-	// shard through sim.Runner.RunFused, simulating each workload column's
-	// configurations as lockstep lanes over one shared trace. The flag
-	// lives in the manifest — the one artifact every worker already loads
-	// — so remote workers follow it without any argv contract change.
-	// Results are bit-identical either way, so resuming a sweep under a
-	// different Fused setting than it was planned with is safe; the
-	// planned setting wins because the stored manifest does.
-	Fused bool `json:"fused,omitempty"`
 	// Shards is the shard plan.
 	Shards []ShardPlan `json:"shards"`
 }

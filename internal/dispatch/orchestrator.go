@@ -67,12 +67,6 @@ type Orchestrator struct {
 	Store Store
 	// Launcher overrides shard execution; nil selects a launcher from Mode.
 	Launcher Launcher
-	// Fused plans the sweep for lane-fused shard execution: workers fuse
-	// each workload column into lockstep lanes over one shared trace
-	// (sim.Runner.RunFused). Recorded in the manifest, so it reaches
-	// remote workers through the store; on resume the stored manifest's
-	// setting wins (results are bit-identical either way).
-	Fused bool
 	// Retry is the per-shard retry policy; the zero value means a single
 	// attempt per shard.
 	Retry RetryPolicy
@@ -314,7 +308,6 @@ func (o *Orchestrator) resolveManifest(st Store, specs []JobSpec, nShards int, r
 	if err != nil {
 		return nil, err
 	}
-	m.Fused = o.Fused
 	// Clear leftovers BEFORE committing the manifest: if the order were
 	// reversed, a crash between the two steps would leave a new-grid
 	// manifest next to old-grid shard results, and a later resume would

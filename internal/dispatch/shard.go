@@ -231,21 +231,14 @@ func RunShardSpans(st Store, m *Manifest, id, workers int, onJob func(done, tota
 			// locally resolved copy, not the store-relative reference.
 			jobs[i].TraceFile = cache.tracePath(spec.TraceFile)
 		}
-		if spec.Warmup > 0 && st != nil && !m.Fused {
+		if spec.Warmup > 0 && st != nil {
 			// Warm-state snapshots flow through the sweep store, so workers on
 			// every host share one checkpoint per (fingerprint, warm key,
-			// boundary). Fused shards keep their own amortisation (one decode
-			// stream per workload column) and run warm-up in lockstep instead —
-			// the sim layer rejects combining the two mechanisms.
+			// boundary).
 			jobs[i].Snapshots = st
 		}
 	}
 	fetch.End()
-	// The workload cache hands every job of a workload the same *Workload
-	// and the same resolved trace path, so under m.Fused the sim layer's
-	// batch planner fuses each workload column into lockstep lanes over
-	// one shared trace source. Specs and result records are unchanged —
-	// fused results are bit-identical to streamed ones.
 	rn := sim.Runner{Workers: workers}
 	total := len(jobs)
 	var done atomic.Int64
@@ -260,12 +253,7 @@ func RunShardSpans(st Store, m *Manifest, id, workers int, onJob func(done, tota
 		}
 	}
 	simulate := rec.Begin(telemetry.SpanPhase, "simulate", sp.Name, spanParent)
-	var results []sim.Result
-	if m.Fused {
-		results = rn.RunFused(jobs)
-	} else {
-		results = rn.Run(jobs)
-	}
+	results := rn.Run(jobs)
 	simulate.End()
 	recs := make([]RunRecord, len(results))
 	for i, res := range results {

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"sort"
@@ -46,32 +45,6 @@ type CoreBenchRecord struct {
 	// AllocsPerKCycle is heap allocations per thousand simulated cycles
 	// over a whole run (cold rings included); the steady-state loop itself
 	// allocates nothing, so whole-run figures sit far below 1.
-	AllocsPerKCycle float64 `json:"allocs_per_kcycle"`
-}
-
-// GridFusedRecord is the sweep-fusion measurement: the full engine × L1
-// grid of one workload run twice from the same recorded trace container —
-// once per-run streamed (each job decodes and windows the container itself)
-// and once lane-fused (one shared decode, N lockstep lanes). Both runs are
-// serial and simulate identical work, so the speedup is a machine-independent
-// property of the code, not of the host.
-type GridFusedRecord struct {
-	// Profile is the workload the grid sweeps.
-	Profile string `json:"profile"`
-	// Lanes is the grid size (configs fused per batch).
-	Lanes int `json:"lanes"`
-	// Cycles is the aggregate simulated cycles across all lanes (identical
-	// in both modes — fused results are bit-identical by contract).
-	Cycles uint64 `json:"cycles"`
-	// StreamedCyclesPerSec and FusedCyclesPerSec are aggregate simulation
-	// throughputs of the per-run and fused executions.
-	StreamedCyclesPerSec float64 `json:"streamed_cycles_per_sec"`
-	FusedCyclesPerSec    float64 `json:"fused_cycles_per_sec"`
-	// SpeedupVsStreamed is FusedCyclesPerSec / StreamedCyclesPerSec.
-	SpeedupVsStreamed float64 `json:"speedup_vs_streamed"`
-	// AllocsPerKCycle is heap allocations per thousand simulated cycles
-	// over the whole fused run (lane construction included); the fused
-	// steady-state loop itself allocates nothing.
 	AllocsPerKCycle float64 `json:"allocs_per_kcycle"`
 }
 
@@ -118,9 +91,6 @@ type CoreBench struct {
 	Insts int `json:"insts"`
 	// Records is one entry per (profile × engine) grid point.
 	Records []CoreBenchRecord `json:"records"`
-	// GridFused is the sweep-fusion measurement (nil in artifacts written
-	// before lane fusion existed).
-	GridFused *GridFusedRecord `json:"grid_fused,omitempty"`
 	// GridSnapshot is the warm-state snapshot measurement (nil in artifacts
 	// written before snapshots existed).
 	GridSnapshot *GridSnapshotRecord `json:"grid_snapshot,omitempty"`
@@ -252,96 +222,6 @@ func MeasureCore(profiles []string, engines []core.EngineKind, insts int, seed i
 		}
 	}
 	return cb, nil
-}
-
-// fusedGridJobs builds the full 16-config sweep grid (4 engines × 4 L1
-// sizes) of one workload, every job streaming from the same container.
-func fusedGridJobs(w *workload.Workload, path string) []Job {
-	jobs := SweepJobs(w, cacti.Tech90,
-		[]int{1 << 10, 2 << 10, 4 << 10, 8 << 10},
-		[]core.EngineKind{core.EngineNone, core.EngineNextN, core.EngineFDP, core.EngineCLGP},
-		false, 0)
-	for i := range jobs {
-		jobs[i].TraceFile = path
-	}
-	return jobs
-}
-
-// MeasureFusedGrid measures the GridFused record: the 16-config grid of one
-// profile, streamed per-run vs lane-fused from the same recorded container,
-// both serial, best of three reps each. It fails if any fused lane result
-// differs from its streamed counterpart — the speedup is only meaningful
-// over bit-identical work.
-func MeasureFusedGrid(profile string, insts int, seed int64) (*GridFusedRecord, error) {
-	if insts <= 0 {
-		insts = 200_000
-	}
-	p, err := workload.ProfileByName(profile)
-	if err != nil {
-		return nil, err
-	}
-	w, err := workload.Generate(p, insts, seed)
-	if err != nil {
-		return nil, err
-	}
-	dir, err := os.MkdirTemp("", "clgp-fused-bench")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, w.Name+".clgt")
-	if _, err := RecordTrace(w.Profile, insts, seed, path, 0); err != nil {
-		return nil, err
-	}
-	jobs := fusedGridJobs(w, path)
-	rn := Runner{Workers: 1}
-
-	var streamedWall, fusedWall time.Duration
-	var allocs uint64
-	var ref []Result
-	for rep := 0; rep < 3; rep++ {
-		start := time.Now()
-		streamed := rn.Run(jobs)
-		wall := time.Since(start)
-		if streamedWall == 0 || wall < streamedWall {
-			streamedWall = wall
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		start = time.Now()
-		fused := rn.RunFused(jobs)
-		wall = time.Since(start)
-		runtime.ReadMemStats(&after)
-		if fusedWall == 0 || wall < fusedWall {
-			fusedWall = wall
-			allocs = after.Mallocs - before.Mallocs
-		}
-		for i := range jobs {
-			if streamed[i].Err != nil || fused[i].Err != nil {
-				return nil, fmt.Errorf("fused grid %s: streamed=%v fused=%v",
-					jobs[i].Name, streamed[i].Err, fused[i].Err)
-			}
-			if !reflect.DeepEqual(fused[i].Stats.WithoutTelemetry(), streamed[i].Stats.WithoutTelemetry()) {
-				return nil, fmt.Errorf("fused grid %s: lane result diverges from the streamed run — equivalence broken",
-					jobs[i].Name)
-			}
-		}
-		ref = streamed
-	}
-	var cycles uint64
-	for _, r := range ref {
-		cycles += r.Stats.Cycles
-	}
-	gf := &GridFusedRecord{
-		Profile:              profile,
-		Lanes:                len(jobs),
-		Cycles:               cycles,
-		StreamedCyclesPerSec: float64(cycles) / streamedWall.Seconds(),
-		FusedCyclesPerSec:    float64(cycles) / fusedWall.Seconds(),
-		AllocsPerKCycle:      1000 * float64(allocs) / float64(cycles),
-	}
-	gf.SpeedupVsStreamed = gf.FusedCyclesPerSec / gf.StreamedCyclesPerSec
-	return gf, nil
 }
 
 // snapshotGridJobs builds the snapshot measurement grid: all four engines
@@ -514,17 +394,6 @@ type GateLimits struct {
 	// MaxAllocsPerKCycle bounds whole-run heap allocations; a single
 	// per-cycle allocation would show up as ~1000.
 	MaxAllocsPerKCycle float64
-	// MinFusedSpeedup is the floor on the grid_fused record's
-	// SpeedupVsStreamed. Both sides are measured in the same run on the
-	// same host over bit-identical work, so the floor binds regardless of
-	// machine speed. The floor is parity within noise (0.95, mirroring
-	// MinSpeedup): trace decode is under a tenth of grid runtime — the
-	// lanes' own pipeline/predictor work dominates and is config-dependent
-	// so it can't be shared — and the measured ratio hovers between ~0.97x
-	// and ~1.06x run to run. The gate's job is to guarantee fusion never
-	// costs real throughput, not to claim a multiple this cost profile
-	// can't produce.
-	MinFusedSpeedup float64
 	// MinSnapshotSpeedup is the floor on the grid_snapshot record's
 	// SpeedupVsCold. The warm pass simulates half the instructions of the
 	// cold pass (warm-up is Insts/2), so the work ratio alone predicts ~2x;
@@ -538,7 +407,7 @@ type GateLimits struct {
 
 // DefaultGateLimits returns the limits CI enforces.
 func DefaultGateLimits() GateLimits {
-	return GateLimits{MaxRegress: 0.10, NoiseNs: 8, MinMissHeavySpeedup: 1.6, MinSpeedup: 0.95, MaxAllocsPerKCycle: 1.0, MinFusedSpeedup: 0.95, MinSnapshotSpeedup: 1.2}
+	return GateLimits{MaxRegress: 0.10, NoiseNs: 8, MinMissHeavySpeedup: 1.6, MinSpeedup: 0.95, MaxAllocsPerKCycle: 1.0, MinSnapshotSpeedup: 1.2}
 }
 
 // missHeavy reports whether a profile is one of the pointer-chase grid
@@ -603,19 +472,6 @@ func Gate(baseline, current *CoreBench, lim GateLimits) []string {
 			bad = append(bad, fmt.Sprintf("%s: %.2f allocs per 1000 cycles exceeds %.2f — the loop is allocating",
 				r.Name, r.AllocsPerKCycle, lim.MaxAllocsPerKCycle))
 		}
-	}
-	switch gf := current.GridFused; {
-	case gf != nil:
-		if gf.SpeedupVsStreamed < lim.MinFusedSpeedup {
-			bad = append(bad, fmt.Sprintf("grid_fused/%s: fused speedup %.2fx below the %.2fx floor over per-run streaming",
-				gf.Profile, gf.SpeedupVsStreamed, lim.MinFusedSpeedup))
-		}
-		if gf.AllocsPerKCycle > lim.MaxAllocsPerKCycle {
-			bad = append(bad, fmt.Sprintf("grid_fused/%s: %.2f allocs per 1000 cycles exceeds %.2f — the fused loop is allocating",
-				gf.Profile, gf.AllocsPerKCycle, lim.MaxAllocsPerKCycle))
-		}
-	case baseline != nil && baseline.GridFused != nil:
-		bad = append(bad, "grid_fused: present in baseline but not measured")
 	}
 	switch gs := current.GridSnapshot; {
 	case gs != nil:

@@ -135,52 +135,6 @@ func TestMeasureCoreSmoke(t *testing.T) {
 	}
 }
 
-func TestGateEnforcesFusedFloor(t *testing.T) {
-	base, cur := gateFixture(), gateFixture()
-	base.GridFused = &GridFusedRecord{Profile: "gcc", Lanes: 16, SpeedupVsStreamed: 3.0, AllocsPerKCycle: 0.05}
-	cur.GridFused = &GridFusedRecord{Profile: "gcc", Lanes: 16, SpeedupVsStreamed: 0.9, AllocsPerKCycle: 0.05}
-	bad := Gate(base, cur, DefaultGateLimits())
-	if len(bad) != 1 || !strings.Contains(bad[0], "grid_fused/gcc") {
-		t.Fatalf("expected one fused-floor violation, got %v", bad)
-	}
-
-	cur.GridFused = &GridFusedRecord{Profile: "gcc", Lanes: 16, SpeedupVsStreamed: 3.0, AllocsPerKCycle: 5}
-	bad = Gate(base, cur, DefaultGateLimits())
-	if len(bad) != 1 || !strings.Contains(bad[0], "allocating") {
-		t.Fatalf("expected one fused-alloc violation, got %v", bad)
-	}
-
-	// Dropping the measurement while the baseline carries one must fail:
-	// the fused path cannot silently fall out of the perf contract.
-	cur.GridFused = nil
-	bad = Gate(base, cur, DefaultGateLimits())
-	if len(bad) != 1 || !strings.Contains(bad[0], "not measured") {
-		t.Fatalf("expected a missing-grid_fused violation, got %v", bad)
-	}
-
-	// A pre-fusion baseline gates a fused measurement without complaint.
-	base.GridFused = nil
-	cur.GridFused = &GridFusedRecord{Profile: "gcc", Lanes: 16, SpeedupVsStreamed: 3.0, AllocsPerKCycle: 0.05}
-	if bad := Gate(base, cur, DefaultGateLimits()); len(bad) != 0 {
-		t.Fatalf("pre-fusion baseline should not trip the gate, got %v", bad)
-	}
-}
-
-func TestMeasureFusedGridSmoke(t *testing.T) {
-	gf, err := MeasureFusedGrid("gcc", 8_000, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gf.Lanes != 16 {
-		t.Errorf("measured %d lanes, want the 16-config grid", gf.Lanes)
-	}
-	if gf.Cycles == 0 || gf.StreamedCyclesPerSec <= 0 || gf.FusedCyclesPerSec <= 0 || gf.SpeedupVsStreamed <= 0 {
-		t.Errorf("degenerate measurement: %+v", gf)
-	}
-	// No throughput assertion at this trace length — construction cost
-	// dominates 8k-inst runs; the bench gate holds the floor at full length.
-}
-
 func TestGateEnforcesSnapshotFloor(t *testing.T) {
 	base, cur := gateFixture(), gateFixture()
 	base.GridSnapshot = &GridSnapshotRecord{Profile: "gcc", Points: 8, SpeedupVsCold: 1.8}

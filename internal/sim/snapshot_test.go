@@ -170,18 +170,6 @@ func TestWarmSurvivesDamagedArtifact(t *testing.T) {
 	}
 }
 
-// TestFusedRejectsWarmup: lockstep lanes share one decode stream and cannot
-// restore to different mid-run points.
-func TestFusedRejectsWarmup(t *testing.T) {
-	w := benchWorkload(t, 4_000, 9)
-	cfg := core.Config{Tech: cacti.Tech90, L1ISize: 2 << 10, Engine: core.EngineNone}
-	store := DirSnapshots{Dir: t.TempDir()}
-	res := Runner{Workers: 1}.RunFused([]Job{{Config: cfg, Workload: w, Warmup: 1000, Snapshots: store}})
-	if res[0].Err == nil {
-		t.Fatal("fused run accepted a warm-up snapshot job")
-	}
-}
-
 // jobFingerprint resolves the workload fingerprint the warm flow keys on.
 func jobFingerprint(t *testing.T, j Job) uint64 {
 	t.Helper()

@@ -264,7 +264,7 @@ type Results struct {
 
 // WithoutTelemetry returns a copy of r with the mode-dependent Telemetry
 // block stripped, for bit-identity comparisons across clock modes, trace
-// backings, and fused-vs-streamed execution.
+// backings, and snapshot-restored vs straight runs.
 func (r Results) WithoutTelemetry() Results {
 	r.Telemetry = nil
 	return r
