@@ -28,8 +28,6 @@ func cmdWorker(args []string) error {
 	dir := fs.String("dir", "", "sweep directory (alias for a directory -store)")
 	shard := fs.Int("shard", -1, "shard id to execute")
 	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	heartbeat := fs.Duration("heartbeat", dispatch.DefaultHeartbeatInterval,
-		"progress heartbeat period written through the store (0 disables)")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address while the shard runs (e.g. 127.0.0.1:0)")
 	metricsAddrFile := fs.String("metrics-addr-file", "", "write the bound -metrics-addr listen address to this file")
 	spanParent := fs.String("span-parent", "", "parent span id for this worker's phase spans (threaded by the orchestrator)")
@@ -75,29 +73,11 @@ func cmdWorker(args []string) error {
 		return err
 	}
 	host, _ := os.Hostname()
-	var hb *dispatch.HeartbeatWriter
-	if *heartbeat > 0 {
-		hb = dispatch.StartHeartbeats(st, m.Shards[*shard], host, *heartbeat, lg)
-	}
 	start := time.Now()
-	spanRec := telemetry.NewSpanRecorder(m.Shards[*shard].Name)
-	recs, err := dispatch.RunShardSpans(st, m, *shard, *workers, func(done, total int) {
-		hb.JobDone()
-	}, spanRec, *spanParent)
+	recs, err := dispatch.RunShard(st, m, *shard, *workers, host, *spanParent, lg)
 	if err != nil {
-		hb.Stop()
 		return err
 	}
-	commit := spanRec.Begin(telemetry.SpanPhase, "commit", m.Shards[*shard].Name, *spanParent)
-	if err := st.WriteShardResults(m.Shards[*shard], recs); err != nil {
-		hb.Stop()
-		return err
-	}
-	commit.End()
-	hb.Stop()
-	// Spans are advisory: committed best-effort after the results, so a
-	// trace hiccup can never fail a finished shard.
-	dispatch.WriteRecordedSpans(st, m.Shards[*shard].Name, spanRec, lg)
 	failed := 0
 	for _, rec := range recs {
 		if rec.Err != "" {
@@ -142,8 +122,7 @@ func cmdFigures(args []string) error {
 	window := fs.Int("window", 0, "resident-record cap when streaming (0 = default)")
 	warmupFlag := fs.Int("warmup", 0, "warm-state snapshot boundary in committed instructions: grid points sharing a warm configuration restore one checkpoint through the sweep store instead of re-simulating warm-up (0 = off)")
 	progress := fs.Bool("progress", false, "report per-shard sweep progress (state, jobs, ETA) from the store and exit without running anything")
-	heartbeat := fs.Duration("heartbeat", 0, "in-process shard heartbeat period (0 = default, negative disables)")
-	stallAfter := fs.Duration("stall-after", 0, "flag a shard stalled when its heartbeats are older than this (0 = auto, negative disables)")
+	stallAfter := fs.Duration("stall-after", 0, "flag a shard stalled when its latest progress mark is older than this (0 = 6s, negative disables)")
 	traceOut := fs.String("trace-out", "", "export the sweep's span trace as Chrome-trace-event JSON to this path (open in Perfetto)")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address while the sweep runs (e.g. 127.0.0.1:0)")
 	metricsAddrFile := fs.String("metrics-addr-file", "", "write the bound -metrics-addr listen address to this file")
@@ -224,9 +203,8 @@ func cmdFigures(args []string) error {
 	}
 	o := &dispatch.Orchestrator{
 		Dir: *dir, Workers: *workers, Parallel: *parallel, Mode: mode, Logger: lg,
-		Retry:             dispatch.RetryPolicy{Attempts: *retries + 1},
-		HeartbeatInterval: *heartbeat,
-		StallAfter:        *stallAfter,
+		Retry:      dispatch.RetryPolicy{Attempts: *retries + 1},
+		StallAfter: *stallAfter,
 	}
 	if *storeFlag != "" {
 		st, err := dispatch.OpenStore(*storeFlag)
@@ -377,8 +355,8 @@ func exportSweepTrace(loc, path string) error {
 }
 
 // reportProgress renders the read-side sweep progress report: one row per
-// shard with state, job counts, last-heartbeat age and ETA, derived from
-// nothing but the store (manifest + shard results + heartbeat histories).
+// shard with state, job counts, last-mark age and ETA, derived from
+// nothing but the store (manifest + shard results + shard span logs).
 // It works from any machine that can reach the store, while the sweep runs.
 func reportProgress(loc string, stallAfter time.Duration) error {
 	if loc == "" {

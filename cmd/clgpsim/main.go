@@ -8,7 +8,7 @@
 //	clgpsim sweep   [-profile gcc] [-insts 200000] [-seeds N] [-tech 90] [-workers 0] [-json BENCH_sweep.json] [-tracefile F -window N] [-store URL] [-warmup N [-snapshot-dir D]] [-cpuprofile F] [-memprofile F] [-metrics-addr A [-metrics-addr-file F]]
 //	clgpsim bench   [-profile gcc] [-insts 100000] [-workers 0] [-json BENCH_clgpsim.json] [-grid=t|f] [-core-json BENCH_core.json] [-core-insts 200000] [-gate BASELINE.json] [-max-regress 0.10]
 //	clgpsim figures [-insts 200000] [-seeds N] [-techs 90,45] [-profiles ...] [-dir clgp-figures] [-shards 0] [-exec] [-resume] [-store URL] [-ssh h1,h2] [-retries 1] [-warmup N] [-paper-ref refs/paper_ref.json] [-write-ref F] [-progress] [-stall-after D] [-trace-out F] [-metrics-addr A [-metrics-addr-file F]]
-//	clgpsim worker  -store LOC -shard N [-workers 0] [-heartbeat 2s] [-metrics-addr A [-metrics-addr-file F]] [-span-parent ID] [-runtime-trace F]
+//	clgpsim worker  -store LOC -shard N [-workers 0] [-metrics-addr A [-metrics-addr-file F]] [-span-parent ID] [-runtime-trace F]
 //	clgpsim store   serve [-dir clgp-store] [-addr 127.0.0.1:8420] [-addr-file F]
 //	clgpsim trace   record|info|slice|bench ...
 //

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -168,14 +169,15 @@ func TestShardResultsRoundTripAndValidation(t *testing.T) {
 	recs[1].Err = "boom"
 	recs[1].Stats = nil
 
-	if ShardComplete(dir, sp) {
-		t.Fatalf("shard complete before writing")
+	st := NewDirStore(dir)
+	if done, err := st.ShardComplete(sp); done || err != nil {
+		t.Fatalf("shard complete before writing (err %v)", err)
 	}
 	if err := WriteShardResults(dir, sp, recs); err != nil {
 		t.Fatal(err)
 	}
-	if !ShardComplete(dir, sp) {
-		t.Fatalf("shard not complete after writing")
+	if done, err := st.ShardComplete(sp); !done || err != nil {
+		t.Fatalf("shard not complete after writing (err %v)", err)
 	}
 	back, err := LoadShardResults(dir, sp)
 	if err != nil {
@@ -311,11 +313,7 @@ func TestInterruptedSweepResumesAndMatchesSingleProcess(t *testing.T) {
 		t.Fatalf("planned %d shards, want 4", len(m.Shards))
 	}
 	for _, id := range []int{0, 2} {
-		recs, err := RunShard(m, id, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteShardResults(dir, m.Shards[id], recs); err != nil {
+		if _, err := RunShard(NewDirStore(dir), m, id, 2, "", "", nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -477,11 +475,7 @@ func TestHelperWorkerProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := RunShard(m, shard, workers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteShardResults(dir, m.Shards[shard], recs); err != nil {
+	if _, err := RunShard(NewDirStore(dir), m, shard, workers, "", "", nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -505,17 +499,40 @@ func TestMergeDirOnFinishedSweep(t *testing.T) {
 	if _, err := o.Run(specs, 2, false); err != nil {
 		t.Fatal(err)
 	}
-	m, recs, err := MergeDir(dir)
+	m, err := LoadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := MergeStore(NewDirStore(dir), m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != len(specs) || m.NumJobs() != len(specs) {
-		t.Fatalf("MergeDir returned %d records for %d jobs", len(recs), len(specs))
+		t.Fatalf("MergeStore returned %d records for %d jobs", len(recs), len(specs))
 	}
 	for i, rec := range recs {
 		if rec.Job != specs[i].Name() {
 			t.Errorf("record %d is %q, want %q (grid order)", i, rec.Job, specs[i].Name())
 		}
+	}
+}
+
+// TestRunShardRejectsOutOfRangeShard: a shard id outside the plan is an
+// error, not a panic, and leaves nothing in the store.
+func TestRunShardRejectsOutOfRangeShard(t *testing.T) {
+	st := NewDirStore(t.TempDir())
+	m, err := NewManifest(testGrid(t), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{-1, 1, 99} {
+		_, err := RunShard(st, m, id, 1, "", "", nil)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("shard %d out of range", id)) {
+			t.Errorf("RunShard(%d) error = %v, want shard %d out of range", id, err, id)
+		}
+	}
+	if entries, _ := os.ReadDir(st.Dir); len(entries) != 0 {
+		t.Errorf("out-of-range runs left %d entries in the store", len(entries))
 	}
 }
 

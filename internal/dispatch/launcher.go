@@ -7,9 +7,6 @@ import (
 	"os/exec"
 	"runtime"
 	"strconv"
-	"time"
-
-	"clgp/internal/telemetry"
 )
 
 // Launcher is how the orchestrator turns a leased shard into running work.
@@ -41,12 +38,8 @@ type Lease struct {
 	// alternative exists; single-host launchers may ignore it (retrying
 	// locally is the only option).
 	Exclude map[string]bool
-	// Spans receives phase spans from launchers that execute in-process;
-	// nil disables recording. Process-spawning launchers ignore it (their
-	// workers record spans themselves and commit them to the store).
-	Spans *telemetry.SpanRecorder
-	// SpanParent is the attempt span's ID, threaded to the worker (via
-	// -span-parent for spawned processes) so its phase spans parent
+	// SpanParent is the attempt span's ID, threaded to RunShard (via
+	// -span-parent for spawned workers) so the lease's phase spans parent
 	// correctly in the stitched trace.
 	SpanParent string
 }
@@ -91,10 +84,7 @@ type InProcessLauncher struct {
 	// Workers is the sim worker-pool size per shard (<= 0 selects
 	// GOMAXPROCS).
 	Workers int
-	// Heartbeat is the beat period for shard progress (0 selects
-	// DefaultHeartbeatInterval, negative disables heartbeats).
-	Heartbeat time.Duration
-	// Logger receives heartbeat diagnostics; nil is silent.
+	// Logger receives span-log diagnostics; nil is silent.
 	Logger *slog.Logger
 }
 
@@ -105,21 +95,7 @@ func (l *InProcessLauncher) Slots() int { return 1 }
 // Launch implements Launcher.
 func (l *InProcessLauncher) Launch(m *Manifest, shard int, lease Lease) (string, error) {
 	const host = "in-process"
-	var hb *HeartbeatWriter
-	if l.Heartbeat >= 0 {
-		hb = StartHeartbeats(l.Store, m.Shards[shard], host, l.Heartbeat, l.Logger)
-	}
-	recs, err := RunShardSpans(l.Store, m, shard, l.Workers, func(done, total int) {
-		hb.JobDone()
-	}, lease.Spans, lease.SpanParent)
-	if err != nil {
-		hb.Stop()
-		return host, err
-	}
-	commit := lease.Spans.Begin(telemetry.SpanPhase, "commit", m.Shards[shard].Name, lease.SpanParent)
-	err = l.Store.WriteShardResults(m.Shards[shard], recs)
-	commit.End()
-	hb.Stop()
+	_, err := RunShard(l.Store, m, shard, l.Workers, host, lease.SpanParent, l.Logger)
 	return host, err
 }
 

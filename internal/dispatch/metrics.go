@@ -22,10 +22,10 @@ var (
 		"Milliseconds spent sleeping in retry backoff.")
 	mJobsDone = telemetry.Default.Counter("clgp_dispatch_jobs_done_total",
 		"Simulation jobs completed by this process's shard runs.")
-	mHeartbeatsWritten = telemetry.Default.Counter("clgp_heartbeats_written_total",
-		"Heartbeat objects committed to the store.")
+	mProgressWrites = telemetry.Default.Counter("clgp_dispatch_progress_writes_total",
+		"Shard span-log writes committed to the store by this process's shard runs.")
 	mStallsFlagged = telemetry.Default.Counter("clgp_dispatch_stalls_flagged_total",
-		"Shards flagged stalled from stale heartbeats before their retry fired.")
+		"Shards flagged stalled from stale progress marks before their retry fired.")
 	mSimCycles = simCycleCounters()
 
 	storeLatencyBounds = []uint64{100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000}

@@ -35,19 +35,15 @@ const (
 
 	// manifestKey, shardKeyPrefix and traceKeyPrefix lay out the sweep
 	// inside the store's key space, mirroring the directory layout.
-	manifestKey        = ManifestFile
-	shardKeyPrefix     = ShardsDir + "/"
-	traceKeyPrefix     = "traces/"
-	heartbeatKeyPrefix = HeartbeatsDir + "/"
-	spanKeyPrefix      = SpansDir + "/"
-	snapshotKeyPrefix  = SnapshotsDir + "/"
+	manifestKey       = ManifestFile
+	shardKeyPrefix    = ShardsDir + "/"
+	traceKeyPrefix    = "traces/"
+	spanKeyPrefix     = SpansDir + "/"
+	snapshotKeyPrefix = SnapshotsDir + "/"
 )
 
 // shardKey returns the object key of a shard's result JSONL.
 func shardKey(sp ShardPlan) string { return shardKeyPrefix + sp.Name + ".jsonl" }
-
-// heartbeatKey returns the object key of a shard's heartbeat JSONL.
-func heartbeatKey(sp ShardPlan) string { return heartbeatKeyPrefix + sp.Name + ".jsonl" }
 
 // spanKey returns the object key of a span JSONL written under name.
 func spanKey(name string) string { return spanKeyPrefix + name + ".jsonl" }
@@ -253,7 +249,7 @@ func (s *ObjectStore) LoadShardResults(sp ShardPlan) ([]RunRecord, error) {
 
 // ClearShards implements Store.
 func (s *ObjectStore) ClearShards() error {
-	for _, prefix := range []string{shardKeyPrefix, heartbeatKeyPrefix, spanKeyPrefix} {
+	for _, prefix := range []string{shardKeyPrefix, spanKeyPrefix} {
 		keys, err := s.list(prefix)
 		if err != nil {
 			return err
@@ -265,17 +261,6 @@ func (s *ObjectStore) ClearShards() error {
 		}
 	}
 	return nil
-}
-
-// WriteHeartbeats implements Store: the hash-verified PUT commits the
-// history atomically, like every other object.
-func (s *ObjectStore) WriteHeartbeats(sp ShardPlan, data []byte) error {
-	return s.put(heartbeatKey(sp), data)
-}
-
-// LoadHeartbeats implements Store.
-func (s *ObjectStore) LoadHeartbeats(sp ShardPlan) ([]byte, error) {
-	return s.get(heartbeatKey(sp))
 }
 
 // WriteSpans implements Store.

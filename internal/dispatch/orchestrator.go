@@ -73,13 +73,10 @@ type Orchestrator struct {
 	// Logger receives structured progress (leases, retries, stalls) with
 	// shard/host/attempt attributes; nil is silent.
 	Logger *slog.Logger
-	// HeartbeatInterval is the beat period the built-in in-process launcher
-	// uses (0 selects DefaultHeartbeatInterval, negative disables).
-	HeartbeatInterval time.Duration
-	// StallAfter is how stale a running shard's heartbeats may get before
-	// the orchestrator warns it stalled — the early dead-worker signal that
-	// fires before the retry timeout. 0 selects 3×DefaultHeartbeatInterval;
-	// negative disables stall monitoring.
+	// StallAfter is how stale a running shard's latest progress mark may
+	// get before the orchestrator warns it stalled — the early dead-worker
+	// signal that fires before the retry timeout. 0 selects three progress
+	// intervals (6s); negative disables stall monitoring.
 	StallAfter time.Duration
 
 	// spans records this run's sweep/shard/attempt spans; Run creates it
@@ -176,7 +173,7 @@ func (o *Orchestrator) launcher(st Store, npending int) (Launcher, error) {
 	}
 	switch o.Mode {
 	case ModeInProcess:
-		return &InProcessLauncher{Store: st, Workers: o.Workers, Heartbeat: o.HeartbeatInterval, Logger: o.Logger}, nil
+		return &InProcessLauncher{Store: st, Workers: o.Workers, Logger: o.Logger}, nil
 	case ModeChild:
 		parallel := o.Parallel
 		if parallel <= 0 {
@@ -221,7 +218,7 @@ func (o *Orchestrator) Run(specs []JobSpec, nShards int, resume bool) (*Outcome,
 	o.sweepSpanID = sweep.ID()
 	defer func() {
 		sweep.End()
-		WriteRecordedSpans(st, SweepSpansName, o.spans, o.log())
+		writeSpans(st, SweepSpansName, o.spans.Spans(), o.log())
 	}()
 
 	m, err := o.prepare(st, specs, nShards, resume)
@@ -324,8 +321,8 @@ func (o *Orchestrator) resolveManifest(st Store, specs []JobSpec, nShards int, r
 // execute leases the pending shards over the launcher's slots, applying the
 // retry policy per shard, and returns the total retries taken plus the
 // union of hosts excluded after failures. While shards run, a monitor
-// goroutine polls heartbeats and warns about stalled shards before their
-// retry timeout fires.
+// goroutine polls the shards' span logs and warns about stalled shards
+// before their retry timeout fires.
 func (o *Orchestrator) execute(st Store, ln Launcher, m *Manifest, pending []int) (int, []string, error) {
 	if len(pending) == 0 {
 		return 0, nil, nil
@@ -401,13 +398,13 @@ func (o *Orchestrator) stallAfter() time.Duration {
 	if o.StallAfter != 0 {
 		return o.StallAfter
 	}
-	return 3 * DefaultHeartbeatInterval
+	return defaultStallAfter
 }
 
-// monitorStalls polls heartbeats while shards run and warns — once per
-// stall episode per shard — when a running shard's beats go stale. This is
-// purely a reporting channel: recovery still belongs to the retry policy,
-// but the operator learns about a dead worker as soon as its heartbeats
+// monitorStalls polls progress while shards run and warns — once per stall
+// episode per shard — when a running shard's latest mark goes stale. This
+// is purely a reporting channel: recovery still belongs to the retry
+// policy, but the operator learns about a dead worker as soon as its marks
 // age out instead of when the lease finally fails.
 func (o *Orchestrator) monitorStalls(st Store, m *Manifest, stallAfter time.Duration, stop <-chan struct{}) {
 	poll := stallAfter / 2
@@ -439,7 +436,7 @@ func (o *Orchestrator) monitorStalls(st Store, m *Manifest, stallAfter time.Dura
 				}
 				flagged[s.ID] = true
 				mStallsFlagged.Inc()
-				o.log().Warn("shard stalled: heartbeats stale",
+				o.log().Warn("shard stalled: progress stale",
 					"shard", s.Name, "host", s.Host,
 					"age", s.Age.Round(time.Millisecond),
 					"jobs_done", s.JobsDone, "jobs_total", s.JobsTotal,
@@ -486,8 +483,7 @@ func (o *Orchestrator) runShard(st Store, ln Launcher, m *Manifest, id int) (ret
 		attemptSpan := o.spans.Begin(telemetry.SpanAttempt,
 			fmt.Sprintf("%s#%d", sp.Name, attempt+1), sp.Name, shardSpan.ID())
 		host, err := ln.Launch(m, id, Lease{
-			Attempt: attempt, Exclude: exclude,
-			Spans: o.spans, SpanParent: attemptSpan.ID(),
+			Attempt: attempt, Exclude: exclude, SpanParent: attemptSpan.ID(),
 		})
 		if err == nil {
 			// Commit, not exit status, is the completion signal. A failed
@@ -517,26 +513,4 @@ func (o *Orchestrator) runShard(st Store, ln Launcher, m *Manifest, id int) (ret
 	}
 	return retries, excludedList(),
 		fmt.Errorf("dispatch: shard %s failed after %d attempt(s): %w", sp.Name, policy.Attempts, lastErr)
-}
-
-// Merge loads every shard's results from a sweep directory and returns them
-// in grid order. All shards must be complete; each file is validated
-// against the plan.
-func Merge(dir string, m *Manifest) ([]RunRecord, error) {
-	return MergeStore(NewDirStore(dir), m)
-}
-
-// MergeDir loads a sweep directory without re-running anything: manifest
-// plus all shard results (which must all be complete). It is the read side
-// of the directory protocol, usable by analysis tools on a finished sweep.
-func MergeDir(dir string) (*Manifest, []RunRecord, error) {
-	m, err := LoadManifest(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	recs, err := Merge(dir, m)
-	if err != nil {
-		return nil, nil, err
-	}
-	return m, recs, nil
 }

@@ -6,14 +6,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"time"
 
 	"clgp/internal/sim"
 	"clgp/internal/stats"
-	"clgp/internal/telemetry"
 	"clgp/internal/tracefile"
 	"clgp/internal/workload"
 )
@@ -175,48 +174,29 @@ func validateTraceFile(spec JobSpec, local string, w *workload.Workload) error {
 	return nil
 }
 
-// RunShard executes shard id of the manifest with the given sim worker-pool
-// size and returns one record per job, in shard order. Individual job
-// failures are reported inside their records; only infrastructure failures
-// (unknown shard, workload generation) return an error. Trace containers
-// are opened as shared-filesystem paths; workers running against a remote
-// store use RunShardStore.
-func RunShard(m *Manifest, id, workers int) ([]RunRecord, error) {
-	return RunShardStore(nil, m, id, workers)
-}
-
-// RunShardStore is RunShard with trace containers resolved through a store:
-// streamed specs fetch their shared container by workload fingerprint (and
-// cache it locally) instead of assuming a shared filesystem. A nil store
-// behaves like RunShard. Result records always carry the original spec —
-// including its TraceFile reference, not the fetched local path — so shard
-// files merge identically whichever backend ran them.
-func RunShardStore(st Store, m *Manifest, id, workers int) ([]RunRecord, error) {
-	return RunShardObserved(st, m, id, workers, nil)
-}
-
-// RunShardObserved is RunShardStore with a progress hook: onJob is called
-// after each completed job with the done count and the shard total. It is
-// how heartbeat writers (and any other progress surface) observe a running
-// shard without the sim layer knowing about stores. onJob may be called
-// from worker-pool goroutines concurrently with each other's successor; a
-// nil hook behaves like RunShardStore.
-func RunShardObserved(st Store, m *Manifest, id, workers int, onJob func(done, total int)) ([]RunRecord, error) {
-	return RunShardSpans(st, m, id, workers, onJob, nil, "")
-}
-
-// RunShardSpans is RunShardObserved with span tracing: the fetch-trace
-// phase (workload generation and trace resolution) and the simulate phase
-// are recorded on rec, parented under spanParent, on the shard's lane. A
-// nil recorder behaves like RunShardObserved.
-func RunShardSpans(st Store, m *Manifest, id, workers int, onJob func(done, total int), rec *telemetry.SpanRecorder, spanParent string) ([]RunRecord, error) {
+// RunShard executes shard id of m as one lease on host and commits its
+// results to st. It is the single shard-execution path: in-process
+// launchers and `clgpsim worker` both run shards through it. Individual job
+// failures are reported inside the returned records (one per job, in shard
+// order); only infrastructure failures (unknown shard, workload generation,
+// the commit) return an error.
+//
+// While it runs, the lease keeps its span log (spans/<shard>.jsonl) current
+// in st: its fetch-trace, simulate and commit phase spans, parented under
+// spanParent, with the open one marked with progress (see startShardLog).
+// Streamed specs fetch their shared container through st by workload
+// fingerprint; result records always carry the original spec — including
+// its TraceFile reference, not the fetched local path — so shard objects
+// merge identically whichever backend ran them. logger nil is silent.
+func RunShard(st Store, m *Manifest, id, workers int, host, spanParent string, logger *slog.Logger) ([]RunRecord, error) {
 	if id < 0 || id >= len(m.Shards) {
 		return nil, fmt.Errorf("dispatch: shard %d out of range (manifest has %d)", id, len(m.Shards))
 	}
 	sp := m.Shards[id]
+	log := startShardLog(st, sp, host, spanParent, logger)
+	defer log.close()
 	cache := newWorkloadCache(st)
 	jobs := make([]sim.Job, len(sp.Specs))
-	fetch := rec.Begin(telemetry.SpanPhase, "fetch-trace", sp.Name, spanParent)
 	for i, spec := range sp.Specs {
 		w, err := cache.get(spec)
 		if err != nil {
@@ -231,33 +211,29 @@ func RunShardSpans(st Store, m *Manifest, id, workers int, onJob func(done, tota
 			// locally resolved copy, not the store-relative reference.
 			jobs[i].TraceFile = cache.tracePath(spec.TraceFile)
 		}
-		if spec.Warmup > 0 && st != nil {
+		if spec.Warmup > 0 {
 			// Warm-state snapshots flow through the sweep store, so workers on
 			// every host share one checkpoint per (fingerprint, warm key,
 			// boundary).
 			jobs[i].Snapshots = st
 		}
 	}
-	fetch.End()
-	rn := sim.Runner{Workers: workers}
-	total := len(jobs)
-	var done atomic.Int64
-	rn.OnResult = func(i int, r sim.Result) {
+	log.phase("simulate")
+	rn := sim.Runner{Workers: workers, OnResult: func(i int, r sim.Result) {
 		mJobsDone.Inc()
 		if r.Stats != nil {
 			countSimCycles(r.Stats.CycleAccounts)
 		}
-		n := int(done.Add(1))
-		if onJob != nil {
-			onJob(n, total)
-		}
-	}
-	simulate := rec.Begin(telemetry.SpanPhase, "simulate", sp.Name, spanParent)
+		log.jobDone()
+	}}
 	results := rn.Run(jobs)
-	simulate.End()
 	recs := make([]RunRecord, len(results))
 	for i, res := range results {
 		recs[i] = recordFromResult(sp.Specs[i], res)
+	}
+	log.phase("commit")
+	if err := st.WriteShardResults(sp, recs); err != nil {
+		return nil, err
 	}
 	return recs, nil
 }
@@ -357,20 +333,12 @@ func LoadShardResults(dir string, sp ShardPlan) ([]RunRecord, error) {
 	return parseShardResults(sp, data)
 }
 
-// ShardComplete reports whether the shard's result file exists. Because
-// results are committed by rename, existence implies completeness; content
-// is still validated at merge time by LoadShardResults.
-func ShardComplete(dir string, sp ShardPlan) bool {
-	_, err := os.Stat(shardFilePath(dir, sp))
-	return err == nil
-}
-
 // ClearShards deletes every file in the shards subdirectory (complete
-// results and leftover temporaries alike) and any stale heartbeat and span
-// objects; used when starting a sweep from scratch in a directory holding
-// an earlier checkpoint, possibly planned with a different shard count.
+// results and leftover temporaries alike) and any stale span logs; used
+// when starting a sweep from scratch in a directory holding an earlier
+// checkpoint, possibly planned with a different shard count.
 func ClearShards(dir string) error {
-	for _, sub := range []string{ShardsDir, HeartbeatsDir, SpansDir} {
+	for _, sub := range []string{ShardsDir, SpansDir} {
 		if err := clearDirFiles(filepath.Join(dir, sub)); err != nil {
 			return err
 		}

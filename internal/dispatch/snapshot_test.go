@@ -181,7 +181,7 @@ func TestChildWorkerWarmRestore(t *testing.T) {
 
 // TestHelperSnapshotWorkerProcess is not a real test: it is the body of the
 // child processes spawned by TestChildWorkerWarmRestore — a store-connected
-// worker, so the warm-snapshot wiring in RunShardStore is exercised across a
+// worker, so the warm-snapshot wiring in RunShard is exercised across a
 // process boundary. In a normal test run (no "--" args) it skips immediately.
 func TestHelperSnapshotWorkerProcess(t *testing.T) {
 	sep := -1
@@ -210,11 +210,7 @@ func TestHelperSnapshotWorkerProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := RunShardStore(st, m, shard, workers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.WriteShardResults(m.Shards[shard], recs); err != nil {
+	if _, err := RunShard(st, m, shard, workers, "", "", nil); err != nil {
 		t.Fatal(err)
 	}
 }

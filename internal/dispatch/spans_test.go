@@ -11,10 +11,10 @@ import (
 )
 
 // TestSweepSpansRecorded runs an in-process sweep and checks the span
-// trace the orchestrator commits: a sweep root, one shard span and one
-// attempt span per shard, worker phases (fetch-trace, simulate, commit)
-// parented under their attempt, and a Chrome-trace export that stitches
-// them all.
+// trace it commits: a sweep root, one shard span and one attempt span per
+// shard from the orchestrator, closed phases (fetch-trace, simulate,
+// commit) from each shard's own span log, parented under their attempt,
+// and a Chrome-trace export that stitches them all.
 func TestSweepSpansRecorded(t *testing.T) {
 	specs := testGrid(t)
 	st := NewDirStore(t.TempDir())
@@ -49,6 +49,39 @@ func TestSweepSpansRecorded(t *testing.T) {
 		if phases[want] != 2 {
 			t.Errorf("%d %q phase spans, want one per shard (2); phases: %v",
 				phases[want], want, phases)
+		}
+	}
+	// Each shard's phases come from its own span log, closed; the sweep log
+	// holds none.
+	for _, sp := range out.Manifest.Shards {
+		data, err := st.LoadSpans(sp.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		own, err := telemetry.ParseSpans(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(own) != 3 {
+			t.Errorf("%s span log holds %d spans, want its 3 phases", sp.Name, len(own))
+		}
+		for _, s := range own {
+			if s.Cat != telemetry.SpanPhase || s.Lane != sp.Name || s.Mark != nil {
+				t.Errorf("%s span log holds %+v, want closed phases on its lane", sp.Name, s)
+			}
+		}
+	}
+	data, err := st.LoadSpans(SweepSpansName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own, err := telemetry.ParseSpans(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range own {
+		if s.Cat == telemetry.SpanPhase {
+			t.Errorf("sweep span log holds phase %+v", s)
 		}
 	}
 	// Every non-root span's parent must resolve, all the way up to the
@@ -95,7 +128,7 @@ func TestStoreSpansRoundTrip(t *testing.T) {
 			}
 			rec := telemetry.NewSpanRecorder("shard-000")
 			rec.Begin(telemetry.SpanPhase, "simulate", "shard-000", "sweep:1").End()
-			WriteRecordedSpans(st, "shard-000", rec, nil)
+			writeSpans(st, "shard-000", rec.Spans(), nil)
 			data, err := st.LoadSpans("shard-000")
 			if err != nil {
 				t.Fatal(err)

@@ -45,26 +45,18 @@ type Store interface {
 	// against the plan.
 	LoadShardResults(sp ShardPlan) ([]RunRecord, error)
 	// ClearShards removes every shard result (and any leftover partials)
-	// plus stale heartbeat objects, used when starting a sweep from scratch
-	// over an old checkpoint.
+	// plus stale span logs, used when starting a sweep from scratch over an
+	// old checkpoint.
 	ClearShards() error
 
-	// WriteHeartbeats commits a shard's full heartbeat history (a JSONL
-	// object, see EncodeHeartbeats) atomically. Heartbeats are advisory:
-	// implementations commit whole-or-not-at-all like results, but a failed
-	// write only degrades liveness reporting, never the sweep.
-	WriteHeartbeats(sp ShardPlan, data []byte) error
-	// LoadHeartbeats reads a shard's heartbeat history. The error wraps
-	// os.ErrNotExist when no worker has beaten for the shard yet.
-	LoadHeartbeats(sp ShardPlan) ([]byte, error)
-
-	// WriteSpans commits a span history (telemetry JSONL, see
+	// WriteSpans commits a span log (telemetry JSONL, see
 	// telemetry.EncodeSpans) atomically under name — a shard name for a
-	// worker's phase spans, SweepSpansName for the orchestrator's. Spans
-	// are advisory like heartbeats: a failed write degrades the exported
-	// trace, never the sweep.
+	// lease's phase spans and progress, SweepSpansName for the
+	// orchestrator's. Spans are advisory: implementations commit
+	// whole-or-not-at-all like results, but a failed write only degrades
+	// progress reporting and the exported trace, never the sweep.
 	WriteSpans(name string, data []byte) error
-	// LoadSpans reads a span object. The error wraps os.ErrNotExist when
+	// LoadSpans reads a span log. The error wraps os.ErrNotExist when
 	// nothing has been recorded under name.
 	LoadSpans(name string) ([]byte, error)
 
@@ -140,43 +132,12 @@ func (s *DirStore) LoadShardResults(sp ShardPlan) ([]RunRecord, error) {
 // ClearShards implements Store.
 func (s *DirStore) ClearShards() error { return ClearShards(s.Dir) }
 
-// heartbeatFilePath returns the heartbeat JSONL file of a shard.
-func heartbeatFilePath(dir string, sp ShardPlan) string {
-	return filepath.Join(dir, HeartbeatsDir, sp.Name+".jsonl")
-}
-
-// WriteHeartbeats implements Store: temp+rename, like shard results.
-func (s *DirStore) WriteHeartbeats(sp ShardPlan, data []byte) error {
-	final := heartbeatFilePath(s.Dir, sp)
-	if err := os.MkdirAll(filepath.Dir(final), 0o755); err != nil {
-		return fmt.Errorf("dispatch: creating heartbeats directory: %w", err)
-	}
-	tmp := final + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("dispatch: writing heartbeats for %s: %w", sp.Name, err)
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		return fmt.Errorf("dispatch: committing heartbeats for %s: %w", sp.Name, err)
-	}
-	return nil
-}
-
-// LoadHeartbeats implements Store.
-func (s *DirStore) LoadHeartbeats(sp ShardPlan) ([]byte, error) {
-	data, err := os.ReadFile(heartbeatFilePath(s.Dir, sp))
-	if err != nil {
-		return nil, fmt.Errorf("dispatch: reading heartbeats for %s: %w", sp.Name, err)
-	}
-	return data, nil
-}
-
 // spanFilePath returns the span JSONL file written under name.
 func spanFilePath(dir, name string) string {
 	return filepath.Join(dir, SpansDir, name+".jsonl")
 }
 
-// WriteSpans implements Store: temp+rename, like heartbeats.
+// WriteSpans implements Store: temp+rename, like shard results.
 func (s *DirStore) WriteSpans(name string, data []byte) error {
 	final := spanFilePath(s.Dir, name)
 	if err := os.MkdirAll(filepath.Dir(final), 0o755); err != nil {

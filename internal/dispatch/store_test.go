@@ -287,7 +287,7 @@ func TestObjectStoreStreamedSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id := range m.Shards {
-		recs, err := RunShardStore(st, m, id, 1)
+		recs, err := RunShard(st, m, id, 1, "", "", nil)
 		if err != nil {
 			t.Fatalf("remote-style shard %d: %v", id, err)
 		}

@@ -33,7 +33,7 @@ func runSingleShard(t testing.TB, specs []JobSpec) []RunRecord {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := RunShard(m, 0, 1)
+	recs, err := RunShard(NewDirStore(t.TempDir()), m, 0, 1, "", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestValidateTraceFileMismatches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := RunShard(m, 0, 1); err == nil || !strings.Contains(err.Error(), wantSub) {
+		if _, err := RunShard(NewDirStore(t.TempDir()), m, 0, 1, "", "", nil); err == nil || !strings.Contains(err.Error(), wantSub) {
 			t.Errorf("RunShard error = %v, want substring %q", err, wantSub)
 		}
 	}

@@ -81,7 +81,7 @@ type Runner struct {
 	// Workers is the worker-pool size; <= 0 selects GOMAXPROCS.
 	Workers int
 	// OnResult, when set, is called once per completed job with its index
-	// and result — the progress hook heartbeats hang off. It is invoked
+	// and result — the progress hook shard span logs hang off. It is invoked
 	// from pool goroutines concurrently, so it must be safe for concurrent
 	// use; a slow hook slows the pool.
 	OnResult func(i int, r Result)

@@ -28,10 +28,11 @@ const (
 	SpanPhase = "phase"
 )
 
-// Span is one completed timed operation of a sweep. Spans are persisted as
-// JSONL objects through the dispatch store (one object per recording
-// process) and stitched into a single Chrome-trace-event file by the export
-// side; Lane names the Perfetto track the span renders on.
+// Span is one timed operation of a sweep. Spans are persisted as JSONL
+// objects through the dispatch store (one object per recording process) and
+// stitched into a single Chrome-trace-event file by the export side; Lane
+// names the Perfetto track the span renders on. A span written while still
+// open carries a Mark; completed spans never do.
 type Span struct {
 	// Name is the human label ("simulate", "shard-000#1", ...).
 	Name string `json:"name"`
@@ -47,8 +48,24 @@ type Span struct {
 	Parent string `json:"parent,omitempty"`
 	// StartMicros is the span's start as Unix microseconds.
 	StartMicros int64 `json:"start_us"`
-	// DurMicros is the span's duration in microseconds.
+	// DurMicros is the span's duration in microseconds (so far, on an open
+	// span).
 	DurMicros int64 `json:"dur_us"`
+	// Mark is the latest progress of a span written while still open; nil
+	// once the span has ended.
+	Mark *Mark `json:"mark,omitempty"`
+}
+
+// Mark is a progress event on an open span: when it was taken, how far the
+// span's work had got, and which host was doing it.
+type Mark struct {
+	// Micros is the mark's time as Unix microseconds.
+	Micros int64 `json:"at_us"`
+	// JobsDone / JobsTotal is the progress at mark time.
+	JobsDone  int `json:"jobs_done"`
+	JobsTotal int `json:"jobs_total"`
+	// Host labels the host doing the span's work.
+	Host string `json:"host,omitempty"`
 }
 
 // SpanRecorder collects the completed spans of one process — the
@@ -103,6 +120,21 @@ func (a *ActiveSpan) ID() string {
 		return ""
 	}
 	return a.span.ID
+}
+
+// Marked returns the span as it stands while still open, stamped now with
+// mark m (whose Micros it sets) and its duration so far. The zero Span on a
+// nil handle.
+func (a *ActiveSpan) Marked(m Mark) Span {
+	if a == nil {
+		return Span{}
+	}
+	now := time.Now()
+	s := a.span
+	s.DurMicros = now.Sub(a.start).Microseconds()
+	m.Micros = now.UnixMicro()
+	s.Mark = &m
+	return s
 }
 
 // End completes the span and records it. No-op on a nil handle.

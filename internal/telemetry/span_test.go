@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -15,6 +16,7 @@ func TestSpanRecorderRoundTrip(t *testing.T) {
 	root := rec.Begin(SpanAttempt, "shard-000#1", "shard-000", "sweep:2")
 	child := rec.Begin(SpanPhase, "simulate", "shard-000", root.ID())
 	child.End()
+	open := rec.Begin(SpanPhase, "commit", "shard-000", root.ID())
 	root.End()
 
 	spans := rec.Spans()
@@ -38,6 +40,17 @@ func TestSpanRecorderRoundTrip(t *testing.T) {
 		t.Error("span start not stamped")
 	}
 
+	// An open span is written with its progress mark; closed spans carry
+	// none.
+	marked := open.Marked(Mark{JobsDone: 3, JobsTotal: 8, Host: "w1"})
+	if marked.Mark == nil || marked.Mark.Micros < marked.StartMicros || marked.Mark.JobsDone != 3 {
+		t.Fatalf("open span mark %+v", marked.Mark)
+	}
+	if spans[0].Mark != nil || spans[1].Mark != nil {
+		t.Error("closed spans carry a progress mark")
+	}
+	spans = append(spans, marked)
+
 	data, err := EncodeSpans(spans)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
@@ -50,7 +63,7 @@ func TestSpanRecorderRoundTrip(t *testing.T) {
 		t.Fatalf("round-trip length %d, want %d", len(back), len(spans))
 	}
 	for i := range spans {
-		if back[i] != spans[i] {
+		if !reflect.DeepEqual(back[i], spans[i]) {
 			t.Errorf("span %d round-trip mismatch:\n got %+v\nwant %+v", i, back[i], spans[i])
 		}
 	}
@@ -73,6 +86,9 @@ func TestSpanRecorderNil(t *testing.T) {
 		t.Errorf("nil span ID %q, want empty", got)
 	}
 	sp.End() // must not panic
+	if got := sp.Marked(Mark{}); got.Mark != nil {
+		t.Errorf("nil span Marked() = %+v, want the zero span", got)
+	}
 	if got := rec.Spans(); got != nil {
 		t.Errorf("nil recorder Spans() = %v, want nil", got)
 	}
