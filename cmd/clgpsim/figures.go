@@ -25,7 +25,6 @@ import (
 func cmdWorker(args []string) error {
 	fs := flag.NewFlagSet("worker", flag.ExitOnError)
 	storeFlag := fs.String("store", "", "sweep store: checkpoint directory or http(s) object-store URL")
-	dir := fs.String("dir", "", "sweep directory (alias for a directory -store)")
 	shard := fs.Int("shard", -1, "shard id to execute")
 	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address while the shard runs (e.g. 127.0.0.1:0)")
@@ -40,12 +39,8 @@ func cmdWorker(args []string) error {
 	if err != nil {
 		return err
 	}
-	loc := *storeFlag
-	if loc == "" {
-		loc = *dir
-	}
-	if loc == "" || *shard < 0 {
-		return fmt.Errorf("worker needs -store (or -dir) and -shard")
+	if *storeFlag == "" || *shard < 0 {
+		return fmt.Errorf("worker needs -store and -shard")
 	}
 	stopTrace, err := startRuntimeTrace(*runtimeTrace)
 	if err != nil {
@@ -64,7 +59,7 @@ func cmdWorker(args []string) error {
 		defer stopMetrics()
 		lg.Info("worker metrics server up", "addr", bound)
 	}
-	st, err := dispatch.OpenStore(loc)
+	st, err := dispatch.OpenStore(*storeFlag)
 	if err != nil {
 		return err
 	}
@@ -134,19 +129,23 @@ func cmdFigures(args []string) error {
 	if err != nil {
 		return err
 	}
+	loc := *storeFlag
+	if loc == "" {
+		loc = *dir
+	}
+	st, err := dispatch.OpenStore(loc)
+	if err != nil {
+		return err
+	}
 	if *progress {
-		loc := *storeFlag
-		if loc == "" {
-			loc = *dir
-		}
 		// -progress -trace-out exports whatever spans the store holds so
 		// far, without running anything — a live look at a sweep underway.
 		if *traceOut != "" {
-			if err := exportSweepTrace(loc, *traceOut); err != nil {
+			if err := exportSweepTrace(st, *traceOut); err != nil {
 				return err
 			}
 		}
-		return reportProgress(loc, *stallAfter)
+		return reportProgress(st, *stallAfter)
 	}
 	if *metricsAddr != "" {
 		bound, stopMetrics, err := telemetry.StartMetricsServer(*metricsAddr, *metricsAddrFile, telemetry.Default)
@@ -202,19 +201,12 @@ func cmdFigures(args []string) error {
 		mode = dispatch.ModeChild
 	}
 	o := &dispatch.Orchestrator{
-		Dir: *dir, Workers: *workers, Parallel: *parallel, Mode: mode, Logger: lg,
+		Store: st, Workers: *workers, Parallel: *parallel, Mode: mode, Logger: lg,
 		Retry:      dispatch.RetryPolicy{Attempts: *retries + 1},
 		StallAfter: *stallAfter,
 	}
-	if *storeFlag != "" {
-		st, err := dispatch.OpenStore(*storeFlag)
-		if err != nil {
-			return err
-		}
-		o.Store = st
-	}
 	if *sshHosts != "" {
-		if o.Store == nil {
+		if *storeFlag == "" {
 			return fmt.Errorf("-ssh workers need -store (an object-store URL or a directory every host mounts)")
 		}
 		var hosts []string
@@ -317,11 +309,7 @@ func cmdFigures(args []string) error {
 	}
 
 	if *traceOut != "" {
-		loc := *storeFlag
-		if loc == "" {
-			loc = *dir
-		}
-		if err := exportSweepTrace(loc, *traceOut); err != nil {
+		if err := exportSweepTrace(st, *traceOut); err != nil {
 			return err
 		}
 	}
@@ -330,11 +318,7 @@ func cmdFigures(args []string) error {
 
 // exportSweepTrace stitches a sweep's persisted spans (the orchestrator's
 // plus every worker's) into one Chrome-trace-event JSON file.
-func exportSweepTrace(loc, path string) error {
-	st, err := dispatch.OpenStore(loc)
-	if err != nil {
-		return err
-	}
+func exportSweepTrace(st dispatch.Store, path string) error {
 	m, err := st.LoadManifest()
 	if err != nil {
 		return err
@@ -358,14 +342,7 @@ func exportSweepTrace(loc, path string) error {
 // shard with state, job counts, last-mark age and ETA, derived from
 // nothing but the store (manifest + shard results + shard span logs).
 // It works from any machine that can reach the store, while the sweep runs.
-func reportProgress(loc string, stallAfter time.Duration) error {
-	if loc == "" {
-		return fmt.Errorf("figures -progress needs -store or -dir")
-	}
-	st, err := dispatch.OpenStore(loc)
-	if err != nil {
-		return err
-	}
+func reportProgress(st dispatch.Store, stallAfter time.Duration) error {
 	m, err := st.LoadManifest()
 	if err != nil {
 		return err

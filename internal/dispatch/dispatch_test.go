@@ -14,7 +14,6 @@ import (
 	"clgp/internal/cacti"
 	"clgp/internal/core"
 	"clgp/internal/sim"
-	"clgp/internal/stats"
 )
 
 // testGrid is a small but multi-workload, multi-engine grid: 2 profiles ×
@@ -128,103 +127,6 @@ func TestPlanShardsDeterministicPartition(t *testing.T) {
 	}
 }
 
-func TestManifestRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	m, err := NewManifest(testGrid(t), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteManifest(dir, m); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.GridHash != m.GridHash || len(back.Shards) != len(m.Shards) {
-		t.Fatalf("manifest round-trip mismatch: %+v vs %+v", back, m)
-	}
-	for i := range m.Shards {
-		if back.Shards[i].Name != m.Shards[i].Name || len(back.Shards[i].Specs) != len(m.Shards[i].Specs) {
-			t.Errorf("shard %d round-trip mismatch", i)
-		}
-	}
-}
-
-func TestShardResultsRoundTripAndValidation(t *testing.T) {
-	dir := t.TempDir()
-	m, err := NewManifest(testGrid(t), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := m.Shards[0]
-	recs := make([]RunRecord, len(sp.Specs))
-	for i, spec := range sp.Specs {
-		recs[i] = RunRecord{
-			Job: spec.Name(), Spec: spec, WallSeconds: 0.5,
-			Stats: &stats.Results{Name: spec.Name(), Cycles: uint64(1000 + i), Committed: 500},
-		}
-	}
-	// One failed job exercises the error round-trip.
-	recs[1].Err = "boom"
-	recs[1].Stats = nil
-
-	st := NewDirStore(dir)
-	if done, err := st.ShardComplete(sp); done || err != nil {
-		t.Fatalf("shard complete before writing (err %v)", err)
-	}
-	if err := WriteShardResults(dir, sp, recs); err != nil {
-		t.Fatal(err)
-	}
-	if done, err := st.ShardComplete(sp); !done || err != nil {
-		t.Fatalf("shard not complete after writing (err %v)", err)
-	}
-	back, err := LoadShardResults(dir, sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range recs {
-		if back[i].Job != recs[i].Job || back[i].Err != recs[i].Err {
-			t.Errorf("record %d round-trip mismatch: %+v vs %+v", i, back[i], recs[i])
-		}
-	}
-	if back[0].Stats == nil || back[0].Stats.Cycles != 1000 {
-		t.Errorf("stats did not round-trip: %+v", back[0].Stats)
-	}
-	res := back[1].Result()
-	if res.Err == nil || res.Err.Error() != "boom" {
-		t.Errorf("error did not round-trip into sim.Result: %v", res.Err)
-	}
-
-	// A result file for the wrong plan (count mismatch) must be rejected.
-	if _, err := LoadShardResults(dir, m.Shards[1]); err == nil {
-		t.Errorf("loading shard 1 from shard 0's file should fail")
-	}
-	// A shard file produced against a different workload length must be
-	// rejected even though the job labels match (labels omit insts/seed).
-	tampered := append([]RunRecord(nil), recs...)
-	tampered[0].Spec.Insts += 1000
-	if err := WriteShardResults(dir, sp, tampered); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadShardResults(dir, sp); err == nil {
-		t.Errorf("shard file with mismatched spec should fail validation")
-	}
-	if err := WriteShardResults(dir, sp, recs); err != nil {
-		t.Fatal(err)
-	}
-
-	// Truncated (partial) files must be rejected, not silently accepted.
-	path := filepath.Join(dir, ShardsDir, sp.Name+".jsonl")
-	data, _ := os.ReadFile(path)
-	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadShardResults(dir, sp); err == nil {
-		t.Errorf("truncated shard file should fail validation")
-	}
-}
-
 // statsKey reduces a result to the deterministic fields compared across
 // execution strategies.
 type statsKey struct {
@@ -301,7 +203,7 @@ func TestInterruptedSweepResumesAndMatchesSingleProcess(t *testing.T) {
 	baseline := runBaseline(t, specs)
 
 	dir := t.TempDir()
-	o := &Orchestrator{Dir: dir, Workers: 2}
+	o := &Orchestrator{Store: NewDirStore(dir), Workers: 2}
 
 	// Simulate the interrupted first run: plan the sweep, complete only
 	// shards 0 and 2, then "die" before the rest.
@@ -390,7 +292,7 @@ func TestShardCountInvariance(t *testing.T) {
 	specs := testGrid(t)
 	baseline := runBaseline(t, specs)
 	for _, n := range []int{1, 3} {
-		o := &Orchestrator{Dir: t.TempDir(), Workers: 2}
+		o := &Orchestrator{Store: NewDirStore(t.TempDir()), Workers: 2}
 		out, err := o.Run(specs, n, false)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", n, err)
@@ -404,7 +306,7 @@ func TestShardCountInvariance(t *testing.T) {
 func TestResumeRejectsDifferentGrid(t *testing.T) {
 	specs := testGrid(t)
 	dir := t.TempDir()
-	o := &Orchestrator{Dir: dir, Workers: 2}
+	o := &Orchestrator{Store: NewDirStore(dir), Workers: 2}
 	if _, err := o.prepare(NewDirStore(dir), specs, 2, false); err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +332,7 @@ func TestChildProcessMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := &Orchestrator{
-		Dir: dir, Workers: 1, Parallel: 2, Mode: ModeChild,
+		Store: NewDirStore(dir), Workers: 1, Parallel: 2, Mode: ModeChild,
 		WorkerArgv: func(dir string, shard, workers int, spanParent string) []string {
 			// Positional args after "--" reach the helper via os.Args.
 			return []string{exe, "-test.run", "TestHelperWorkerProcess", "--",
@@ -471,11 +373,12 @@ func TestHelperWorkerProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := LoadManifest(dir)
+	st := NewDirStore(dir)
+	m, err := st.LoadManifest()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunShard(NewDirStore(dir), m, shard, workers, "", "", nil); err != nil {
+	if _, err := RunShard(st, m, shard, workers, "", "", nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -494,16 +397,16 @@ func testLogger(t *testing.T) *slog.Logger {
 
 func TestMergeDirOnFinishedSweep(t *testing.T) {
 	specs := testGrid(t)
-	dir := t.TempDir()
-	o := &Orchestrator{Dir: dir, Workers: 2}
+	st := NewDirStore(t.TempDir())
+	o := &Orchestrator{Store: st, Workers: 2}
 	if _, err := o.Run(specs, 2, false); err != nil {
 		t.Fatal(err)
 	}
-	m, err := LoadManifest(dir)
+	m, err := st.LoadManifest()
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := MergeStore(NewDirStore(dir), m)
+	recs, err := MergeStore(st, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +434,7 @@ func TestRunShardRejectsOutOfRangeShard(t *testing.T) {
 			t.Errorf("RunShard(%d) error = %v, want shard %d out of range", id, err, id)
 		}
 	}
-	if entries, _ := os.ReadDir(st.Dir); len(entries) != 0 {
+	if entries, _ := os.ReadDir(st.Location()); len(entries) != 0 {
 		t.Errorf("out-of-range runs left %d entries in the store", len(entries))
 	}
 }

@@ -11,14 +11,17 @@
 // A sweep is a manifest (the shard plan plus a hash of the full grid) and
 // one results object per shard, every one committed atomically: a result
 // either exists complete or not at all, so bare existence is the
-// completion marker resume and retry both key on. The same bytes flow over
-// either Store backend —
+// completion marker resume and retry both key on. The protocol is written
+// once, over a five-verb byte-object backend —
 //
-//   - DirStore: the original shared-directory layout (manifest.json +
-//     shards/*.jsonl, committed by write-to-temp + rename);
-//   - ObjectStore: the same objects behind an HTTP server (StoreServer,
-//     run by `clgpsim store serve`) with SHA-256 content integrity on
-//     every transfer, so workers need only a URL, not a shared filesystem.
+//   - DirStore: files under the sweep directory (blob.Dir), in the
+//     original layout (manifest.json, shards/, spans/, snapshots/);
+//   - ObjectStore: the same keys behind an HTTP server (StoreServer, run
+//     by `clgpsim store serve`, keeping them in a blob.Dir) with SHA-256
+//     content integrity on every transfer, so workers need only a URL.
+//
+// Either way the commit is blob.Dir.Put: a unique temporary file renamed
+// into place, so concurrent commits of one object all succeed.
 //
 // Shared trace containers ride the same channel: the orchestrator
 // publishes them by workload fingerprint (PushTrace) before any worker

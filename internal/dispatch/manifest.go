@@ -5,8 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 )
 
 const (
@@ -129,8 +127,8 @@ func NewManifest(specs []JobSpec, nShards int) (*Manifest, error) {
 }
 
 // encodeManifest renders the manifest in its on-store JSON form. Both
-// backends (directory file and object PUT) commit exactly these bytes, so a
-// sweep checkpointed through one store can be finished through the other.
+// Store backends commit exactly these bytes, so a sweep checkpointed
+// through one store can be finished through the other.
 func encodeManifest(m *Manifest) ([]byte, error) {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
@@ -157,33 +155,4 @@ func parseManifest(data []byte) (*Manifest, error) {
 		}
 	}
 	return &m, nil
-}
-
-// WriteManifest persists the manifest into dir (creating dir and the shards
-// subdirectory), atomically via a temp file and rename.
-func WriteManifest(dir string, m *Manifest) error {
-	if err := os.MkdirAll(filepath.Join(dir, ShardsDir), 0o755); err != nil {
-		return fmt.Errorf("dispatch: creating sweep directory: %w", err)
-	}
-	data, err := encodeManifest(m)
-	if err != nil {
-		return err
-	}
-	tmp := filepath.Join(dir, ManifestFile+".tmp")
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("dispatch: writing manifest: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, ManifestFile)); err != nil {
-		return fmt.Errorf("dispatch: committing manifest: %w", err)
-	}
-	return nil
-}
-
-// LoadManifest reads the manifest of a sweep directory.
-func LoadManifest(dir string) (*Manifest, error) {
-	data, err := os.ReadFile(filepath.Join(dir, ManifestFile))
-	if err != nil {
-		return nil, fmt.Errorf("dispatch: reading manifest: %w", err)
-	}
-	return parseManifest(data)
 }

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"time"
 
+	"clgp/internal/blob"
 	"clgp/internal/tracefile"
 )
 
@@ -32,28 +33,14 @@ const (
 	// ObjectHashHeader carries the client-computed SHA-256 of an upload; the
 	// server verifies the received body against it before committing.
 	ObjectHashHeader = "X-Content-Sha256"
-
-	// manifestKey, shardKeyPrefix and traceKeyPrefix lay out the sweep
-	// inside the store's key space, mirroring the directory layout.
-	manifestKey       = ManifestFile
-	shardKeyPrefix    = ShardsDir + "/"
-	traceKeyPrefix    = "traces/"
-	spanKeyPrefix     = SpansDir + "/"
-	snapshotKeyPrefix = SnapshotsDir + "/"
 )
-
-// shardKey returns the object key of a shard's result JSONL.
-func shardKey(sp ShardPlan) string { return shardKeyPrefix + sp.Name + ".jsonl" }
-
-// spanKey returns the object key of a span JSONL written under name.
-func spanKey(name string) string { return spanKeyPrefix + name + ".jsonl" }
 
 // TraceObjectKey returns the content-addressed object key a trace container
 // is published under: its workload generation fingerprint, not its file
 // name, so a worker that has only (profile, seed) can rebuild the image,
 // compute the fingerprint and fetch exactly the container that matches it.
 func TraceObjectKey(fingerprint uint64) string {
-	return traceKeyPrefix + tracefile.FingerprintKey(fingerprint) + ".clgt"
+	return "traces/" + tracefile.FingerprintKey(fingerprint) + ".clgt"
 }
 
 // hashOf returns the protocol's content hash of data (lowercase hex SHA-256).
@@ -67,47 +54,45 @@ func hashOf(data []byte) string {
 // URL instead of a shared filesystem, so workers on any host that can reach
 // the URL can join a sweep. Methods are safe for concurrent use.
 type ObjectStore struct {
-	// BaseURL is the server root, e.g. "http://127.0.0.1:8420".
-	BaseURL string
+	sweep
 	// CacheDir holds fetched trace containers, named by fingerprint; empty
-	// selects <os temp>/clgp-trace-cache. Fetches are content-verified, so
+	// selects a per-user cache directory. Fetches are content-verified, so
 	// a cache hit never re-downloads.
 	CacheDir string
-	// Client is the HTTP client; nil selects a client with a generous
-	// timeout (trace containers can be large).
-	Client *http.Client
 }
 
 // NewObjectStore returns a client for the object store at baseURL.
 func NewObjectStore(baseURL string) *ObjectStore {
-	return &ObjectStore{BaseURL: strings.TrimRight(baseURL, "/")}
-}
-
-func (s *ObjectStore) client() *http.Client {
-	if s.Client != nil {
-		return s.Client
-	}
-	return &http.Client{Timeout: 5 * time.Minute}
-}
-
-func (s *ObjectStore) objectURL(key string) string {
-	return s.BaseURL + ObjectPathPrefix + key
+	return &ObjectStore{sweep: sweep{objectClient{
+		base: strings.TrimRight(baseURL, "/"),
+		// A generous timeout: trace containers can be large.
+		client: &http.Client{Timeout: 5 * time.Minute},
+	}}}
 }
 
 // Location implements Store: the base URL.
-func (s *ObjectStore) Location() string { return s.BaseURL }
+func (s *ObjectStore) Location() string { return s.b.(objectClient).base }
 
-// put uploads one object with its content hash; the server commits it
+// objectClient is the byte-object backend over HTTP: the five verbs against a
+// StoreServer, with every transfer checked against its SHA-256.
+type objectClient struct {
+	base   string
+	client *http.Client
+}
+
+func (c objectClient) url(key string) string { return c.base + ObjectPathPrefix + key }
+
+// Put uploads one object with its content hash; the server commits it
 // atomically or not at all.
-func (s *ObjectStore) put(key string, data []byte) error {
+func (c objectClient) Put(key string, data []byte) error {
 	start := time.Now()
 	defer func() { observeStorePut(len(data), time.Since(start)) }()
-	req, err := http.NewRequest(http.MethodPut, s.objectURL(key), bytes.NewReader(data))
+	req, err := http.NewRequest(http.MethodPut, c.url(key), bytes.NewReader(data))
 	if err != nil {
 		return fmt.Errorf("dispatch: store put %s: %w", key, err)
 	}
 	req.Header.Set(ObjectHashHeader, hashOf(data))
-	resp, err := s.client().Do(req)
+	resp, err := c.client.Do(req)
 	if err != nil {
 		return fmt.Errorf("dispatch: store put %s: %w", key, err)
 	}
@@ -119,14 +104,14 @@ func (s *ObjectStore) put(key string, data []byte) error {
 	return nil
 }
 
-// get downloads one object and verifies its bytes against the server's
+// Get downloads one object and verifies its bytes against the server's
 // ETag, so truncated or corrupted transfers surface here instead of as
 // garbage results downstream. A missing object returns an error wrapping
 // os.ErrNotExist.
-func (s *ObjectStore) get(key string) (data []byte, err error) {
+func (c objectClient) Get(key string) (data []byte, err error) {
 	start := time.Now()
 	defer func() { observeStoreGet(len(data), time.Since(start)) }()
-	resp, err := s.client().Get(s.objectURL(key))
+	resp, err := c.client.Get(c.url(key))
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: store get %s: %w", key, err)
 	}
@@ -149,11 +134,11 @@ func (s *ObjectStore) get(key string) (data []byte, err error) {
 	return data, nil
 }
 
-// head reports whether an object exists. Only a definitive 404 means
+// Head reports whether an object exists. Only a definitive 404 means
 // absent; transport failures and server errors are reported as errors so
 // callers never mistake "could not check" for "not there".
-func (s *ObjectStore) head(key string) (bool, error) {
-	resp, err := s.client().Head(s.objectURL(key))
+func (c objectClient) Head(key string) (bool, error) {
+	resp, err := c.client.Head(c.url(key))
 	if err != nil {
 		return false, fmt.Errorf("dispatch: store head %s: %w", key, err)
 	}
@@ -168,13 +153,13 @@ func (s *ObjectStore) head(key string) (bool, error) {
 	}
 }
 
-// del removes one object (absent objects are not an error).
-func (s *ObjectStore) del(key string) error {
-	req, err := http.NewRequest(http.MethodDelete, s.objectURL(key), nil)
+// Delete removes one object (absent objects are not an error).
+func (c objectClient) Delete(key string) error {
+	req, err := http.NewRequest(http.MethodDelete, c.url(key), nil)
 	if err != nil {
 		return fmt.Errorf("dispatch: store delete %s: %w", key, err)
 	}
-	resp, err := s.client().Do(req)
+	resp, err := c.client.Do(req)
 	if err != nil {
 		return fmt.Errorf("dispatch: store delete %s: %w", key, err)
 	}
@@ -185,9 +170,9 @@ func (s *ObjectStore) del(key string) error {
 	return nil
 }
 
-// list returns the keys under a prefix.
-func (s *ObjectStore) list(prefix string) ([]string, error) {
-	resp, err := s.client().Get(s.BaseURL + ListPath + "?prefix=" + url.QueryEscape(prefix))
+// List returns the keys under a prefix.
+func (c objectClient) List(prefix string) ([]string, error) {
+	resp, err := c.client.Get(c.base + ListPath + "?prefix=" + url.QueryEscape(prefix))
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: store list %s: %w", prefix, err)
 	}
@@ -206,71 +191,6 @@ func (s *ObjectStore) list(prefix string) ([]string, error) {
 		}
 	}
 	return keys, nil
-}
-
-// LoadManifest implements Store.
-func (s *ObjectStore) LoadManifest() (*Manifest, error) {
-	data, err := s.get(manifestKey)
-	if err != nil {
-		return nil, err
-	}
-	return parseManifest(data)
-}
-
-// WriteManifest implements Store.
-func (s *ObjectStore) WriteManifest(m *Manifest) error {
-	data, err := encodeManifest(m)
-	if err != nil {
-		return err
-	}
-	return s.put(manifestKey, data)
-}
-
-// ShardComplete implements Store.
-func (s *ObjectStore) ShardComplete(sp ShardPlan) (bool, error) { return s.head(shardKey(sp)) }
-
-// WriteShardResults implements Store.
-func (s *ObjectStore) WriteShardResults(sp ShardPlan, recs []RunRecord) error {
-	data, err := encodeShardResults(sp, recs)
-	if err != nil {
-		return err
-	}
-	return s.put(shardKey(sp), data)
-}
-
-// LoadShardResults implements Store.
-func (s *ObjectStore) LoadShardResults(sp ShardPlan) ([]RunRecord, error) {
-	data, err := s.get(shardKey(sp))
-	if err != nil {
-		return nil, err
-	}
-	return parseShardResults(sp, data)
-}
-
-// ClearShards implements Store.
-func (s *ObjectStore) ClearShards() error {
-	for _, prefix := range []string{shardKeyPrefix, spanKeyPrefix} {
-		keys, err := s.list(prefix)
-		if err != nil {
-			return err
-		}
-		for _, key := range keys {
-			if err := s.del(key); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// WriteSpans implements Store.
-func (s *ObjectStore) WriteSpans(name string, data []byte) error {
-	return s.put(spanKey(name), data)
-}
-
-// LoadSpans implements Store.
-func (s *ObjectStore) LoadSpans(name string) ([]byte, error) {
-	return s.get(spanKey(name))
 }
 
 func (s *ObjectStore) cacheDir() string {
@@ -307,12 +227,12 @@ func (s *ObjectStore) FetchTrace(name string, fingerprint uint64) (string, error
 	if fingerprint == 0 {
 		return "", fmt.Errorf("dispatch: trace %s: cannot fetch by a zero fingerprint", name)
 	}
-	dir := s.cacheDir()
-	local := filepath.Join(dir, tracefile.FingerprintKey(fingerprint)+".clgt")
+	dir, file := s.cacheDir(), tracefile.FingerprintKey(fingerprint)+".clgt"
+	local := filepath.Join(dir, file)
 	if cachedTrace(local, fingerprint) {
 		return local, nil
 	}
-	data, err := s.get(TraceObjectKey(fingerprint))
+	data, err := s.b.Get(TraceObjectKey(fingerprint))
 	if err != nil {
 		return "", fmt.Errorf("dispatch: trace %s (fingerprint %s): %w", name, tracefile.FingerprintKey(fingerprint), err)
 	}
@@ -327,58 +247,13 @@ func (s *ObjectStore) FetchTrace(name string, fingerprint uint64) (string, error
 		return "", fmt.Errorf("dispatch: trace %s: fetched container carries fingerprint %s, key says %s",
 			name, tracefile.FingerprintKey(rd.Fingerprint()), tracefile.FingerprintKey(fingerprint))
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", fmt.Errorf("dispatch: trace cache: %w", err)
-	}
-	// A unique temp file per fetch: concurrent workers on one host missing
-	// the cache for the same fingerprint must each commit their own copy
-	// whole (the contents are identical, so whichever rename lands last
-	// wins harmlessly) — a shared temp path would truncate a file another
-	// worker is mid-validate on.
-	tf, err := os.CreateTemp(dir, tracefile.FingerprintKey(fingerprint)+".*.tmp")
-	if err != nil {
-		return "", fmt.Errorf("dispatch: trace cache: %w", err)
-	}
-	tmp := tf.Name()
-	if _, err := tf.Write(data); err != nil {
-		tf.Close()
-		os.Remove(tmp)
-		return "", fmt.Errorf("dispatch: trace cache: %w", err)
-	}
-	if err := tf.Close(); err != nil {
-		os.Remove(tmp)
-		return "", fmt.Errorf("dispatch: trace cache: %w", err)
-	}
-	if err := os.Rename(tmp, local); err != nil {
-		os.Remove(tmp)
+	// Concurrent workers on one host missing the cache for the same
+	// fingerprint each commit their own copy whole; the contents are
+	// identical, so whichever lands last wins harmlessly.
+	if err := blob.Dir(dir).Put(file, data); err != nil {
 		return "", fmt.Errorf("dispatch: trace cache: %w", err)
 	}
 	return local, nil
-}
-
-// SnapshotObjectKey returns the object key a warm-state snapshot artifact is
-// published under. The key argument is already content-addressed
-// (sim.SnapshotKey: fingerprint × warm key × boundary), so the store just
-// namespaces it.
-func SnapshotObjectKey(key string) string { return snapshotKeyPrefix + key }
-
-// FetchSnapshot implements Store (and sim.SnapshotStore): the get path's 404
-// already wraps os.ErrNotExist, which is the miss signal the warm flow
-// treats as "record it yourself".
-func (s *ObjectStore) FetchSnapshot(key string) ([]byte, error) {
-	return s.get(SnapshotObjectKey(key))
-}
-
-// PushSnapshot implements Store. Like PushTrace, the existence probe is an
-// optimisation: snapshot keys are content-addressed, so an artifact that is
-// already there is byte-identical to ours and the upload can be skipped; on
-// "could not check" it simply uploads.
-func (s *ObjectStore) PushSnapshot(key string, data []byte) error {
-	objKey := SnapshotObjectKey(key)
-	if exists, err := s.head(objKey); err == nil && exists {
-		return nil
-	}
-	return s.put(objKey, data)
 }
 
 // PushTrace implements Store: it publishes a local container under its
@@ -398,12 +273,12 @@ func (s *ObjectStore) PushTrace(localPath string) error {
 	// The probe is an optimisation: on "exists" the upload is skipped
 	// (content-addressed — same fingerprint, same container); on "absent"
 	// or "could not check" it simply uploads.
-	if exists, err := s.head(key); err == nil && exists {
+	if exists, err := s.b.Head(key); err == nil && exists {
 		return nil
 	}
 	data, err := os.ReadFile(localPath)
 	if err != nil {
 		return fmt.Errorf("dispatch: reading %s: %w", localPath, err)
 	}
-	return s.put(key, data)
+	return s.b.Put(key, data)
 }

@@ -43,14 +43,12 @@ func (m Mode) String() string {
 
 // Orchestrator drives a sharded, checkpointed sweep: it plans (or resumes)
 // the manifest in a Store, leases pending shards to a Launcher's slots with
-// per-shard retry, and merges the committed results. Store and Launcher are
-// both pluggable; the legacy fields (Dir, Mode, Parallel, WorkerArgv)
-// configure the built-in directory store and in-process/child launchers so
-// existing callers keep working unchanged.
+// per-shard retry, and merges the committed results. Store is required;
+// Launcher is pluggable, and Mode, Parallel and WorkerArgv configure the
+// built-in in-process and child launchers when it is nil.
 type Orchestrator struct {
-	// Dir is the sweep checkpoint directory backing the default DirStore;
-	// ignored when Store is set.
-	Dir string
+	// Store is the checkpoint backend (required).
+	Store Store
 	// Workers is the sim worker-pool size used inside each shard
 	// (<= 0 selects GOMAXPROCS; in ModeChild it is forwarded to workers).
 	Workers int
@@ -63,8 +61,6 @@ type Orchestrator struct {
 	// to re-exec the test binary); nil selects DefaultWorkerArgv. Its first
 	// argument is the store location (the sweep directory for a DirStore).
 	WorkerArgv func(store string, shard, workers int, spanParent string) []string
-	// Store overrides the checkpoint backend; nil selects NewDirStore(Dir).
-	Store Store
 	// Launcher overrides shard execution; nil selects a launcher from Mode.
 	Launcher Launcher
 	// Retry is the per-shard retry policy; the zero value means a single
@@ -151,17 +147,6 @@ func (o *Orchestrator) log() *slog.Logger {
 	return telemetry.NopLogger()
 }
 
-// store resolves the checkpoint backend for this run.
-func (o *Orchestrator) store() (Store, error) {
-	if o.Store != nil {
-		return o.Store, nil
-	}
-	if o.Dir == "" {
-		return nil, fmt.Errorf("dispatch: orchestrator needs a store or a sweep directory")
-	}
-	return NewDirStore(o.Dir), nil
-}
-
 // launcher resolves shard execution for this run. npending caps the
 // built-in child launcher's parallelism: a child's sim pool is sized by
 // dividing the machine over the concurrent children, and only children
@@ -196,9 +181,9 @@ func (o *Orchestrator) launcher(st Store, npending int) (Launcher, error) {
 // and shards whose result object exists are skipped. Without resume, any
 // previous checkpoint in the store is cleared first.
 func (o *Orchestrator) Run(specs []JobSpec, nShards int, resume bool) (*Outcome, error) {
-	st, err := o.store()
-	if err != nil {
-		return nil, err
+	st := o.Store
+	if st == nil {
+		return nil, fmt.Errorf("dispatch: orchestrator needs a store")
 	}
 	// A misconfigured launcher is a configuration error, not a per-shard
 	// failure: surface it before any checkpoint state is touched, not

@@ -97,7 +97,7 @@ func TestGridHashCoversSeedList(t *testing.T) {
 	// A checkpoint planned for the 2-seed grid must reject a 3-seed resume
 	// (and the single-seed one), exactly as any other grid mismatch.
 	dir := t.TempDir()
-	o := &Orchestrator{Dir: dir, Workers: 1}
+	o := &Orchestrator{Store: NewDirStore(dir), Workers: 1}
 	if _, err := o.prepare(NewDirStore(dir), two, 2, false); err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestReplicationDeterminismAcrossModes(t *testing.T) {
 		return got
 	}
 
-	inproc := &Orchestrator{Dir: t.TempDir(), Workers: 2}
+	inproc := &Orchestrator{Store: NewDirStore(t.TempDir()), Workers: 2}
 	outIn, err := inproc.Run(specs, 0, false)
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +230,7 @@ func TestReplicationDeterminismAcrossModes(t *testing.T) {
 		t.Fatal(err)
 	}
 	child := &Orchestrator{
-		Dir: t.TempDir(), Workers: 1, Parallel: 2, Mode: ModeChild,
+		Store: NewDirStore(t.TempDir()), Workers: 1, Parallel: 2, Mode: ModeChild,
 		WorkerArgv: func(dir string, shard, workers int, spanParent string) []string {
 			return []string{exe, "-test.run", "TestHelperWorkerProcess", "--",
 				dir, strconv.Itoa(shard), strconv.Itoa(workers)}

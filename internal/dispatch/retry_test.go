@@ -54,7 +54,7 @@ func TestRetryRecoversFromWorkerDeaths(t *testing.T) {
 	specs := testGrid(t)
 
 	// The clean reference: shared-directory store, no faults.
-	clean := &Orchestrator{Dir: t.TempDir(), Workers: 2}
+	clean := &Orchestrator{Store: NewDirStore(t.TempDir()), Workers: 2}
 	cleanOut, err := clean.Run(specs, 4, false)
 	if err != nil {
 		t.Fatal(err)

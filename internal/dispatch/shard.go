@@ -7,8 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"os"
-	"path/filepath"
 	"time"
 
 	"clgp/internal/sim"
@@ -238,11 +236,6 @@ func RunShard(st Store, m *Manifest, id, workers int, host, spanParent string, l
 	return recs, nil
 }
 
-// shardFilePath returns the final result file of a shard.
-func shardFilePath(dir string, sp ShardPlan) string {
-	return filepath.Join(dir, ShardsDir, sp.Name+".jsonl")
-}
-
 // encodeShardResults renders a shard's records in the on-store JSONL form
 // (one JSON object per line, in shard order). Both backends commit exactly
 // these bytes.
@@ -296,71 +289,4 @@ func parseShardResults(sp ShardPlan, data []byte) ([]RunRecord, error) {
 		}
 	}
 	return recs, nil
-}
-
-// WriteShardResults persists a shard's records as JSONL. The file is
-// written under a temporary name and renamed into place, so a result file
-// either exists complete or not at all — the rename is the shard's
-// completion marker, and a worker killed mid-write leaves no partial state
-// that a resumed sweep could mistake for a finished shard.
-func WriteShardResults(dir string, sp ShardPlan, recs []RunRecord) error {
-	data, err := encodeShardResults(sp, recs)
-	if err != nil {
-		return err
-	}
-	final := shardFilePath(dir, sp)
-	if err := os.MkdirAll(filepath.Dir(final), 0o755); err != nil {
-		return fmt.Errorf("dispatch: creating shards directory: %w", err)
-	}
-	tmp := final + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("dispatch: writing shard %s: %w", sp.Name, err)
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		return fmt.Errorf("dispatch: committing shard %s: %w", sp.Name, err)
-	}
-	return nil
-}
-
-// LoadShardResults reads a completed shard's records and validates them
-// against the plan (count and job labels, in order).
-func LoadShardResults(dir string, sp ShardPlan) ([]RunRecord, error) {
-	data, err := os.ReadFile(shardFilePath(dir, sp))
-	if err != nil {
-		return nil, fmt.Errorf("dispatch: reading shard %s: %w", sp.Name, err)
-	}
-	return parseShardResults(sp, data)
-}
-
-// ClearShards deletes every file in the shards subdirectory (complete
-// results and leftover temporaries alike) and any stale span logs; used
-// when starting a sweep from scratch in a directory holding an earlier
-// checkpoint, possibly planned with a different shard count.
-func ClearShards(dir string) error {
-	for _, sub := range []string{ShardsDir, SpansDir} {
-		if err := clearDirFiles(filepath.Join(dir, sub)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func clearDirFiles(dir string) error {
-	entries, err := os.ReadDir(dir)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("dispatch: listing %s: %w", dir, err)
-	}
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
-			return fmt.Errorf("dispatch: clearing %s: %w", e.Name(), err)
-		}
-	}
-	return nil
 }

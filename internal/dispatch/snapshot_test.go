@@ -86,7 +86,7 @@ func TestWarmSweepMatchesBaseline(t *testing.T) {
 	baseline := runBaseline(t, specs)
 	dir := t.TempDir()
 
-	o := &Orchestrator{Dir: dir, Workers: 2}
+	o := &Orchestrator{Store: NewDirStore(dir), Workers: 2}
 	out, err := o.Run(specs, 2, false)
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +157,7 @@ func TestChildWorkerWarmRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := &Orchestrator{
-		Dir: dir, Workers: 1, Parallel: 2, Mode: ModeChild,
+		Store: NewDirStore(dir), Workers: 1, Parallel: 2, Mode: ModeChild,
 		WorkerArgv: func(store string, shard, workers int, spanParent string) []string {
 			return []string{exe, "-test.run", "TestHelperSnapshotWorkerProcess", "--",
 				store, strconv.Itoa(shard), strconv.Itoa(workers)}

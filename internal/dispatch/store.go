@@ -2,9 +2,9 @@ package dispatch
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
+
+	"clgp/internal/blob"
 )
 
 // Store is the checkpoint and artifact backend of a sweep: everything the
@@ -16,9 +16,11 @@ import (
 // Commit semantics are the load-bearing part of the contract: a shard
 // result either exists complete or not at all (ShardComplete implies a
 // fully validated-parseable object), because resume uses bare existence as
-// the completion marker. DirStore gets this from write-to-temp + rename;
-// ObjectStore from integrity-checked uploads that the server refuses to
-// commit on mismatch.
+// the completion marker. Both implementations run one protocol over a
+// byte-object backend whose Put is that commit: blob.Dir's unique temp file plus
+// rename for DirStore, and for ObjectStore an integrity-checked upload that
+// the server commits through the same blob.Dir or refuses on mismatch.
+// Concurrent commits to one object all succeed; the last one wins whole.
 type Store interface {
 	// Location renders the store in the form `clgpsim worker -store` accepts
 	// (a directory path or an http(s) base URL), which is how launchers tell
@@ -44,9 +46,10 @@ type Store interface {
 	// LoadShardResults reads a completed shard's records and validates them
 	// against the plan.
 	LoadShardResults(sp ShardPlan) ([]RunRecord, error)
-	// ClearShards removes every shard result (and any leftover partials)
-	// plus stale span logs, used when starting a sweep from scratch over an
-	// old checkpoint.
+	// ClearShards removes every shard result and span log, used when
+	// starting a sweep from scratch over an old checkpoint. A directory
+	// store also removes the partial writes that killed workers left of
+	// them, so it must not run while a worker still writes to the sweep.
 	ClearShards() error
 
 	// WriteSpans commits a span log (telemetry JSONL, see
@@ -84,84 +87,141 @@ type Store interface {
 	PushSnapshot(key string, data []byte) error
 }
 
-// DirStore is the shared-directory store backend: the manifest and shard
-// files live under Dir exactly as in the original single-host layout, so a
-// checkpoint directory written by earlier versions is a valid DirStore.
-// Multi-host use requires Dir to be a shared filesystem (NFS or similar);
-// trace containers are referenced by path and never copied.
-type DirStore struct {
-	// Dir is the sweep checkpoint directory (manifest + shards/).
-	Dir string
+// SnapshotsDir is the key prefix warm-state snapshot artifacts live under,
+// beside manifest.json, shards/, spans/ and (object stores only) traces/.
+const SnapshotsDir = "snapshots"
+
+// shardKey returns the object key of a shard's result JSONL.
+func shardKey(sp ShardPlan) string { return ShardsDir + "/" + sp.Name + ".jsonl" }
+
+// spanKey returns the object key of a span JSONL written under name.
+func spanKey(name string) string { return SpansDir + "/" + name + ".jsonl" }
+
+// backend is a store of whole byte objects under keys: blob.Dir, or
+// objectClient over HTTP.
+type backend interface {
+	// Get returns the object under key. The error wraps os.ErrNotExist when
+	// there is none.
+	Get(key string) ([]byte, error)
+	// Put commits data under key atomically, replacing any previous object.
+	Put(key string, data []byte) error
+	// Head reports whether an object exists under key. A non-nil error
+	// means existence could not be determined, never "absent".
+	Head(key string) (bool, error)
+	// Delete removes the object under key; an absent object is not an error.
+	Delete(key string) error
+	// List returns the keys under prefix, sorted.
+	List(prefix string) ([]string, error)
 }
 
-// NewDirStore returns a store over the sweep directory dir.
-func NewDirStore(dir string) *DirStore { return &DirStore{Dir: dir} }
+// sweep is the checkpoint protocol, written once over a backend. Both
+// Store implementations embed it and add only what differs between them:
+// their location and how trace containers are resolved. Atomicity is the
+// backend's: every object is committed whole by one Put.
+type sweep struct{ b backend }
 
-// Location implements Store: the directory path itself.
-func (s *DirStore) Location() string { return s.Dir }
+// LoadManifest reads and validates the sweep manifest.
+func (s sweep) LoadManifest() (*Manifest, error) {
+	data, err := s.b.Get(ManifestFile)
+	if err != nil {
+		return nil, fmt.Errorf("dispatch: reading manifest: %w", err)
+	}
+	return parseManifest(data)
+}
 
-// LoadManifest implements Store.
-func (s *DirStore) LoadManifest() (*Manifest, error) { return LoadManifest(s.Dir) }
+// WriteManifest commits the manifest.
+func (s sweep) WriteManifest(m *Manifest) error {
+	data, err := encodeManifest(m)
+	if err != nil {
+		return err
+	}
+	return s.b.Put(ManifestFile, data)
+}
 
-// WriteManifest implements Store.
-func (s *DirStore) WriteManifest(m *Manifest) error { return WriteManifest(s.Dir, m) }
-
-// ShardComplete implements Store.
-func (s *DirStore) ShardComplete(sp ShardPlan) (bool, error) {
-	_, err := os.Stat(shardFilePath(s.Dir, sp))
-	switch {
-	case err == nil:
-		return true, nil
-	case os.IsNotExist(err):
-		return false, nil
-	default:
+// ShardComplete reports whether the shard's result object exists.
+func (s sweep) ShardComplete(sp ShardPlan) (bool, error) {
+	ok, err := s.b.Head(shardKey(sp))
+	if err != nil {
 		return false, fmt.Errorf("dispatch: checking shard %s: %w", sp.Name, err)
 	}
+	return ok, nil
 }
 
-// WriteShardResults implements Store.
-func (s *DirStore) WriteShardResults(sp ShardPlan, recs []RunRecord) error {
-	return WriteShardResults(s.Dir, sp, recs)
-}
-
-// LoadShardResults implements Store.
-func (s *DirStore) LoadShardResults(sp ShardPlan) ([]RunRecord, error) {
-	return LoadShardResults(s.Dir, sp)
-}
-
-// ClearShards implements Store.
-func (s *DirStore) ClearShards() error { return ClearShards(s.Dir) }
-
-// spanFilePath returns the span JSONL file written under name.
-func spanFilePath(dir, name string) string {
-	return filepath.Join(dir, SpansDir, name+".jsonl")
-}
-
-// WriteSpans implements Store: temp+rename, like shard results.
-func (s *DirStore) WriteSpans(name string, data []byte) error {
-	final := spanFilePath(s.Dir, name)
-	if err := os.MkdirAll(filepath.Dir(final), 0o755); err != nil {
-		return fmt.Errorf("dispatch: creating spans directory: %w", err)
+// WriteShardResults commits a shard's records as one JSONL object. The
+// commit is the shard's completion marker: a worker killed mid-write leaves
+// no object a resumed sweep could mistake for a finished shard.
+func (s sweep) WriteShardResults(sp ShardPlan, recs []RunRecord) error {
+	data, err := encodeShardResults(sp, recs)
+	if err != nil {
+		return err
 	}
-	tmp := final + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("dispatch: writing spans for %s: %w", name, err)
+	return s.b.Put(shardKey(sp), data)
+}
+
+// LoadShardResults reads a completed shard's records and validates them
+// against the plan.
+func (s sweep) LoadShardResults(sp ShardPlan) ([]RunRecord, error) {
+	data, err := s.b.Get(shardKey(sp))
+	if err != nil {
+		return nil, fmt.Errorf("dispatch: reading shard %s: %w", sp.Name, err)
 	}
-	if err := os.Rename(tmp, final); err != nil {
-		return fmt.Errorf("dispatch: committing spans for %s: %w", name, err)
+	return parseShardResults(sp, data)
+}
+
+// ClearShards deletes every object under shards/ and spans/, and on a
+// backend that can hold them (blob.Dir) the temporaries of commits that
+// killed workers left there. It runs before any worker of the sweep starts.
+func (s sweep) ClearShards() error {
+	for _, dir := range []string{ShardsDir, SpansDir} {
+		if t, ok := s.b.(interface{ RemoveTemps(prefix string) error }); ok {
+			if err := t.RemoveTemps(dir + "/"); err != nil {
+				return err
+			}
+		}
+		keys, err := s.b.List(dir + "/")
+		if err != nil {
+			return err
+		}
+		for _, key := range keys {
+			if err := s.b.Delete(key); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
 
-// LoadSpans implements Store.
-func (s *DirStore) LoadSpans(name string) ([]byte, error) {
-	data, err := os.ReadFile(spanFilePath(s.Dir, name))
-	if err != nil {
-		return nil, fmt.Errorf("dispatch: reading spans for %s: %w", name, err)
-	}
-	return data, nil
+// WriteSpans commits a span log under name.
+func (s sweep) WriteSpans(name string, data []byte) error { return s.b.Put(spanKey(name), data) }
+
+// LoadSpans reads the span log written under name.
+func (s sweep) LoadSpans(name string) ([]byte, error) { return s.b.Get(spanKey(name)) }
+
+// FetchSnapshot returns the snapshot artifact under key (already content
+// addressed, see sim.SnapshotKey); a miss wraps os.ErrNotExist.
+func (s sweep) FetchSnapshot(key string) ([]byte, error) { return s.b.Get(SnapshotsDir + "/" + key) }
+
+// PushSnapshot publishes a snapshot artifact, replacing any previous one
+// (a damaged artifact is re-published over, never kept).
+func (s sweep) PushSnapshot(key string, data []byte) error {
+	return s.b.Put(SnapshotsDir+"/"+key, data)
 }
+
+// DirStore is the shared-directory store backend: the objects are files
+// under the sweep directory, so a checkpoint directory written by earlier
+// versions is a valid DirStore. Multi-host use requires the directory to be
+// a shared filesystem (NFS or similar); trace containers are referenced by
+// path and never copied.
+type DirStore struct {
+	sweep
+	dir string
+}
+
+// NewDirStore returns a store over the sweep directory dir.
+func NewDirStore(dir string) *DirStore { return &DirStore{sweep{blob.Dir(dir)}, dir} }
+
+// Location implements Store: the directory path itself.
+func (s *DirStore) Location() string { return s.dir }
 
 // FetchTrace implements Store: with a shared filesystem the reference is
 // already a readable path, so it resolves to itself.
@@ -171,43 +231,6 @@ func (s *DirStore) FetchTrace(name string, fingerprint uint64) (string, error) {
 
 // PushTrace implements Store: nothing to publish on a shared filesystem.
 func (s *DirStore) PushTrace(localPath string) error { return nil }
-
-// SnapshotsDir is the subdirectory (and object-key prefix) warm-state
-// snapshot artifacts live under.
-const SnapshotsDir = "snapshots"
-
-// FetchSnapshot implements Store (and sim.SnapshotStore): a plain read from
-// the sweep's snapshots directory; os.ReadFile's not-exist error is the miss
-// signal the contract asks for.
-func (s *DirStore) FetchSnapshot(key string) ([]byte, error) {
-	return os.ReadFile(filepath.Join(s.Dir, SnapshotsDir, key))
-}
-
-// PushSnapshot implements Store: temp + rename, like every other DirStore
-// commit, so a concurrently fetching worker never sees a torn artifact.
-func (s *DirStore) PushSnapshot(key string, data []byte) error {
-	dir := filepath.Join(s.Dir, SnapshotsDir)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("dispatch: creating snapshots directory: %w", err)
-	}
-	tmp, err := os.CreateTemp(dir, key+".tmp*")
-	if err != nil {
-		return fmt.Errorf("dispatch: writing snapshot %s: %w", key, err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("dispatch: writing snapshot %s: %w", key, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("dispatch: writing snapshot %s: %w", key, err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, key)); err != nil {
-		return fmt.Errorf("dispatch: committing snapshot %s: %w", key, err)
-	}
-	return nil
-}
 
 // OpenStore resolves a -store flag value to a backend: http(s) URLs open an
 // ObjectStore client, anything else is a sweep directory. Locations that

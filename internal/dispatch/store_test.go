@@ -3,10 +3,15 @@ package dispatch
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"clgp/internal/core"
@@ -29,10 +34,163 @@ func newTestObjectStore(t testing.TB) *ObjectStore {
 	return st
 }
 
+// testStores returns one fresh store per backend, keyed by backend name,
+// each with the byte-object backend under it so tests can plant raw objects.
+func testStores(t *testing.T) map[string]Store {
+	return map[string]Store{
+		"dir":    NewDirStore(t.TempDir()),
+		"object": newTestObjectStore(t),
+	}
+}
+
+// backendOf returns the byte-object backend under a store.
+func backendOf(st Store) backend {
+	switch s := st.(type) {
+	case *DirStore:
+		return s.b
+	case *ObjectStore:
+		return s.b
+	}
+	panic(fmt.Sprintf("unknown store %T", st))
+}
+
+// testRecords returns a plausible result record per job of sp.
+func testRecords(sp ShardPlan) []RunRecord {
+	recs := make([]RunRecord, len(sp.Specs))
+	for i, spec := range sp.Specs {
+		recs[i] = RunRecord{
+			Job: spec.Name(), Spec: spec, WallSeconds: 0.5,
+			Stats: &stats.Results{Name: spec.Name(), Cycles: uint64(1000 + i), Committed: 500},
+		}
+	}
+	return recs
+}
+
+// TestStoreConformance pins the checkpoint protocol on both backends: the
+// manifest and shard results round-trip, every malformed or mismatched
+// object is rejected, and clearing empties shards and spans.
+func TestStoreConformance(t *testing.T) {
+	for name, st := range testStores(t) {
+		t.Run(name, func(t *testing.T) {
+			// resolveManifest distinguishes "no checkpoint yet" from a broken
+			// one via os.ErrNotExist; every backend must preserve that.
+			if _, err := st.LoadManifest(); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("missing manifest error does not wrap os.ErrNotExist: %v", err)
+			}
+			m, err := NewManifest(testGrid(t), 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.WriteManifest(m); err != nil {
+				t.Fatal(err)
+			}
+			back, err := st.LoadManifest()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if back.GridHash != m.GridHash || len(back.Shards) != len(m.Shards) {
+				t.Fatalf("manifest round-trip mismatch: %+v vs %+v", back, m)
+			}
+			for i := range m.Shards {
+				if back.Shards[i].Name != m.Shards[i].Name || len(back.Shards[i].Specs) != len(m.Shards[i].Specs) {
+					t.Errorf("shard %d round-trip mismatch", i)
+				}
+			}
+
+			sp := m.Shards[0]
+			recs := testRecords(sp)
+			// One failed job exercises the error round-trip.
+			recs[1].Err = "boom"
+			recs[1].Stats = nil
+			if done, err := st.ShardComplete(sp); done || err != nil {
+				t.Fatalf("shard complete before writing (%v, %v)", done, err)
+			}
+			if err := st.WriteShardResults(sp, recs); err != nil {
+				t.Fatal(err)
+			}
+			if done, err := st.ShardComplete(sp); !done || err != nil {
+				t.Fatalf("shard not complete after writing (%v, %v)", done, err)
+			}
+			got, err := st.LoadShardResults(sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range recs {
+				if got[i].Job != recs[i].Job || got[i].Err != recs[i].Err {
+					t.Errorf("record %d round-trip mismatch: %+v vs %+v", i, got[i], recs[i])
+				}
+			}
+			if got[0].Stats == nil || got[0].Stats.Cycles != 1000 {
+				t.Errorf("stats did not round-trip: %+v", got[0].Stats)
+			}
+			if res := got[1].Result(); res.Err == nil || res.Err.Error() != "boom" {
+				t.Errorf("error did not round-trip into sim.Result: %v", res.Err)
+			}
+
+			// A result object for the wrong plan (count mismatch) must be
+			// rejected.
+			raw, err := backendOf(st).Get(shardKey(sp))
+			if err != nil {
+				t.Fatal(err)
+			}
+			other := m.Shards[1]
+			if err := backendOf(st).Put(shardKey(other), raw); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.LoadShardResults(other); err == nil {
+				t.Errorf("loading shard 1 from shard 0's object should fail")
+			}
+			// A wrong job label must be rejected.
+			relabelled := append([]RunRecord(nil), recs...)
+			relabelled[0].Job = "not-" + relabelled[0].Job
+			if err := st.WriteShardResults(sp, relabelled); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.LoadShardResults(sp); err == nil {
+				t.Errorf("shard object with a wrong job label should fail validation")
+			}
+			// A shard object produced against a different workload length
+			// must be rejected even though the job labels match (labels omit
+			// insts/seed).
+			tampered := append([]RunRecord(nil), recs...)
+			tampered[0].Spec.Insts += 1000
+			if err := st.WriteShardResults(sp, tampered); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.LoadShardResults(sp); err == nil {
+				t.Errorf("shard object with mismatched spec should fail validation")
+			}
+			// A truncated object must be rejected, not silently accepted.
+			if err := backendOf(st).Put(shardKey(sp), raw[:len(raw)/2]); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.LoadShardResults(sp); err == nil {
+				t.Errorf("truncated shard object should fail validation")
+			}
+
+			if err := st.WriteSpans(sp.Name, []byte("{}\n")); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.ClearShards(); err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range m.Shards {
+				if done, err := st.ShardComplete(s); err != nil || done {
+					t.Errorf("shard %s still complete after ClearShards (%v, %v)", s.Name, done, err)
+				}
+			}
+			if _, err := st.LoadSpans(sp.Name); !errors.Is(err, os.ErrNotExist) {
+				t.Errorf("span log survived ClearShards: %v", err)
+			}
+			if _, err := st.LoadManifest(); err != nil {
+				t.Errorf("ClearShards removed the manifest: %v", err)
+			}
+		})
+	}
+}
+
 func TestObjectStoreManifestRoundTrip(t *testing.T) {
 	st := newTestObjectStore(t)
-	// resolveManifest distinguishes "no checkpoint yet" from a broken one
-	// via os.ErrNotExist; the client must preserve that.
 	if _, err := st.LoadManifest(); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("missing manifest error does not wrap os.ErrNotExist: %v", err)
 	}
@@ -59,13 +217,7 @@ func TestObjectStoreShardRoundTripAndClear(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp := m.Shards[0]
-	recs := make([]RunRecord, len(sp.Specs))
-	for i, spec := range sp.Specs {
-		recs[i] = RunRecord{
-			Job: spec.Name(), Spec: spec, WallSeconds: 0.5,
-			Stats: &stats.Results{Name: spec.Name(), Cycles: uint64(1000 + i), Committed: 500},
-		}
-	}
+	recs := testRecords(sp)
 	if done, err := st.ShardComplete(sp); err != nil || done {
 		t.Fatalf("shard complete before writing (%v, %v)", done, err)
 	}
@@ -82,8 +234,7 @@ func TestObjectStoreShardRoundTripAndClear(t *testing.T) {
 	if len(back) != len(recs) || back[0].Stats == nil || back[0].Stats.Cycles != 1000 {
 		t.Fatalf("shard results did not round-trip: %+v", back)
 	}
-	// The same validation the directory backend applies: a result object
-	// for the wrong plan must be rejected.
+	// A shard that was never written must not load.
 	if _, err := st.LoadShardResults(m.Shards[1]); err == nil {
 		t.Errorf("loading shard 1 from an empty key should fail")
 	}
@@ -92,6 +243,82 @@ func TestObjectStoreShardRoundTripAndClear(t *testing.T) {
 	}
 	if done, err := st.ShardComplete(sp); err != nil || done {
 		t.Errorf("shard still complete after ClearShards (%v, %v)", done, err)
+	}
+}
+
+// TestConcurrentCommits: workers racing to commit the same objects — a hung
+// lease's late commit against its retry's, or recorders sharing a key — all
+// succeed, and what lands is one whole, valid object. On a directory store
+// ClearShards then also reclaims the temporaries killed workers leave.
+func TestConcurrentCommits(t *testing.T) {
+	const goroutines, rounds = 4, 50
+	for name, st := range testStores(t) {
+		t.Run(name, func(t *testing.T) {
+			m, err := NewManifest(testGrid(t), 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sp := m.Shards[0]
+			recs := testRecords(sp)
+			spans := []byte(`{"name":"simulate"}` + "\n")
+			errs := make(chan error, goroutines*rounds*3)
+			var wg sync.WaitGroup
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for r := 0; r < rounds; r++ {
+						errs <- st.WriteShardResults(sp, recs)
+						errs <- st.WriteSpans(sp.Name, spans)
+						errs <- st.WriteManifest(m)
+					}
+				}()
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				if err != nil {
+					t.Fatalf("concurrent commit failed: %v", err)
+				}
+			}
+			if _, err := st.LoadShardResults(sp); err != nil {
+				t.Errorf("shard after concurrent commits: %v", err)
+			}
+			if got, err := st.LoadSpans(sp.Name); err != nil || !bytes.Equal(got, spans) {
+				t.Errorf("span log after concurrent commits: %q, %v", got, err)
+			}
+			if _, err := st.LoadManifest(); err != nil {
+				t.Errorf("manifest after concurrent commits: %v", err)
+			}
+
+			dir, ok := st.(*DirStore)
+			if !ok {
+				return
+			}
+			// Temporaries a killed worker left: this version's unique ones
+			// and the fixed names earlier versions used.
+			for _, leftover := range []string{
+				filepath.Join(ShardsDir, m.Shards[1].Name+".jsonl.123456.tmp"),
+				filepath.Join(ShardsDir, sp.Name+".jsonl.tmp"),
+				filepath.Join(SpansDir, m.Shards[1].Name+".jsonl.tmp"),
+			} {
+				if err := os.WriteFile(filepath.Join(dir.Location(), leftover), []byte(`{"partial":`), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := st.ClearShards(); err != nil {
+				t.Fatal(err)
+			}
+			for _, sub := range []string{ShardsDir, SpansDir} {
+				ents, err := os.ReadDir(filepath.Join(dir.Location(), sub))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, e := range ents {
+					t.Errorf("ClearShards left %s/%s", sub, e.Name())
+				}
+			}
+		})
 	}
 }
 
@@ -116,12 +343,12 @@ func TestTruncatedUploadNotCommitted(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Declare the hash of the full JSONL but deliver only half the bytes.
-	req, err := http.NewRequest(http.MethodPut, st.objectURL(shardKey(sp)), bytes.NewReader(full[:len(full)/2]))
+	req, err := http.NewRequest(http.MethodPut, st.b.(objectClient).url(shardKey(sp)), bytes.NewReader(full[:len(full)/2]))
 	if err != nil {
 		t.Fatal(err)
 	}
 	req.Header.Set(ObjectHashHeader, hashOf(full))
-	resp, err := st.client().Do(req)
+	resp, err := st.b.(objectClient).client.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,6 +551,18 @@ func TestStoreServerRejectsTraversal(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusCreated {
 			t.Errorf("key %q was accepted", key)
+		}
+	}
+	// A list prefix must not walk outside the root either.
+	for _, prefix := range []string{"../", "../../", "a/../../", "/", "/etc/"} {
+		resp, err := http.Get(ts.URL + ListPath + "?prefix=" + url.QueryEscape(prefix))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("list prefix %q: %s %q, want 400", prefix, resp.Status, body)
 		}
 	}
 }

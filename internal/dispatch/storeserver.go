@@ -1,32 +1,31 @@
 package dispatch
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"io/fs"
 	"net/http"
 	"os"
-	"path"
-	"path/filepath"
-	"sort"
 	"strings"
 
+	"clgp/internal/blob"
 	"clgp/internal/telemetry"
 )
 
 // StoreServer is the http.Handler serving the object-store protocol over a
 // root directory: the reference server `clgpsim store serve` runs and tests
-// mount behind httptest. It is deliberately small — objects are plain files
-// committed by write-to-temp + rename, the ETag of an object is the
-// SHA-256 of its bytes, and an upload whose body does not match its
-// declared hash is rejected without committing anything, which is the
-// property the whole resume-after-failure story leans on.
+// mount behind httptest. It is deliberately small — objects live in a
+// blob.Dir (which validates keys and commits every object atomically), the
+// ETag of an object is the SHA-256 of its bytes, and an upload whose body
+// does not match its declared hash is rejected without committing anything,
+// which is the property the whole resume-after-failure story leans on.
 //
 // It serves exactly the verbs the ObjectStore client uses: GET/HEAD/PUT/
 // DELETE on ObjectPathPrefix+key, and GET ListPath?prefix=P returning
 // matching keys one per line.
 type StoreServer struct {
-	root string
+	objects blob.Dir
 }
 
 // NewStoreServer returns a server storing objects under root (created if
@@ -35,23 +34,7 @@ func NewStoreServer(root string) (*StoreServer, error) {
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return nil, fmt.Errorf("dispatch: store root: %w", err)
 	}
-	return &StoreServer{root: root}, nil
-}
-
-// Root returns the directory objects are stored under.
-func (s *StoreServer) Root() string { return s.root }
-
-// cleanKey validates an object key from a request path and maps it into the
-// root, rejecting traversal and absolute forms.
-func (s *StoreServer) cleanKey(raw string) (string, error) {
-	if raw == "" || strings.HasPrefix(raw, "/") || strings.Contains(raw, "\\") {
-		return "", fmt.Errorf("bad key %q", raw)
-	}
-	clean := path.Clean(raw)
-	if clean != raw || clean == "." || clean == ".." || strings.HasPrefix(clean, "../") {
-		return "", fmt.Errorf("bad key %q", raw)
-	}
-	return filepath.Join(s.root, filepath.FromSlash(clean)), nil
+	return &StoreServer{objects: blob.Dir(root)}, nil
 }
 
 // ServeHTTP implements http.Handler.
@@ -78,30 +61,25 @@ func (s *StoreServer) DebugMux(reg *telemetry.Registry) *http.ServeMux {
 
 func (s *StoreServer) handleObject(w http.ResponseWriter, r *http.Request, key string) {
 	countServerRequest(r.Method)
-	file, err := s.cleanKey(key)
-	if err != nil {
+	if err := blob.CheckKey(key); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	switch r.Method {
 	case http.MethodHead:
-		// HEAD is the existence probe (ShardComplete, PushTrace): a stat
-		// answers it — reading a multi-gigabyte container to hash an ETag
-		// nobody checks on HEAD would make every probe cost the object.
-		fi, err := os.Stat(file)
-		if os.IsNotExist(err) {
-			http.NotFound(w, r)
-			return
-		}
+		// HEAD is the existence probe (ShardComplete, PushTrace): a stat,
+		// never a read of a possibly multi-gigabyte object to hash an ETag.
+		ok, err := s.objects.Head(key)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Length", fmt.Sprint(fi.Size()))
+		if !ok {
+			http.NotFound(w, r)
+		}
 	case http.MethodGet:
-		data, err := os.ReadFile(file)
-		if os.IsNotExist(err) {
+		data, err := s.objects.Get(key)
+		if errors.Is(err, fs.ErrNotExist) {
 			http.NotFound(w, r)
 			return
 		}
@@ -129,45 +107,14 @@ func (s *StoreServer) handleObject(w http.ResponseWriter, r *http.Request, key s
 				sum, ObjectHashHeader, want), http.StatusUnprocessableEntity)
 			return
 		}
-		if err := os.MkdirAll(filepath.Dir(file), 0o755); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		// A unique temp name per request: concurrent PUTs of the same key
-		// (a hung worker's late commit racing its retry's) must each write
-		// their own file, with whichever rename lands last winning whole —
-		// a shared temp path would interleave the two bodies.
-		tf, err := os.CreateTemp(filepath.Dir(file), filepath.Base(file)+".*.tmp")
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		tmp := tf.Name()
-		if _, err := tf.Write(data); err != nil {
-			tf.Close()
-			os.Remove(tmp)
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		if err := tf.Close(); err != nil {
-			os.Remove(tmp)
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		if err := os.Rename(tmp, file); err != nil {
-			os.Remove(tmp)
+		if err := s.objects.Put(key, data); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
 		w.Header().Set("ETag", `"`+sum+`"`)
 		w.WriteHeader(http.StatusCreated)
 	case http.MethodDelete:
-		err := os.Remove(file)
-		if os.IsNotExist(err) {
-			http.NotFound(w, r)
-			return
-		}
-		if err != nil {
+		if err := s.objects.Delete(key); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
@@ -182,27 +129,15 @@ func (s *StoreServer) handleList(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	prefix := r.URL.Query().Get("prefix")
-	var keys []string
-	err := filepath.WalkDir(s.root, func(p string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || strings.HasSuffix(p, ".tmp") {
-			return err
-		}
-		rel, err := filepath.Rel(s.root, p)
-		if err != nil {
-			return err
-		}
-		key := filepath.ToSlash(rel)
-		if strings.HasPrefix(key, prefix) {
-			keys = append(keys, key)
-		}
-		return nil
-	})
+	keys, err := s.objects.List(r.URL.Query().Get("prefix"))
+	if errors.Is(err, blob.ErrBadKey) {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	sort.Strings(keys)
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	for _, key := range keys {
 		fmt.Fprintln(w, key)

@@ -6,9 +6,8 @@ package sim
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 
+	"clgp/internal/blob"
 	"clgp/internal/core"
 	"clgp/internal/workload"
 )
@@ -33,37 +32,20 @@ func SnapshotKey(fingerprint, warmKey uint64, warmup int) string {
 	return fmt.Sprintf("%016x-%016x-c%d.clgs", fingerprint, warmKey, warmup)
 }
 
-// DirSnapshots stores snapshots as files in a directory, written atomically
-// (temp + rename) so concurrent recorders never expose a torn artifact.
+// DirSnapshots stores snapshots as files in a directory, each committed
+// atomically by blob.Dir so concurrent recorders never expose a torn
+// artifact.
 type DirSnapshots struct {
 	// Dir is the snapshot directory; it is created on first push.
 	Dir string
 }
 
 // FetchSnapshot implements SnapshotStore.
-func (s DirSnapshots) FetchSnapshot(key string) ([]byte, error) {
-	return os.ReadFile(filepath.Join(s.Dir, key))
-}
+func (s DirSnapshots) FetchSnapshot(key string) ([]byte, error) { return blob.Dir(s.Dir).Get(key) }
 
 // PushSnapshot implements SnapshotStore.
 func (s DirSnapshots) PushSnapshot(key string, data []byte) error {
-	if err := os.MkdirAll(s.Dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(s.Dir, key+".tmp*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), filepath.Join(s.Dir, key))
+	return blob.Dir(s.Dir).Put(key, data)
 }
 
 // warmTarget is the committed-instruction goal of the job's engine.
@@ -118,4 +100,3 @@ func (j Job) WarmStart(eng *core.Engine, src core.TraceSource) (*core.Engine, er
 	_ = j.Snapshots.PushSnapshot(key, data)
 	return eng, nil
 }
-
