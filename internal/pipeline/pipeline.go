@@ -16,6 +16,7 @@ package pipeline
 
 import (
 	"fmt"
+	"slices"
 
 	"clgp/internal/clock"
 	"clgp/internal/isa"
@@ -49,6 +50,11 @@ type DynInst struct {
 	// producer recycled through a Pool (necessarily committed or squashed,
 	// hence done) is recognised and never stalls the consumer.
 	deps [2]depRef
+	// waitHead lists the consumers parked on this instruction's completion;
+	// waitNext links a parked consumer into its producer's list. Both are
+	// scheduler state derived from deps, never serialised.
+	waitHead *DynInst
+	waitNext *DynInst
 }
 
 // depRef is a recycling-safe reference to a producer instruction.
@@ -160,22 +166,45 @@ type Backend struct {
 	mem *memory.Hierarchy
 
 	// ruu is a fixed ring buffer of in-flight instructions in program order;
-	// logical index 0 (at head) is the oldest. A ring keeps dispatch/commit
-	// allocation-free, unlike the grow-and-shift slice it replaces. Its
-	// length is RUUSize rounded up to a power of two so ring indexing is a
-	// mask instead of a modulo (the modulo dominated the cycle-loop profile);
+	// logical index 0 (at head) is the oldest. It is the commit-order store
+	// and the snapshot's view of the back-end; scheduling never walks it.
+	// Its length is RUUSize rounded up to a power of two so ring indexing is
+	// a mask (the issue-delay FIFO shares the length and the mask);
 	// occupancy is still capped at RUUSize.
 	ruu     []*DynInst
 	ruuMask int
 	ruuHead int
 	ruuN    int
 
+	// The scheduler indices partition the RUU's not-yet-completed entries;
+	// they are derived state, rebuilt by LoadState and never serialised.
+	// Each holds at most RUUSize entries and is preallocated to that, so
+	// the cycle loop never grows them. Slots outside a list's live range
+	// may hold stale pointers; they are overwritten before they are read,
+	// and the instructions they name are pool-owned either way.
+	//
+	// delay is a ring of dispatched entries still inside the issue delay,
+	// keyed by issueAt. Dispatch stamps now+issueDelay with a non-decreasing
+	// now, so the keys are non-decreasing and only the head can be due.
+	delay     []timedInst
+	delayHead int
+	delayN    int
+	// ready holds entries past the issue delay whose producers have all
+	// completed, in Seq order (= program order), so select is a prefix.
+	// Entries past the delay with an in-flight producer are on neither
+	// list: they are parked on that producer's waitHead list.
+	ready []*DynInst
+	// exec holds issued and memory-waiting entries, each keyed by the cycle
+	// it next needs attention (completAt, or its request's NextEvent), so a
+	// completion pass skips entries that are not due without touching them.
+	exec []timedInst
+
 	// nextEv and readyNow cache the back-end's event horizon, recomputed by
-	// every TickInto from the walk it performs anyway and refined by
-	// Dispatch: readyNow records that same-cycle work remained after the tick
-	// (a width-limited ready instruction or a committable head), nextEv the
+	// every TickInto from the scheduler indices and refined by Dispatch:
+	// readyNow records that same-cycle work remained after the tick (a
+	// width-limited ready instruction or a committable head), nextEv the
 	// earliest future cycle any in-flight instruction acts. NextEvent reads
-	// the cache in O(1) instead of re-walking the RUU on every skip attempt.
+	// the cache in O(1).
 	nextEv   uint64
 	readyNow bool
 
@@ -207,7 +236,24 @@ func New(cfg Config, mem *memory.Hierarchy) (*Backend, error) {
 	for ringLen < cfg.RUUSize {
 		ringLen <<= 1
 	}
-	return &Backend{cfg: cfg, mem: mem, ruu: make([]*DynInst, ringLen), ruuMask: ringLen - 1, nextEv: clock.None}, nil
+	return &Backend{
+		cfg:     cfg,
+		mem:     mem,
+		ruu:     make([]*DynInst, ringLen),
+		ruuMask: ringLen - 1,
+		delay:   make([]timedInst, ringLen),
+		ready:   make([]*DynInst, 0, cfg.RUUSize),
+		exec:    make([]timedInst, 0, cfg.RUUSize),
+		nextEv:  clock.None,
+	}, nil
+}
+
+// timedInst is a scheduler-index entry: an instruction and the cycle it next
+// needs attention, kept inline so a scan reads only the keys of entries that
+// are not due.
+type timedInst struct {
+	at uint64
+	d  *DynInst
 }
 
 // SetPool attaches a DynInst pool; committed and squashed instructions are
@@ -269,17 +315,13 @@ func (b *Backend) Dispatch(d *DynInst, now uint64) bool {
 	}
 	b.ruu[(b.ruuHead+b.ruuN)&b.ruuMask] = d
 	b.ruuN++
+	b.delay[(b.delayHead+b.delayN)&b.ruuMask] = timedInst{at: d.issueAt, d: d}
+	b.delayN++
 	// The new instruction's earliest action is its issue slot; fold it into
 	// the cached horizon (dispatch happens after this cycle's TickInto, so
 	// the tick's recomputation did not see it).
 	b.nextEv = clock.Min(b.nextEv, d.issueAt)
 	return true
-}
-
-// depsReady reports whether every source producer of d has completed by
-// cycle now.
-func depsReady(d *DynInst, now uint64) bool {
-	return d.deps[0].done(now) && d.deps[1].done(now)
 }
 
 // Tick advances execution and commit by one cycle. It returns the
@@ -295,87 +337,113 @@ func (b *Backend) Tick(now uint64) (committed []*DynInst, resolved *DynInst) {
 // be nil) and returning the extended slice. With a buffer of capacity Width
 // it performs no allocations. Committed instructions are NOT released to the
 // pool — the caller consumes them (stats, training) and releases them.
+//
+// A tick is wakeup/select over the scheduler indices, never a scan of the
+// RUU: completions wake their parked consumers, due entries leave the
+// issue-delay FIFO, the ready list issues oldest-first up to Width, and the
+// head commits in order. The machine state is cycle for cycle that of
+// examining every RUU entry in program order each tick (completing, then
+// issuing when ready): a producer is always older than its consumers, so
+// a consumer may issue in its producer's completion cycle, and select in
+// Seq order is program order. FuzzBackendMatchesWalk holds the two to
+// equality.
 func (b *Backend) TickInto(now uint64, buf []*DynInst) (committed []*DynInst, resolved *DynInst) {
 	committed = buf
-	// Idle gate: when the cached horizon proves no entry can issue, release,
-	// complete or commit at `now`, the whole walk is a no-op — skip it. The
-	// proof leans on the walk's own invariants: program order puts every
-	// producer before its consumers, so a dep-blocked entry becomes ready
-	// only in the walk that completes its producer, and that walk ran
-	// (completions and issue delays are in nextEv, width-blocked and
-	// committable entries set readyNow, unscheduled memory requests pin
-	// nextEv to the walk's own cycle). Contributions are fixed cycles that
-	// never move earlier, so the cache stays never-late across any span of
-	// gated cycles; SquashWrongPath can expose a committable survivor at the
-	// head, so it forces the next walk itself. The per-cycle NoSkip
-	// clock mode takes this path too: the gate elides provably dead walks,
-	// not cycles, so both clock modes see identical machine states.
+	// Idle gate: when the cached horizon proves nothing can issue, complete
+	// or commit at `now`, the tick is a no-op — skip it. Every way an entry
+	// can act is in the cache: the delay-FIFO head's issueAt and every exec
+	// entry's wake cycle are in nextEv (an unscheduled memory request wakes
+	// at the tick's own cycle), and a leftover ready entry or a committable
+	// head sets readyNow. A parked entry has no event of its own: it can
+	// become ready only when its producer completes, and that completion is
+	// in nextEv. Contributions are fixed cycles that never move earlier, so
+	// the cache stays never-late across any span of gated cycles;
+	// SquashWrongPath can expose a committable survivor at the head, so it
+	// forces the next tick itself. The per-cycle NoSkip clock mode takes
+	// this path too: the gate elides provably dead ticks, not cycles, so
+	// both clock modes see identical machine states.
 	if b.ruuN > 0 && !b.readyNow && b.nextEv > now {
 		return committed, nil
 	}
-	// Issue / execute. The walk doubles as the horizon recomputation: every
-	// state it inspects contributes either "same-cycle work remains"
-	// (readyNow) or its next future event, so NextEvent never has to re-walk
-	// the RUU. The contributions mirror the old NextEvent walk exactly; see
-	// that method's comment for why each one is never late.
 	nextEv := clock.None
-	readyNow := false
-	issued := 0
-	for i := 0; i < b.ruuN; i++ {
-		d := b.ruuAt(i)
-		switch d.state {
-		case stateDispatched:
-			if now < d.issueAt {
-				nextEv = clock.Min(nextEv, d.issueAt)
-				continue
-			}
-			if !depsReady(d, now) {
-				// No event of its own: each in-flight producer contributes
-				// its completion below, and a recycled or completed producer
-				// makes depsReady true.
-				continue
-			}
-			if issued >= b.cfg.Width {
-				// Ready but width-limited: same-cycle work remains.
-				readyNow = true
-				continue
-			}
-			issued++
-			b.issue(d, now)
-			if d.state == stateWaitingMem {
-				if d.memReq != nil {
-					nextEv = clock.Min(nextEv, d.memReq.NextEvent(now))
-				} else {
-					readyNow = true
-				}
-			} else {
-				nextEv = clock.Min(nextEv, d.completAt)
-			}
-		case stateWaitingMem:
-			if d.memReq == nil {
-				readyNow = true
-			} else if d.memReq.Ready(now) {
-				if b.mem != nil {
-					b.mem.Release(d.memReq)
-				}
-				d.memReq = nil
-				d.completAt = now
-				b.finish(d)
-			} else {
-				nextEv = clock.Min(nextEv, d.memReq.NextEvent(now))
-			}
-		case stateIssued:
-			if now >= d.completAt {
-				b.finish(d)
-			} else {
-				nextEv = clock.Min(nextEv, d.completAt)
-			}
+
+	// 1. Completions. An entry that is not due keeps its slot unread; a
+	// completing one wakes its parked consumers, which can then issue this
+	// very cycle. resolved is the oldest mispredicted branch completing now.
+	kept := 0
+	for _, e := range b.exec {
+		if e.at > now {
+			b.exec[kept] = e
+			kept++
+			nextEv = clock.Min(nextEv, e.at)
+			continue
 		}
-		if d.state == stateCompleted && d.MispredictedBranch && resolved == nil && d.completAt == now {
+		d := e.d
+		if d.state == stateWaitingMem {
+			if !d.memReq.Ready(now) {
+				e.at = d.memReq.NextEvent(now)
+				b.exec[kept] = e
+				kept++
+				nextEv = clock.Min(nextEv, e.at)
+				continue
+			}
+			if b.mem != nil {
+				b.mem.Release(d.memReq)
+			}
+			d.memReq = nil
+			d.completAt = now
+		}
+		d.state = stateCompleted
+		if d.MispredictedBranch && d.completAt == now && (resolved == nil || d.Seq < resolved.Seq) {
 			resolved = d
-			b.resolvedMisp++
+		}
+		for c := d.waitHead; c != nil; {
+			next := c.waitNext
+			c.waitNext = nil
+			if p := blocker(c, now); p != nil {
+				park(c, p)
+			} else {
+				b.insertReady(c)
+			}
+			c = next
+		}
+		d.waitHead = nil
+	}
+	b.exec = b.exec[:kept]
+	if resolved != nil {
+		b.resolvedMisp++
+	}
+
+	// 2. Delay pops. The FIFO's keys are non-decreasing, so the first entry
+	// not yet due ends the pass and is the FIFO's horizon. A popped entry
+	// is younger than everything already past the delay, so when ready it
+	// joins the tail of the ready list.
+	for b.delayN > 0 {
+		e := b.delay[b.delayHead]
+		if e.at > now {
+			nextEv = clock.Min(nextEv, e.at)
+			break
+		}
+		b.delayHead = (b.delayHead + 1) & b.ruuMask
+		b.delayN--
+		if p := blocker(e.d, now); p != nil {
+			park(e.d, p)
+		} else {
+			b.ready = append(b.ready, e.d)
 		}
 	}
+
+	// 3. Select: issue the oldest ready entries, up to Width.
+	n := min(len(b.ready), b.cfg.Width)
+	for _, d := range b.ready[:n] {
+		at := b.issue(d, now)
+		b.exec = append(b.exec, timedInst{at: at, d: d})
+		nextEv = clock.Min(nextEv, at)
+	}
+	left := copy(b.ready, b.ready[n:])
+	b.ready = b.ready[:left]
+	// A width-limited ready entry is same-cycle work.
+	readyNow := left > 0
 
 	// In-order commit of up to Width completed correct-path instructions.
 	for b.ruuN > 0 && len(committed)-len(buf) < b.cfg.Width {
@@ -400,8 +468,41 @@ func (b *Backend) TickInto(now uint64, buf []*DynInst) (committed []*DynInst, re
 	return committed, resolved
 }
 
-// issue starts execution of d at cycle now.
-func (b *Backend) issue(d *DynInst, now uint64) {
+// blocker returns the first producer of d still in flight at cycle now, or
+// nil when every producer has completed and d may issue.
+func blocker(d *DynInst, now uint64) *DynInst {
+	for _, p := range d.deps {
+		if !p.done(now) {
+			return p.d
+		}
+	}
+	return nil
+}
+
+// park puts d on producer p's consumer list until p completes. A producer is
+// always older than its consumers and is correct-path, hence never squashed,
+// so its completion is certain to wake every consumer parked on it.
+func park(d, p *DynInst) {
+	d.waitNext = p.waitHead
+	p.waitHead = d
+}
+
+// insertReady puts a woken consumer on the ready list at its Seq position.
+// The list holds only width-limited leftovers and this cycle's wakeups, so a
+// linear search from the tail is enough.
+func (b *Backend) insertReady(d *DynInst) {
+	i := len(b.ready)
+	for i > 0 && b.ready[i-1].Seq > d.Seq {
+		i--
+	}
+	b.ready = append(b.ready, nil)
+	copy(b.ready[i+1:], b.ready[i:])
+	b.ready[i] = d
+}
+
+// issue starts execution of d at cycle now and returns the cycle at which d
+// next needs the completion pass's attention.
+func (b *Backend) issue(d *DynInst, now uint64) uint64 {
 	cls := d.Static.Class
 	switch {
 	case cls == isa.OpLoad:
@@ -409,10 +510,9 @@ func (b *Backend) issue(d *DynInst, now uint64) {
 		if b.mem != nil && !d.WrongPath {
 			d.memReq = b.mem.AccessData(d.EffAddr, now, false)
 			d.state = stateWaitingMem
-			return
+			return d.memReq.NextEvent(now)
 		}
 		d.completAt = now + 1
-		d.state = stateIssued
 	case cls == isa.OpStore:
 		b.storesExec++
 		if b.mem != nil && !d.WrongPath {
@@ -421,40 +521,34 @@ func (b *Backend) issue(d *DynInst, now uint64) {
 			b.mem.Release(b.mem.AccessData(d.EffAddr, now, true))
 		}
 		d.completAt = now + 1
-		d.state = stateIssued
 	default:
 		d.completAt = now + uint64(cls.ExecLatency())
-		d.state = stateIssued
 	}
-}
-
-// finish marks an instruction complete.
-func (b *Backend) finish(d *DynInst) {
-	d.state = stateCompleted
+	d.state = stateIssued
+	return d.completAt
 }
 
 // NextEvent returns the earliest cycle, at or after now, at which Tick could
 // change any back-end state (the clock contract, see package clock). It is
-// O(1): TickInto recomputes the horizon during the walk it performs anyway
-// and Dispatch folds in new instructions, so no rescan happens here. The
-// cached contributions mirror Tick's state machine exactly:
+// O(1): TickInto recomputes the horizon from the scheduler indices it touches
+// anyway and Dispatch folds in new instructions, so no rescan happens here.
+// The cached contributions, one per scheduler index:
 //
-//   - a committable head, or a dispatched instruction past its issue delay
-//     with completed producers, is same-cycle work (it was only width-limited
-//     this cycle) — recorded as readyNow;
-//   - dispatched instructions still inside the issue delay wake at issueAt
-//     (possibly early, if their producers are slower — harmlessly
-//     conservative);
-//   - dispatched instructions stalled on in-flight producers have no event of
-//     their own: each producer contributes its completion, and a recycled or
-//     already-completed producer makes depsReady true at the tick;
-//   - memory-waiting instructions wake when their request's data arrives
-//     (a request still contending for the bus reports "now", forcing
-//     per-cycle ticks until it is scheduled), executing ones at completAt.
-//     Tick stamps completAt with its own cycle on memory completion and
-//     detects branch resolution by completAt == now, so never skipping past
-//     these horizons is what keeps resolution — and with it every downstream
-//     flush — on exactly the per-cycle schedule.
+//   - a leftover ready-list entry (width-limited this cycle) or a committable
+//     head is same-cycle work — recorded as readyNow;
+//   - the issue-delay FIFO contributes its head's issueAt, the earliest of
+//     its keys (possibly early, if that entry's producers are slower —
+//     harmlessly conservative);
+//   - parked entries have no event of their own: each waits on an in-flight
+//     producer, which is on the FIFO, the ready list or the exec list and
+//     contributes there, and its completion wakes them;
+//   - exec entries contribute their wake cycle: completAt for executing
+//     ones, the request's NextEvent for memory-waiting ones (a request still
+//     contending for the bus reports "now", forcing per-cycle ticks until it
+//     is scheduled). Tick stamps completAt with its own cycle on memory
+//     completion and detects branch resolution by completAt == now, so never
+//     skipping past these horizons is what keeps resolution — and with it
+//     every downstream flush — on exactly the per-cycle schedule.
 //
 // Completed wrong-path instructions are inert until the resolution squash,
 // which the mispredicted (correct-path) branch's own completion event covers;
@@ -470,10 +564,12 @@ func (b *Backend) NextEvent(now uint64) uint64 {
 	return b.nextEv
 }
 
-// SquashWrongPath removes every wrong-path instruction from the RUU. The
-// core calls it when the mispredicted branch resolves. Squashed instructions
-// are released to the pool when one is attached. It returns the number of
-// squashed instructions.
+// SquashWrongPath removes every wrong-path instruction from the RUU and the
+// scheduler indices. The core calls it when the mispredicted branch
+// resolves. Squashed instructions are released to the pool when one is
+// attached. It returns the number of squashed instructions. Wrong-path
+// instructions carry no dependences and are never producers, so none is
+// parked and no consumer list needs repair.
 func (b *Backend) SquashWrongPath() int {
 	n := 0
 	w := 0
@@ -495,9 +591,21 @@ func (b *Backend) SquashWrongPath() int {
 	}
 	b.ruuN = w
 	b.wrongSquash += uint64(n)
+
+	w = 0
+	for r := 0; r < b.delayN; r++ {
+		if e := b.delay[(b.delayHead+r)&b.ruuMask]; !e.d.WrongPath {
+			b.delay[(b.delayHead+w)&b.ruuMask] = e
+			w++
+		}
+	}
+	b.delayN = w
+	b.ready = slices.DeleteFunc(b.ready, func(d *DynInst) bool { return d.WrongPath })
+	b.exec = slices.DeleteFunc(b.exec, func(e timedInst) bool { return e.d.WrongPath })
+
 	// Removing a wrong-path head can expose an already-completed survivor at
 	// the commit point — work the cached horizon never accounted for. Force
-	// the next TickInto to walk and recompute.
+	// the next TickInto to run and recompute.
 	b.readyNow = true
 	return n
 }

@@ -1,11 +1,13 @@
 package pipeline
 
 import (
+	"slices"
 	"testing"
 
 	"clgp/internal/cacti"
 	"clgp/internal/isa"
 	"clgp/internal/memory"
+	"clgp/internal/snap"
 )
 
 func alu(pc isa.Addr, src1, src2, dst uint8) *isa.StaticInst {
@@ -336,5 +338,271 @@ func TestIPCIsBoundedByWidth(t *testing.T) {
 	}
 	if ipc < 2.0 {
 		t.Errorf("IPC %.2f is unreasonably low for independent ALU instructions", ipc)
+	}
+}
+
+// issueCycles ticks b (and mem, when set) over cycles [from, to) and returns,
+// per instruction of ds, the cycle it issued (left the dispatched state), or
+// -1 if it never did.
+func issueCycles(b *Backend, mem *memory.Hierarchy, ds []*DynInst, from, to uint64) []int {
+	at := make([]int, len(ds))
+	for i := range at {
+		at[i] = -1
+	}
+	for now := from; now < to; now++ {
+		if mem != nil {
+			mem.Tick(now)
+		}
+		b.Tick(now)
+		for i, d := range ds {
+			if at[i] < 0 && d.state != stateDispatched {
+				at[i] = int(now)
+			}
+		}
+	}
+	return at
+}
+
+func TestSelectStaysOldestFirstAfterWakeup(t *testing.T) {
+	// One issue slot per cycle. The consumer C is parked on the 3-cycle
+	// multiply P while younger independent entries queue up ready; when P
+	// completes, C is woken behind them on the ready list and must still win
+	// the slot, as the oldest ready entry.
+	b := MustNew(Config{Width: 1, RUUSize: 8}, nil)
+	p := dyn(&isa.StaticInst{PC: 0, Class: isa.OpMul, Src1: isa.RegZero, Src2: isa.RegZero, Dst: 1}, 0)
+	c := dyn(alu(0x4, 1, isa.RegZero, 2), 1)
+	ds := []*DynInst{p, c}
+	for i := 2; i < 6; i++ {
+		ds = append(ds, dyn(alu(isa.Addr(4*i), isa.RegZero, isa.RegZero, uint8(i+1)), uint64(i)))
+	}
+	for _, d := range ds {
+		b.Dispatch(d, 0)
+	}
+	// issueDelay is 5: P issues at 5 and completes at 8; Y1, Y2 fill 6 and 7.
+	want := []int{5, 8, 6, 7, 9, 10}
+	got := issueCycles(b, nil, ds, 0, 12)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("issue cycles %v, want %v (oldest-first select)", got, want)
+		}
+	}
+}
+
+func TestConsumerIssuesInItsProducersCompletionCycle(t *testing.T) {
+	// An ALU producer completes one cycle after issue; a load producer
+	// completes whenever its data arrives. Either way the consumer issues in
+	// the very cycle the producer completes.
+	b := MustNew(DefaultConfig(), nil)
+	p := dyn(alu(0, isa.RegZero, isa.RegZero, 1), 0)
+	c := dyn(alu(0x4, 1, isa.RegZero, 2), 1)
+	b.Dispatch(p, 0)
+	b.Dispatch(c, 0)
+	if got := issueCycles(b, nil, []*DynInst{p, c}, 0, 10); got[0] != 5 || got[1] != 6 {
+		t.Errorf("issue cycles %v, want [5 6]", got)
+	}
+
+	mem := memory.MustNew(memory.DefaultConfig(cacti.Tech45, 4<<10))
+	b = MustNew(DefaultConfig(), mem)
+	ld := dyn(&isa.StaticInst{PC: 0, Class: isa.OpLoad, Src1: isa.RegZero, Src2: isa.RegZero, Dst: 1}, 0)
+	ld.EffAddr = 0x9000_0000
+	c = dyn(alu(0x4, 1, isa.RegZero, 2), 1)
+	b.Dispatch(ld, 0)
+	b.Dispatch(c, 0)
+	completed, issued := -1, -1
+	for now := uint64(0); now < 2000 && issued < 0; now++ {
+		mem.Tick(now)
+		b.Tick(now)
+		if completed < 0 && ld.Completed() {
+			completed = int(now)
+		}
+		if issued < 0 && c.state != stateDispatched {
+			issued = int(now)
+		}
+	}
+	if completed < 200 || issued != completed {
+		t.Errorf("load completed at %d, consumer issued at %d; want a cold miss and the same cycle", completed, issued)
+	}
+}
+
+func TestSimultaneousMispredictionsResolveTheOlder(t *testing.T) {
+	// The back-end does not restrict which instruction carries the
+	// mispredict flag. The younger flagged FP op Y issues at 5 and completes
+	// at 9; the older branch O waits on the multiply P, issues at 8 and also
+	// completes at 9. Y was issued first, but O is older, so O resolves.
+	b := MustNew(DefaultConfig(), nil)
+	p := dyn(&isa.StaticInst{PC: 0, Class: isa.OpMul, Src1: isa.RegZero, Src2: isa.RegZero, Dst: 1}, 0)
+	o := dyn(&isa.StaticInst{PC: 0x4, Class: isa.OpBranch, Src1: 1, Src2: isa.RegZero, Dst: isa.RegZero}, 1)
+	y := dyn(&isa.StaticInst{PC: 0x8, Class: isa.OpFP, Src1: isa.RegZero, Src2: isa.RegZero, Dst: 2}, 2)
+	o.MispredictedBranch, y.MispredictedBranch = true, true
+	for _, d := range []*DynInst{p, o, y} {
+		b.Dispatch(d, 0)
+	}
+	for now := uint64(0); now < 20; now++ {
+		_, r := b.Tick(now)
+		if r == nil {
+			continue
+		}
+		if now != 9 || r != o {
+			t.Fatalf("cycle %d resolved seq %d, want seq 1 at cycle 9", now, r.Seq)
+		}
+		if !y.Completed() || y.completAt != now {
+			t.Fatalf("the younger flagged instruction did not complete alongside")
+		}
+		break
+	}
+	if b.ResolvedMispredictions() != 1 {
+		t.Errorf("ResolvedMispredictions = %d, want 1", b.ResolvedMispredictions())
+	}
+}
+
+// testCodec resolves static instructions by index into a fixed program.
+type testCodec struct{ prog []*isa.StaticInst }
+
+func (c testCodec) SaveStatic(e *snap.Encoder, s *isa.StaticInst) { e.Int(slices.Index(c.prog, s)) }
+
+func (c testCodec) LoadStatic(d *snap.Decoder) *isa.StaticInst {
+	if i := d.Int(); i >= 0 && i < len(c.prog) {
+		return c.prog[i]
+	}
+	return nil
+}
+
+// testProgram is a dependence-heavy stream: multiply and FP producers with
+// chained consumers, one mispredicted branch followed by wrong-path work.
+func testProgram() (prog []*isa.StaticInst, wrong []bool, mispred []bool) {
+	add := func(si *isa.StaticInst, wp, mp bool) {
+		si.PC = isa.Addr(4 * len(prog))
+		prog = append(prog, si)
+		wrong = append(wrong, wp)
+		mispred = append(mispred, mp)
+	}
+	for i := 0; i < 6; i++ {
+		r := uint8(1 + i%5)
+		add(&isa.StaticInst{Class: isa.OpMul, Src1: r, Src2: isa.RegZero, Dst: r}, false, false)
+		add(&isa.StaticInst{Class: isa.OpFP, Src1: r, Src2: isa.RegZero, Dst: r + 1}, false, false)
+		add(&isa.StaticInst{Class: isa.OpALU, Src1: r + 1, Src2: r, Dst: 7}, false, false)
+		add(&isa.StaticInst{Class: isa.OpALU, Src1: isa.RegZero, Src2: isa.RegZero, Dst: 8}, false, false)
+	}
+	add(&isa.StaticInst{Class: isa.OpBranch, Src1: 7, Src2: isa.RegZero, Dst: isa.RegZero}, false, true)
+	for i := 0; i < 6; i++ {
+		add(&isa.StaticInst{Class: isa.OpFP, Src1: isa.RegZero, Src2: isa.RegZero, Dst: 9}, true, false)
+	}
+	for i := 0; i < 8; i++ {
+		add(&isa.StaticInst{Class: isa.OpALU, Src1: 7, Src2: 8, Dst: uint8(1 + i%5)}, false, false)
+	}
+	return prog, wrong, mispred
+}
+
+func TestSnapshotMidFlightContinuesCycleIdentical(t *testing.T) {
+	prog, wrong, mispred := testProgram()
+	codec := testCodec{prog}
+	cfg := Config{Width: 2, RUUSize: 16}
+	orig := MustNew(cfg, nil)
+	var restored *Backend
+	next := [2]int{} // next program index to dispatch, per back-end
+	feed := func(b *Backend, k int, now uint64) {
+		for w := 0; w < cfg.Width && next[k] < len(prog); w++ {
+			i := next[k]
+			d := dyn(prog[i], uint64(i+1))
+			d.WrongPath, d.MispredictedBranch = wrong[i], mispred[i]
+			if !b.Dispatch(d, now) {
+				return
+			}
+			next[k]++
+		}
+	}
+	// squash is the resolution recovery: the RUU's wrong path goes, and so
+	// does the undispatched rest of it (the core's dispatch-queue flush).
+	squash := func(b *Backend, k int) {
+		b.SquashWrongPath()
+		for next[k] < len(prog) && wrong[next[k]] {
+			next[k]++
+		}
+	}
+	parked := func(b *Backend) bool {
+		for i := 0; i < b.ruuN; i++ {
+			if b.ruuAt(i).waitHead != nil {
+				return true
+			}
+		}
+		return false
+	}
+	for now := uint64(0); now < 400; now++ {
+		if restored == nil && parked(orig) {
+			var e snap.Encoder
+			orig.SaveState(&e, memory.NewReqSet(), codec)
+			restored = MustNew(cfg, nil)
+			dec := snap.NewDecoder(e.Bytes())
+			restored.LoadState(dec, memory.NewReqSet(), codec)
+			if dec.Err() != nil || dec.Remaining() != 0 {
+				t.Fatalf("cycle %d: restore: %v (%d bytes left)", now, dec.Err(), dec.Remaining())
+			}
+			next[1] = next[0]
+		}
+		cA, rA := orig.Tick(now)
+		if rA != nil {
+			squash(orig, 0)
+		}
+		feed(orig, 0, now)
+		if restored == nil {
+			continue
+		}
+		cB, rB := restored.Tick(now)
+		if rB != nil {
+			squash(restored, 1)
+		}
+		feed(restored, 1, now)
+		if len(cA) != len(cB) || (rA == nil) != (rB == nil) || (rA != nil && rA.Seq != rB.Seq) {
+			t.Fatalf("cycle %d: committed %d vs %d, resolved %v vs %v", now, len(cA), len(cB), seqOf(rA), seqOf(rB))
+		}
+		for i := range cA {
+			if cA[i].Seq != cB[i].Seq {
+				t.Fatalf("cycle %d: commit slot %d is seq %d after restore, %d straight", now, i, cB[i].Seq, cA[i].Seq)
+			}
+		}
+		if a, b := orig.NextEvent(now), restored.NextEvent(now); a != b {
+			t.Fatalf("cycle %d: NextEvent %d after restore, %d straight", now, b, a)
+		}
+		if orig.counters() != restored.counters() {
+			t.Fatalf("cycle %d: counters %+v after restore, %+v straight", now, restored.counters(), orig.counters())
+		}
+	}
+	if restored == nil {
+		t.Fatal("no consumer was ever parked; the snapshot point was never reached")
+	}
+	if !orig.Drained() || orig.Committed() != uint64(len(prog)-6) {
+		t.Errorf("program did not run to completion: committed %d, occupancy %d", orig.Committed(), orig.Occupancy())
+	}
+}
+
+func TestLoadStateRejectsMalformedRUU(t *testing.T) {
+	prog, _, _ := testProgram()
+	codec := testCodec{prog}
+	saved := func(mutate func(ds []*DynInst)) []byte {
+		b := MustNew(DefaultConfig(), nil)
+		var ds []*DynInst
+		for i := 0; i < 3; i++ {
+			d := dyn(prog[i], uint64(10+i))
+			b.Dispatch(d, uint64(i))
+			ds = append(ds, d)
+		}
+		mutate(ds)
+		var e snap.Encoder
+		b.SaveState(&e, memory.NewReqSet(), codec)
+		return e.Bytes()
+	}
+	load := func(data []byte) error {
+		dec := snap.NewDecoder(data)
+		MustNew(DefaultConfig(), nil).LoadState(dec, memory.NewReqSet(), codec)
+		return dec.Err()
+	}
+	if err := load(saved(func([]*DynInst) {})); err != nil {
+		t.Fatalf("well-formed RUU rejected: %v", err)
+	}
+	if err := load(saved(func(ds []*DynInst) { ds[2].Seq = ds[1].Seq })); err == nil {
+		t.Error("restore accepted an RUU whose Seq is not strictly increasing")
+	}
+	if err := load(saved(func(ds []*DynInst) { ds[1].issueAt = ds[0].issueAt - 1 })); err == nil {
+		t.Error("restore accepted dispatched entries with decreasing issueAt")
 	}
 }

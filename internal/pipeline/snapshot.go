@@ -125,7 +125,8 @@ func (b *Backend) SaveState(e *snap.Encoder, s *memory.ReqSet, codec InstCodec) 
 // Dependence and scoreboard references are re-bound to the restored producer
 // instructions by sequence number — a sequence no longer in the RUU restores
 // as a detached reference, which depRef.done already treats as a departed
-// (completed or squashed) producer.
+// (completed or squashed) producer. The scheduler indices are rebuilt from
+// the restored RUU (see rebuildIndices), so the format carries none of them.
 func (b *Backend) LoadState(d *snap.Decoder, s *memory.ReqSet, codec InstCodec) {
 	d.Tag(backendTag)
 	n := d.Count(b.cfg.RUUSize)
@@ -153,6 +154,10 @@ func (b *Backend) LoadState(d *snap.Decoder, s *memory.ReqSet, codec InstCodec) 
 	if d.Err() != nil {
 		return
 	}
+	b.rebuildIndices(d)
+	if d.Err() != nil {
+		return
+	}
 	for _, f := range fixes {
 		if p, ok := bySeq[f.seq]; ok {
 			f.d.deps[f.slot] = depRef{d: p, seq: f.seq}
@@ -175,4 +180,42 @@ func (b *Backend) LoadState(d *snap.Decoder, s *memory.ReqSet, codec InstCodec) 
 	b.loadsExec = d.U64()
 	b.storesExec = d.U64()
 	b.resolvedMisp = d.U64()
+}
+
+// rebuildIndices derives the scheduler indices from the restored RUU:
+// dispatched entries re-enter the issue-delay FIFO in RUU order (one past its
+// delay is popped, and made ready or parked, by the next tick), issued ones
+// join the exec list at completAt, and memory-waiting ones at 0, so the next
+// tick polls their requests. The indices rely on two orders a saved RUU
+// always has — Seq strictly increasing and dispatched entries' issueAt
+// non-decreasing — and on every memory-waiting entry holding its request,
+// so a snapshot violating any of these is rejected.
+func (b *Backend) rebuildIndices(d *snap.Decoder) {
+	b.delayHead, b.delayN = 0, 0
+	b.ready = b.ready[:0]
+	b.exec = b.exec[:0]
+	for i := 0; i < b.ruuN; i++ {
+		di := b.ruu[i]
+		if i > 0 && di.Seq <= b.ruu[i-1].Seq {
+			d.Failf("pipeline: RUU sequence %d follows %d; restored entries must be in strictly increasing order", di.Seq, b.ruu[i-1].Seq)
+			return
+		}
+		switch di.state {
+		case stateDispatched:
+			if b.delayN > 0 && di.issueAt < b.delay[b.delayN-1].at {
+				d.Failf("pipeline: dispatched entry %d issues at %d, before the older entry's %d", di.Seq, di.issueAt, b.delay[b.delayN-1].at)
+				return
+			}
+			b.delay[b.delayN] = timedInst{at: di.issueAt, d: di}
+			b.delayN++
+		case stateIssued:
+			b.exec = append(b.exec, timedInst{at: di.completAt, d: di})
+		case stateWaitingMem:
+			if di.memReq == nil {
+				d.Failf("pipeline: memory-waiting entry %d has no request", di.Seq)
+				return
+			}
+			b.exec = append(b.exec, timedInst{at: 0, d: di})
+		}
+	}
 }
