@@ -35,7 +35,7 @@ bench-smoke:
 # snapshots must beat cold warm-up by the 1.2x floor (both sides measured in
 # the same run, machine-independent). Mirrors CI's bench-gate job.
 bench-gate:
-	$(GO) run ./cmd/clgpsim bench -grid=false -core-json BENCH_core.fresh.json -gate BENCH_core.json -max-regress 0.10
+	$(GO) run ./cmd/clgpsim bench -core-json BENCH_core.fresh.json -gate BENCH_core.json -max-regress 0.10
 
 run:
 	$(GO) run ./cmd/clgpsim run -profile gcc -insts 200000 -engine clgp -l1 2048 -l0
@@ -58,7 +58,6 @@ stream-smoke:
 	grep -v "wall time" /tmp/clgp-smoke-mem-full.txt > /tmp/clgp-smoke-mem.txt
 	grep -v -e "wall time" -e "trace window" /tmp/clgp-smoke-str-full.txt > /tmp/clgp-smoke-str.txt
 	diff /tmp/clgp-smoke-mem.txt /tmp/clgp-smoke-str.txt
-	$(GO) run ./cmd/clgpsim trace bench -profile gzip -insts 100000 -json BENCH_tracefile.json
 
 # The multi-host dispatch protocol on one machine: an HTTP object store,
 # child workers pointed at the URL, merged figures diffed against the

@@ -8,8 +8,11 @@ import (
 	"strings"
 	"testing"
 
+	"clgp/internal/cacti"
 	"clgp/internal/core"
+	"clgp/internal/sim"
 	"clgp/internal/stats"
+	"clgp/internal/workload"
 )
 
 // replicatedGrid is testGrid with a seed axis: 3 replicate seeds per grid
@@ -86,6 +89,58 @@ func TestGridSeedAxis(t *testing.T) {
 // TestGridHashCoversSeedList: dispatch_test.go's hash test only mutates one
 // job's Seed scalar — this covers grids differing solely in the seed *list*
 // (replicate count), which must hash apart and never cross-resume.
+// TestGridMatchesSweepJobs pins the equivalence `clgpsim sweep` relies on:
+// one profile's GridSpecs grid on one node, keeping only the requested L0
+// setting for prefetching engines, enumerates exactly the jobs of
+// sim.SweepJobs per replicate (names suffixed by sim.ReplicateName), with
+// identical configurations.
+func TestGridMatchesSweepJobs(t *testing.T) {
+	const insts, seed, reps = 5_000, 3, 2
+	engines := []core.EngineKind{core.EngineNone, core.EngineNextN, core.EngineFDP, core.EngineCLGP}
+	for _, l0 := range []bool{false, true} {
+		grid, err := GridSpecs(GridConfig{
+			Profiles: []string{"gzip"}, Techs: []cacti.Tech{cacti.Tech45},
+			Insts: insts, Seed: seed, Seeds: reps, L0Variants: l0,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var specs []JobSpec
+		for _, s := range grid {
+			if s.UseL0 == l0 || s.Engine == core.EngineNone.String() {
+				specs = append(specs, s)
+			}
+		}
+		var want []sim.Job
+		for rep := 0; rep < reps; rep++ {
+			w := &workload.Workload{Name: "gzip"}
+			for _, j := range sim.SweepJobs(w, cacti.Tech45, cacti.L1Sizes(), engines, l0, 0) {
+				j.Name = sim.ReplicateName(j.Name, rep)
+				j.Config.Name = j.Name
+				want = append(want, j)
+			}
+		}
+		if len(specs) != len(want) {
+			t.Fatalf("l0=%v: grid has %d jobs, SweepJobs %d", l0, len(specs), len(want))
+		}
+		for i, s := range specs {
+			cfg, err := s.Config()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Name() != want[i].Name {
+				t.Errorf("l0=%v job %d: name %q, want %q", l0, i, s.Name(), want[i].Name)
+			}
+			if !reflect.DeepEqual(cfg, want[i].Config) {
+				t.Errorf("l0=%v job %s: config %+v, want %+v", l0, s.Name(), cfg, want[i].Config)
+			}
+			if wantSeed := int64(seed + s.Rep); s.Seed != wantSeed || s.Insts != insts {
+				t.Errorf("job %s runs seed %d over %d insts, want seed %d over %d", s.Name(), s.Seed, s.Insts, wantSeed, insts)
+			}
+		}
+	}
+}
+
 func TestGridHashCoversSeedList(t *testing.T) {
 	one := replicatedGrid(t, 1)
 	two := replicatedGrid(t, 2)

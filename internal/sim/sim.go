@@ -376,7 +376,7 @@ func (s Summary) SimsPerSec() float64 {
 // BenchRecord is one throughput measurement in the BENCH_*.json format the
 // perf harness emits (one record per configuration of the benchmark).
 type BenchRecord struct {
-	// Name identifies the measured configuration (e.g. "sweep-parallel").
+	// Name identifies the measured configuration (e.g. "figures-grid").
 	Name string `json:"name"`
 	// Workers is the worker-pool size used.
 	Workers int `json:"workers"`
@@ -390,9 +390,6 @@ type BenchRecord struct {
 	// CyclesPerSec and SimsPerSec are the throughput metrics.
 	CyclesPerSec float64 `json:"cycles_per_sec"`
 	SimsPerSec   float64 `json:"sims_per_sec"`
-	// SpeedupVsSerial is the wall-clock speedup over the serial record of
-	// the same batch (0 when not applicable).
-	SpeedupVsSerial float64 `json:"speedup_vs_serial,omitempty"`
 	// ShardsPerSec is the dispatch-level shard throughput of a sharded
 	// sweep (0 when the batch was not sharded).
 	ShardsPerSec float64 `json:"shards_per_sec,omitempty"`

@@ -127,7 +127,7 @@ func TestSweepParallelSpeedup(t *testing.T) {
 }
 
 // TestBenchJSONRoundTrip: every field of a BenchRecord batch must survive
-// the write/read cycle bit-exactly, including the optional speedup field.
+// the write/read cycle bit-exactly, including the optional dispatch fields.
 func TestBenchJSONRoundTrip(t *testing.T) {
 	recs := []BenchRecord{
 		{
@@ -139,7 +139,7 @@ func TestBenchJSONRoundTrip(t *testing.T) {
 			Name: "grid-parallel", Workers: 8, Sims: 16,
 			TotalCycles: 123_456_789, TotalInsts: 98_765_432,
 			WallSeconds: 1.8, CyclesPerSec: 68_587_105, SimsPerSec: 8.89,
-			SpeedupVsSerial: 6.94,
+			ShardsPerSec: 6.94, Retries: 1,
 		},
 	}
 	path := filepath.Join(t.TempDir(), "BENCH_roundtrip.json")

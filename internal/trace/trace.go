@@ -2,17 +2,14 @@
 // simulator: the committed (correct-path) execution of a workload. The
 // paper drives its simulator with 300M-instruction SimPoint slices of
 // SPECint2000 traces; here traces are produced by the synthetic workload
-// generator, but the format, reader/writer and slicing utilities are
-// workload-agnostic so externally captured traces could be used as well.
+// generator, but the record type, the in-memory and windowed trace sources
+// and the slicing utilities are workload-agnostic so externally captured
+// traces could be used as well. The on-disk container format lives in
+// package tracefile.
 package trace
 
 import (
-	"bufio"
-	"compress/gzip"
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
 
 	"clgp/internal/isa"
 )
@@ -32,27 +29,9 @@ type Record struct {
 	EffAddr isa.Addr
 }
 
-// Trace is a finite sequence of dynamic records that can be iterated
-// multiple times via Reset.
-type Trace interface {
-	// Next returns the next record. ok is false when the trace is exhausted.
-	Next() (r Record, ok bool)
-	// Reset rewinds the trace to its first record.
-	Reset()
-	// Len returns the total number of records. The length is always
-	// definite: consumers (the engine sizes its commit target from it, the
-	// SimPoint profiler sizes its intervals) call Len unconditionally, so
-	// an "unknown length" sentinel would be unusable. Streaming
-	// implementations must recover the exact count from their container —
-	// WindowTrace reports it from the tracefile footer index without
-	// decoding any records.
-	Len() int
-}
-
 // MemTrace is an in-memory trace.
 type MemTrace struct {
 	recs []Record
-	pos  int
 }
 
 // NewMemTrace creates a trace over recs; the slice is not copied.
@@ -61,20 +40,7 @@ func NewMemTrace(recs []Record) *MemTrace { return &MemTrace{recs: recs} }
 // Append adds a record to the end of the trace.
 func (t *MemTrace) Append(r Record) { t.recs = append(t.recs, r) }
 
-// Next implements Trace.
-func (t *MemTrace) Next() (Record, bool) {
-	if t.pos >= len(t.recs) {
-		return Record{}, false
-	}
-	r := t.recs[t.pos]
-	t.pos++
-	return r, true
-}
-
-// Reset implements Trace.
-func (t *MemTrace) Reset() { t.pos = 0 }
-
-// Len implements Trace.
+// Len returns the number of records.
 func (t *MemTrace) Len() int { return len(t.recs) }
 
 // Advance is the window-advance hook of the engine's trace-source contract
@@ -96,167 +62,3 @@ func (t *MemTrace) Slice(lo, hi int) (*MemTrace, error) {
 	}
 	return &MemTrace{recs: t.recs[lo:hi]}, nil
 }
-
-// File format constants.
-const (
-	fileMagic   = 0x434c4750 // "CLGP"
-	fileVersion = 1
-
-	flagTaken   = 1 << 0
-	flagHasMem  = 1 << 1
-	flagSeqNext = 1 << 2 // target is PC+4 and therefore omitted
-)
-
-var (
-	// ErrBadMagic is returned when reading a file that is not a CLGP trace.
-	ErrBadMagic = errors.New("trace: bad magic number")
-	// ErrBadVersion is returned for an unsupported trace format version.
-	ErrBadVersion = errors.New("trace: unsupported version")
-)
-
-// Writer serialises records to a compact binary stream (gzip-compressed).
-type Writer struct {
-	gz    *gzip.Writer
-	bw    *bufio.Writer
-	count uint64
-	err   error
-}
-
-// NewWriter creates a Writer emitting to w and writes the file header.
-func NewWriter(w io.Writer) (*Writer, error) {
-	gz := gzip.NewWriter(w)
-	bw := bufio.NewWriter(gz)
-	hdr := make([]byte, 8)
-	binary.LittleEndian.PutUint32(hdr[0:4], fileMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], fileVersion)
-	if _, err := bw.Write(hdr); err != nil {
-		return nil, fmt.Errorf("trace: writing header: %w", err)
-	}
-	return &Writer{gz: gz, bw: bw}, nil
-}
-
-// Write appends one record.
-func (w *Writer) Write(r Record) error {
-	if w.err != nil {
-		return w.err
-	}
-	var flags byte
-	if r.Taken {
-		flags |= flagTaken
-	}
-	if r.EffAddr != 0 {
-		flags |= flagHasMem
-	}
-	if r.Target == r.PC+isa.InstBytes {
-		flags |= flagSeqNext
-	}
-	buf := make([]byte, 0, 1+8*3)
-	buf = append(buf, flags)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(r.PC))
-	if flags&flagSeqNext == 0 {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Target))
-	}
-	if flags&flagHasMem != 0 {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.EffAddr))
-	}
-	if _, err := w.bw.Write(buf); err != nil {
-		w.err = fmt.Errorf("trace: writing record: %w", err)
-		return w.err
-	}
-	w.count++
-	return nil
-}
-
-// Count returns the number of records written so far.
-func (w *Writer) Count() uint64 { return w.count }
-
-// Close flushes and finalises the stream. It must be called exactly once.
-func (w *Writer) Close() error {
-	if w.err != nil {
-		return w.err
-	}
-	if err := w.bw.Flush(); err != nil {
-		return fmt.Errorf("trace: flushing: %w", err)
-	}
-	if err := w.gz.Close(); err != nil {
-		return fmt.Errorf("trace: closing gzip stream: %w", err)
-	}
-	return nil
-}
-
-// Reader decodes a stream produced by Writer.
-type Reader struct {
-	gz *gzip.Reader
-	br *bufio.Reader
-}
-
-// NewReader opens a trace stream and validates its header.
-func NewReader(r io.Reader) (*Reader, error) {
-	gz, err := gzip.NewReader(r)
-	if err != nil {
-		return nil, fmt.Errorf("trace: opening gzip stream: %w", err)
-	}
-	br := bufio.NewReader(gz)
-	hdr := make([]byte, 8)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return nil, fmt.Errorf("trace: reading header: %w", err)
-	}
-	if binary.LittleEndian.Uint32(hdr[0:4]) != fileMagic {
-		return nil, ErrBadMagic
-	}
-	if binary.LittleEndian.Uint32(hdr[4:8]) != fileVersion {
-		return nil, ErrBadVersion
-	}
-	return &Reader{gz: gz, br: br}, nil
-}
-
-// Read returns the next record; io.EOF signals the end of the trace.
-func (r *Reader) Read() (Record, error) {
-	flags, err := r.br.ReadByte()
-	if err != nil {
-		if errors.Is(err, io.EOF) {
-			return Record{}, io.EOF
-		}
-		return Record{}, fmt.Errorf("trace: reading flags: %w", err)
-	}
-	var rec Record
-	buf := make([]byte, 8)
-	if _, err := io.ReadFull(r.br, buf); err != nil {
-		return Record{}, fmt.Errorf("trace: reading PC: %w", err)
-	}
-	rec.PC = isa.Addr(binary.LittleEndian.Uint64(buf))
-	rec.Taken = flags&flagTaken != 0
-	if flags&flagSeqNext != 0 {
-		rec.Target = rec.PC + isa.InstBytes
-	} else {
-		if _, err := io.ReadFull(r.br, buf); err != nil {
-			return Record{}, fmt.Errorf("trace: reading target: %w", err)
-		}
-		rec.Target = isa.Addr(binary.LittleEndian.Uint64(buf))
-	}
-	if flags&flagHasMem != 0 {
-		if _, err := io.ReadFull(r.br, buf); err != nil {
-			return Record{}, fmt.Errorf("trace: reading effective address: %w", err)
-		}
-		rec.EffAddr = isa.Addr(binary.LittleEndian.Uint64(buf))
-	}
-	return rec, nil
-}
-
-// ReadAll reads every remaining record into an in-memory trace.
-func (r *Reader) ReadAll() (*MemTrace, error) {
-	mt := &MemTrace{}
-	for {
-		rec, err := r.Read()
-		if errors.Is(err, io.EOF) {
-			return mt, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		mt.Append(rec)
-	}
-}
-
-// Close closes the underlying gzip reader.
-func (r *Reader) Close() error { return r.gz.Close() }

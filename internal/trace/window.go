@@ -38,10 +38,9 @@ const MinWindowCap = 2048
 // space is needed, and residency never exceeds the configured cap (plus the
 // source's own decode buffer, one chunk for a tracefile.Reader).
 //
-// WindowTrace serves the random-access TraceSource interface, not the
-// sequential Trace interface: Reset-style rewinding is impossible once
-// records have been evicted. Its Len is always definite (satellite of the
-// Trace contract: it comes straight from the source's footer index).
+// Reads never rewind behind the frontier: evicted records are gone. Its
+// Len is always definite, as core.TraceSource requires: it comes straight
+// from the source's footer index.
 //
 // At panics when asked for an evicted record (a caller bug: reads must stay
 // at or above the advanced frontier), when the window is exhausted (the cap

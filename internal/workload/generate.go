@@ -51,6 +51,11 @@ type RecordSink interface {
 // a dynamic trace of numInsts instructions. The same (profile, numInsts,
 // seed) triple always produces the same workload.
 func Generate(p Profile, numInsts int, seed int64) (*Workload, error) {
+	// Validate before sizing the trace: a negative count must fail as an
+	// error, not as a makeslice panic.
+	if err := checkArgs(p, numInsts); err != nil {
+		return nil, err
+	}
 	tr := trace.NewMemTrace(make([]trace.Record, 0, numInsts))
 	dict, err := generate(p, numInsts, seed, func(r trace.Record) error {
 		tr.Append(r)
@@ -109,11 +114,8 @@ func BuildImage(p Profile, seed int64) (*isa.Dictionary, error) {
 // and the walk continues on the same stream, so image and trace are jointly
 // deterministic in (p, numInsts, seed).
 func generate(p Profile, numInsts int, seed int64, emit func(trace.Record) error) (*isa.Dictionary, error) {
-	if err := p.Validate(); err != nil {
+	if err := checkArgs(p, numInsts); err != nil {
 		return nil, err
-	}
-	if numInsts <= 0 {
-		return nil, fmt.Errorf("workload %s: numInsts must be positive, got %d", p.Name, numInsts)
 	}
 	rng := rand.New(rand.NewSource(seed))
 	prog, err := buildProgram(p, rng)
@@ -124,6 +126,17 @@ func generate(p Profile, numInsts int, seed int64, emit func(trace.Record) error
 		return nil, err
 	}
 	return prog.dict, nil
+}
+
+// checkArgs rejects an invalid profile or a non-positive instruction count.
+func checkArgs(p Profile, numInsts int) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	if numInsts <= 0 {
+		return fmt.Errorf("workload %s: numInsts must be positive, got %d", p.Name, numInsts)
+	}
+	return nil
 }
 
 // MustGenerate is Generate but panics on error; for presets with static

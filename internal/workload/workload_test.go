@@ -71,6 +71,9 @@ func TestGenerateArgumentValidation(t *testing.T) {
 	if _, err := Generate(p, 0, 1); err == nil {
 		t.Errorf("zero instructions should error")
 	}
+	if _, err := Generate(p, -5, 1); err == nil {
+		t.Errorf("negative instructions should error")
+	}
 	bad := p
 	bad.HotCodeKB = 0
 	if _, err := Generate(bad, 1000, 1); err == nil {
