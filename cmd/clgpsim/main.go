@@ -171,7 +171,7 @@ func cmdRun(args []string) error {
 	insts := fs.Int("insts", 200_000, "trace length in instructions")
 	seed := fs.Int64("seed", 1, "workload generation seed")
 	engine := fs.String("engine", "clgp", "instruction delivery engine (none|nextn|fdp|clgp)")
-	tech := fs.String("tech", "90", "technology node (90|45)")
+	tech := fs.String("tech", "90", "technology node (180|130|90|65|45)")
 	l1 := fs.Int("l1", 2<<10, "L1 I-cache size in bytes")
 	useL0 := fs.Bool("l0", false, "add the one-cycle L0 cache")
 	pb := fs.Int("pb", 0, "pre-buffer entries (0 = node default)")
@@ -297,7 +297,7 @@ func cmdSweep(args []string) error {
 	insts := fs.Int("insts", 200_000, "trace length in instructions")
 	seed := fs.Int64("seed", 1, "workload generation seed (of the first replicate)")
 	seeds := fs.Int("seeds", 1, "replicate seeds per grid point (replicate r runs seed+r); >1 prints mean±CI cells")
-	tech := fs.String("tech", "90", "technology node (90|45)")
+	tech := fs.String("tech", "90", "technology node (180|130|90|65|45)")
 	useL0 := fs.Bool("l0", false, "add the one-cycle L0 to prefetching engines")
 	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	cpuProf, memProf := profileFlags(fs)

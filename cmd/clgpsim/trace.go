@@ -157,15 +157,11 @@ func cmdTraceSlice(args []string) error {
 		if *from != 0 {
 			return fmt.Errorf("trace slice -simpoint selects the start itself; drop -from")
 		}
-		recs := make([]trace.Record, src.Len())
-		for i := 0; i < src.Len(); {
-			n, err := src.ReadRecordsAt(i, recs[i:])
-			if err != nil {
-				return err
-			}
-			i += n
+		mt, err := src.ReadAll()
+		if err != nil {
+			return err
 		}
-		sl, best, err := trace.RepresentativeSlice(trace.NewMemTrace(recs), *count)
+		sl, best, err := trace.RepresentativeSlice(mt, *count)
 		if err != nil {
 			return err
 		}

@@ -32,21 +32,21 @@ func Profile(t *MemTrace, intervalLen int) ([]IntervalProfile, error) {
 	if intervalLen <= 0 {
 		return nil, fmt.Errorf("trace: interval length must be positive, got %d", intervalLen)
 	}
-	recs := t.Records()
+	n := t.Len()
 	var out []IntervalProfile
-	for start := 0; start < len(recs); start += intervalLen {
+	for start := 0; start < n; start += intervalLen {
 		end := start + intervalLen
-		if end > len(recs) {
-			end = len(recs)
+		if end > n {
+			end = n
 			if end-start < intervalLen/2 && len(out) > 0 {
 				break
 			}
 		}
 		p := IntervalProfile{Start: start, End: end, Freq: make(map[isa.Addr]int)}
-		leader := recs[start].PC
+		leader := t.At(start).PC
 		p.Freq[leader]++
 		for i := start; i < end; i++ {
-			r := recs[i]
+			r := t.At(i)
 			if r.Taken || r.Target != r.PC+isa.InstBytes {
 				p.Freq[r.Target]++
 			}

@@ -6,10 +6,19 @@
 // and the slicing utilities are workload-agnostic so externally captured
 // traces could be used as well. The on-disk container format lives in
 // package tracefile.
+//
+// A committed trace is continuous: every record's Target is the next
+// record's PC. MemTrace relies on that to hold a record in 16 bytes instead
+// of Record's 32. It stores {PC | taken, EffAddr} per record, with Taken in
+// the low bit of the InstBytes-aligned PC, plus the last record's Target;
+// record i's Target is read back as record i+1's PC. A 300M-record slice
+// therefore takes 4.8 GB in memory. Appending a misaligned PC, or a PC that
+// is not the previous record's Target, is an error.
 package trace
 
 import (
 	"fmt"
+	"slices"
 
 	"clgp/internal/isa"
 )
@@ -29,36 +38,92 @@ type Record struct {
 	EffAddr isa.Addr
 }
 
-// MemTrace is an in-memory trace.
-type MemTrace struct {
-	recs []Record
+// takenBit holds Record.Taken in an entry's PC word; InstBytes alignment
+// keeps the bit clear in every valid PC.
+const takenBit isa.Addr = 1
+
+// The packing needs at least one alignment bit below the PC.
+var _ [isa.InstBytes - 2]struct{}
+
+// entry is the packed form of one record: its Target is the next entry's
+// PC (or MemTrace.end for the last record).
+type entry struct {
+	pc  isa.Addr // PC | takenBit
+	eff isa.Addr
 }
 
-// NewMemTrace creates a trace over recs; the slice is not copied.
-func NewMemTrace(recs []Record) *MemTrace { return &MemTrace{recs: recs} }
+// MemTrace is an in-memory continuous trace, 16 bytes per record. The zero
+// value is an empty trace ready for Append.
+type MemTrace struct {
+	ents []entry
+	end  isa.Addr // Target of the last record
+}
 
-// Append adds a record to the end of the trace.
-func (t *MemTrace) Append(r Record) { t.recs = append(t.recs, r) }
+// NewMemTrace creates a trace holding a copy of recs, which must be a
+// continuous, aligned record sequence (see Append).
+func NewMemTrace(recs []Record) (*MemTrace, error) {
+	t := &MemTrace{}
+	t.Grow(len(recs))
+	for _, r := range recs {
+		if err := t.Append(r); err != nil {
+			return nil, err
+		}
+	}
+	return t, nil
+}
+
+// Grow makes room for n more records, so the next n Appends do not
+// reallocate.
+func (t *MemTrace) Grow(n int) { t.ents = slices.Grow(t.ents, n) }
+
+// Append adds a record to the end of the trace. It rejects a PC that is not
+// InstBytes-aligned or, after the first record, not equal to the previous
+// record's Target; the error names the record's index.
+func (t *MemTrace) Append(r Record) error {
+	i := len(t.ents)
+	if r.PC&(isa.InstBytes-1) != 0 {
+		return fmt.Errorf("trace: record %d: PC %#x is not %d-byte aligned", i, uint64(r.PC), isa.InstBytes)
+	}
+	if i > 0 && r.PC != t.end {
+		return fmt.Errorf("trace: record %d: PC %#x does not continue the previous target %#x", i, uint64(r.PC), uint64(t.end))
+	}
+	e := entry{pc: r.PC, eff: r.EffAddr}
+	if r.Taken {
+		e.pc |= takenBit
+	}
+	t.ents = append(t.ents, e)
+	t.end = r.Target
+	return nil
+}
 
 // Len returns the number of records.
-func (t *MemTrace) Len() int { return len(t.recs) }
+func (t *MemTrace) Len() int { return len(t.ents) }
 
 // Advance is the window-advance hook of the engine's trace-source contract
 // (core.TraceSource): records below frontier will never be read again. An
 // in-memory trace keeps everything resident, so it is a no-op.
 func (t *MemTrace) Advance(frontier int) {}
 
-// Records returns the underlying record slice (not a copy).
-func (t *MemTrace) Records() []Record { return t.recs }
-
 // At returns record i.
-func (t *MemTrace) At(i int) Record { return t.recs[i] }
+func (t *MemTrace) At(i int) Record {
+	e := t.ents[i]
+	return Record{PC: e.pc &^ takenBit, Taken: e.pc&takenBit != 0, Target: t.target(i), EffAddr: e.eff}
+}
+
+// target returns record i's Target: the next record's PC, or end for the
+// last record.
+func (t *MemTrace) target(i int) isa.Addr {
+	if i+1 < len(t.ents) {
+		return t.ents[i+1].pc &^ takenBit
+	}
+	return t.end
+}
 
 // Slice returns a new MemTrace covering records [lo, hi); it shares the
-// underlying storage.
+// underlying storage, and appending to it never writes into the parent.
 func (t *MemTrace) Slice(lo, hi int) (*MemTrace, error) {
-	if lo < 0 || hi > len(t.recs) || lo > hi {
-		return nil, fmt.Errorf("trace: slice [%d,%d) out of range 0..%d", lo, hi, len(t.recs))
+	if lo < 0 || hi > len(t.ents) || lo > hi {
+		return nil, fmt.Errorf("trace: slice [%d,%d) out of range 0..%d", lo, hi, len(t.ents))
 	}
-	return &MemTrace{recs: t.recs[lo:hi]}, nil
+	return &MemTrace{ents: t.ents[lo:hi:hi], end: t.target(hi - 1)}, nil
 }

@@ -1,7 +1,11 @@
 package trace
 
 import (
+	"encoding/binary"
+	"fmt"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"clgp/internal/isa"
 )
@@ -16,7 +20,10 @@ func TestMemTraceIteration(t *testing.T) {
 		mkRecord(0x1004, true, 0x2000, 0),
 		mkRecord(0x2000, false, 0x2004, 0x8000),
 	}
-	mt := NewMemTrace(recs)
+	mt, err := NewMemTrace(recs)
+	if err != nil {
+		t.Fatalf("NewMemTrace: %v", err)
+	}
 	if mt.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", mt.Len())
 	}
@@ -29,9 +36,11 @@ func TestMemTraceIteration(t *testing.T) {
 }
 
 func TestMemTraceAppendAndSlice(t *testing.T) {
-	mt := NewMemTrace(nil)
+	var mt MemTrace
 	for i := 0; i < 10; i++ {
-		mt.Append(mkRecord(uint64(0x1000+4*i), false, uint64(0x1004+4*i), 0))
+		if err := mt.Append(mkRecord(uint64(0x1000+4*i), false, uint64(0x1004+4*i), 0)); err != nil {
+			t.Fatalf("Append %d: %v", i, err)
+		}
 	}
 	if mt.Len() != 10 {
 		t.Fatalf("Len = %d", mt.Len())
@@ -40,8 +49,19 @@ func TestMemTraceAppendAndSlice(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Slice: %v", err)
 	}
-	if sl.Len() != 3 || sl.At(0).PC != 0x1008 {
-		t.Errorf("slice = %+v", sl.Records())
+	if sl.Len() != 3 || sl.At(0).PC != 0x1008 || sl.At(2).Target != 0x1014 {
+		t.Errorf("slice = len %d, first %+v, last %+v", sl.Len(), sl.At(0), sl.At(sl.Len()-1))
+	}
+	// A slice shares storage, but appending to it must not write into the
+	// parent: here the appended record differs from the parent's record 5
+	// only in Taken.
+	alt := mt.At(5)
+	alt.Taken = !alt.Taken
+	if err := sl.Append(alt); err != nil {
+		t.Fatalf("Append to slice: %v", err)
+	}
+	if got := mt.At(5); got.Taken {
+		t.Errorf("appending to a slice overwrote the parent: %+v", got)
 	}
 	if _, err := mt.Slice(-1, 3); err == nil {
 		t.Errorf("negative lo should error")
@@ -73,8 +93,13 @@ func TestProfileAndRepresentativeSlice(t *testing.T) {
 		}
 	}
 	addLoop(0x1000, 100) // 1600 records of phase A
-	addLoop(0x9000, 20)  // 320 records of phase B
-	mt := NewMemTrace(recs)
+	// The trace is continuous: phase A's last back-edge leaves for phase B.
+	recs[len(recs)-1].Target = 0x9000
+	addLoop(0x9000, 20) // 320 records of phase B
+	mt, err := NewMemTrace(recs)
+	if err != nil {
+		t.Fatalf("NewMemTrace: %v", err)
+	}
 
 	profiles, err := Profile(mt, 160)
 	if err != nil {
@@ -105,17 +130,120 @@ func TestProfileAndRepresentativeSlice(t *testing.T) {
 }
 
 func TestRepresentativeSliceEdgeCases(t *testing.T) {
-	empty := NewMemTrace(nil)
-	if _, _, err := RepresentativeSlice(empty, 100); err == nil {
+	if _, _, err := RepresentativeSlice(new(MemTrace), 100); err == nil {
 		t.Errorf("empty trace should error")
 	}
 	// Single interval: trace shorter than the interval length.
-	small := NewMemTrace([]Record{
+	small, err := NewMemTrace([]Record{
 		mkRecord(0x100, false, 0x104, 0),
 		mkRecord(0x104, false, 0x108, 0),
 	})
+	if err != nil {
+		t.Fatalf("NewMemTrace: %v", err)
+	}
 	sl, idx, err := RepresentativeSlice(small, 100)
 	if err != nil || idx != 0 || sl.Len() != 2 {
 		t.Errorf("single-interval slice = len %d idx %d err %v", sl.Len(), idx, err)
 	}
+}
+
+// TestMemTraceEntryIs16Bytes pins the packed layout: halving the 32-byte
+// Record is the point of MemTrace's representation.
+func TestMemTraceEntryIs16Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(entry{}); n != 16 {
+		t.Errorf("MemTrace entry is %d bytes, want 16", n)
+	}
+}
+
+// fuzzRecords decodes a continuous, aligned record sequence from data. Each
+// record takes one control byte: bit 0 is Taken, bit 1 reads an 8-byte jump
+// target (aligned down to InstBytes), bit 2 reads an 8-byte effective
+// address. Without bit 1 the record falls through to PC+InstBytes, so Taken
+// also lands on sequential targets. Missing trailing bytes read as zero.
+func fuzzRecords(start uint64, data []byte) []Record {
+	word := func() isa.Addr {
+		var b [8]byte
+		n := copy(b[:], data)
+		data = data[n:]
+		return isa.Addr(binary.LittleEndian.Uint64(b[:]))
+	}
+	pc := isa.Addr(start) &^ (isa.InstBytes - 1)
+	var recs []Record
+	for len(data) > 0 {
+		c := data[0]
+		data = data[1:]
+		r := Record{PC: pc, Taken: c&1 != 0, Target: pc + isa.InstBytes}
+		if c&2 != 0 {
+			r.Target = word() &^ (isa.InstBytes - 1)
+		}
+		if c&4 != 0 {
+			r.EffAddr = word()
+		}
+		recs = append(recs, r)
+		pc = r.Target
+	}
+	return recs
+}
+
+// FuzzMemTraceRoundTrip: every continuous, aligned record sequence reads
+// back exactly, through the trace and through any slice of it, and one
+// broken record (an odd PC, or a PC that does not continue the previous
+// target) is rejected at its index. The seed corpus is in
+// testdata/fuzz/FuzzMemTraceRoundTrip.
+func FuzzMemTraceRoundTrip(f *testing.F) {
+	f.Fuzz(func(t *testing.T, start uint64, data []byte, lo, hi, mut uint16) {
+		recs := fuzzRecords(start, data)
+		mt, err := NewMemTrace(recs)
+		if err != nil {
+			t.Fatalf("valid trace rejected: %v", err)
+		}
+		if mt.Len() != len(recs) {
+			t.Fatalf("Len = %d, want %d", mt.Len(), len(recs))
+		}
+		for i, want := range recs {
+			if got := mt.At(i); got != want {
+				t.Fatalf("At(%d) = %+v, want %+v", i, got, want)
+			}
+		}
+		if len(recs) == 0 {
+			return
+		}
+
+		l, h := int(lo)%(len(recs)+1), int(hi)%(len(recs)+1)
+		if l > h {
+			l, h = h, l
+		}
+		sl, err := mt.Slice(l, h)
+		if err != nil {
+			t.Fatalf("Slice(%d,%d): %v", l, h, err)
+		}
+		if sl.Len() != h-l {
+			t.Fatalf("Slice(%d,%d).Len = %d", l, h, sl.Len())
+		}
+		for k := 0; k < sl.Len(); k++ {
+			if got, want := sl.At(k), mt.At(l+k); got != want {
+				t.Fatalf("Slice(%d,%d).At(%d) = %+v, want %+v", l, h, k, got, want)
+			}
+		}
+
+		m := int(mut>>1) % len(recs)
+		bad := append([]Record(nil), recs...)
+		if mut&1 != 0 || m == 0 {
+			bad[m].PC |= 1
+		} else {
+			bad[m].PC = recs[m-1].Target + isa.InstBytes
+		}
+		if _, err := NewMemTrace(bad); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("record %d:", m)) {
+			t.Fatalf("record %d mutated to PC %#x: NewMemTrace error %v", m, bad[m].PC, err)
+		}
+		var at MemTrace
+		for i, r := range bad[:m+1] {
+			if err := at.Append(r); (err != nil) != (i == m) {
+				t.Fatalf("Append(%d) with record %d mutated: %v", i, m, err)
+			}
+		}
+		if at.Len() != m {
+			t.Fatalf("rejected Append left Len %d, want %d", at.Len(), m)
+		}
+	})
 }

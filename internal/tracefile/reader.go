@@ -322,16 +322,24 @@ func (r *Reader) ReadRecordsAt(lo int, dst []trace.Record) (int, error) {
 	return copy(dst, r.recs[lo-r.first[c]:]), nil
 }
 
-// ReadAll decodes the whole container into an in-memory trace.
+// ReadAll decodes the whole container into an in-memory trace. The
+// in-memory trace requires a continuous, aligned record stream (see
+// trace.MemTrace.Append); a container that breaks it fails with ErrCorrupt
+// naming the record.
 func (r *Reader) ReadAll() (*trace.MemTrace, error) {
-	recs := make([]trace.Record, 0, r.total)
+	mt := new(trace.MemTrace)
+	mt.Grow(r.total)
 	for c := range r.index {
 		if err := r.loadChunk(c); err != nil {
 			return nil, err
 		}
-		recs = append(recs, r.recs...)
+		for _, rec := range r.recs {
+			if err := mt.Append(rec); err != nil {
+				return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+			}
+		}
 	}
-	return trace.NewMemTrace(recs), nil
+	return mt, nil
 }
 
 // Close releases the reader and closes the underlying file when the Reader

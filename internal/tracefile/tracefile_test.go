@@ -3,8 +3,10 @@ package tracefile
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"clgp/internal/trace"
@@ -23,7 +25,11 @@ func testRecords(t testing.TB, numInsts int, seed int64) []trace.Record {
 	if err != nil {
 		t.Fatalf("generate: %v", err)
 	}
-	return w.Trace.Records()
+	recs := make([]trace.Record, w.Trace.Len())
+	for i := range recs {
+		recs[i] = w.Trace.At(i)
+	}
+	return recs
 }
 
 // writeContainer writes recs into a fresh container file and returns its path.
@@ -70,8 +76,11 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("readall: %v", err)
 	}
-	for i, r := range got.Records() {
-		if r != recs[i] {
+	if got.Len() != len(recs) {
+		t.Fatalf("ReadAll holds %d records, want %d", got.Len(), len(recs))
+	}
+	for i := range recs {
+		if r := got.At(i); r != recs[i] {
 			t.Fatalf("record %d decoded as %+v, want %+v", i, r, recs[i])
 		}
 	}
@@ -183,8 +192,8 @@ func TestSlice(t *testing.T) {
 	if rd.Origin() != lo {
 		t.Errorf("slice origin = %d, want %d", rd.Origin(), lo)
 	}
-	for i, r := range got.Records() {
-		if r != recs[lo+i] {
+	for i := 0; i < got.Len(); i++ {
+		if r := got.At(i); r != recs[lo+i] {
 			t.Fatalf("slice record %d = %+v, want %+v", i, r, recs[lo+i])
 		}
 	}
@@ -253,6 +262,33 @@ func TestCorruptContainers(t *testing.T) {
 			t.Error("open succeeded on an empty file")
 		}
 	})
+	// The Writer accepts any record stream, but an in-memory trace must be
+	// continuous and aligned: ReadAll rejects the broken record by index.
+	for _, tc := range []struct {
+		name   string
+		mangle func(r *trace.Record)
+	}{
+		{"discontinuous-records", func(r *trace.Record) { r.PC += 64 }},
+		{"misaligned-pc", func(r *trace.Record) { r.PC |= 2 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const bad = 5000 // mid-file, in the third chunk
+			mangled := append([]trace.Record(nil), recs...)
+			tc.mangle(&mangled[bad])
+			rd, err := Open(writeContainer(t, mangled, Options{Workload: "gcc", ChunkRecords: 2048}))
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			defer rd.Close()
+			mt, err := rd.ReadAll()
+			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("record %d:", bad)) {
+				t.Fatalf("ReadAll = %v, want ErrCorrupt naming record %d", err, bad)
+			}
+			if mt != nil {
+				t.Errorf("ReadAll returned a %d-record trace alongside its error", mt.Len())
+			}
+		})
+	}
 }
 
 // FuzzOpen drives NewReader + a full decode over mutated container bytes.

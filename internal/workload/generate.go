@@ -56,11 +56,9 @@ func Generate(p Profile, numInsts int, seed int64) (*Workload, error) {
 	if err := checkArgs(p, numInsts); err != nil {
 		return nil, err
 	}
-	tr := trace.NewMemTrace(make([]trace.Record, 0, numInsts))
-	dict, err := generate(p, numInsts, seed, func(r trace.Record) error {
-		tr.Append(r)
-		return nil
-	})
+	tr := new(trace.MemTrace)
+	tr.Grow(numInsts)
+	dict, err := generate(p, numInsts, seed, tr.Append)
 	if err != nil {
 		return nil, err
 	}

@@ -134,8 +134,8 @@ func TestPointerChaseChain(t *testing.T) {
 	}
 	nodes := uint64(p.DataFootprintKB) * 1024 / 8
 	var mem []isa.Addr
-	for _, r := range w.Trace.Records() {
-		if r.EffAddr != 0 {
+	for i := 0; i < w.Trace.Len(); i++ {
+		if r := w.Trace.At(i); r.EffAddr != 0 {
 			mem = append(mem, r.EffAddr)
 		}
 	}
