@@ -26,16 +26,21 @@ bench:
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 100x -benchmem ./...
 
-# The cycle-engine perf gate: re-measure every (profile x engine) grid point
-# in both clock modes and compare against the committed BENCH_core.json —
-# calibration-scaled ns/cycle must stay within 10% (+ a small absolute noise
-# floor), the event-horizon speedup must hold on the miss-heavy profiles, no
-# profile may be slower than the per-cycle path, and the loop must not
-# allocate. The grid_snapshot record is re-measured too: restoring warm-state
-# snapshots must beat cold warm-up by the 1.2x floor (both sides measured in
-# the same run, machine-independent). Mirrors CI's bench-gate job.
+# The cycle-engine perf gate, paired with the parent commit: build the parent
+# (HEAD~1, from git archive) in a temporary directory, then run five
+# alternating pairs of bench child runs, parent and this tree, on this host.
+# Per profile, the median of the per-pair change/parent ratios of
+# cycle-weighted ns/cycle must stay within 10% + 8ns over the parent's
+# median; per grid point, the within-run floors
+# (skipping >= 0.95x the per-cycle path everywhere and >= 1.6x on mcf,
+# grid_snapshot restore >= 1.2x cold warm-up, <= 1 alloc per 1000 cycles)
+# must hold on the change's median. Each child's measurement is kept as
+# BENCH_core.<side>-<round>.json. Mirrors CI's bench-gate job.
 bench-gate:
-	$(GO) run ./cmd/clgpsim bench -core-json BENCH_core.fresh.json -gate BENCH_core.json -max-regress 0.10
+	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	git archive HEAD~1 | tar -x -C "$$tmp" && \
+	(cd "$$tmp" && $(GO) build -o clgpsim ./cmd/clgpsim) && \
+	$(GO) run ./cmd/clgpsim bench -gate "$$tmp/clgpsim"
 
 run:
 	$(GO) run ./cmd/clgpsim run -profile gcc -insts 200000 -engine clgp -l1 2048 -l0
@@ -70,7 +75,7 @@ remote-smoke:
 	for i in $$(seq 1 50); do [ -s addr.txt ] && break; sleep 0.1; done
 	cd /tmp/clgp-remote-smoke && trap 'kill $$(cat server.pid) 2>/dev/null || true' EXIT && \
 		./clgpsim figures -insts 20000 -profiles gzip,mcf \
-			-store "http://$$(cat addr.txt)" -exec -retries 2 -dir fig-remote -json BENCH_dispatch.json && \
+			-store "http://$$(cat addr.txt)" -exec -retries 2 -dir fig-remote && \
 		diff fig-local/figure6_ipc_90nm.csv fig-remote/figure6_ipc_90nm.csv
 	@echo "remote-smoke: object-store sweep matches in-process run"
 
@@ -94,5 +99,5 @@ snapshot-smoke:
 
 clean:
 	$(GO) clean ./...
-	rm -f $(filter-out BENCH_core.json,$(wildcard BENCH_*.json))
+	rm -f BENCH_*.json
 	rm -rf clgp-figures

@@ -11,7 +11,6 @@ import (
 	"clgp/internal/cacti"
 	"clgp/internal/core"
 	"clgp/internal/dispatch"
-	"clgp/internal/sim"
 	"clgp/internal/stats"
 	"clgp/internal/telemetry"
 	"clgp/internal/workload"
@@ -112,7 +111,6 @@ func cmdFigures(args []string) error {
 	retries := fs.Int("retries", 1, "extra leases per shard after a worker failure (0 = no retry)")
 	resume := fs.Bool("resume", false, "resume an interrupted sweep, skipping completed shards")
 	figL1 := fs.Int("fig-l1", 2<<10, "L1 size used by the per-benchmark figures (6/7/8)")
-	benchJSON := fs.String("json", "", "also write a BENCH-format throughput record to this path")
 	traceFile := fs.String("tracefile", "", "stream every job's trace from this recorded container (single-profile grids only)")
 	window := fs.Int("window", 0, "resident-record cap when streaming (0 = default)")
 	warmupFlag := fs.Int("warmup", 0, "warm-state snapshot boundary in committed instructions: grid points sharing a warm configuration restore one checkpoint through the sweep store instead of re-simulating warm-up (0 = off)")
@@ -230,9 +228,7 @@ func cmdFigures(args []string) error {
 			Workers: *workers,
 		}
 	}
-	sampler := telemetry.StartSampler(0)
 	outcome, err := o.Run(specs, *shards, *resume)
-	usage := sampler.Stop()
 	if err != nil {
 		return err
 	}
@@ -287,24 +283,6 @@ func cmdFigures(args []string) error {
 	if *paperRef != "" {
 		if err := diffPaperRef(*paperRef, outDir, figures); err != nil {
 			return err
-		}
-	}
-
-	if *benchJSON != "" {
-		if ranSum.Sims == 0 {
-			fmt.Printf("skipping %s: all shards came from the checkpoint, no throughput to record\n", *benchJSON)
-		} else {
-			rec := sim.RecordFromSummary("figures-grid", o.Workers, ranSum)
-			if outcome.Wall > 0 {
-				rec.ShardsPerSec = float64(len(outcome.Ran)) / outcome.Wall.Seconds()
-			}
-			rec.Retries = outcome.Retries
-			rec.ExcludedHosts = outcome.ExcludedHosts
-			rec.Host = &usage
-			if err := sim.WriteBenchJSON(*benchJSON, []sim.BenchRecord{rec}); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *benchJSON)
 		}
 	}
 

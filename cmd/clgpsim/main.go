@@ -6,7 +6,7 @@
 //
 //	clgpsim run     [-profile gcc] [-insts 200000] [-engine clgp] [-tech 90] [-l1 2048] [-l0] [-pb 0] [-tracefile F -window N] [-no-skip] [-warmup N -snapshot-dir D] [-cpuprofile F] [-memprofile F] [-runtime-trace F]
 //	clgpsim sweep   [-profile gcc] [-insts 200000] [-seed 1] [-seeds N] [-tech 90] [-l0] [-workers 0] [-cpuprofile F] [-memprofile F]
-//	clgpsim bench   [-profile gcc] [-seed 1] [-core-json BENCH_core.json] [-core-insts 200000] [-gate BASELINE.json] [-max-regress 0.10]
+//	clgpsim bench   [-core-json F] [-gate PARENT_BINARY]
 //	clgpsim figures [-insts 200000] [-seeds N] [-techs 90,45] [-profiles ...] [-dir clgp-figures] [-shards 0] [-exec] [-resume] [-store URL] [-ssh h1,h2] [-retries 1] [-warmup N] [-paper-ref refs/paper_ref.json] [-write-ref F] [-progress] [-stall-after D] [-trace-out F] [-metrics-addr A [-metrics-addr-file F]]
 //	clgpsim worker  -store LOC -shard N [-workers 0] [-metrics-addr A [-metrics-addr-file F]] [-span-parent ID] [-runtime-trace F]
 //	clgpsim store   serve [-dir clgp-store] [-addr 127.0.0.1:8420] [-addr-file F]
@@ -76,7 +76,7 @@ func usage() {
 commands:
   run      simulate one configuration and print its statistics
   sweep    run one profile's (engine x L1 size) grid and print the IPC table
-  bench    measure the cycle engine (BENCH_core.json) and gate it against a baseline
+  bench    measure the cycle engine, or gate this build against a parent clgpsim binary
   figures  run/resume the sharded full-paper grid, emit Figure 1/6/7/8 series (mean±CI with -seeds) and gate them against a paper reference table
   worker   execute one shard of a sweep store (spawned by figures -exec / -ssh)
   store    serve a sweep object store over HTTP for multi-host dispatch
@@ -382,12 +382,8 @@ func cmdSweep(args []string) error {
 
 func cmdBench(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	profile := fs.String("profile", "gcc", "workload profile of the snapshot grid bench")
-	seed := fs.Int64("seed", 1, "workload generation seed")
-	coreJSON := fs.String("core-json", "BENCH_core.json", "per-engine hot-loop BENCH output path (empty = don't write one)")
-	coreInsts := fs.Int("core-insts", 200_000, "trace length for the core engine bench")
-	gatePath := fs.String("gate", "", "gate the core bench against this committed BENCH_core.json baseline (non-zero exit on regression)")
-	maxRegress := fs.Float64("max-regress", 0.10, "tolerated ns/cycle growth over the calibrated baseline when gating")
+	coreJSON := fs.String("core-json", "", "write this run's measurement to this path as JSON (what -gate reads from its child runs)")
+	parent := fs.String("gate", "", "gate this build against the parent clgpsim binary at this path: alternate parent and change bench runs on this host and fail on a regression or a breached floor")
 	logSetup := logFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -395,46 +391,56 @@ func cmdBench(args []string) error {
 	if _, err := logSetup(); err != nil {
 		return err
 	}
-	fmt.Printf("core engine bench: %s x %d engines, %d insts (skip vs no-skip)\n",
-		strings.Join(sim.CoreBenchProfiles, "/"), len(sim.CoreBenchEngines), *coreInsts)
-	cb, err := sim.MeasureCore(nil, nil, *coreInsts, *seed)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("snapshot grid bench: %d-point %s grid, %d insts (warm-restore vs cold, warm-up at half)\n",
-		8, *profile, *coreInsts)
-	cb.GridSnapshot, err = sim.MeasureSnapshotGrid(*profile, *coreInsts, *seed)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("grid_snapshot: %d points: %12.0f cycles/sec warm vs %12.0f cold (%.2fx), %d artifact bytes\n",
-		cb.GridSnapshot.Points, cb.GridSnapshot.WarmCyclesPerSec, cb.GridSnapshot.ColdCyclesPerSec,
-		cb.GridSnapshot.SpeedupVsCold, cb.GridSnapshot.SnapshotBytes)
-	var baseline *sim.CoreBench
-	if *gatePath != "" {
-		baseline, err = sim.LoadCoreBench(*gatePath)
-		if err != nil {
-			return fmt.Errorf("loading gate baseline: %w", err)
+	if *parent != "" {
+		if *coreJSON != "" {
+			return fmt.Errorf("bench: -gate measures through child runs; it does not take -core-json")
 		}
+		return benchGate(*parent)
 	}
-	fmt.Print(sim.FormatCoreComparison(baseline, cb))
+	fmt.Printf("core engine bench: %s x %d engines, %d insts (skip vs no-skip)\n",
+		strings.Join(sim.CoreBenchProfiles, "/"), len(sim.CoreBenchEngines), sim.CoreBenchInsts)
+	cb, err := sim.MeasureCore(nil, nil, sim.CoreBenchInsts, sim.CoreBenchSeed)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("snapshot grid bench: 8-point %s grid, %d insts (warm-restore vs cold, warm-up at half)\n",
+		sim.SnapshotGridProfile, sim.CoreBenchInsts)
+	cb.GridSnapshot, err = sim.MeasureSnapshotGrid(sim.SnapshotGridProfile, sim.CoreBenchInsts, sim.CoreBenchSeed)
+	if err != nil {
+		return err
+	}
+	fmt.Print(sim.FormatCoreBench(cb))
 	if *coreJSON != "" {
 		if err := sim.WriteCoreBench(*coreJSON, cb); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %s\n", *coreJSON)
 	}
-	if baseline != nil {
-		lim := sim.DefaultGateLimits()
-		lim.MaxRegress = *maxRegress
-		if bad := sim.Gate(baseline, cb, lim); len(bad) > 0 {
-			for _, p := range bad {
-				fmt.Fprintf(os.Stderr, "bench gate: %s\n", p)
-			}
-			return fmt.Errorf("bench gate: %d violation(s) against %s", len(bad), *gatePath)
-		}
-		fmt.Printf("bench gate: pass (%d grid points within %.0f%% of %s)\n",
-			len(cb.Records), 100**maxRegress, *gatePath)
+	return nil
+}
+
+// benchGate runs the paired perf gate of this build against the parent
+// binary: sim.GatePairs alternating rounds of child bench runs, each child
+// writing BENCH_core.<side>-<round>.json in the working directory, judged
+// by sim.Gate.
+func benchGate(parentBin string) error {
+	self, err := os.Executable()
+	if err != nil {
+		return err
 	}
+	fmt.Printf("bench gate: %d alternating pairs of %s (parent) and %s (change)\n", sim.GatePairs, parentBin, self)
+	parent, change, err := sim.MeasurePairs(parentBin, self, ".", sim.GatePairs, os.Stdout)
+	if err != nil {
+		return fmt.Errorf("bench gate: %w", err)
+	}
+	fmt.Print(sim.FormatCoreComparison(parent, change))
+	if bad := sim.Gate(parent, change); len(bad) > 0 {
+		for _, p := range bad {
+			fmt.Fprintf(os.Stderr, "bench gate: %s\n", p)
+		}
+		return fmt.Errorf("bench gate: %d violation(s) against %s", len(bad), parentBin)
+	}
+	fmt.Printf("bench gate: pass (%d grid points within +%.0f%% +%.0fns of the parent, every floor held)\n",
+		len(change[0].Records), 100*sim.MaxRegress, sim.NoiseNs)
 	return nil
 }

@@ -39,8 +39,8 @@
 // one. Skipped cycles are provably no-ops, so results are bit-identical to
 // the per-cycle reference path (Config.NoSkip) — on miss-heavy workloads
 // most simulated cycles are DRAM waits and the fast-forward is a multi-x
-// throughput win, measured per grid point in BENCH_core.json and gated in
-// CI. See ARCHITECTURE.md, "Clocking & event horizons".
+// throughput win, measured per grid point by clgpsim bench and gated in CI
+// against the parent commit. See ARCHITECTURE.md, "Clocking & event horizons".
 //
 // # Trace input
 //

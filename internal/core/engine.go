@@ -65,12 +65,8 @@ type Engine struct {
 	// Event-horizon clock state: noSkip pins the engine to the per-cycle
 	// reference path; skipped counts the cycles fast-forwarded over (they
 	// are still part of e.cycle — results are bit-identical either way).
-	// wpProduced counts wrong-path cycles handled by the production fast
-	// path: ticked for block production only, with the idle component ticks
-	// elided (not counted as skipped — the cycles did real work).
-	noSkip     bool
-	skipped    uint64
-	wpProduced uint64
+	noSkip  bool
+	skipped uint64
 	// ffJumps counts distinct fast-forward jumps; pfCancelled counts
 	// prefetches cancelled on misprediction recovery. Both feed the
 	// telemetry.Snapshot; like skipped, they are single-writer uint64s.
@@ -279,7 +275,6 @@ func (e *Engine) TelemetrySnapshot() telemetry.Snapshot {
 		Cycles:              e.cycle,
 		SkippedCycles:       e.skipped,
 		FastForwards:        e.ffJumps,
-		WrongPathProduced:   e.wpProduced,
 		WrongPathFetched:    e.wrongPathFetched,
 		PrefetchesCancelled: e.pfCancelled,
 	}
@@ -381,7 +376,7 @@ func (e *Engine) Step() bool {
 	case resolved != nil || e.wrongPath:
 		e.accounts[stats.CycleWrongPath]++
 	default:
-		cause, _, _, _ := e.horizonWalk(now)
+		cause, _, _ := e.horizonWalk(now)
 		e.accounts[cause]++
 	}
 
@@ -393,12 +388,9 @@ func (e *Engine) Step() bool {
 	// Attempt a fast-forward only on cycles that did no front-end or commit
 	// work: a machine transitioning into a stall ticks at most one no-op
 	// cycle before the event-horizon clock engages, and busy cycles skip
-	// the horizon computation entirely. Wrong-path cycles are the exception:
-	// there the predictor produces a block every cycle the queue has room, so
-	// block production alone must not disqualify the attempt — skipToNextEvent
-	// handles those spans with a dedicated production fast path.
+	// the horizon computation entirely.
 	if !e.noSkip && len(committed) == 0 && resolved == nil &&
-		e.fetched == preFetched && (e.nextSeqID == preSeqID || e.wrongPath) {
+		e.fetched == preFetched && e.nextSeqID == preSeqID {
 		e.skipToNextEvent()
 	}
 	if e.cycle >= e.maxCycles {
@@ -419,13 +411,13 @@ func (e *Engine) Step() bool {
 // fixed walk order below). Keeping one walk for both consumers is what makes
 // skip and no-skip accounts bit-identical: they cannot diverge on which
 // component owns a stall.
-func (e *Engine) horizonWalk(now uint64) (cause stats.CycleCause, horizon uint64, sameCycle, produceWrongPath bool) {
+func (e *Engine) horizonWalk(now uint64) (cause stats.CycleCause, horizon uint64, sameCycle bool) {
 	// Bus arbitration and the prediction stage are the cheapest and most
 	// frequently live stages: test them first so busy phases exit in O(1).
 	// The hierarchy's horizon is binary: now while anything is queued for a
 	// grant, clock.None otherwise.
 	if e.mem.NextEvent(now) <= now {
-		return stats.CycleBus, now, true, false
+		return stats.CycleBus, now, true
 	}
 	// Until any check below binds a nearer horizon, an idle machine with no
 	// pending event is a stalled front end (e.g. trace exhausted, queue
@@ -435,28 +427,22 @@ func (e *Engine) horizonWalk(now uint64) (cause stats.CycleCause, horizon uint64
 	if e.wrongPath || e.predCursor < e.trLen {
 		if !e.eng.QueueFull() {
 			if now >= e.predStallUntil {
-				if !e.wrongPath {
-					// A correct-path block consumes trace records and drives
-					// the whole machine: real same-cycle work.
-					return stats.CycleFrontend, now, true, false
-				}
-				// Wrong-path production is decoupled from the trace: if every
-				// other component is idle the span is handled by the
-				// production fast path, which enqueues the blocks at exactly
-				// their per-cycle times without full ticks.
-				produceWrongPath = true
-			} else {
-				// Redirect penalty after a resolved misprediction: a branch-
-				// predictor stall, charged to the frontend bucket.
-				horizon = e.predStallUntil
+				// A block is predicted this cycle: on the correct path it
+				// consumes trace records and drives the whole machine, on a
+				// wrong path it feeds the queue the prefetch engine and the
+				// fetch stage read. Either way, real same-cycle work.
+				return stats.CycleFrontend, now, true
 			}
+			// Redirect penalty after a resolved misprediction: a branch-
+			// predictor stall, charged to the frontend bucket.
+			horizon = e.predStallUntil
 		}
 		// Queue full: prediction unblocks via a fetch-stage pop, which the
 		// fetch horizon below already covers.
 	}
 	if e.dqN > 0 && e.backend.FreeSlots() > 0 {
 		// Dispatch moves instructions this cycle: front-end delivery work.
-		return stats.CycleFrontend, now, true, false
+		return stats.CycleFrontend, now, true
 	}
 	if e.fetchActive {
 		var t uint64
@@ -470,7 +456,7 @@ func (e *Engine) horizonWalk(now uint64) (cause stats.CycleCause, horizon uint64
 			t = e.fetchReq.NextEvent(now)
 		}
 		if t <= now {
-			return c, now, true, false
+			return c, now, true
 		}
 		if t < horizon {
 			horizon, cause = t, c
@@ -478,20 +464,20 @@ func (e *Engine) horizonWalk(now uint64) (cause stats.CycleCause, horizon uint64
 	} else if dispatchQueueCap-e.dqN >= fetchLineHeadroom {
 		if _, ok := e.eng.NextFetch(); ok {
 			// A line fetch starts this cycle.
-			return stats.CycleFrontend, now, true, false
+			return stats.CycleFrontend, now, true
 		}
 	}
 	for _, r := range e.drain {
 		t := r.NextEvent(now)
 		if t <= now {
-			return stats.CycleMemory, now, true, false
+			return stats.CycleMemory, now, true
 		}
 		if t < horizon {
 			horizon, cause = t, stats.CycleMemory
 		}
 	}
 	if t := e.eng.NextEvent(now); t <= now {
-		return stats.CyclePreBuffer, now, true, false
+		return stats.CyclePreBuffer, now, true
 	} else if t < horizon {
 		horizon, cause = t, stats.CyclePreBuffer
 	}
@@ -503,11 +489,11 @@ func (e *Engine) horizonWalk(now uint64) (cause stats.CycleCause, horizon uint64
 		bc = stats.CycleRUUFull
 	}
 	if t := e.backend.NextEvent(now); t <= now {
-		return bc, now, true, false
+		return bc, now, true
 	} else if t < horizon {
 		horizon, cause = t, bc
 	}
-	return cause, horizon, false, produceWrongPath
+	return cause, horizon, false
 }
 
 // skipToNextEvent fast-forwards the clock to the earliest cycle at which any
@@ -520,17 +506,13 @@ func (e *Engine) horizonWalk(now uint64) (cause stats.CycleCause, horizon uint64
 // the per-cycle charge of those cycles.
 func (e *Engine) skipToNextEvent() {
 	now := e.cycle
-	cause, horizon, sameCycle, produceWrongPath := e.horizonWalk(now)
+	cause, horizon, sameCycle := e.horizonWalk(now)
 	if sameCycle {
 		return
 	}
 	// A horizon of clock.None means nothing will ever happen again: jump to
 	// the wedge detector, exactly where the per-cycle path would spin to.
 	target := clock.Min(horizon, e.maxCycles)
-	if produceWrongPath {
-		e.produceWrongPathUntil(target)
-		return
-	}
 	if target > now {
 		if e.wrongPath {
 			cause = stats.CycleWrongPath
@@ -540,41 +522,6 @@ func (e *Engine) skipToNextEvent() {
 		e.cycle = target
 		e.ffJumps++
 	}
-}
-
-// produceWrongPathUntil runs the wrong-path production fast path: every other
-// component is provably idle until limit (the caller established that from
-// the horizons), so the only per-cycle work is the predictor enqueueing one
-// wrong-path block. Enqueue each block at exactly the cycle the per-cycle
-// path would — results stay bit-identical — but skip the no-op component
-// ticks in between. The loop falls back to full stepping the moment the
-// machine could react to the queue contents: the prefetch engine finds
-// same-cycle work in a just-enqueued block, the fetch stage could start a
-// line, the queue fills, or production stalls for any engine-specific reason.
-func (e *Engine) produceWrongPathUntil(limit uint64) {
-	now := e.cycle
-	for now < limit && !e.eng.QueueFull() {
-		before := e.nextSeqID
-		e.predictStage(now)
-		if e.nextSeqID == before {
-			break // the engine refused the block; let the full path sort it out
-		}
-		now++
-		if e.eng.NextEvent(now) <= now {
-			break // the new block gives the prefetch engine same-cycle work
-		}
-		if !e.fetchActive && dispatchQueueCap-e.dqN >= fetchLineHeadroom {
-			if _, ok := e.eng.NextFetch(); ok {
-				break // the new block is fetchable: fetch starts next cycle
-			}
-		}
-	}
-	// These cycles were ticked (in degenerate, production-only form), not
-	// skipped; e.skipped deliberately excludes them. They are wrong-path
-	// cycles by construction, matching the per-cycle charge.
-	e.accounts[stats.CycleWrongPath] += now - e.cycle
-	e.wpProduced += now - e.cycle
-	e.cycle = now
 }
 
 // Run simulates until completion and returns the collected results.

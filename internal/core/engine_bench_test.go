@@ -19,7 +19,7 @@ func BenchmarkEngineCycle(b *testing.B) {
 
 // BenchmarkEngineCycleNoSkip is the per-cycle reference path: every simulated
 // cycle is ticked individually, which is what the ns/cycle perf gate
-// (clgpsim bench, BENCH_core.json) measures the fast-forward win against.
+// (clgpsim bench) measures the fast-forward win against.
 func BenchmarkEngineCycleNoSkip(b *testing.B) {
 	benchmarkEngineCycle(b, EngineCLGP, true)
 }

@@ -82,12 +82,11 @@ func TestSkipEquivalence(t *testing.T) {
 	}
 }
 
-// TestSkipEquivalenceMispredictHeavy targets the wrong-path production fast
-// path: a profile with half its branches data-dependent coin flips keeps the
-// front-end on the wrong path for a large share of its cycles, so without
-// wrong-path engagement the event-horizon clock would degrade towards
-// per-cycle ticking. The run must stay bit-identical to the NoSkip reference
-// while the production fast path demonstrably handles wrong-path cycles.
+// TestSkipEquivalenceMispredictHeavy targets wrong-path spans: a profile with
+// half its branches data-dependent coin flips keeps the front-end on the
+// wrong path for a large share of its cycles, where the event-horizon clock
+// must skip only the cycles in which the predictor cannot enqueue a block.
+// The run must stay bit-identical to the NoSkip reference.
 func TestSkipEquivalenceMispredictHeavy(t *testing.T) {
 	p, err := workload.ProfileByName("twolf")
 	if err != nil {
@@ -123,13 +122,10 @@ func TestSkipEquivalenceMispredictHeavy(t *testing.T) {
 			if got.Mispredictions == 0 {
 				t.Fatal("profile produced no mispredictions; the test exercises nothing")
 			}
-			if eng.wpProduced == 0 {
-				t.Errorf("wrong-path production fast path never engaged over %d mispredictions", got.Mispredictions)
-			}
-			t.Logf("%s: %d cycles, %d skipped (%.1f%%), %d wrong-path production cycles, %d mispredicts",
+			t.Logf("%s: %d cycles, %d skipped (%.1f%%), %d mispredicts",
 				ek, got.Cycles, eng.SkippedCycles(),
 				100*float64(eng.SkippedCycles())/float64(got.Cycles),
-				eng.wpProduced, got.Mispredictions)
+				got.Mispredictions)
 		})
 	}
 }

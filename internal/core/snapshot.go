@@ -76,8 +76,8 @@ func (e *Engine) LoadStatic(d *snap.Decoder) *isa.StaticInst {
 // workload name and fingerprint identify the record stream the engine is
 // simulating; Restore refuses a snapshot whose identity does not match.
 //
-// The clock-mode diagnostic counters (SkippedCycles, fast-forward jumps,
-// wrong-path production credit) are deliberately not captured: they are
+// The clock-mode diagnostic counters (SkippedCycles, fast-forward jumps)
+// are deliberately not captured: they are
 // telemetry, excluded from stats.Results.WithoutTelemetry, and saving them
 // would make the snapshot bytes depend on the clock mode of the recording
 // run. Everything that feeds the architectural results is captured exactly,
@@ -243,7 +243,7 @@ func (e *Engine) Restore(data []byte, workload string, fingerprint uint64) error
 	e.recoverRet = isa.Addr(d.U64())
 	bpred.LoadRASSnapshot(d, &e.recoverRAS)
 	// Clock-mode diagnostics restart from zero (see Snapshot).
-	e.skipped, e.ffJumps, e.wpProduced = 0, 0, 0
+	e.skipped, e.ffJumps = 0, 0
 
 	n := d.Count(blockMetaRing)
 	if d.Err() == nil && n != blockMetaRing {

@@ -4,7 +4,7 @@
 // executes them through a pluggable Launcher, checkpoints one JSONL result
 // object per shard through a pluggable Store so an interrupted sweep
 // resumes by skipping committed shards, and merges the shard results back
-// into the `internal/sim` Summary/BenchRecord path.
+// into the `internal/sim` Summary path.
 //
 // # The protocol
 //

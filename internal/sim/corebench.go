@@ -1,9 +1,15 @@
 package sim
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
+	"os/exec"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"sort"
@@ -78,23 +84,33 @@ type GridSnapshotRecord struct {
 	SnapshotBytes int64 `json:"snapshot_bytes"`
 }
 
-// CoreBench is the BENCH_core.json artifact: the perf contract of the cycle
-// engine, gated in CI against the committed baseline.
+// CoreBench is one `clgpsim bench` measurement of the cycle engine: the
+// child record the perf gate collects from the parent and the change build.
+// JSON that still carries the calib_ns_per_op field of earlier builds parses
+// (the field is ignored), so a parent built before the paired gate existed
+// can be measured.
 type CoreBench struct {
-	// CalibNsPerOp is a fixed pure-CPU reference measurement taken on the
-	// machine that produced the records. Gating scales the baseline's
-	// ns/cycle by the ratio of the two calibrations, so a slower CI runner
-	// is compared against what the baseline machine would have measured
-	// there, not against its absolute numbers.
-	CalibNsPerOp float64 `json:"calib_ns_per_op"`
 	// Insts is the per-run trace length the records were measured with.
 	Insts int `json:"insts"`
 	// Records is one entry per (profile × engine) grid point.
 	Records []CoreBenchRecord `json:"records"`
-	// GridSnapshot is the warm-state snapshot measurement (nil in artifacts
-	// written before snapshots existed).
+	// GridSnapshot is the warm-state snapshot measurement.
 	GridSnapshot *GridSnapshotRecord `json:"grid_snapshot,omitempty"`
 }
+
+// The single configuration `clgpsim bench` measures.
+const (
+	// CoreBenchInsts is the trace length of every grid point and of the
+	// snapshot grid.
+	CoreBenchInsts = 200_000
+	// CoreBenchSeed is the workload generation seed.
+	CoreBenchSeed = 1
+	// SnapshotGridProfile is the workload the grid_snapshot record sweeps.
+	SnapshotGridProfile = "gcc"
+	// GatePairs is the number of alternating parent/change measurement
+	// pairs the gate takes.
+	GatePairs = 5
+)
 
 // CoreBenchProfiles is the default measurement grid: two front-end-bound
 // profiles and the two miss-heavy pointer chasers the event-horizon clock
@@ -103,31 +119,6 @@ var CoreBenchProfiles = []string{"gzip", "gcc", "mcf", "twolf"}
 
 // CoreBenchEngines is the default engine axis (all four schemes).
 var CoreBenchEngines = []core.EngineKind{core.EngineNone, core.EngineNextN, core.EngineFDP, core.EngineCLGP}
-
-// Calibrate runs a fixed xorshift loop and returns its ns/op: a
-// machine-speed reference that makes committed ns/cycle baselines portable
-// across hosts of different speeds (see CoreBench.CalibNsPerOp).
-func Calibrate() float64 {
-	const iters = 1 << 22
-	best := float64(0)
-	for rep := 0; rep < 3; rep++ {
-		x := uint64(0x9e3779b97f4a7c15)
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			x ^= x << 13
-			x ^= x >> 7
-			x ^= x << 17
-		}
-		ns := float64(time.Since(start).Nanoseconds()) / iters
-		if x == 0 { // defeat dead-code elimination; never true for this seed
-			ns++
-		}
-		if best == 0 || ns < best {
-			best = ns
-		}
-	}
-	return best
-}
 
 // coreBenchConfig is the fixed grid-point configuration: the 90nm node with
 // a 2KB L1, the regime where both instruction delivery and data stalls are
@@ -158,11 +149,10 @@ func timedRun(cfg core.Config, w *workload.Workload) (time.Duration, uint64, uin
 }
 
 // MeasureCore benchmarks the cycle engine over profiles × engines with
-// insts-long traces (0 selects 200000) and returns the BENCH_core records.
+// insts-long traces (0 selects CoreBenchInsts) and returns the records.
 // Each mode is run five times and the fastest wall time kept — the minimum
-// reliably touches the machine's quiet-moment floor, so baseline and gate
-// runs measure the same thing even when individual reps absorb scheduler
-// noise on shared runners.
+// reliably touches the machine's quiet-moment floor, so individual reps that
+// absorb scheduler noise on shared runners do not count.
 func MeasureCore(profiles []string, engines []core.EngineKind, insts int, seed int64) (*CoreBench, error) {
 	if len(profiles) == 0 {
 		profiles = CoreBenchProfiles
@@ -171,9 +161,9 @@ func MeasureCore(profiles []string, engines []core.EngineKind, insts int, seed i
 		engines = CoreBenchEngines
 	}
 	if insts <= 0 {
-		insts = 200_000
+		insts = CoreBenchInsts
 	}
-	cb := &CoreBench{CalibNsPerOp: Calibrate(), Insts: insts}
+	cb := &CoreBench{Insts: insts}
 	for _, prof := range profiles {
 		p, err := workload.ProfileByName(prof)
 		if err != nil {
@@ -247,7 +237,7 @@ func snapshotGridJobs(w *workload.Workload, warmup int, store SnapshotStore) []J
 // is only meaningful over bit-identical work.
 func MeasureSnapshotGrid(profile string, insts int, seed int64) (*GridSnapshotRecord, error) {
 	if insts <= 0 {
-		insts = 200_000
+		insts = CoreBenchInsts
 	}
 	warmup := insts / 2
 	p, err := workload.ProfileByName(profile)
@@ -359,7 +349,7 @@ func WriteCoreBench(path string, cb *CoreBench) error {
 	return nil
 }
 
-// LoadCoreBench reads a BENCH_core.json artifact.
+// LoadCoreBench reads a measurement written by WriteCoreBench.
 func LoadCoreBench(path string) (*CoreBench, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -372,29 +362,28 @@ func LoadCoreBench(path string) (*CoreBench, error) {
 	return &cb, nil
 }
 
-// GateLimits parameterises the perf gate.
-type GateLimits struct {
-	// MaxRegress is the tolerated ns/cycle growth over the
-	// calibration-scaled baseline (0.10 = 10%).
-	MaxRegress float64
-	// NoiseNs is an absolute slack added on top of the relative budget:
-	// deltas smaller than a few ns/cycle are scheduler noise, not
-	// regressions — without the floor, a 4ns wobble on a 35ns mcf record
-	// would flake the gate while a genuine 40ns regression on a 300ns
-	// record sailed through.
-	NoiseNs float64
-	// MinMissHeavySpeedup is the floor on SpeedupVsNoSkip for the
-	// miss-heavy profiles (mcf) — the event-horizon clock's reason
-	// to exist.
-	MinMissHeavySpeedup float64
-	// MinSpeedup is the floor on SpeedupVsNoSkip everywhere: no profile
-	// may be slower with skipping than without (0.95 leaves measurement
-	// noise room).
-	MinSpeedup float64
-	// MaxAllocsPerKCycle bounds whole-run heap allocations; a single
+// The perf gate's budget and floors.
+const (
+	// MaxRegress is the tolerated ns/cycle growth of the change over the
+	// parent build measured on the same host (0.10 = 10%).
+	MaxRegress = 0.10
+	// NoiseNs is an absolute slack, in ns/cycle over the parent's median,
+	// added on top of the relative budget: deltas smaller than a few
+	// ns/cycle are scheduler noise, not regressions — without the floor, a
+	// 4ns wobble on a 35ns mcf record would flake the gate while a genuine
+	// 40ns regression on a 300ns record sailed through.
+	NoiseNs = 8.0
+	// minMissHeavySpeedup is the floor on SpeedupVsNoSkip for the
+	// miss-heavy profiles (mcf) — the event-horizon clock's reason to exist.
+	minMissHeavySpeedup = 1.6
+	// minSpeedup is the floor on SpeedupVsNoSkip everywhere: no profile may
+	// be slower with skipping than without (0.95 leaves measurement noise
+	// room).
+	minSpeedup = 0.95
+	// maxAllocsPerKCycle bounds whole-run heap allocations; a single
 	// per-cycle allocation would show up as ~1000.
-	MaxAllocsPerKCycle float64
-	// MinSnapshotSpeedup is the floor on the grid_snapshot record's
+	maxAllocsPerKCycle = 1.0
+	// minSnapshotSpeedup is the floor on the grid_snapshot record's
 	// SpeedupVsCold. The warm pass simulates half the instructions of the
 	// cold pass (warm-up is Insts/2), so the work ratio alone predicts ~2x;
 	// restore/deserialisation overhead and the non-linearity of warm-up
@@ -402,13 +391,8 @@ type GateLimits struct {
 	// restoring is not at least 20% faster than re-simulating a
 	// warm-up-dominated grid, the snapshot path has regressed into
 	// pointlessness.
-	MinSnapshotSpeedup float64
-}
-
-// DefaultGateLimits returns the limits CI enforces.
-func DefaultGateLimits() GateLimits {
-	return GateLimits{MaxRegress: 0.10, NoiseNs: 8, MinMissHeavySpeedup: 1.6, MinSpeedup: 0.95, MaxAllocsPerKCycle: 1.0, MinSnapshotSpeedup: 1.2}
-}
+	minSnapshotSpeedup = 1.2
+)
 
 // missHeavy reports whether a profile is one of the pointer-chase grid
 // points the ≥2× tentpole targets. twolf dropped off this list when the
@@ -417,114 +401,330 @@ func DefaultGateLimits() GateLimits {
 // ratio to ~1.2–1.3× (it is moderately miss-heavy, so most of its wins
 // came from walk elision, which both clock modes now share). mcf's long
 // memory stalls keep cycle skipping itself decisively ahead (~2×).
-// twolf remains bound by MinSpeedup like every other profile.
+// twolf remains bound by minSpeedup like every other profile.
 func missHeavy(profile string) bool { return profile == "mcf" }
 
-// calibScale is the ratio by which the gate and the comparison table scale
-// the baseline's ns/cycle to the current machine. It protects slower
-// machines from false failures by scaling the baseline up, and is clamped
-// at 1 so a burst of turbo on a faster (or merely less loaded) machine can
-// never scale the allowed bound *below* the committed baseline and
-// manufacture regressions out of calibration noise.
-func calibScale(baseline, current *CoreBench) float64 {
-	if baseline != nil && baseline.CalibNsPerOp > 0 && current.CalibNsPerOp > baseline.CalibNsPerOp {
-		return current.CalibNsPerOp / baseline.CalibNsPerOp
+// MeasurePairs takes the gate's measurements: pairs rounds of
+// `<bin> bench -core-json <file>` for the parent and the change binary, on
+// this host, alternating which side runs first so drift in the host's speed
+// falls on both sides alike. Each child writes
+// dir/BENCH_core.<side>-<round>.json. A child that exits non-zero or writes
+// no readable measurement is an error. One progress line per child goes to
+// progress.
+func MeasurePairs(parentBin, changeBin, dir string, pairs int, progress io.Writer) (parent, change []*CoreBench, err error) {
+	sides := [2]struct {
+		name, bin string
+		runs      *[]*CoreBench
+	}{{"parent", parentBin, &parent}, {"change", changeBin, &change}}
+	for i := 0; i < pairs; i++ {
+		for k := 0; k < 2; k++ {
+			sd := sides[(i+k)%2]
+			out := filepath.Join(dir, fmt.Sprintf("BENCH_core.%s-%d.json", sd.name, i+1))
+			start := time.Now()
+			cb, err := runBenchChild(sd.bin, out)
+			if err != nil {
+				return nil, nil, fmt.Errorf("pair %d/%d, %s: %w", i+1, pairs, sd.name, err)
+			}
+			fmt.Fprintf(progress, "pair %d/%d: %s measured in %v -> %s\n",
+				i+1, pairs, sd.name, time.Since(start).Round(100*time.Millisecond), out)
+			*sd.runs = append(*sd.runs, cb)
+		}
 	}
-	return 1.0
+	return parent, change, nil
 }
 
-// Gate checks current against the committed baseline (nil skips the
-// regression comparison) and the machine-independent invariants, returning
-// one human-readable violation per failure; an empty slice is a pass.
-func Gate(baseline, current *CoreBench, lim GateLimits) []string {
+// runBenchChild runs one `bin bench -core-json out` child and loads what it
+// wrote. A stale file at out is removed first, so only this child's output
+// can satisfy the read.
+func runBenchChild(bin, out string) (*CoreBench, error) {
+	if err := os.Remove(out); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, err
+	}
+	var log bytes.Buffer
+	cmd := exec.Command(bin, "bench", "-core-json", out)
+	cmd.Stdout, cmd.Stderr = &log, &log
+	if err := cmd.Run(); err != nil {
+		return nil, fmt.Errorf("%s bench: %w\n%s", bin, err, log.Bytes())
+	}
+	cb, err := LoadCoreBench(out)
+	if err != nil {
+		return nil, fmt.Errorf("%s bench wrote no measurement: %w", bin, err)
+	}
+	return cb, nil
+}
+
+// pairedPoint is one grid point over the gate's paired runs.
+type pairedPoint struct {
+	name, profile string
+	// parent and change hold the point's record from each run; pair i is
+	// (parent[i], change[i]).
+	parent, change []CoreBenchRecord
+	// ratio is the median of the per-pair change/parent ns/cycle ratios.
+	ratio float64
+	// speedup, allocs and skipped are the change's medians of
+	// SpeedupVsNoSkip, AllocsPerKCycle and SkippedFrac.
+	speedup, allocs, skipped float64
+}
+
+// pairPoints folds the paired runs into per-point medians, in the order the
+// points first appear. A point is folded only when every run of both sides
+// measured it, over a non-empty run, with the same committed-instruction
+// count; otherwise it is reported in bad instead. Unpairable run sets (Gate
+// reports them) fold to nothing.
+func pairPoints(parent, change []*CoreBench) (pts []pairedPoint, bad []string) {
+	if len(parent) == 0 || len(parent) != len(change) {
+		return nil, nil
+	}
+	byName := func(runs []*CoreBench) map[string][]CoreBenchRecord {
+		m := map[string][]CoreBenchRecord{}
+		for _, cb := range runs {
+			for _, r := range cb.Records {
+				m[r.Name] = append(m[r.Name], r)
+			}
+		}
+		return m
+	}
+	pRecs, cRecs := byName(parent), byName(change)
+	seen := map[string]bool{}
+	for _, cb := range append(append([]*CoreBench(nil), parent...), change...) {
+		for _, r := range cb.Records {
+			if seen[r.Name] {
+				continue
+			}
+			seen[r.Name] = true
+			p, c := pRecs[r.Name], cRecs[r.Name]
+			if len(p) != len(parent) || len(c) != len(change) {
+				bad = append(bad, fmt.Sprintf("%s: measured in %d/%d parent and %d/%d change runs",
+					r.Name, len(p), len(parent), len(c), len(change)))
+				continue
+			}
+			if problem := checkRecords(p, c); problem != "" {
+				bad = append(bad, r.Name+": "+problem)
+				continue
+			}
+			ratios := make([]float64, len(p))
+			for i := range p {
+				ratios[i] = c[i].NsPerCycle / p[i].NsPerCycle
+			}
+			pts = append(pts, pairedPoint{
+				name: r.Name, profile: r.Profile, parent: p, change: c,
+				ratio:   median(ratios),
+				speedup: medianOf(c, func(r CoreBenchRecord) float64 { return r.SpeedupVsNoSkip }),
+				allocs:  medianOf(c, func(r CoreBenchRecord) float64 { return r.AllocsPerKCycle }),
+				skipped: medianOf(c, func(r CoreBenchRecord) float64 { return r.SkippedFrac }),
+			})
+		}
+	}
+	return pts, bad
+}
+
+// checkRecords returns why a point's records cannot be compared, or "": every
+// record, on both sides, must have timed a non-empty run and committed the
+// same instruction count.
+func checkRecords(parent, change []CoreBenchRecord) string {
+	for _, recs := range [][]CoreBenchRecord{parent, change} {
+		for _, r := range recs {
+			if r.Cycles == 0 || r.NsPerCycle <= 0 {
+				return "a run measured no cycles"
+			}
+			if r.Committed != parent[0].Committed {
+				return "committed-instruction counts differ between runs"
+			}
+		}
+	}
+	return ""
+}
+
+// pairedProfile is one profile's cycle-weighted ns/cycle over the gate's
+// paired runs: the total wall time of its grid points over their total
+// simulated cycles, per run.
+type pairedProfile struct {
+	name   string
+	points []string
+	// parentNs is the parent's median; ratio is the median of the per-pair
+	// change/parent ratios and allowed the largest ratio the budget
+	// tolerates at parentNs.
+	parentNs, ratio, allowed float64
+}
+
+// pairProfiles folds paired points into per-profile cycle-weighted
+// ns/cycle, in the order the profiles first appear.
+func pairProfiles(pts []pairedPoint) []pairedProfile {
+	var order []string
+	byProfile := map[string][]pairedPoint{}
+	for _, p := range pts {
+		if byProfile[p.profile] == nil {
+			order = append(order, p.profile)
+		}
+		byProfile[p.profile] = append(byProfile[p.profile], p)
+	}
+	var out []pairedProfile
+	for _, name := range order {
+		group := byProfile[name]
+		parent := weightedNs(group, func(p pairedPoint) []CoreBenchRecord { return p.parent })
+		change := weightedNs(group, func(p pairedPoint) []CoreBenchRecord { return p.change })
+		ratios := make([]float64, len(parent))
+		for i := range parent {
+			ratios[i] = change[i] / parent[i]
+		}
+		pp := pairedProfile{name: name, parentNs: median(parent), ratio: median(ratios)}
+		pp.allowed = 1 + MaxRegress + NoiseNs/pp.parentNs
+		for _, p := range group {
+			pp.points = append(pp.points, p.name)
+		}
+		out = append(out, pp)
+	}
+	return out
+}
+
+// weightedNs returns, per run, the cycle-weighted ns/cycle over one side of
+// a profile's points.
+func weightedNs(group []pairedPoint, side func(pairedPoint) []CoreBenchRecord) []float64 {
+	ns := make([]float64, len(side(group[0])))
+	for i := range ns {
+		var wall, cycles float64
+		for _, p := range group {
+			r := side(p)[i]
+			wall += r.NsPerCycle * float64(r.Cycles)
+			cycles += float64(r.Cycles)
+		}
+		ns[i] = wall / cycles
+	}
+	return ns
+}
+
+// Gate judges the change build's runs against the parent build's runs,
+// taken in alternating pairs on one host: parent[i] and change[i] are pair
+// i. A profile regresses when the median of its per-pair change/parent
+// ratios of cycle-weighted ns/cycle (the total wall time of its grid points
+// over their total cycles) exceeds the budget, MaxRegress plus NoiseNs over
+// the parent's median. Profiles, not single grid points, are judged because
+// a point's ratio alone swings too far between identical builds on a shared
+// host for five pairs to settle it. Each within-run floor is judged per
+// point on the change's median over its runs. Both sides must have measured
+// the same trace length and, at every point, committed the same instruction
+// count; a point or a grid_snapshot record missing from any run is reported,
+// never skipped. Gate returns one human-readable violation per failure,
+// sorted; an empty slice is a pass.
+func Gate(parent, change []*CoreBench) []string {
+	if len(parent) == 0 || len(parent) != len(change) {
+		return []string{fmt.Sprintf("need the same non-zero number of parent and change runs, got %d and %d",
+			len(parent), len(change))}
+	}
 	var bad []string
-	if baseline != nil && baseline.Insts != current.Insts {
-		// ns/cycle folds cold-start cost over the run length, so only
-		// same-length measurements are comparable.
-		bad = append(bad, fmt.Sprintf("measured with %d insts but the baseline used %d — rerun with -core-insts %d",
-			current.Insts, baseline.Insts, baseline.Insts))
+	// ns/cycle folds cold-start cost over the run length, so only
+	// same-length measurements are comparable.
+	for i := range parent {
+		if parent[i].Insts != parent[0].Insts || change[i].Insts != parent[0].Insts {
+			bad = append(bad, fmt.Sprintf("pair %d measured %d (parent) and %d (change) insts, pair 1's parent %d",
+				i+1, parent[i].Insts, change[i].Insts, parent[0].Insts))
+		}
+	}
+	if len(bad) > 0 {
 		return bad
 	}
-	scale := calibScale(baseline, current)
-	base := map[string]CoreBenchRecord{}
-	if baseline != nil {
-		for _, r := range baseline.Records {
-			base[r.Name] = r
+	pts, bad := pairPoints(parent, change)
+	for _, p := range pairProfiles(pts) {
+		if p.ratio > p.allowed {
+			bad = append(bad, fmt.Sprintf("%s (%s): median change/parent cycle-weighted ns/cycle ratio %.3f exceeds %.3f (+%.0f%% +%.0fns over the parent's median %.1f ns/cycle)",
+				p.name, strings.Join(p.points, ", "), p.ratio, p.allowed, 100*MaxRegress, NoiseNs, p.parentNs))
 		}
 	}
-	for _, r := range current.Records {
-		if b, ok := base[r.Name]; ok {
-			allowed := b.NsPerCycle*scale*(1+lim.MaxRegress) + lim.NoiseNs
-			if r.NsPerCycle > allowed {
-				bad = append(bad, fmt.Sprintf("%s: %.1f ns/cycle exceeds baseline %.1f (allowed %.1f: calibration-scaled +%.0f%% +%.0fns noise floor)",
-					r.Name, r.NsPerCycle, b.NsPerCycle, allowed, 100*lim.MaxRegress, lim.NoiseNs))
-			}
+	for _, p := range pts {
+		if missHeavy(p.profile) && p.speedup < minMissHeavySpeedup {
+			bad = append(bad, fmt.Sprintf("%s: median event-horizon speedup %.2fx below the miss-heavy floor %.2fx",
+				p.name, p.speedup, minMissHeavySpeedup))
 		}
-		if missHeavy(r.Profile) && r.SpeedupVsNoSkip < lim.MinMissHeavySpeedup {
-			bad = append(bad, fmt.Sprintf("%s: event-horizon speedup %.2fx below the miss-heavy floor %.2fx",
-				r.Name, r.SpeedupVsNoSkip, lim.MinMissHeavySpeedup))
+		if p.speedup < minSpeedup {
+			bad = append(bad, fmt.Sprintf("%s: skipping is slower than the per-cycle path (median %.2fx < %.2fx)",
+				p.name, p.speedup, minSpeedup))
 		}
-		if r.SpeedupVsNoSkip < lim.MinSpeedup {
-			bad = append(bad, fmt.Sprintf("%s: skipping is slower than the per-cycle path (%.2fx < %.2fx)",
-				r.Name, r.SpeedupVsNoSkip, lim.MinSpeedup))
-		}
-		if r.AllocsPerKCycle > lim.MaxAllocsPerKCycle {
-			bad = append(bad, fmt.Sprintf("%s: %.2f allocs per 1000 cycles exceeds %.2f — the loop is allocating",
-				r.Name, r.AllocsPerKCycle, lim.MaxAllocsPerKCycle))
+		if p.allocs > maxAllocsPerKCycle {
+			bad = append(bad, fmt.Sprintf("%s: median %.2f allocs per 1000 cycles exceeds %.2f — the loop is allocating",
+				p.name, p.allocs, maxAllocsPerKCycle))
 		}
 	}
-	switch gs := current.GridSnapshot; {
-	case gs != nil:
-		if gs.SpeedupVsCold < lim.MinSnapshotSpeedup {
-			bad = append(bad, fmt.Sprintf("grid_snapshot/%s: warm-restore speedup %.2fx below the %.2fx floor over cold warm-up",
-				gs.Profile, gs.SpeedupVsCold, lim.MinSnapshotSpeedup))
-		}
-	case baseline != nil && baseline.GridSnapshot != nil:
-		bad = append(bad, "grid_snapshot: present in baseline but not measured")
-	}
-	for name := range base {
-		found := false
-		for _, r := range current.Records {
-			if r.Name == name {
-				found = true
-				break
-			}
-		}
-		if !found {
-			bad = append(bad, fmt.Sprintf("%s: present in baseline but not measured", name))
-		}
+	if ps, cs := snapshotSpeedups(parent), snapshotSpeedups(change); len(ps) != len(parent) || len(cs) != len(change) {
+		bad = append(bad, fmt.Sprintf("grid_snapshot: measured in %d/%d parent and %d/%d change runs",
+			len(ps), len(parent), len(cs), len(change)))
+	} else if m := median(cs); m < minSnapshotSpeedup {
+		bad = append(bad, fmt.Sprintf("grid_snapshot/%s: median warm-restore speedup %.2fx below the %.2fx floor over cold warm-up",
+			change[0].GridSnapshot.Profile, m, minSnapshotSpeedup))
 	}
 	sort.Strings(bad)
 	return bad
 }
 
-// FormatCoreComparison renders a benchstat-style table of current against
-// baseline (which may be nil for a plain report).
-func FormatCoreComparison(baseline, current *CoreBench) string {
+// snapshotSpeedups returns the grid_snapshot speedups of the runs that
+// carry the record.
+func snapshotSpeedups(runs []*CoreBench) []float64 {
+	var xs []float64
+	for _, cb := range runs {
+		if cb.GridSnapshot != nil {
+			xs = append(xs, cb.GridSnapshot.SpeedupVsCold)
+		}
+	}
+	return xs
+}
+
+// median returns the middle value of xs (the mean of the two middle values
+// for an even count); xs is not modified.
+func median(xs []float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
+}
+
+func medianOf(recs []CoreBenchRecord, f func(CoreBenchRecord) float64) float64 {
+	xs := make([]float64, len(recs))
+	for i, r := range recs {
+		xs[i] = f(r)
+	}
+	return median(xs)
+}
+
+// FormatCoreBench renders one measurement as a table.
+func FormatCoreBench(cb *CoreBench) string {
 	var sb strings.Builder
-	scale := calibScale(baseline, current)
-	base := map[string]CoreBenchRecord{}
-	if baseline != nil {
-		for _, r := range baseline.Records {
-			base[r.Name] = r
-		}
-		fmt.Fprintf(&sb, "%-16s %12s %12s %8s %10s %8s\n", "grid point", "base ns/cyc", "now ns/cyc", "delta", "speedup", "skipped")
-	} else {
-		fmt.Fprintf(&sb, "%-16s %12s %12s %8s %10s %8s\n", "grid point", "ns/cyc", "noskip", "", "speedup", "skipped")
+	fmt.Fprintf(&sb, "%-16s %10s %10s %9s %8s %12s\n", "grid point", "ns/cyc", "noskip", "speedup", "skipped", "allocs/kcyc")
+	for _, r := range cb.Records {
+		fmt.Fprintf(&sb, "%-16s %10.1f %10.1f %8.2fx %7.1f%% %12.2f\n",
+			r.Name, r.NsPerCycle, r.NoSkipNsPerCycle, r.SpeedupVsNoSkip, 100*r.SkippedFrac, r.AllocsPerKCycle)
 	}
-	for _, r := range current.Records {
-		if b, ok := base[r.Name]; ok {
-			scaled := b.NsPerCycle * scale
-			fmt.Fprintf(&sb, "%-16s %12.1f %12.1f %+7.1f%% %9.2fx %7.1f%%\n",
-				r.Name, scaled, r.NsPerCycle, 100*(r.NsPerCycle-scaled)/scaled, r.SpeedupVsNoSkip, 100*r.SkippedFrac)
-		} else {
-			fmt.Fprintf(&sb, "%-16s %12.1f %12.1f %8s %9.2fx %7.1f%%\n",
-				r.Name, r.NsPerCycle, r.NoSkipNsPerCycle, "", r.SpeedupVsNoSkip, 100*r.SkippedFrac)
-		}
+	if gs := cb.GridSnapshot; gs != nil {
+		fmt.Fprintf(&sb, "grid_snapshot/%s: %d points: %12.0f cycles/sec warm vs %12.0f cold (%.2fx), %d artifact bytes\n",
+			gs.Profile, gs.Points, gs.WarmCyclesPerSec, gs.ColdCyclesPerSec, gs.SpeedupVsCold, gs.SnapshotBytes)
 	}
-	if baseline != nil {
-		fmt.Fprintf(&sb, "(baseline scaled by %.2f via the calibration loop: %.2f -> %.2f ns/op)\n",
-			scale, baseline.CalibNsPerOp, current.CalibNsPerOp)
+	return sb.String()
+}
+
+// FormatCoreComparison renders the gate's medians over paired parent and
+// change runs: per grid point, each side's median ns/cycle, the median
+// per-pair ratio and the change's median speedup over the per-cycle path
+// and skipped share; per profile, the judged cycle-weighted ratio and the
+// ratio the budget allows. Points the gate cannot pair are left out (Gate
+// reports them).
+func FormatCoreComparison(parent, change []*CoreBench) string {
+	var sb strings.Builder
+	pts, _ := pairPoints(parent, change)
+	nsPerCycle := func(r CoreBenchRecord) float64 { return r.NsPerCycle }
+	fmt.Fprintf(&sb, "%-16s %12s %12s %8s %8s %9s %8s\n",
+		"grid point", "parent ns/c", "change ns/c", "ratio", "allowed", "speedup", "skipped")
+	for _, p := range pts {
+		fmt.Fprintf(&sb, "%-16s %12.1f %12.1f %8.3f %8s %8.2fx %7.1f%%\n",
+			p.name, medianOf(p.parent, nsPerCycle), medianOf(p.change, nsPerCycle), p.ratio, "", p.speedup, 100*p.skipped)
 	}
+	for _, p := range pairProfiles(pts) {
+		fmt.Fprintf(&sb, "%-16s %12.1f %12s %8.3f %8.3f\n", p.name+" (weighted)", p.parentNs, "", p.ratio, p.allowed)
+	}
+	if ps, cs := snapshotSpeedups(parent), snapshotSpeedups(change); len(ps) == len(parent) && len(cs) == len(change) && len(cs) > 0 {
+		fmt.Fprintf(&sb, "grid_snapshot/%s: median warm-restore speedup %.2fx (parent %.2fx)\n",
+			change[0].GridSnapshot.Profile, median(cs), median(ps))
+	}
+	fmt.Fprintf(&sb, "(medians over %d alternating pairs; ratio is the median of per-pair change/parent ns/cycle; profiles are judged)\n", len(change))
 	return sb.String()
 }

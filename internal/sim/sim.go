@@ -11,7 +11,6 @@
 package sim
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
@@ -22,7 +21,6 @@ import (
 	"clgp/internal/core"
 	"clgp/internal/isa"
 	"clgp/internal/stats"
-	"clgp/internal/telemetry"
 	"clgp/internal/trace"
 	"clgp/internal/tracefile"
 	"clgp/internal/workload"
@@ -371,63 +369,4 @@ func (s Summary) SimsPerSec() float64 {
 		return 0
 	}
 	return float64(s.Sims) / s.Wall.Seconds()
-}
-
-// BenchRecord is one throughput measurement in the BENCH_*.json format the
-// perf harness emits (one record per configuration of the benchmark).
-type BenchRecord struct {
-	// Name identifies the measured configuration (e.g. "figures-grid").
-	Name string `json:"name"`
-	// Workers is the worker-pool size used.
-	Workers int `json:"workers"`
-	// Sims is the number of simulations executed.
-	Sims int `json:"sims"`
-	// TotalCycles and TotalInsts are the aggregate simulated work.
-	TotalCycles uint64 `json:"total_cycles"`
-	TotalInsts  uint64 `json:"total_insts"`
-	// WallSeconds is the batch wall-clock time.
-	WallSeconds float64 `json:"wall_seconds"`
-	// CyclesPerSec and SimsPerSec are the throughput metrics.
-	CyclesPerSec float64 `json:"cycles_per_sec"`
-	SimsPerSec   float64 `json:"sims_per_sec"`
-	// ShardsPerSec is the dispatch-level shard throughput of a sharded
-	// sweep (0 when the batch was not sharded).
-	ShardsPerSec float64 `json:"shards_per_sec,omitempty"`
-	// Retries is the number of extra shard leases a sharded sweep took
-	// after worker failures (0 on a fault-free or unsharded batch).
-	Retries int `json:"retries,omitempty"`
-	// ExcludedHosts lists hosts the retry policy excluded after they
-	// failed a shard (empty on fault-free or single-host sweeps).
-	ExcludedHosts []string `json:"excluded_hosts,omitempty"`
-	// Host summarises host utilisation sampled over the batch — CPU%,
-	// peak RSS, load and estimated core-hours — so a record states what
-	// the throughput cost, not just what it was (nil when not sampled).
-	Host *telemetry.HostUsage `json:"host,omitempty"`
-}
-
-// RecordFromSummary converts a Summary to a BenchRecord.
-func RecordFromSummary(name string, workers int, s Summary) BenchRecord {
-	return BenchRecord{
-		Name:         name,
-		Workers:      workers,
-		Sims:         s.Sims,
-		TotalCycles:  s.TotalCycles,
-		TotalInsts:   s.TotalInsts,
-		WallSeconds:  s.Wall.Seconds(),
-		CyclesPerSec: s.CyclesPerSec(),
-		SimsPerSec:   s.SimsPerSec(),
-	}
-}
-
-// WriteBenchJSON writes records as an indented JSON array to path.
-func WriteBenchJSON(path string, recs []BenchRecord) error {
-	data, err := json.MarshalIndent(recs, "", "  ")
-	if err != nil {
-		return fmt.Errorf("sim: encoding bench records: %w", err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return fmt.Errorf("sim: writing %s: %w", path, err)
-	}
-	return nil
 }

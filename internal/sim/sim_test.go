@@ -1,12 +1,8 @@
 package sim
 
 import (
-	"encoding/json"
 	"errors"
 	"math/rand"
-	"os"
-	"path/filepath"
-	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -57,7 +53,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestSummariseAndBenchJSON(t *testing.T) {
+func TestSummarise(t *testing.T) {
 	w := benchWorkload(t, 8_000, 12)
 	jobs := grid16(w)[:4]
 	start := time.Now()
@@ -70,22 +66,6 @@ func TestSummariseAndBenchJSON(t *testing.T) {
 		t.Errorf("degenerate throughput: %+v", sum)
 	}
 
-	path := filepath.Join(t.TempDir(), "BENCH_sweep.json")
-	rec := RecordFromSummary("sweep", 2, sum)
-	if err := WriteBenchJSON(path, []BenchRecord{rec}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back []BenchRecord
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatalf("round-trip: %v", err)
-	}
-	if len(back) != 1 || back[0].Sims != 4 || back[0].TotalCycles != sum.TotalCycles {
-		t.Errorf("round-tripped record %+v does not match %+v", back, rec)
-	}
 }
 
 // TestSweepParallelSpeedup demonstrates the wall-clock win of the parallel
@@ -123,44 +103,6 @@ func TestSweepParallelSpeedup(t *testing.T) {
 	// shared CI machines.
 	if speedup < 2.5 {
 		t.Errorf("parallel sweep speedup %.2fx below expected bound", speedup)
-	}
-}
-
-// TestBenchJSONRoundTrip: every field of a BenchRecord batch must survive
-// the write/read cycle bit-exactly, including the optional dispatch fields.
-func TestBenchJSONRoundTrip(t *testing.T) {
-	recs := []BenchRecord{
-		{
-			Name: "grid-serial", Workers: 1, Sims: 16,
-			TotalCycles: 123_456_789, TotalInsts: 98_765_432,
-			WallSeconds: 12.5, CyclesPerSec: 9_876_543.1, SimsPerSec: 1.28,
-		},
-		{
-			Name: "grid-parallel", Workers: 8, Sims: 16,
-			TotalCycles: 123_456_789, TotalInsts: 98_765_432,
-			WallSeconds: 1.8, CyclesPerSec: 68_587_105, SimsPerSec: 8.89,
-			ShardsPerSec: 6.94, Retries: 1,
-		},
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_roundtrip.json")
-	if err := WriteBenchJSON(path, recs); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back []BenchRecord
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatalf("round-trip decode: %v", err)
-	}
-	if len(back) != len(recs) {
-		t.Fatalf("round-tripped %d records, want %d", len(back), len(recs))
-	}
-	for i := range recs {
-		if !reflect.DeepEqual(back[i], recs[i]) {
-			t.Errorf("record %d mutated by round-trip:\nwrote %+v\nread  %+v", i, recs[i], back[i])
-		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 )
@@ -67,123 +66,4 @@ func readLoad1() float64 {
 		return 0
 	}
 	return v
-}
-
-// HostUsage summarises a sampling interval: the utilisation block attached
-// to BENCH_*.json records so fleet-sizing has per-sweep cost data.
-type HostUsage struct {
-	// Samples is the number of readings the summary covers.
-	Samples int `json:"samples"`
-	// WallSeconds is the sampled wall-clock span.
-	WallSeconds float64 `json:"wall_seconds"`
-	// CPUSeconds is the process CPU time consumed over the span.
-	CPUSeconds float64 `json:"cpu_seconds"`
-	// AvgCPUPercent is 100 * CPUSeconds / WallSeconds (can exceed 100 on
-	// multicore).
-	AvgCPUPercent float64 `json:"avg_cpu_percent"`
-	// PeakCPUPercent is the highest per-interval CPU percentage observed.
-	PeakCPUPercent float64 `json:"peak_cpu_percent"`
-	// MaxRSSBytes is the peak resident set size over the span.
-	MaxRSSBytes int64 `json:"max_rss_bytes"`
-	// Load1 is the host load average at the final sample.
-	Load1 float64 `json:"load1"`
-	// GOMAXPROCS is the scheduler's processor limit.
-	GOMAXPROCS int `json:"gomaxprocs"`
-	// CostCoreHours is CPUSeconds/3600 — the cost-per-sweep estimate in
-	// core-hours.
-	CostCoreHours float64 `json:"cost_core_hours"`
-}
-
-// Sampler polls host utilisation on an interval in a background goroutine.
-// Start it around a sweep, Stop it to get the HostUsage summary.
-type Sampler struct {
-	interval time.Duration
-	mu       sync.Mutex
-	samples  []HostSample
-	start    HostSample
-	stop     chan struct{}
-	done     chan struct{}
-}
-
-// StartSampler begins sampling at the given interval (minimum 10ms;
-// non-positive intervals default to 500ms). It always records a first
-// sample immediately so even sub-interval runs produce a usage summary.
-func StartSampler(interval time.Duration) *Sampler {
-	if interval <= 0 {
-		interval = 500 * time.Millisecond
-	}
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
-	}
-	s := &Sampler{
-		interval: interval,
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-	}
-	s.start = ReadHostSample()
-	s.samples = append(s.samples, s.start)
-	go s.loop()
-	return s
-}
-
-func (s *Sampler) loop() {
-	defer close(s.done)
-	t := time.NewTicker(s.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-t.C:
-			sample := ReadHostSample()
-			s.mu.Lock()
-			s.samples = append(s.samples, sample)
-			s.mu.Unlock()
-		}
-	}
-}
-
-// Stop ends sampling, takes a final reading, and returns the summary.
-func (s *Sampler) Stop() HostUsage {
-	close(s.stop)
-	<-s.done
-	final := ReadHostSample()
-	s.mu.Lock()
-	s.samples = append(s.samples, final)
-	samples := s.samples
-	s.mu.Unlock()
-	return summarise(samples)
-}
-
-func summarise(samples []HostSample) HostUsage {
-	u := HostUsage{Samples: len(samples)}
-	if len(samples) == 0 {
-		return u
-	}
-	first, last := samples[0], samples[len(samples)-1]
-	u.WallSeconds = float64(last.UnixMillis-first.UnixMillis) / 1e3
-	u.CPUSeconds = last.CPUSeconds - first.CPUSeconds
-	u.Load1 = last.Load1
-	u.GOMAXPROCS = last.GOMAXPROCS
-	for i, sm := range samples {
-		if sm.MaxRSSBytes > u.MaxRSSBytes {
-			u.MaxRSSBytes = sm.MaxRSSBytes
-		}
-		if i == 0 {
-			continue
-		}
-		dw := float64(sm.UnixMillis-samples[i-1].UnixMillis) / 1e3
-		dc := sm.CPUSeconds - samples[i-1].CPUSeconds
-		if dw > 0 {
-			pct := 100 * dc / dw
-			if pct > u.PeakCPUPercent {
-				u.PeakCPUPercent = pct
-			}
-		}
-	}
-	if u.WallSeconds > 0 {
-		u.AvgCPUPercent = 100 * u.CPUSeconds / u.WallSeconds
-	}
-	u.CostCoreHours = u.CPUSeconds / 3600
-	return u
 }

@@ -17,8 +17,8 @@ type Snapshot struct {
 	SkippedCycles uint64 `json:"skipped_cycles"`
 	// FastForwards counts distinct next-event jumps taken.
 	FastForwards uint64 `json:"fast_forwards"`
-	// WrongPathProduced counts wrong-path instructions synthesised after
-	// mispredicted branches.
+	// WrongPathProduced is kept for readers of the JSON record; the engine
+	// no longer has a wrong-path production fast path, so it stays 0.
 	WrongPathProduced uint64 `json:"wrong_path_produced"`
 	// WrongPathFetched counts wrong-path instructions actually fetched.
 	WrongPathFetched uint64 `json:"wrong_path_fetched"`

@@ -8,7 +8,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestCounterGaugeHistogram(t *testing.T) {
@@ -229,26 +228,8 @@ func TestHostSampler(t *testing.T) {
 	if s.GOMAXPROCS < 1 || s.NumGoroutine < 1 || s.UnixMillis == 0 {
 		t.Fatalf("implausible sample: %+v", s)
 	}
-	sm := StartSampler(10 * time.Millisecond)
-	// Burn a little CPU so the usage summary has something to measure.
-	x := 0
-	deadline := time.Now().Add(40 * time.Millisecond)
-	for time.Now().Before(deadline) {
-		x++
-	}
-	u := sm.Stop()
-	_ = x
-	if u.Samples < 2 {
-		t.Fatalf("samples = %d, want >= 2", u.Samples)
-	}
-	if u.WallSeconds <= 0 {
-		t.Fatalf("wall = %v, want > 0", u.WallSeconds)
-	}
-	if u.CPUSeconds < 0 || u.CostCoreHours != u.CPUSeconds/3600 {
-		t.Fatalf("cpu/cost inconsistent: %+v", u)
-	}
-	if u.MaxRSSBytes <= 0 {
-		t.Fatalf("rss = %d, want > 0", u.MaxRSSBytes)
+	if s.CPUSeconds < 0 || s.MaxRSSBytes <= 0 {
+		t.Fatalf("implausible usage: %+v", s)
 	}
 }
 

@@ -80,12 +80,8 @@ func (t *MemTrace) Grow(n int) { t.ents = slices.Grow(t.ents, n) }
 // InstBytes-aligned or, after the first record, not equal to the previous
 // record's Target; the error names the record's index.
 func (t *MemTrace) Append(r Record) error {
-	i := len(t.ents)
-	if r.PC&(isa.InstBytes-1) != 0 {
-		return fmt.Errorf("trace: record %d: PC %#x is not %d-byte aligned", i, uint64(r.PC), isa.InstBytes)
-	}
-	if i > 0 && r.PC != t.end {
-		return fmt.Errorf("trace: record %d: PC %#x does not continue the previous target %#x", i, uint64(r.PC), uint64(t.end))
+	if err := checkContinuity(len(t.ents), r.PC, t.end); err != nil {
+		return err
 	}
 	e := entry{pc: r.PC, eff: r.EffAddr}
 	if r.Taken {
@@ -93,6 +89,18 @@ func (t *MemTrace) Append(r Record) error {
 	}
 	t.ents = append(t.ents, e)
 	t.end = r.Target
+	return nil
+}
+
+// checkContinuity reports a record i whose pc is not InstBytes-aligned or,
+// for i > 0, is not prevTarget, the previous record's Target.
+func checkContinuity(i int, pc, prevTarget isa.Addr) error {
+	if pc&(isa.InstBytes-1) != 0 {
+		return fmt.Errorf("trace: record %d: PC %#x is not %d-byte aligned", i, uint64(pc), isa.InstBytes)
+	}
+	if i > 0 && pc != prevTarget {
+		return fmt.Errorf("trace: record %d: PC %#x does not continue the previous target %#x", i, uint64(pc), uint64(prevTarget))
+	}
 	return nil
 }
 

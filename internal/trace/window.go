@@ -1,6 +1,10 @@
 package trace
 
-import "fmt"
+import (
+	"fmt"
+
+	"clgp/internal/isa"
+)
 
 // RecordReaderAt is the random-access streaming source a WindowTrace pulls
 // records from. tracefile.Reader implements it; any container that can
@@ -58,6 +62,10 @@ type WindowTrace struct {
 	frontier int // records below this index may be evicted
 	total    int
 
+	// next is the Target of the last record loaded: records enter the
+	// window in order, so it is the PC the next loaded record must carry.
+	next isa.Addr
+
 	maxResident int
 	reads       int64
 }
@@ -90,7 +98,10 @@ func (t *WindowTrace) Len() int { return t.total }
 
 // At returns record i. i must lie in [frontier, Len): reads never go back
 // past the advanced commit frontier, and the leading edge grows the window
-// on demand (evicting committed records first).
+// on demand (evicting committed records first). Records are checked as they
+// enter the window: a PC that is not InstBytes-aligned, or that is not the
+// previous record's Target, panics naming the record's index, the same
+// conditions trace.MemTrace.Append and tracefile's ReadAll reject.
 func (t *WindowTrace) At(i int) Record {
 	if i < t.base {
 		panic(fmt.Sprintf("trace: record %d already evicted (window is %d..%d, frontier %d)",
@@ -173,6 +184,12 @@ func (t *WindowTrace) readInto(dst []Record, lo int) {
 		}
 		if n == 0 {
 			panic(fmt.Sprintf("trace: streaming source returned no records at %d", lo))
+		}
+		for j, r := range dst[:n] {
+			if err := checkContinuity(lo+j, r.PC, t.next); err != nil {
+				panic(err.Error())
+			}
+			t.next = r.Target
 		}
 		dst = dst[n:]
 		lo += n

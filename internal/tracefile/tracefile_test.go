@@ -291,6 +291,45 @@ func TestCorruptContainers(t *testing.T) {
 	}
 }
 
+// TestWindowRejectsBrokenContainers streams the containers ReadAll rejects
+// in TestCorruptContainers through a bounded window: the streamed path must
+// refuse the same broken record, by index, as it enters the window.
+func TestWindowRejectsBrokenContainers(t *testing.T) {
+	recs := testRecords(t, 10_000, 9)
+	for _, tc := range []struct {
+		name   string
+		mangle func(r *trace.Record)
+	}{
+		{"discontinuous-records", func(r *trace.Record) { r.PC += 64 }},
+		{"misaligned-pc", func(r *trace.Record) { r.PC |= 2 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const bad = 5000 // mid-file, in the third chunk
+			mangled := append([]trace.Record(nil), recs...)
+			tc.mangle(&mangled[bad])
+			rd, err := Open(writeContainer(t, mangled, Options{Workload: "gcc", ChunkRecords: 2048}))
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			defer rd.Close()
+			wt, err := trace.NewWindowTrace(rd, trace.MinWindowCap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, fmt.Sprintf("record %d:", bad)) {
+					t.Fatalf("streaming panicked with %q, want the broken record %d named", msg, bad)
+				}
+			}()
+			for i := 0; i < wt.Len(); i++ {
+				wt.At(i)
+				wt.Advance(i)
+			}
+		})
+	}
+}
+
 // FuzzOpen drives NewReader + a full decode over mutated container bytes.
 // The invariant: no panic, and a successful open either decodes exactly
 // Len() records or reports an error.
