@@ -129,12 +129,13 @@ func (c Config) normalise() (Config, error) {
 	return c, nil
 }
 
-// entry is one stream table entry.
+// entry is one stream table entry. The word-sized fields come first so the
+// three one-byte fields share the last word: 32 bytes instead of 40.
 type entry struct {
-	valid    bool
 	tag      isa.Addr
 	numInsts int
 	next     isa.Addr
+	valid    bool
 	end      EndClass
 	conf     uint8 // 2-bit saturating confidence
 }

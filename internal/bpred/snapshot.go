@@ -27,6 +27,9 @@ func saveEntries(e *snap.Encoder, tab []entry) {
 	}
 }
 
+// loadEntries restores a table saved by saveEntries, latching an error on
+// an entry the predictor can never produce: a confidence above the 2-bit
+// counter's 3, an end class past EndReturn, or a negative stream length.
 func loadEntries(d *snap.Decoder, tab []entry, name string) {
 	n := d.Int()
 	if d.Err() != nil {
@@ -44,6 +47,14 @@ func loadEntries(d *snap.Decoder, tab []entry, name string) {
 		en.next = isa.Addr(d.U64())
 		en.end = EndClass(d.U8())
 		en.conf = d.U8()
+		if d.Err() != nil {
+			return
+		}
+		if en.conf > 3 || en.end > EndReturn || en.numInsts < 0 {
+			d.Failf("bpred: %s entry %d is impossible: conf %d, end %d, numInsts %d",
+				name, i, en.conf, uint8(en.end), en.numInsts)
+			return
+		}
 	}
 }
 

@@ -71,8 +71,10 @@ type way struct {
 
 // Cache is a set-associative, true-LRU, tag-only cache model.
 type Cache struct {
-	cfg     Config
-	sets    [][]way
+	cfg Config
+	// ways holds every set's ways back to back: set s is
+	// ways[s*Assoc : (s+1)*Assoc].
+	ways    []way
 	numSets int
 	stamp   uint64
 	// Timing state.
@@ -92,12 +94,7 @@ func New(cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	numSets := cfg.SizeBytes / cfg.LineBytes / cfg.Assoc
-	sets := make([][]way, numSets)
-	backing := make([]way, numSets*cfg.Assoc)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Assoc : (i+1)*cfg.Assoc]
-	}
-	return &Cache{cfg: cfg, sets: sets, numSets: numSets}, nil
+	return &Cache{cfg: cfg, ways: make([]way, numSets*cfg.Assoc), numSets: numSets}, nil
 }
 
 // MustNew is New but panics on configuration errors; intended for tests and
@@ -125,6 +122,11 @@ func (c *Cache) Lines() int { return c.cfg.SizeBytes / c.cfg.LineBytes }
 // Sets returns the number of sets.
 func (c *Cache) Sets() int { return c.numSets }
 
+// set returns the ways of set s.
+func (c *Cache) set(s int) []way {
+	return c.ways[s*c.cfg.Assoc : (s+1)*c.cfg.Assoc]
+}
+
 // index returns the set index and tag for an address.
 func (c *Cache) index(addr isa.Addr) (int, isa.Addr) {
 	line := uint64(addr) / uint64(c.cfg.LineBytes)
@@ -138,8 +140,9 @@ func (c *Cache) index(addr isa.Addr) (int, isa.Addr) {
 // FDP's Enqueue Cache Probe Filtering.
 func (c *Cache) Probe(addr isa.Addr) bool {
 	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		if c.sets[set][i].valid && c.sets[set][i].tag == tag {
+	ways := c.set(set)
+	for i := range ways {
+		if ways[i].valid && ways[i].tag == tag {
 			return true
 		}
 	}
@@ -152,8 +155,9 @@ func (c *Cache) Probe(addr isa.Addr) bool {
 func (c *Cache) Lookup(addr isa.Addr) bool {
 	c.accesses++
 	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		w := &c.sets[set][i]
+	ways := c.set(set)
+	for i := range ways {
+		w := &ways[i]
 		if w.valid && w.tag == tag {
 			c.stamp++
 			w.lru = c.stamp
@@ -169,7 +173,7 @@ func (c *Cache) Lookup(addr isa.Addr) bool {
 // valid line happened.
 func (c *Cache) Insert(addr isa.Addr) (evicted isa.Addr, hadVictim bool) {
 	set, tag := c.index(addr)
-	ways := c.sets[set]
+	ways := c.set(set)
 	// If already present just refresh LRU.
 	for i := range ways {
 		if ways[i].valid && ways[i].tag == tag {
@@ -206,9 +210,10 @@ func (c *Cache) lineAddr(set int, tag isa.Addr) isa.Addr {
 // it was present.
 func (c *Cache) Invalidate(addr isa.Addr) bool {
 	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		if c.sets[set][i].valid && c.sets[set][i].tag == tag {
-			c.sets[set][i] = way{}
+	ways := c.set(set)
+	for i := range ways {
+		if ways[i].valid && ways[i].tag == tag {
+			ways[i] = way{}
 			return true
 		}
 	}
@@ -218,11 +223,7 @@ func (c *Cache) Invalidate(addr isa.Addr) bool {
 // Flush invalidates the entire cache and resets timing occupancy (but keeps
 // statistics).
 func (c *Cache) Flush() {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			c.sets[s][w] = way{}
-		}
-	}
+	clear(c.ways)
 	c.busyUntil = 0
 	c.portsUsed = 0
 }
@@ -231,11 +232,9 @@ func (c *Cache) Flush() {
 // caller's concern); intended for tests and debugging.
 func (c *Cache) Contents() []isa.Addr {
 	var out []isa.Addr
-	for s := range c.sets {
-		for _, w := range c.sets[s] {
-			if w.valid {
-				out = append(out, c.lineAddr(s, w.tag))
-			}
+	for i, w := range c.ways {
+		if w.valid {
+			out = append(out, c.lineAddr(i/c.cfg.Assoc, w.tag))
 		}
 	}
 	return out
@@ -244,11 +243,9 @@ func (c *Cache) Contents() []isa.Addr {
 // ResidentCount returns the number of valid lines.
 func (c *Cache) ResidentCount() int {
 	n := 0
-	for s := range c.sets {
-		for _, w := range c.sets[s] {
-			if w.valid {
-				n++
-			}
+	for _, w := range c.ways {
+		if w.valid {
+			n++
 		}
 	}
 	return n

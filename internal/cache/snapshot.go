@@ -22,18 +22,18 @@ func (c *Cache) SaveState(e *snap.Encoder) {
 	e.Int(c.portsUsed)
 	e.U64(c.accesses)
 	e.U64(c.misses)
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			way := &c.sets[s][w]
-			e.Bool(way.valid)
-			e.U64(uint64(way.tag))
-			e.U64(way.lru)
-		}
+	for i := range c.ways {
+		way := &c.ways[i]
+		e.Bool(way.valid)
+		e.U64(uint64(way.tag))
+		e.U64(way.lru)
 	}
 }
 
 // LoadState restores state saved by SaveState into a cache built from the
-// same configuration. A geometry mismatch latches an error on d.
+// same configuration. A geometry mismatch latches an error on d, and so does
+// a way state the cache can never reach: an LRU stamp newer than the cache's
+// stamp counter, or one line resident twice in a set.
 func (c *Cache) LoadState(d *snap.Decoder) {
 	d.Tag(stateTag)
 	numSets := d.Int()
@@ -52,12 +52,28 @@ func (c *Cache) LoadState(d *snap.Decoder) {
 	c.portsUsed = d.Int()
 	c.accesses = d.U64()
 	c.misses = d.U64()
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			way := &c.sets[s][w]
-			way.valid = d.Bool()
-			way.tag = isa.Addr(d.U64())
-			way.lru = d.U64()
+	for s := 0; s < c.numSets && d.Err() == nil; s++ {
+		ways := c.set(s)
+		for i := range ways {
+			w := &ways[i]
+			w.valid = d.Bool()
+			w.tag = isa.Addr(d.U64())
+			w.lru = d.U64()
+			if d.Err() != nil {
+				return
+			}
+			if w.lru > c.stamp {
+				d.Failf("cache %s: set %d way %d LRU stamp %d is newer than the cache stamp %d",
+					c.cfg.Name, s, i, w.lru, c.stamp)
+				return
+			}
+			for j := 0; w.valid && j < i; j++ {
+				if ways[j].valid && ways[j].tag == w.tag {
+					d.Failf("cache %s: set %d holds tag %#x in ways %d and %d",
+						c.cfg.Name, s, uint64(w.tag), j, i)
+					return
+				}
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"clgp/internal/cacti"
+	"clgp/internal/workload"
 )
 
 // BenchmarkEngineCycle measures the cost of one Step of the full system
@@ -63,5 +64,43 @@ func benchmarkEngineCycle(b *testing.B, kind EngineKind, noSkip bool) {
 	cycles += eng.Cycles() - startCycles
 	if cycles > 0 {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles), "ns/cycle")
+	}
+}
+
+// BenchmarkNewEngine measures one engine build (caches, predictor tables,
+// back-end, prefetch engine) at the bench configuration point: a figures
+// sweep builds one engine per job, so B/op here is per-job garbage.
+func BenchmarkNewEngine(b *testing.B) {
+	w := icacheStressWorkload(b, 20_000, 7)
+	cfg := Config{Tech: cacti.Tech90, L1ISize: 2 << 10, Engine: EngineCLGP, UseL0: true}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewEngine(cfg, w.Dict, w.Trace); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSnapshot measures Engine.Snapshot at a 10K-instruction warm-up
+// boundary; B/op should stay close to the snapshot's own size.
+func BenchmarkSnapshot(b *testing.B) {
+	w := icacheStressWorkload(b, 20_000, 7)
+	cfg := Config{Tech: cacti.Tech90, L1ISize: 2 << 10, Engine: EngineCLGP, UseL0: true}
+	eng, err := NewEngine(cfg, w.Dict, w.Trace)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := eng.RunUntilCommitted(10_000); err != nil {
+		b.Fatal(err)
+	}
+	fp := workload.Fingerprint(w.Profile, w.Dict)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		data, err := eng.Snapshot(w.Name, fp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(data)))
 	}
 }

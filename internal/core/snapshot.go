@@ -102,83 +102,6 @@ func (e *Engine) Snapshot(workload string, fingerprint uint64) ([]byte, error) {
 	e.backend.AddLiveRequests(rs)
 	e.eng.AddLiveRequests(rs)
 
-	var enc snap.Encoder
-	enc.Tag(coreTag)
-	rs.Save(&enc)
-
-	// Engine scalars.
-	enc.U64(e.cycle)
-	enc.U64(e.seq)
-	enc.U64(e.nextSeqID)
-	enc.U64(e.lastCommitted)
-	enc.U64(e.pfCancelled)
-	enc.Int(e.predCursor)
-	enc.Bool(e.wrongPath)
-	enc.U64(uint64(e.wrongPC))
-	enc.U64(e.predStallUntil)
-	enc.Bool(e.recoveryValid)
-	enc.U64(e.recoverHistory)
-	enc.U8(uint8(e.recoverEnd))
-	enc.U64(uint64(e.recoverRet))
-	// rasScratch is write-before-read scratch storage; only the recovery
-	// checkpoint itself needs to travel.
-	bpred.SaveRASSnapshot(&enc, e.recoverRAS)
-
-	// Block bookkeeping ring, verbatim.
-	enc.Int(len(e.blockMeta))
-	for i := range e.blockMeta {
-		m := &e.blockMeta[i]
-		enc.U64(m.seqID)
-		enc.Int(m.traceBase)
-		enc.Int(m.numInsts)
-		enc.Int(m.delivered)
-		enc.Bool(m.mispred)
-	}
-
-	// Fetch stage.
-	enc.Bool(e.fetchActive)
-	rs.SaveID(&enc, e.fetchReq)
-	enc.U64(e.fetchReadyAt)
-	enc.U64(uint64(e.fetchFR.Line))
-	enc.U64(uint64(e.fetchFR.Start))
-	enc.Int(e.fetchFR.NumInsts)
-	enc.U64(uint64(e.fetchFR.Next))
-	enc.Bool(e.fetchFR.LastOfBlock)
-	enc.Bool(e.fetchFR.EndsInBranch)
-	enc.Bool(e.fetchFR.WrongPath)
-	enc.U64(e.fetchFR.BlockID)
-
-	// Abandoned wrong-path demand fetches still draining.
-	enc.Int(len(e.drain))
-	for _, r := range e.drain {
-		rs.SaveID(&enc, r)
-	}
-
-	// Dispatch queue, in logical (fetch) order.
-	enc.Int(e.dqN)
-	for i := 0; i < e.dqN; i++ {
-		pipeline.SaveInst(&enc, e.dq[(e.dqHead+i)%dispatchQueueCap], rs, e)
-	}
-
-	// Statistics that feed stats.Results.
-	enc.U64(e.fetched)
-	enc.U64(e.wrongPathFetched)
-	enc.U64(e.branches)
-	enc.U64(e.mispredicts)
-	enc.U64(e.detectedMisp)
-	for i := range e.fetchSources {
-		enc.U64(e.fetchSources[i])
-	}
-	for i := range e.accounts {
-		enc.U64(e.accounts[i])
-	}
-
-	// Component sections.
-	e.mem.SaveState(&enc, rs)
-	e.backend.SaveState(&enc, rs, e)
-	e.eng.SaveState(&enc, rs)
-	e.pred.SaveState(&enc)
-
 	meta := snap.Meta{
 		Workload:    workload,
 		Fingerprint: fingerprint,
@@ -187,7 +110,83 @@ func (e *Engine) Snapshot(workload string, fingerprint uint64) ([]byte, error) {
 		Committed:   e.lastCommitted,
 		Cycle:       e.cycle,
 	}
-	return snap.Seal(meta, enc.Bytes()), nil
+	return snap.Seal(meta, func(enc *snap.Encoder) {
+		enc.Tag(coreTag)
+		rs.Save(enc)
+
+		// Engine scalars.
+		enc.U64(e.cycle)
+		enc.U64(e.seq)
+		enc.U64(e.nextSeqID)
+		enc.U64(e.lastCommitted)
+		enc.U64(e.pfCancelled)
+		enc.Int(e.predCursor)
+		enc.Bool(e.wrongPath)
+		enc.U64(uint64(e.wrongPC))
+		enc.U64(e.predStallUntil)
+		enc.Bool(e.recoveryValid)
+		enc.U64(e.recoverHistory)
+		enc.U8(uint8(e.recoverEnd))
+		enc.U64(uint64(e.recoverRet))
+		// rasScratch is write-before-read scratch storage; only the recovery
+		// checkpoint itself needs to travel.
+		bpred.SaveRASSnapshot(enc, e.recoverRAS)
+
+		// Block bookkeeping ring, verbatim.
+		enc.Int(len(e.blockMeta))
+		for i := range e.blockMeta {
+			m := &e.blockMeta[i]
+			enc.U64(m.seqID)
+			enc.Int(m.traceBase)
+			enc.Int(m.numInsts)
+			enc.Int(m.delivered)
+			enc.Bool(m.mispred)
+		}
+
+		// Fetch stage.
+		enc.Bool(e.fetchActive)
+		rs.SaveID(enc, e.fetchReq)
+		enc.U64(e.fetchReadyAt)
+		enc.U64(uint64(e.fetchFR.Line))
+		enc.U64(uint64(e.fetchFR.Start))
+		enc.Int(e.fetchFR.NumInsts)
+		enc.U64(uint64(e.fetchFR.Next))
+		enc.Bool(e.fetchFR.LastOfBlock)
+		enc.Bool(e.fetchFR.EndsInBranch)
+		enc.Bool(e.fetchFR.WrongPath)
+		enc.U64(e.fetchFR.BlockID)
+
+		// Abandoned wrong-path demand fetches still draining.
+		enc.Int(len(e.drain))
+		for _, r := range e.drain {
+			rs.SaveID(enc, r)
+		}
+
+		// Dispatch queue, in logical (fetch) order.
+		enc.Int(e.dqN)
+		for i := 0; i < e.dqN; i++ {
+			pipeline.SaveInst(enc, e.dq[(e.dqHead+i)%dispatchQueueCap], rs, e)
+		}
+
+		// Statistics that feed stats.Results.
+		enc.U64(e.fetched)
+		enc.U64(e.wrongPathFetched)
+		enc.U64(e.branches)
+		enc.U64(e.mispredicts)
+		enc.U64(e.detectedMisp)
+		for i := range e.fetchSources {
+			enc.U64(e.fetchSources[i])
+		}
+		for i := range e.accounts {
+			enc.U64(e.accounts[i])
+		}
+
+		// Component sections.
+		e.mem.SaveState(enc, rs)
+		e.backend.SaveState(enc, rs, e)
+		e.eng.SaveState(enc, rs)
+		e.pred.SaveState(enc)
+	}), nil
 }
 
 // Restore loads a snapshot produced by Snapshot into a freshly constructed

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"clgp/internal/cacti"
@@ -72,6 +75,78 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 				t.Errorf("restored final cycle count %d != straight-through %d", got.Cycles, ref.Cycles)
 			}
 		})
+	}
+}
+
+// pinnedSnapshotEngine runs gzip (seed 1, 20K instructions) on CLGP + L0
+// with a 2 KB L1I at 90 nm to 10K committed instructions: the point whose
+// snapshot bytes TestSnapshotBytesPinned pins.
+func pinnedSnapshotEngine(t *testing.T) (*Engine, *workload.Workload) {
+	t.Helper()
+	p, err := workload.ProfileByName("gzip")
+	if err != nil {
+		t.Fatalf("profile: %v", err)
+	}
+	w, err := workload.Generate(p, 20_000, 1)
+	if err != nil {
+		t.Fatalf("generate: %v", err)
+	}
+	cfg := Config{Tech: cacti.Tech90, L1ISize: 2 << 10, Engine: EngineCLGP, UseL0: true}
+	eng, err := NewEngine(cfg, w.Dict, w.Trace)
+	if err != nil {
+		t.Fatalf("engine: %v", err)
+	}
+	if err := eng.RunUntilCommitted(10_000); err != nil {
+		t.Fatalf("warm-up: %v", err)
+	}
+	return eng, w
+}
+
+// TestSnapshotBytesPinned pins the exact bytes of one snapshot by their
+// SHA-256. Snapshots already in stores stay valid only while the payload
+// layout is unchanged, so a failure here means the layout moved: bump
+// snap.Version, update FORMAT.md, and re-pin.
+func TestSnapshotBytesPinned(t *testing.T) {
+	const (
+		wantLen = 356010
+		wantSum = "9fd5653aff9f08460aede827b818b341dcd9bcdd84a302839110c349f6dd1af1"
+	)
+	eng, w := pinnedSnapshotEngine(t)
+	data, err := eng.Snapshot(w.Name, workload.Fingerprint(w.Profile, w.Dict))
+	if err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	sum := sha256.Sum256(data)
+	if got := hex.EncodeToString(sum[:]); len(data) != wantLen || got != wantSum {
+		t.Errorf("snapshot is %d bytes with SHA-256 %s, want %d bytes with %s",
+			len(data), got, wantLen, wantSum)
+	}
+}
+
+// TestSnapshotAllocBudget: once the scratch encoder is warm, a snapshot
+// allocates little beyond the container it returns (at most 1.1x its
+// length). A sync.Pool may drop the scratch encoder at a collection (and at
+// random under the race detector), so the budget holds the cheapest of a
+// few snapshots.
+func TestSnapshotAllocBudget(t *testing.T) {
+	eng, w := pinnedSnapshotEngine(t)
+	fp := workload.Fingerprint(w.Profile, w.Dict)
+	if _, err := eng.Snapshot(w.Name, fp); err != nil {
+		t.Fatalf("first snapshot: %v", err)
+	}
+	least, size := ^uint64(0), 0
+	for try := 0; try < 10; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		data, err := eng.Snapshot(w.Name, fp)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("snapshot: %v", err)
+		}
+		least, size = min(least, after.TotalAlloc-before.TotalAlloc), len(data)
+	}
+	if float64(least) > 1.1*float64(size) {
+		t.Errorf("a repeated snapshot allocated %d bytes for a %d-byte result (budget 1.1x)", least, size)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math"
 	"sort"
+	"sync"
 )
 
 // Dictionary is the program image: the "separate basic block dictionary in
@@ -32,6 +33,14 @@ type Dictionary struct {
 	dense      []*StaticInst
 	denseBase  Addr
 	denseStale bool
+
+	// hash memoises Hash, which walks the whole image and is asked for once
+	// per simulation job (the workload fingerprint keys traces and
+	// snapshots). AddBlock and SetEntry invalidate it; hashMu makes the
+	// first computation safe for concurrent readers of a sealed image.
+	hashMu    sync.Mutex
+	hash      uint64
+	hashValid bool
 }
 
 // maxDenseSpan caps the dense table at 4M slots (32MB of pointers); beyond
@@ -83,6 +92,7 @@ func (d *Dictionary) AddBlock(bb *BasicBlock) error {
 	}
 	d.sorted = false
 	d.denseStale = true
+	d.invalidateHash()
 	return nil
 }
 
@@ -127,7 +137,10 @@ func (d *Dictionary) ensureSorted() {
 }
 
 // SetEntry records the program entry point.
-func (d *Dictionary) SetEntry(pc Addr) { d.entryPoint = pc }
+func (d *Dictionary) SetEntry(pc Addr) {
+	d.entryPoint = pc
+	d.invalidateHash()
+}
 
 // Entry returns the program entry point.
 func (d *Dictionary) Entry() Addr { return d.entryPoint }
@@ -207,7 +220,27 @@ func (d *Dictionary) Lines(lineSize int) []Addr {
 // streamed run can verify that the image it regenerated from (profile,
 // seed) is the one the trace was captured against, instead of silently
 // driving the wrong program.
+//
+// The first call computes it; later calls return the memoised value until
+// AddBlock or SetEntry changes the image. Concurrent callers are safe.
 func (d *Dictionary) Hash() uint64 {
+	d.hashMu.Lock()
+	defer d.hashMu.Unlock()
+	if !d.hashValid {
+		d.hash = d.computeHash()
+		d.hashValid = true
+	}
+	return d.hash
+}
+
+func (d *Dictionary) invalidateHash() {
+	d.hashMu.Lock()
+	d.hashValid = false
+	d.hashMu.Unlock()
+}
+
+// computeHash walks the image for Hash.
+func (d *Dictionary) computeHash() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	put := func(v uint64) {

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -310,5 +311,79 @@ func TestDictionaryNextPC(t *testing.T) {
 	}
 	if _, ok := d.NextPC(0xdead, false, 0); ok {
 		t.Errorf("NextPC on unknown PC should report !ok")
+	}
+}
+
+// hashTestImage returns a sealed two-block image.
+func hashTestImage(t *testing.T) *Dictionary {
+	t.Helper()
+	d := NewDictionary()
+	for _, bb := range []*BasicBlock{
+		makeBlock(0x1000, 4, OpBranch, 0x2000),
+		makeBlock(0x2000, 3, OpJump, 0x1000),
+	} {
+		if err := d.AddBlock(bb); err != nil {
+			t.Fatalf("AddBlock: %v", err)
+		}
+	}
+	d.SetEntry(0x1000)
+	d.Seal()
+	return d
+}
+
+// TestDictionaryHashMemo: the memoised Hash must equal a fresh walk of the
+// image, and every mutation after Seal must drop the memo.
+func TestDictionaryHashMemo(t *testing.T) {
+	d := hashTestImage(t)
+	first := d.Hash()
+	if first != d.computeHash() {
+		t.Fatalf("memoised hash %#x differs from a fresh recomputation %#x", first, d.computeHash())
+	}
+	if d.Hash() != first {
+		t.Fatal("repeated Hash changed without a mutation")
+	}
+
+	if err := d.AddBlock(makeBlock(0x3000, 2, OpReturn, 0)); err != nil {
+		t.Fatalf("AddBlock: %v", err)
+	}
+	afterAdd := d.Hash()
+	if afterAdd == first {
+		t.Error("Hash did not change after a post-Seal AddBlock")
+	}
+	if afterAdd != d.computeHash() {
+		t.Errorf("hash after AddBlock %#x differs from a fresh recomputation %#x", afterAdd, d.computeHash())
+	}
+
+	d.SetEntry(0x2000)
+	afterEntry := d.Hash()
+	if afterEntry == afterAdd {
+		t.Error("Hash did not change after a post-Seal SetEntry")
+	}
+	if afterEntry != d.computeHash() {
+		t.Errorf("hash after SetEntry %#x differs from a fresh recomputation %#x", afterEntry, d.computeHash())
+	}
+}
+
+// TestDictionaryHashConcurrent has several goroutines ask a sealed image
+// for its first Hash at once, as parallel sweep workers do; run it under
+// -race.
+func TestDictionaryHashConcurrent(t *testing.T) {
+	d := hashTestImage(t)
+	want := d.computeHash()
+	const callers = 8
+	got := make([]uint64, callers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = d.Hash()
+		}(i)
+	}
+	wg.Wait()
+	for i, h := range got {
+		if h != want {
+			t.Errorf("caller %d: hash %#x, want %#x", i, h, want)
+		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"sync"
 )
 
 // Magic identifies a CLGP snapshot container ("CLGS" little-endian).
@@ -245,29 +246,40 @@ func (d *Decoder) Count(limit int) int {
 // castagnoliTable is the CRC32-C polynomial table (same as tracefile's).
 var castagnoliTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Seal frames meta + payload into a self-validating container:
+// scratch recycles Seal's payload encoders, so a run that snapshots many
+// engines grows one buffer per concurrent caller instead of one per snapshot.
+var scratch = sync.Pool{New: func() any { return new(Encoder) }}
+
+// Seal runs write against a reused scratch encoder to produce the payload,
+// then frames meta + payload into a self-validating container:
 //
 //	magic u32 | version u32 | metaLen u32 | meta | payloadLen u64 | payload | crc32c u32
 //
-// where the checksum covers every preceding byte.
-func Seal(m Meta, payload []byte) []byte {
-	var me Encoder
-	me.String(m.Workload)
-	me.U64(m.Fingerprint)
-	me.U64(m.WarmKey)
-	me.I64(m.TraceLen)
-	me.U64(m.Committed)
-	me.U64(m.Cycle)
+// where the checksum covers every preceding byte. The container is the only
+// allocation that outlives the call, and it is made once at its final size.
+// write must not retain the encoder.
+func Seal(m Meta, write func(*Encoder)) []byte {
+	pe := scratch.Get().(*Encoder)
+	pe.buf = pe.buf[:0]
+	write(pe)
+	payload := pe.buf
 
-	var e Encoder
+	metaLen := 4 + len(m.Workload) + 5*8
+	e := Encoder{buf: make([]byte, 0, 4+4+4+metaLen+8+len(payload)+4)}
 	e.U32(Magic)
 	e.U32(Version)
-	e.Raw(me.Bytes())
+	e.U32(uint32(metaLen))
+	e.String(m.Workload)
+	e.U64(m.Fingerprint)
+	e.U64(m.WarmKey)
+	e.I64(m.TraceLen)
+	e.U64(m.Committed)
+	e.U64(m.Cycle)
 	e.U64(uint64(len(payload)))
 	e.buf = append(e.buf, payload...)
-	sum := crc32.Checksum(e.buf, castagnoliTable)
-	e.U32(sum)
-	return e.Bytes()
+	scratch.Put(pe)
+	e.U32(crc32.Checksum(e.buf, castagnoliTable))
+	return e.buf
 }
 
 // Open validates the container framing and returns the meta and payload.

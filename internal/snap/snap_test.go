@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"testing"
 )
 
@@ -19,12 +20,17 @@ func testMeta() Meta {
 }
 
 func testContainer() []byte {
-	var e Encoder
-	e.Tag(0x54534554)
-	e.U64(42)
-	e.String("payload")
-	e.Bool(true)
-	return Seal(testMeta(), e.Bytes())
+	return Seal(testMeta(), func(e *Encoder) {
+		e.Tag(0x54534554)
+		e.U64(42)
+		e.String("payload")
+		e.Bool(true)
+	})
+}
+
+// sealPayload seals an already-encoded payload verbatim.
+func sealPayload(m Meta, payload []byte) []byte {
+	return Seal(m, func(e *Encoder) { e.buf = append(e.buf, payload...) })
 }
 
 func TestSealOpenRoundtrip(t *testing.T) {
@@ -52,6 +58,29 @@ func TestSealOpenRoundtrip(t *testing.T) {
 	}
 	if d.Remaining() != 0 {
 		t.Errorf("%d trailing payload bytes", d.Remaining())
+	}
+}
+
+// TestSealOneAllocation: once the scratch encoder has grown, Seal's only
+// allocation is the container, made at its final size. A sync.Pool may drop
+// the scratch encoder at a collection (and at random under the race
+// detector), so the count is the least of a few tries.
+func TestSealOneAllocation(t *testing.T) {
+	write := func(e *Encoder) {
+		for i := 0; i < 4096; i++ {
+			e.U64(uint64(i))
+		}
+	}
+	data := Seal(testMeta(), write)
+	if cap(data) != len(data) {
+		t.Errorf("container has length %d but capacity %d", len(data), cap(data))
+	}
+	least := math.Inf(1)
+	for try := 0; try < 10; try++ {
+		least = min(least, testing.AllocsPerRun(1, func() { Seal(testMeta(), write) }))
+	}
+	if least != 1 {
+		t.Errorf("Seal made %v allocations, want 1", least)
 	}
 }
 
@@ -188,7 +217,7 @@ func FuzzSnapshotOpen(f *testing.F) {
 			return
 		}
 		// A container Open accepts must re-seal to the identical bytes.
-		if got := Seal(m, payload); string(got) != string(data) {
+		if got := sealPayload(m, payload); string(got) != string(data) {
 			t.Errorf("accepted container does not round-trip: %d bytes in, %d out", len(data), len(got))
 		}
 	})

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -112,6 +113,38 @@ func TestFingerprintTracksWalkParameters(t *testing.T) {
 	}
 	if Fingerprint(p, dict) != Fingerprint(p, dict) {
 		t.Error("fingerprint is not deterministic")
+	}
+}
+
+// TestFingerprintRepeatIsCheap: a sweep asks for the fingerprint of one
+// sealed image once per job, so after the first call the image hash must
+// come from its memo: a repeated Fingerprint allocates under 1 KB (a full
+// image walk allocates about 20 KB).
+func TestFingerprintRepeatIsCheap(t *testing.T) {
+	p, err := ProfileByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := Generate(p, 1_000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Fingerprint(p, w.Dict)
+	// fmt's pooled print buffers are dropped by a collection that lands
+	// between calls, so the budget holds the cheapest of a few calls.
+	least := ^uint64(0)
+	for try := 0; try < 5; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got := Fingerprint(p, w.Dict)
+		runtime.ReadMemStats(&after)
+		if got != want {
+			t.Fatalf("repeated fingerprint %#x, first %#x", got, want)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least >= 1024 {
+		t.Errorf("repeated Fingerprint allocated %d bytes, want < 1024", least)
 	}
 }
 
