@@ -4,16 +4,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
 	"clgp/internal/cacti"
-	"clgp/internal/core"
 	"clgp/internal/dispatch"
-	"clgp/internal/stats"
+	"clgp/internal/figures"
 	"clgp/internal/telemetry"
-	"clgp/internal/workload"
 )
 
 // cmdWorker executes one shard of a sweep and exits. It is normally
@@ -93,10 +90,6 @@ func cmdFigures(args []string) error {
 	insts := fs.Int("insts", 200_000, "trace length in instructions per workload")
 	seed := fs.Int64("seed", 1, "workload generation seed (of the first replicate)")
 	seeds := fs.Int("seeds", 1, "replicate seeds per grid point (replicate r runs seed+r); >1 emits mean±CI series")
-	paperRef := fs.String("paper-ref", "", "diff emitted figures against this committed reference table (refs/paper_ref.json); writes a delta report and exits non-zero on out-of-band structural deltas")
-	writeRef := fs.String("write-ref", "", "capture a reference table from the emitted figures to this path (regenerating refs/paper_ref.json after a documented retune)")
-	refRelTol := fs.Float64("ref-rel-tol", 0.05, "relative tolerance per point when capturing with -write-ref")
-	refAbsTol := fs.Float64("ref-abs-tol", 0.005, "absolute tolerance floor per point when capturing with -write-ref")
 	techsFlag := fs.String("techs", "90", "comma-separated technology nodes (e.g. 90,45)")
 	profilesFlag := fs.String("profiles", "", "comma-separated profiles (empty = all 12)")
 	dir := fs.String("dir", "clgp-figures", "sweep checkpoint directory")
@@ -263,27 +256,16 @@ func cmdFigures(args []string) error {
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		return err
 	}
-	files, figures, err := emitFigures(outDir, outcome.Records, techs, *figL1)
+	figs, err := figures.Build(outcome.Records, techs, *figL1)
+	if err != nil {
+		return err
+	}
+	files, err := figures.Write(outDir, figs)
 	if err != nil {
 		return err
 	}
 	for _, f := range files {
 		fmt.Printf("wrote %s.{json,csv}\n", f)
-	}
-
-	if *writeRef != "" {
-		generator := fmt.Sprintf("clgpsim figures -insts %d -seed %d -seeds %d -profiles %s -techs %s -fig-l1 %d -write-ref %s",
-			*insts, *seed, *seeds, *profilesFlag, *techsFlag, *figL1, *writeRef)
-		if err := writeRefTable(*writeRef, files, figures, *refRelTol, *refAbsTol, generator); err != nil {
-			return err
-		}
-	}
-	// The fidelity gate runs last so a gate failure still leaves every
-	// figure and the delta report on disk for inspection.
-	if *paperRef != "" {
-		if err := diffPaperRef(*paperRef, outDir, figures); err != nil {
-			return err
-		}
 	}
 
 	if *traceOut != "" {
@@ -354,374 +336,4 @@ func reportProgress(st dispatch.Store, stallAfter time.Duration) error {
 	fmt.Printf("progress: %d/%d jobs done; shards: %d done, %d running, %d stalled, %d pending\n",
 		jobsDone, jobsTotal, counts["done"], counts["running"], counts["stalled"], counts["pending"])
 	return nil
-}
-
-// recKey indexes merged records by the grid dimensions the figures group on.
-// Replicates of one grid point share a key; they differ only in Spec.Rep.
-type recKey struct {
-	profile, tech, engine string
-	l0, ideal             bool
-	size                  int
-}
-
-// repIndex holds merged records regrouped by grid point, each point's
-// replicates in replicate order. reps is the grid's replicate count (1 on a
-// single-seed grid).
-type repIndex struct {
-	byKey map[recKey][]*stats.Results
-	reps  int
-}
-
-func indexRecords(recs []dispatch.RunRecord) *repIndex {
-	ix := &repIndex{byKey: make(map[recKey][]*stats.Results, len(recs)), reps: 1}
-	for _, rec := range recs {
-		if rec.Spec.Rep+1 > ix.reps {
-			ix.reps = rec.Spec.Rep + 1
-		}
-	}
-	for _, rec := range recs {
-		s := rec.Spec
-		k := recKey{s.Profile, s.Tech, s.Engine, s.UseL0, s.Ideal, s.L1Size}
-		rs := ix.byKey[k]
-		if rs == nil {
-			rs = make([]*stats.Results, ix.reps)
-		}
-		rs[s.Rep] = rec.Stats
-		ix.byKey[k] = rs
-	}
-	return ix
-}
-
-// replicated reports whether the grid carries more than one replicate seed.
-func (ix *repIndex) replicated() bool { return ix.reps > 1 }
-
-// vals evaluates a derived metric over one grid point's replicates, in
-// replicate order. It returns nil when the point (or any of its replicates)
-// is absent — the same all-or-nothing gating single-seed emission applies,
-// extended per replicate so a partial point never fakes a narrower CI.
-func (ix *repIndex) vals(k recKey, metric func(*stats.Results) float64) []float64 {
-	rs := ix.byKey[k]
-	if rs == nil {
-		return nil
-	}
-	out := make([]float64, len(rs))
-	for i, r := range rs {
-		if r == nil {
-			return nil
-		}
-		out[i] = metric(r)
-	}
-	return out
-}
-
-// hmeanVals evaluates, per replicate, the harmonic mean of a metric across
-// a set of grid points (one per profile — the paper's HMEAN bars). The mean
-// is taken within each replicate and the spread across replicates, so the
-// CI describes seed variance of the summary statistic itself. Nil unless
-// every point has every replicate.
-func (ix *repIndex) hmeanVals(keys []recKey, metric func(*stats.Results) float64) []float64 {
-	per := make([][]float64, len(keys))
-	for i, k := range keys {
-		v := ix.vals(k, metric)
-		if v == nil {
-			return nil
-		}
-		per[i] = v
-	}
-	out := make([]float64, ix.reps)
-	col := make([]float64, len(keys))
-	for rep := 0; rep < ix.reps; rep++ {
-		for i := range keys {
-			col[i] = per[i][rep]
-		}
-		out[rep] = stats.HarmonicMean(col)
-	}
-	return out
-}
-
-// addPoint appends one figure point from its replicate values: a single-seed
-// grid adds the plain value (keeping emission byte-compatible with the
-// pre-replication format), a replicated one folds the values — in replicate
-// order, for bit-reproducible aggregates — into mean plus N/stddev/CI95.
-func addPoint(s *stats.Series, x float64, vals []float64, replicated bool) {
-	if !replicated {
-		s.Add(x, vals[0])
-		return
-	}
-	var w stats.Welford
-	for _, v := range vals {
-		w.Add(v)
-	}
-	s.AddStat(x, w)
-}
-
-// techTag renders a node as a filename-friendly tag ("90nm").
-func techTag(t cacti.Tech) string {
-	e, err := cacti.RoadmapFor(t)
-	if err != nil {
-		return strings.ReplaceAll(t.String(), ".", "")
-	}
-	return fmt.Sprintf("%dnm", e.FeatureNM)
-}
-
-// engineVariants are the per-benchmark figure columns, in legend order.
-var engineVariants = []struct {
-	label  string
-	engine core.EngineKind
-	l0     bool
-}{
-	{"none", core.EngineNone, false},
-	{"nextn", core.EngineNextN, false},
-	{"nextn+l0", core.EngineNextN, true},
-	{"fdp", core.EngineFDP, false},
-	{"fdp+l0", core.EngineFDP, true},
-	{"clgp", core.EngineCLGP, false},
-	{"clgp+l0", core.EngineCLGP, true},
-}
-
-// emitFigures assembles the paper's figure series from the merged records
-// and writes one JSON + CSV pair per figure and node. On a replicated grid
-// every point is a replicate mean with N/stddev/CI95 columns; single-seed
-// emission is byte-identical to the pre-replication format. It returns the
-// file bases written plus the sets keyed by figure name, which is what the
-// paper-reference differ consumes.
-func emitFigures(outDir string, recs []dispatch.RunRecord, techs []cacti.Tech, figL1 int) ([]string, map[string]*stats.SeriesSet, error) {
-	ix := indexRecords(recs)
-	profiles := profilesIn(recs)
-	sizes := sizesIn(recs)
-	onGrid := false
-	for _, size := range sizes {
-		if size == figL1 {
-			onGrid = true
-			break
-		}
-	}
-	if !onGrid {
-		return nil, nil, fmt.Errorf("-fig-l1 %d is not in the swept L1 sizes %v; figures 6/7/8 would be empty", figL1, sizes)
-	}
-	ipc := func(r *stats.Results) float64 { return r.IPC() }
-	var written []string
-	figures := make(map[string]*stats.SeriesSet)
-	write := func(name string, ss *stats.SeriesSet) error {
-		base := filepath.Join(outDir, name)
-		if err := ss.WriteFiles(base); err != nil {
-			return err
-		}
-		written = append(written, base)
-		figures[name] = ss
-		return nil
-	}
-
-	for _, tech := range techs {
-		techStr := tech.String()
-		tag := techTag(tech)
-
-		// Figure 1: the motivating latency/capacity trade-off — harmonic-mean
-		// IPC of the no-prefetch baseline vs an ideal one-cycle I-cache,
-		// over the L1 sweep. The HMEAN is taken within each replicate and
-		// the spread across replicates.
-		fig1 := &stats.SeriesSet{
-			Title:  fmt.Sprintf("Figure 1 — IPC vs L1I size, baseline vs ideal (%s)", techStr),
-			XLabel: "L1I", YLabel: "HMEAN IPC",
-		}
-		for _, size := range sizes {
-			baseKeys := make([]recKey, len(profiles))
-			idealKeys := make([]recKey, len(profiles))
-			for i, prof := range profiles {
-				baseKeys[i] = recKey{prof, techStr, "none", false, false, size}
-				idealKeys[i] = recKey{prof, techStr, "none", false, true, size}
-			}
-			if vals := ix.hmeanVals(baseKeys, ipc); vals != nil {
-				addPoint(fig1.Ensure("baseline"), float64(size), vals, ix.replicated())
-			}
-			if vals := ix.hmeanVals(idealKeys, ipc); vals != nil {
-				addPoint(fig1.Ensure("ideal"), float64(size), vals, ix.replicated())
-			}
-		}
-		if err := write("figure1_ipc_vs_l1_"+tag, fig1); err != nil {
-			return nil, nil, err
-		}
-
-		// Figure 6: per-benchmark IPC of every engine variant at the
-		// representative L1 size, with the HMEAN bar the paper appends.
-		fig6 := &stats.SeriesSet{
-			Title: fmt.Sprintf("Figure 6 — per-benchmark IPC @ L1=%s (%s)",
-				stats.FormatBytes(float64(figL1)), techStr),
-			XLabel: "benchmark", YLabel: "IPC",
-			Labels: append(append([]string{}, profiles...), "HMEAN"),
-		}
-		for _, v := range engineVariants {
-			keys := make([]recKey, len(profiles))
-			complete := true
-			for pi, prof := range profiles {
-				k := recKey{prof, techStr, v.engine.String(), v.l0, false, figL1}
-				keys[pi] = k
-				vals := ix.vals(k, ipc)
-				if vals == nil {
-					complete = false
-					continue
-				}
-				addPoint(fig6.Ensure(v.label), float64(pi), vals, ix.replicated())
-			}
-			if complete {
-				if vals := ix.hmeanVals(keys, ipc); vals != nil {
-					addPoint(fig6.Ensure(v.label), float64(len(profiles)), vals, ix.replicated())
-				}
-			}
-		}
-		if err := write("figure6_ipc_"+tag, fig6); err != nil {
-			return nil, nil, err
-		}
-
-		// Figures 7 and 8: where fetches and prefetches are served from, for
-		// the full CLGP configuration (prestage buffer + L0), per benchmark.
-		// Fractions are computed per replicate and averaged, never derived
-		// from summed counters.
-		fig7 := &stats.SeriesSet{
-			Title: fmt.Sprintf("Figure 7 — fetch sources, clgp+l0 @ L1=%s (%s)",
-				stats.FormatBytes(float64(figL1)), techStr),
-			XLabel: "benchmark", YLabel: "fraction of fetches",
-			Labels: append([]string{}, profiles...),
-		}
-		fig8 := &stats.SeriesSet{
-			Title: fmt.Sprintf("Figure 8 — prefetch sources, clgp+l0 @ L1=%s (%s)",
-				stats.FormatBytes(float64(figL1)), techStr),
-			XLabel: "benchmark", YLabel: "fraction of prefetches",
-			Labels: append([]string{}, profiles...),
-		}
-		for pi, prof := range profiles {
-			k := recKey{prof, techStr, "clgp", true, false, figL1}
-			if ix.byKey[k] == nil {
-				continue
-			}
-			for src := stats.Source(0); src < stats.NumSources; src++ {
-				src := src
-				fetch := ix.vals(k, func(r *stats.Results) float64 { return r.FetchSources.Fractions()[src] })
-				pref := ix.vals(k, func(r *stats.Results) float64 { return r.PrefetchSources.Fractions()[src] })
-				if fetch != nil {
-					addPoint(fig7.Ensure(src.String()), float64(pi), fetch, ix.replicated())
-				}
-				if pref != nil {
-					addPoint(fig8.Ensure(src.String()), float64(pi), pref, ix.replicated())
-				}
-			}
-		}
-		if err := write("figure7_fetch_sources_"+tag, fig7); err != nil {
-			return nil, nil, err
-		}
-		if err := write("figure8_prefetch_sources_"+tag, fig8); err != nil {
-			return nil, nil, err
-		}
-
-		// Cycle breakdown: where every cycle of every grid point at the
-		// representative L1 size went — one series per (variant, leading
-		// cause) pair, as fractions of that run's total cycles. This is the
-		// causal companion to Figure 6: it says *why* a variant's IPC moved,
-		// not just that it did.
-		figCyc := &stats.SeriesSet{
-			Title: fmt.Sprintf("Cycle breakdown — leading-cause shares per benchmark @ L1=%s (%s)",
-				stats.FormatBytes(float64(figL1)), techStr),
-			XLabel: "benchmark", YLabel: "fraction of cycles",
-			Labels: append([]string{}, profiles...),
-		}
-		for _, v := range engineVariants {
-			for pi, prof := range profiles {
-				k := recKey{prof, techStr, v.engine.String(), v.l0, false, figL1}
-				if ix.byKey[k] == nil {
-					continue
-				}
-				for c := stats.CycleCause(0); c < stats.NumCycleCauses; c++ {
-					c := c
-					vals := ix.vals(k, func(r *stats.Results) float64 { return r.CycleAccounts.Fraction(c) })
-					if vals != nil {
-						addPoint(figCyc.Ensure(v.label+"/"+c.String()), float64(pi), vals, ix.replicated())
-					}
-				}
-			}
-		}
-		if err := write("cycle_breakdown_"+tag, figCyc); err != nil {
-			return nil, nil, err
-		}
-	}
-	return written, figures, nil
-}
-
-// writeRefTable captures a paper-reference table from the emitted figures.
-// Every emitted point becomes an expected value with the given tolerances
-// and every series is structural; hand-editing the committed table afterwards
-// (loosening a band, demoting a series to advisory) is expected and
-// diff-reviewable.
-func writeRefTable(path string, files []string, figures map[string]*stats.SeriesSet, relTol, absTol float64, generator string) error {
-	// files carry outDir-joined bases; the table keys on bare figure names.
-	names := make([]string, len(files))
-	for i, f := range files {
-		names[i] = filepath.Base(f)
-	}
-	table, err := stats.RefTableFromFigures(names, figures, relTol, absTol, "conf_ipps_FalconRV05 harness capture", generator)
-	if err != nil {
-		return err
-	}
-	data, err := table.JSON()
-	if err != nil {
-		return err
-	}
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%d figures)\n", path, len(table.Figures))
-	return nil
-}
-
-// diffPaperRef loads the committed reference table, diffs the emitted
-// figures against it, writes the delta report next to the figures and
-// returns the gate verdict — non-nil (a non-zero exit) when structural
-// deltas fall outside their tolerance bands.
-func diffPaperRef(refPath, outDir string, figures map[string]*stats.SeriesSet) error {
-	table, err := stats.LoadRefTable(refPath)
-	if err != nil {
-		return err
-	}
-	report := stats.DiffRef(table, figures)
-	base := filepath.Join(outDir, "paper_ref_delta")
-	if err := report.WriteFiles(base); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s.{json,csv}\n", base)
-	fmt.Println(report.Summary())
-	return report.Gate()
-}
-
-// profilesIn returns the distinct profiles of the records, in paper order.
-func profilesIn(recs []dispatch.RunRecord) []string {
-	present := make(map[string]bool)
-	for _, rec := range recs {
-		present[rec.Spec.Profile] = true
-	}
-	var out []string
-	for _, name := range workload.ProfileNames() {
-		if present[name] {
-			out = append(out, name)
-		}
-	}
-	return out
-}
-
-// sizesIn returns the distinct L1 sizes of the records, ascending.
-func sizesIn(recs []dispatch.RunRecord) []int {
-	present := make(map[int]bool)
-	for _, rec := range recs {
-		present[rec.Spec.L1Size] = true
-	}
-	var out []int
-	for _, size := range cacti.L1Sizes() {
-		if present[size] {
-			out = append(out, size)
-		}
-	}
-	return out
 }

@@ -7,7 +7,7 @@
 //	clgpsim run     [-profile gcc] [-insts 200000] [-engine clgp] [-tech 90] [-l1 2048] [-l0] [-pb 0] [-tracefile F -window N] [-no-skip] [-warmup N -snapshot-dir D] [-cpuprofile F] [-memprofile F] [-runtime-trace F]
 //	clgpsim sweep   [-profile gcc] [-insts 200000] [-seed 1] [-seeds N] [-tech 90] [-l0] [-workers 0] [-cpuprofile F] [-memprofile F]
 //	clgpsim bench   [-core-json F] [-gate PARENT_BINARY]
-//	clgpsim figures [-insts 200000] [-seeds N] [-techs 90,45] [-profiles ...] [-dir clgp-figures] [-shards 0] [-exec] [-resume] [-store URL] [-ssh h1,h2] [-retries 1] [-warmup N] [-paper-ref refs/paper_ref.json] [-write-ref F] [-progress] [-stall-after D] [-trace-out F] [-metrics-addr A [-metrics-addr-file F]]
+//	clgpsim figures [-insts 200000] [-seeds N] [-techs 90,45] [-profiles ...] [-dir clgp-figures] [-shards 0] [-exec] [-resume] [-store URL] [-ssh h1,h2] [-retries 1] [-warmup N] [-progress] [-stall-after D] [-trace-out F] [-metrics-addr A [-metrics-addr-file F]]
 //	clgpsim worker  -store LOC -shard N [-workers 0] [-metrics-addr A [-metrics-addr-file F]] [-span-parent ID] [-runtime-trace F]
 //	clgpsim store   serve [-dir clgp-store] [-addr 127.0.0.1:8420] [-addr-file F]
 //	clgpsim trace   record|info|slice ...
@@ -29,6 +29,7 @@ import (
 	"clgp/internal/cacti"
 	"clgp/internal/core"
 	"clgp/internal/dispatch"
+	"clgp/internal/figures"
 	"clgp/internal/sim"
 	"clgp/internal/stats"
 	"clgp/internal/trace"
@@ -357,18 +358,10 @@ func cmdSweep(args []string) error {
 		}
 	}
 
-	ix := indexRecords(outcome.Records)
-	title := fmt.Sprintf("IPC vs L1 size — %s @ %v", p.Name, tn)
-	if ix.replicated() {
-		title += fmt.Sprintf(" (%d seeds)", ix.reps)
-	}
-	set := stats.SeriesSet{Title: title, XLabel: "L1I", YLabel: "IPC"}
-	ipc := func(r *stats.Results) float64 { return r.IPC() }
-	for _, s := range specs {
-		if s.Rep == 0 {
-			k := recKey{s.Profile, s.Tech, s.Engine, s.UseL0, s.Ideal, s.L1Size}
-			addPoint(set.Ensure(s.Engine), float64(s.L1Size), ix.vals(k, ipc), ix.replicated())
-		}
+	set, reps := figures.IPCByL1(specs, outcome.Records)
+	set.Title = fmt.Sprintf("IPC vs L1 size — %s @ %v", p.Name, tn)
+	if reps > 1 {
+		set.Title += fmt.Sprintf(" (%d seeds)", reps)
 	}
 	fmt.Println(set.Title)
 	fmt.Print(set.Table(stats.FormatBytes))

@@ -212,4 +212,56 @@ func (h *Hierarchy) LoadState(d *snap.Decoder, s *ReqSet) {
 	h.l2IMisses = d.U64()
 	h.memIAccesses = d.U64()
 	h.busConflictCycles = d.U64()
+	h.checkSlots(d)
+}
+
+// checkSlots rejects slot bookkeeping that enqueueBus, Tick and
+// untrackPrefetch cannot produce: every slot is live or on the free list,
+// exactly once, and pfPending lists each waiting prefetch at the index its
+// pfIdx records. Such state would later index out of range, or hand one tag
+// to two requests.
+func (h *Hierarchy) checkSlots(d *snap.Decoder) {
+	if d.Err() != nil {
+		return
+	}
+	free := make([]bool, len(h.slots))
+	for _, tag := range h.freeSlots {
+		switch {
+		case int(tag) >= len(h.slots):
+			d.Failf("memory: free slot tag %d outside a slot table of %d", tag, len(h.slots))
+		case h.slots[tag] != nil:
+			d.Failf("memory: free slot tag %d names a live request", tag)
+		case free[tag]:
+			d.Failf("memory: free slot tag %d listed twice", tag)
+		default:
+			free[tag] = true
+			continue
+		}
+		return
+	}
+	for i, tag := range h.pfPending {
+		switch {
+		case int(tag) >= len(h.slots):
+			d.Failf("memory: pending prefetch tag %d outside a slot table of %d", tag, len(h.slots))
+		case h.slots[tag] == nil || h.slots[tag].Kind != KindIPrefetch:
+			d.Failf("memory: pending prefetch tag %d names no waiting prefetch", tag)
+		case h.slots[tag].pfIdx != int32(i):
+			d.Failf("memory: pending prefetch %d (tag %d) records index %d", i, tag, h.slots[tag].pfIdx)
+		default:
+			continue
+		}
+		return
+	}
+	for tag, r := range h.slots {
+		switch {
+		case r == nil && !free[tag]:
+			d.Failf("memory: empty slot %d missing from the free list", tag)
+		case r != nil && r.Kind == KindIPrefetch &&
+			(r.pfIdx < 0 || int(r.pfIdx) >= len(h.pfPending) || h.pfPending[r.pfIdx] != uint32(tag)):
+			d.Failf("memory: waiting prefetch in slot %d not pending at its index %d", tag, r.pfIdx)
+		default:
+			continue
+		}
+		return
+	}
 }
