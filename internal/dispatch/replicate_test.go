@@ -1,7 +1,6 @@
 package dispatch
 
 import (
-	"math/rand"
 	"os"
 	"reflect"
 	"strconv"
@@ -174,77 +173,6 @@ func TestGridRejectsTraceFileReplication(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("a shared trace file records one seed; a replicated grid over it must be rejected")
-	}
-}
-
-// fakeReplicateRecords builds records for a replicated grid with synthetic
-// per-seed stats, so grouping and folding can be checked without simulating.
-func fakeReplicateRecords(t *testing.T) []RunRecord {
-	specs := replicatedGrid(t, 3)
-	recs := make([]RunRecord, len(specs))
-	for i, s := range specs {
-		recs[i] = RunRecord{
-			Job: s.Name(), Spec: s,
-			Stats: &stats.Results{
-				Name:      s.Name(),
-				Cycles:    uint64(10_000 + 137*s.Seed + int64(s.L1Size)),
-				Committed: 6_000,
-			},
-		}
-	}
-	return recs
-}
-
-// TestGroupReplicatesReorderInvariant extends the Summarise reorder-test
-// pattern to replicate aggregation: whatever order records arrive in (shard
-// completion order is nondeterministic), the groups — and any Welford
-// aggregate folded from them — must be bit-identical, because the fold
-// happens in sorted replicate order, never arrival order.
-func TestGroupReplicatesReorderInvariant(t *testing.T) {
-	recs := fakeReplicateRecords(t)
-	want, err := GroupReplicates(recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) != len(recs)/3 {
-		t.Fatalf("%d groups from %d records, want %d", len(want), len(recs), len(recs)/3)
-	}
-	ipc := func(r *stats.Results) float64 { return r.IPC() }
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 10; trial++ {
-		shuffled := append([]RunRecord(nil), recs...)
-		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		got, err := GroupReplicates(shuffled)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: groups differ under reordering", trial)
-		}
-		for gi := range got {
-			if got[gi].Fold(ipc) != want[gi].Fold(ipc) {
-				t.Fatalf("trial %d: point %s aggregate differs bitwise under reordering", trial, got[gi].Point)
-			}
-			if got[gi].Reps() != 3 {
-				t.Fatalf("point %s has %d successful replicates, want 3", got[gi].Point, got[gi].Reps())
-			}
-		}
-	}
-}
-
-func TestGroupReplicatesRejectsDuplicates(t *testing.T) {
-	recs := fakeReplicateRecords(t)
-	// Find another replicate of record 0's grid point and demote it to
-	// replicate 0 too: two records now claim one (point, replicate).
-	point := recs[0].Spec.PointName()
-	for i := 1; i < len(recs); i++ {
-		if recs[i].Spec.PointName() == point {
-			recs[i].Spec.Rep = recs[0].Spec.Rep
-			break
-		}
-	}
-	if _, err := GroupReplicates(recs); err == nil {
-		t.Fatal("duplicate (point, replicate) must be rejected as a corrupt merge")
 	}
 }
 

@@ -109,7 +109,8 @@ func (s *ReqSet) Save(e *snap.Encoder) {
 }
 
 // Load rebuilds the table from a stream written by Save, allocating one
-// fresh Request per entry.
+// fresh Request per entry. A Kind or Source byte outside its enumeration
+// fails the decoder: restored requests index per-source tables.
 func (s *ReqSet) Load(d *snap.Decoder) {
 	d.Tag(reqStateTag)
 	n := d.Count(maxLiveRequests)
@@ -127,6 +128,12 @@ func (s *ReqSet) Load(d *snap.Decoder) {
 			readyAt:   d.U64(),
 			issuedAt:  d.U64(),
 			pfIdx:     int32(d.I64()),
+		}
+		if r.Kind > KindData {
+			d.Failf("request %d has kind %d", i+1, r.Kind)
+		}
+		if r.Source >= stats.NumSources {
+			d.Failf("request %d has source %d of %d", i+1, r.Source, stats.NumSources)
 		}
 		s.list = append(s.list, r)
 		s.ids[r] = uint32(len(s.list))

@@ -8,6 +8,7 @@ import (
 
 	"clgp/internal/isa"
 	"clgp/internal/snap"
+	"clgp/internal/stats"
 )
 
 // slotState builds a hierarchy whose slot bookkeeping has been through
@@ -100,6 +101,71 @@ func TestLoadStateRejectsImpossibleSlots(t *testing.T) {
 		h := slotState(t)
 		tc.mutate(h)
 		_, err := loadHierarchy(saveHierarchy(h))
+		if !errors.Is(err, snap.ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want ErrCorrupt naming %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// Offsets into a saved request table: the section tag and the entry count,
+// then reqBytes per request (line u64, kind u8, source u8, four bools,
+// readyAt u64, issuedAt u64, pfIdx i64).
+const (
+	reqsOff      = 4 + 8
+	reqBytes     = 8 + 1 + 1 + 4 + 3*8
+	reqKindOff   = 8
+	reqSourceOff = 9
+)
+
+// TestReqSetLoadRejectsImpossibleBytes: a restored request's Kind and
+// Source index per-kind and per-source tables later in the run (a Source
+// >= NumSources panics in stats.Distribution.Add), so a byte outside either
+// enumeration must fail the restore with ErrCorrupt. Each case edits one
+// byte of a sealed payload and re-seals it with a valid checksum, so only
+// Load's own checks stand between the edit and the hierarchy.
+func TestReqSetLoadRejectsImpossibleBytes(t *testing.T) {
+	sealed := snap.Seal(snap.Meta{Workload: "memory-test"}, func(e *snap.Encoder) {
+		h := slotState(t)
+		s := NewReqSet()
+		h.AddLiveRequests(s)
+		s.Save(e)
+		h.SaveState(e, s)
+	})
+	meta, payload, err := snap.Open(sealed)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	resealed := func(at int, v byte) []byte {
+		t.Helper()
+		edited := append([]byte(nil), payload...)
+		edited[at] = v
+		_, back, err := snap.Open(snap.Seal(meta, func(e *snap.Encoder) {
+			for _, b := range edited {
+				e.U8(b)
+			}
+		}))
+		if err != nil {
+			t.Fatalf("re-sealed payload rejected by Open: %v", err)
+		}
+		return back
+	}
+	req := func(i, off int) int { return reqsOff + i*reqBytes + off }
+
+	if _, err := loadHierarchy(resealed(req(0, reqKindOff), byte(KindData))); err != nil {
+		t.Fatalf("unedited re-sealed state rejected: %v", err)
+	}
+	cases := []struct {
+		name, want string
+		at         int
+		v          byte
+	}{
+		{"kind past KindData", "request 1 has kind 3", req(0, reqKindOff), byte(KindData + 1)},
+		{"kind 255", "request 2 has kind 255", req(1, reqKindOff), 255},
+		{"source NumSources", "request 1 has source 5 of 5", req(0, reqSourceOff), byte(stats.NumSources)},
+		{"source 255", "request 4 has source 255", req(3, reqSourceOff), 255},
+	}
+	for _, tc := range cases {
+		_, err := loadHierarchy(resealed(tc.at, tc.v))
 		if !errors.Is(err, snap.ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: got %v, want ErrCorrupt naming %q", tc.name, err, tc.want)
 		}

@@ -14,12 +14,14 @@ func benchRecords(b *testing.B) []trace.Record {
 	return testRecords(b, 100_000, 13)
 }
 
+// BenchmarkEncode writes its 100K records in 8192-record chunks, so one
+// container spans 13 chunks and the concurrent chunk compression shows.
 func BenchmarkEncode(b *testing.B) {
 	recs := benchRecords(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w, err := NewWriter(io.Discard, Options{Workload: "gcc"})
+		w, err := NewWriter(io.Discard, Options{Workload: "gcc", ChunkRecords: 8192})
 		if err != nil {
 			b.Fatal(err)
 		}
