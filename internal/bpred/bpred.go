@@ -16,6 +16,7 @@ package bpred
 import (
 	"fmt"
 
+	"clgp/internal/freelist"
 	"clgp/internal/isa"
 )
 
@@ -238,7 +239,11 @@ type Predictor struct {
 	trainings   uint64
 }
 
-// New creates a predictor from cfg.
+// tables recycles the stream tables of released predictors.
+var tables freelist.Tables[entry]
+
+// New creates a predictor from cfg. Its stream tables come zeroed, from
+// released predictors when there are any.
 func New(cfg Config) (*Predictor, error) {
 	cfg, err := cfg.normalise()
 	if err != nil {
@@ -246,10 +251,21 @@ func New(cfg Config) (*Predictor, error) {
 	}
 	return &Predictor{
 		cfg:    cfg,
-		first:  make([]entry, cfg.FirstLevelEntries),
-		second: make([]entry, cfg.SecondLevelEntries),
+		first:  tables.Get(cfg.FirstLevelEntries),
+		second: tables.Get(cfg.SecondLevelEntries),
 		ras:    NewRAS(cfg.RASEntries),
 	}, nil
+}
+
+// Release hands the stream tables back for the next predictor to reuse and
+// drops the predictor's references to them, so a later Predict or Train
+// panics instead of reading another predictor's table. Releasing twice is a
+// no-op. A predictor that is never released keeps its tables until the
+// collector takes them.
+func (p *Predictor) Release() {
+	tables.Put(p.first)
+	tables.Put(p.second)
+	p.first, p.second = nil, nil
 }
 
 // MustNew is New but panics on configuration errors.

@@ -399,3 +399,42 @@ func TestRASDepthBoundedProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestReleaseRecyclesZeroedTables: a predictor released after training hands
+// its stream tables to the next predictor of the same size, which predicts
+// as a cold one does; a second release is a no-op, so the tables go to one
+// predictor only.
+func TestReleaseRecyclesZeroedTables(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.FirstLevelEntries, cfg.SecondLevelEntries = 96, 160 // sizes no other test releases
+	p := MustNew(cfg)
+	for pc := isa.Addr(0x1000); pc < 0x3000; pc += 0x40 {
+		p.Train(Stream{Start: pc, NumInsts: 5, Next: pc + 0x40, End: EndJump})
+	}
+	if got := p.Predict(0x1000); !got.Hit {
+		t.Fatal("trained predictor misses")
+	}
+	first, second := &p.first[0], &p.second[0]
+	p.Release()
+	p.Release()
+	if p.first != nil || p.second != nil {
+		t.Fatal("Release left the predictor's tables in place")
+	}
+	a, b := MustNew(cfg), MustNew(cfg)
+	if &a.first[0] != first || &a.second[0] != second {
+		t.Fatal("the next predictor of the same size did not reuse the released tables")
+	}
+	if &b.first[0] == first || &b.second[0] == second {
+		t.Fatal("a double release handed one table to two predictors")
+	}
+	for _, tab := range [][]entry{a.first, a.second} {
+		for i, e := range tab {
+			if e != (entry{}) {
+				t.Fatalf("recycled entry %d not zeroed: %+v", i, e)
+			}
+		}
+	}
+	if got := a.Predict(0x1000); got.Hit {
+		t.Fatal("a predictor on recycled tables does not start cold")
+	}
+}

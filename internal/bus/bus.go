@@ -177,6 +177,18 @@ func (a *Arbiter) Flush(r Requester) int {
 	return n
 }
 
+// Queued appends every queued request to dst, class by class in priority
+// order and FIFO within a class, and returns the extended slice.
+func (a *Arbiter) Queued(dst []Request) []Request {
+	for cls := range a.queues {
+		q := &a.queues[cls]
+		for i := 0; i < q.n; i++ {
+			dst = append(dst, q.buf[(q.head+i)%len(q.buf)])
+		}
+	}
+	return dst
+}
+
 // Grants returns the total number of granted requests.
 func (a *Arbiter) Grants() uint64 { return a.grants }
 

@@ -11,6 +11,7 @@ package cache
 import (
 	"fmt"
 
+	"clgp/internal/freelist"
 	"clgp/internal/isa"
 )
 
@@ -87,14 +88,27 @@ type Cache struct {
 	misses   uint64
 }
 
-// New creates a cache from cfg.
+// tables recycles the way arrays of released caches.
+var tables freelist.Tables[way]
+
+// New creates a cache from cfg. Its ways come zeroed, from released caches
+// when there are any.
 func New(cfg Config) (*Cache, error) {
 	cfg, err := cfg.normalise()
 	if err != nil {
 		return nil, err
 	}
 	numSets := cfg.SizeBytes / cfg.LineBytes / cfg.Assoc
-	return &Cache{cfg: cfg, ways: make([]way, numSets*cfg.Assoc), numSets: numSets}, nil
+	return &Cache{cfg: cfg, ways: tables.Get(numSets * cfg.Assoc), numSets: numSets}, nil
+}
+
+// Release hands the ways back for the next cache to reuse and drops the
+// cache's reference to them, so a later access panics instead of reading
+// another cache's ways. Releasing twice is a no-op. A cache that is never
+// released keeps its ways until the collector takes them.
+func (c *Cache) Release() {
+	tables.Put(c.ways)
+	c.ways = nil
 }
 
 // MustNew is New but panics on configuration errors; intended for tests and

@@ -339,3 +339,39 @@ func TestInclusionOfSmallerCache(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestReleaseRecyclesZeroedWays: a cache released full of lines hands its
+// ways to the next cache of the same geometry, which starts empty; a second
+// release of the same cache is a no-op, so the ways go to one cache only.
+func TestReleaseRecyclesZeroedWays(t *testing.T) {
+	const size = 3 * 4 * 64 // a geometry no other test releases
+	c := smallCache(t, size, 64, 4, 1)
+	for i := 0; i < 64; i++ {
+		c.Lookup(isa.Addr(i * 64))
+		c.Insert(isa.Addr(i * 64))
+	}
+	if c.ResidentCount() != c.Lines() {
+		t.Fatalf("warm cache holds %d of %d lines", c.ResidentCount(), c.Lines())
+	}
+	dirty := &c.ways[0]
+	c.Release()
+	c.Release()
+	if c.ways != nil {
+		t.Fatal("Release left the cache's ways in place")
+	}
+	a, b := smallCache(t, size, 64, 4, 1), smallCache(t, size, 64, 4, 1)
+	if &a.ways[0] != dirty {
+		t.Fatal("the next cache of the same geometry did not reuse the released ways")
+	}
+	if &b.ways[0] == dirty {
+		t.Fatal("a double release handed one way array to two caches")
+	}
+	for i, w := range a.ways {
+		if w != (way{}) {
+			t.Fatalf("recycled way %d not zeroed: %+v", i, w)
+		}
+	}
+	if a.Lookup(0) || a.Accesses() != 1 || a.Misses() != 1 {
+		t.Fatal("a cache on recycled ways does not start cold")
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"clgp/internal/bpred"
@@ -231,6 +232,27 @@ func MustNewEngine(cfg Config, dict *isa.Dictionary, tr TraceSource) *Engine {
 		panic(err)
 	}
 	return e
+}
+
+// errReleased is the error of an engine used after Release.
+var errReleased = errors.New("core: engine used after Release")
+
+// Release hands the engine's largest tables — the stream predictor's entries
+// and the ways of every cache in the hierarchy — back for the next engine to
+// reuse, and drops the engine's references to them. Call it once the
+// engine's results are built and it will not be stepped, snapshotted or
+// restored again: afterwards Step does nothing, Run and Snapshot fail with
+// an error, and the released tables can no longer be reached through the
+// engine. Results, counters and Err stay readable. Releasing twice is a
+// no-op. An engine that is never released keeps its tables until the
+// collector takes them.
+func (e *Engine) Release() {
+	e.pred.Release()
+	e.mem.ReleaseCaches()
+	e.done = true
+	if e.err == nil {
+		e.err = errReleased
+	}
 }
 
 // buildPrefetchEngine instantiates the configured instruction-delivery

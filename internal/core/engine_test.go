@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"clgp/internal/cacti"
@@ -119,5 +120,63 @@ func TestEngineMaxInsts(t *testing.T) {
 	r := runConfig(t, cfg, w)
 	if r.Committed < 10_000 || r.Committed > 10_000+8 {
 		t.Errorf("committed %d, want ~10000 (MaxInsts)", r.Committed)
+	}
+}
+
+// TestIdealIgnoresL1Size: with an ideal I-cache every fetch is a one-cycle
+// hit whatever the L1's size, so the runs at 256 B, 2 KB and 64 KB agree on
+// every result but L1Misses. That field still moves, because the ideal
+// fetch path looks the line up in, and fills, the sized L1 (for the miss
+// count alone), so one ideal run cannot stand in for every size's record.
+func TestIdealIgnoresL1Size(t *testing.T) {
+	w := icacheStressWorkload(t, 50_000, 2)
+	sizes := []int{256, 2 << 10, 64 << 10}
+	// gcc, 50K instructions, seed 2.
+	const wantCycles = 207_323
+	wantMisses := []uint64{8_110, 2_547, 681}
+	var first stats.Results
+	for i, size := range sizes {
+		r := runConfig(t, Config{Tech: cacti.Tech90, L1ISize: size, Engine: EngineNone, IdealICache: true}, w).WithoutTelemetry()
+		if r.Cycles != wantCycles || r.L1Misses != wantMisses[i] {
+			t.Errorf("L1 %d B: %d cycles, %d L1 misses; want %d, %d", size, r.Cycles, r.L1Misses, wantCycles, wantMisses[i])
+		}
+		r.Name, r.L1Misses = "", 0
+		if i == 0 {
+			first = r
+		} else if !reflect.DeepEqual(r, first) {
+			t.Errorf("ideal run at L1 %d B differs from the one at %d B beyond L1Misses:\n%+v\n%+v", size, sizes[0], r, first)
+		}
+	}
+}
+
+// TestReleasedEngineRefusesWork: once an engine has handed its tables back,
+// stepping, running, snapshotting and restoring it fail instead of touching
+// tables another engine may own, its results stay readable, and a second
+// release is a no-op.
+func TestReleasedEngineRefusesWork(t *testing.T) {
+	w := icacheStressWorkload(t, 4_000, 5)
+	eng := MustNewEngine(Config{Tech: cacti.Tech90, L1ISize: 2 << 10, Engine: EngineCLGP, UseL0: true}, w.Dict, w.Trace)
+	want, err := eng.Run()
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	eng.Release()
+	eng.Release()
+	if eng.Step() {
+		t.Error("a released engine stepped")
+	}
+	if _, err := eng.Run(); err == nil {
+		t.Error("a released engine ran")
+	}
+	if _, err := eng.Snapshot(w.Name, 0); err == nil {
+		t.Error("a released engine snapshotted")
+	}
+	fresh := MustNewEngine(eng.Config(), w.Dict, w.Trace)
+	fresh.Release()
+	if err := fresh.Restore(nil, w.Name, 0); err == nil {
+		t.Error("a released engine restored")
+	}
+	if got := eng.Results(); !reflect.DeepEqual(got.WithoutTelemetry(), want.WithoutTelemetry()) {
+		t.Error("results changed on release")
 	}
 }

@@ -299,6 +299,18 @@ func MustNew(cfg Config) *Hierarchy {
 	return h
 }
 
+// ReleaseCaches hands the ways of every cache in the hierarchy back for
+// reuse (see cache.Cache.Release). The hierarchy must not be accessed
+// afterwards; releasing twice is a no-op.
+func (h *Hierarchy) ReleaseCaches() {
+	if h.l0 != nil {
+		h.l0.Release()
+	}
+	h.l1i.Release()
+	h.l1d.Release()
+	h.l2.Release()
+}
+
 // Config returns the normalised configuration.
 func (h *Hierarchy) Config() Config { return h.cfg }
 
@@ -345,8 +357,16 @@ func (h *Hierarchy) Release(r *Request) {
 	h.reqFree = append(h.reqFree, r)
 }
 
-// enqueueBus registers a request that needs the L2 bus.
-func (h *Hierarchy) enqueueBus(r *Request, from bus.Requester, now uint64) {
+// busClass is the arbitration class each kind of request queues in.
+var busClass = [...]bus.Requester{
+	KindIFetch:    bus.ReqICache,
+	KindIPrefetch: bus.ReqPrefetch,
+	KindData:      bus.ReqDCache,
+}
+
+// enqueueBus registers a request that needs the L2 bus, in its kind's
+// arbitration class.
+func (h *Hierarchy) enqueueBus(r *Request, now uint64) {
 	var tag uint32
 	if n := len(h.freeSlots); n > 0 {
 		tag = h.freeSlots[n-1]
@@ -361,7 +381,7 @@ func (h *Hierarchy) enqueueBus(r *Request, from bus.Requester, now uint64) {
 		r.pfIdx = int32(len(h.pfPending))
 		h.pfPending = append(h.pfPending, tag)
 	}
-	h.arb.Enqueue(bus.Request{From: from, Tag: uint64(tag), Enqueued: now})
+	h.arb.Enqueue(bus.Request{From: busClass[r.Kind], Tag: uint64(tag), Enqueued: now})
 }
 
 // untrackPrefetch swap-removes a pending prefetch from the cancellation
@@ -433,7 +453,7 @@ func (h *Hierarchy) AccessIFetch(addr isa.Addr, now uint64, fillL1, fillL0 bool)
 	default:
 		// Miss in L0 and L1: go to the L2 over the bus.
 		r.Source = stats.SrcL2 // provisional; resolved at grant time
-		h.enqueueBus(r, bus.ReqICache, now)
+		h.enqueueBus(r, now)
 	}
 	return r
 }
@@ -453,7 +473,7 @@ func (h *Hierarchy) AccessIPrefetch(addr isa.Addr, now uint64) *Request {
 		return r
 	}
 	r.Source = stats.SrcL2 // provisional
-	h.enqueueBus(r, bus.ReqPrefetch, now)
+	h.enqueueBus(r, now)
 	return r
 }
 
@@ -475,7 +495,7 @@ func (h *Hierarchy) AccessData(addr isa.Addr, now uint64, isStore bool) *Request
 		return r
 	}
 	r.Source = stats.SrcL2 // provisional
-	h.enqueueBus(r, bus.ReqDCache, now)
+	h.enqueueBus(r, now)
 	return r
 }
 

@@ -224,14 +224,32 @@ func (h *Hierarchy) LoadState(d *snap.Decoder, s *ReqSet) {
 
 // checkSlots rejects slot bookkeeping that enqueueBus, Tick and
 // untrackPrefetch cannot produce: every slot is live or on the free list,
-// exactly once, and pfPending lists each waiting prefetch at the index its
-// pfIdx records. Such state would later index out of range, or hand one tag
-// to two requests.
+// exactly once; the bus queues hold exactly the live slots, each once and in
+// its kind's class; and pfPending lists each waiting prefetch at the index
+// its pfIdx records. Such state would later index out of range, hand one tag
+// to two requests, or leave a request waiting for a grant that never comes.
 func (h *Hierarchy) checkSlots(d *snap.Decoder) {
 	if d.Err() != nil {
 		return
 	}
 	free := make([]bool, len(h.slots))
+	queued := make([]bool, len(h.slots))
+	for _, q := range h.arb.Queued(nil) {
+		switch {
+		case q.Tag >= uint64(len(h.slots)):
+			d.Failf("memory: bus queues tag %d outside a slot table of %d", q.Tag, len(h.slots))
+		case h.slots[q.Tag] == nil:
+			d.Failf("memory: bus queues tag %d, an empty slot", q.Tag)
+		case queued[q.Tag]:
+			d.Failf("memory: bus queues tag %d twice", q.Tag)
+		case busClass[h.slots[q.Tag].Kind] != q.From:
+			d.Failf("memory: bus queues the %v request in slot %d as %v", h.slots[q.Tag].Kind, q.Tag, q.From)
+		default:
+			queued[q.Tag] = true
+			continue
+		}
+		return
+	}
 	for _, tag := range h.freeSlots {
 		switch {
 		case int(tag) >= len(h.slots):
@@ -263,6 +281,8 @@ func (h *Hierarchy) checkSlots(d *snap.Decoder) {
 		switch {
 		case r == nil && !free[tag]:
 			d.Failf("memory: empty slot %d missing from the free list", tag)
+		case r != nil && !queued[tag]:
+			d.Failf("memory: live slot %d is not queued on the bus", tag)
 		case r != nil && r.Kind == KindIPrefetch &&
 			(r.pfIdx < 0 || int(r.pfIdx) >= len(h.pfPending) || h.pfPending[r.pfIdx] != uint32(tag)):
 			d.Failf("memory: waiting prefetch in slot %d not pending at its index %d", tag, r.pfIdx)

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"clgp/internal/bus"
 	"clgp/internal/isa"
 	"clgp/internal/snap"
 	"clgp/internal/stats"
@@ -100,6 +101,46 @@ func TestLoadStateRejectsImpossibleSlots(t *testing.T) {
 	for _, tc := range cases {
 		h := slotState(t)
 		tc.mutate(h)
+		_, err := loadHierarchy(saveHierarchy(h))
+		if !errors.Is(err, snap.ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want ErrCorrupt naming %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestLoadStateRejectsImpossibleBusQueues: the bus arbiter's queued tags
+// must be exactly the live slots, each once and in its kind's class. Before
+// the check a restore accepted every mutant below; the run then panicked on
+// the out-of-range tag in Tick, pushed a granted empty slot onto the free
+// list a second time (so two later requests shared one tag), or left a live
+// request with no grant ever coming.
+func TestLoadStateRejectsImpossibleBusQueues(t *testing.T) {
+	// slotState queues the data request in slot 0 as dcache and the
+	// prefetches in slots 1-3 as prefetch; slot 4 is free.
+	cases := []struct {
+		name, want string
+		mutate     func(a *bus.Arbiter)
+	}{
+		{"tag out of range", "tag 96 outside", func(a *bus.Arbiter) {
+			a.Enqueue(bus.Request{From: bus.ReqDCache, Tag: 96})
+		}},
+		{"tag names empty slot", "tag 4, an empty slot", func(a *bus.Arbiter) {
+			a.Enqueue(bus.Request{From: bus.ReqICache, Tag: 4})
+		}},
+		{"tag queued twice", "tag 2 twice", func(a *bus.Arbiter) {
+			a.Enqueue(bus.Request{From: bus.ReqPrefetch, Tag: 2})
+		}},
+		{"tag in another class", "data request in slot 0 as prefetch", func(a *bus.Arbiter) {
+			a.Flush(bus.ReqDCache)
+			a.Enqueue(bus.Request{From: bus.ReqPrefetch, Tag: 0})
+		}},
+		{"live slot not queued", "live slot 0 is not queued", func(a *bus.Arbiter) {
+			a.Flush(bus.ReqDCache)
+		}},
+	}
+	for _, tc := range cases {
+		h := slotState(t)
+		tc.mutate(h.arb)
 		_, err := loadHierarchy(saveHierarchy(h))
 		if !errors.Is(err, snap.ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: got %v, want ErrCorrupt naming %q", tc.name, err, tc.want)

@@ -162,6 +162,9 @@ func runOne(j Job) Result {
 		}
 	}
 	st, err := eng.Run()
+	// The results are built: recycle the engine's tables for the worker's
+	// next job.
+	eng.Release()
 	if err != nil {
 		return Result{Name: name, Err: err}
 	}

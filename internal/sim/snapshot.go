@@ -63,8 +63,10 @@ func (j Job) warmTarget(trLen int) uint64 {
 // the grid, and continues — which is exactly a straight-through run plus one
 // serialisation, so the recording shard's results stay bit-identical too.
 // It returns the engine to continue with (a fresh replacement when a damaged
-// cached artifact had to be discarded). The runner calls it per job; it is
-// exported for drivers that hold their own engine (clgpsim run).
+// cached artifact had to be discarded; the discarded engine is released, so
+// the caller must continue with the returned one only). The runner calls it
+// per job; it is exported for drivers that hold their own engine (clgpsim
+// run).
 func (j Job) WarmStart(eng *core.Engine, src core.TraceSource) (*core.Engine, error) {
 	warm := uint64(j.Warmup)
 	if warm >= j.warmTarget(src.Len()) {
@@ -80,7 +82,8 @@ func (j Job) WarmStart(eng *core.Engine, src core.TraceSource) (*core.Engine, er
 		// Damaged or mismatched artifact: discard the partially restored
 		// engine and fall back to the cold path. The trace source is
 		// untouched — Restore only advances it after full validation — so a
-		// replacement engine starts clean.
+		// replacement engine starts clean, on the discarded one's tables.
+		eng.Release()
 		eng, err = core.NewEngine(j.Config, j.Workload.Dict, src)
 		if err != nil {
 			return nil, err
