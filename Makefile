@@ -66,7 +66,9 @@ stream-smoke:
 
 # The multi-host dispatch protocol on one machine: an HTTP object store,
 # child workers pointed at the URL, merged figures diffed against the
-# in-process run. Mirrors CI's remote-smoke job.
+# in-process run, then a warm-state sweep that records every snapshot
+# through the store and one that restores them all (no snapshot file is
+# committed again). Mirrors CI's remote-smoke job.
 remote-smoke:
 	rm -rf /tmp/clgp-remote-smoke && mkdir -p /tmp/clgp-remote-smoke
 	$(GO) build -o /tmp/clgp-remote-smoke/clgpsim ./cmd/clgpsim
@@ -76,8 +78,17 @@ remote-smoke:
 	cd /tmp/clgp-remote-smoke && trap 'kill $$(cat server.pid) 2>/dev/null || true' EXIT && \
 		./clgpsim figures -insts 20000 -profiles gzip,mcf \
 			-store "http://$$(cat addr.txt)" -exec -retries 2 -dir fig-remote && \
-		diff fig-local/figure6_ipc_90nm.csv fig-remote/figure6_ipc_90nm.csv
-	@echo "remote-smoke: object-store sweep matches in-process run"
+		diff fig-local/figure6_ipc_90nm.csv fig-remote/figure6_ipc_90nm.csv && \
+		./clgpsim figures -insts 20000 -profiles gzip,mcf -warmup 10000 \
+			-store "http://$$(cat addr.txt)" -exec -retries 2 -dir fig-warm-cold && \
+		ls -i store-root/snapshots | sort > snaps-before.txt && \
+		./clgpsim figures -insts 20000 -profiles gzip,mcf -warmup 10000 \
+			-store "http://$$(cat addr.txt)" -exec -retries 2 -dir fig-warm-restored && \
+		ls -i store-root/snapshots | sort > snaps-after.txt && \
+		diff snaps-before.txt snaps-after.txt && \
+		diff fig-local/figure6_ipc_90nm.csv fig-warm-cold/figure6_ipc_90nm.csv && \
+		diff fig-local/figure6_ipc_90nm.csv fig-warm-restored/figure6_ipc_90nm.csv
+	@echo "remote-smoke: object-store sweeps (plain, warm-state cold and restored) match the in-process run"
 
 # Warm-state snapshots end to end: a cold figures sweep records warm-state
 # artifacts into the store, a second sweep over the same store restores them,

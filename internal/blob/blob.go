@@ -11,12 +11,16 @@ package blob
 import (
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
+
+	"clgp/internal/freelist"
 )
 
 // tmpSuffix ends every temporary file name; CheckKey reserves it, so no
@@ -55,13 +59,32 @@ func (d Dir) file(key string) (string, error) {
 }
 
 // Get returns the object under key; the error wraps os.ErrNotExist when
-// there is none.
+// there is none. It reads the object into a buffer from freelist.Artifacts;
+// the buffer belongs to the caller, who may hand it back there once done
+// with it.
 func (d Dir) Get(key string) ([]byte, error) {
 	file, err := d.file(key)
 	if err != nil {
 		return nil, err
 	}
-	return os.ReadFile(file)
+	f, err := os.Open(file)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	// Objects are committed by rename and never written in place, so the
+	// open file keeps the size it has now.
+	n := int(fi.Size())
+	data := slices.Grow(freelist.Artifacts.Get(n), n)[:n]
+	if _, err := io.ReadFull(f, data); err != nil {
+		freelist.Artifacts.Put(data)
+		return nil, err
+	}
+	return data, nil
 }
 
 // Put commits data under key, replacing any previous object. Each call

@@ -215,7 +215,9 @@ func NewEngine(cfg Config, dict *isa.Dictionary, tr TraceSource) (*Engine, error
 		noSkip:    cfg.NoSkip,
 		blockMeta: make([]blockMeta, blockMetaRing),
 		dq:        make([]*pipeline.DynInst, dispatchQueueCap),
-		pool:      pipeline.NewPool(),
+		// At most a full RUU, a full dispatch queue and one commit group
+		// of instructions are in flight.
+		pool:      pipeline.NewPool(cfg.Backend.RUUSize + dispatchQueueCap + cfg.Backend.Width),
 		commitBuf: make([]*pipeline.DynInst, 0, cfg.Backend.Width),
 		nop:       isa.StaticInst{Class: isa.OpNop, Src1: isa.RegZero, Src2: isa.RegZero, Dst: isa.RegZero},
 	}
@@ -237,18 +239,21 @@ func MustNewEngine(cfg Config, dict *isa.Dictionary, tr TraceSource) *Engine {
 // errReleased is the error of an engine used after Release.
 var errReleased = errors.New("core: engine used after Release")
 
-// Release hands the engine's largest tables — the stream predictor's entries
-// and the ways of every cache in the hierarchy — back for the next engine to
-// reuse, and drops the engine's references to them. Call it once the
-// engine's results are built and it will not be stepped, snapshotted or
-// restored again: afterwards Step does nothing, Run and Snapshot fail with
-// an error, and the released tables can no longer be reached through the
-// engine. Results, counters and Err stay readable. Releasing twice is a
+// Release hands the engine's largest tables — the stream predictor's entries,
+// the ways of every cache in the hierarchy and the slabs of its instruction
+// pool — back for the next engine to reuse. Call it once the engine's
+// results are built and it will not be stepped, snapshotted or restored
+// again: afterwards Step does nothing, Run and Snapshot fail with an error,
+// and nothing the engine exposes reads the released tables again (the
+// predictor and caches drop their references; the pipeline's in-flight
+// instructions stay referenced but are never read). Results, counters and
+// Err stay readable. Releasing twice is a
 // no-op. An engine that is never released keeps its tables until the
 // collector takes them.
 func (e *Engine) Release() {
 	e.pred.Release()
 	e.mem.ReleaseCaches()
+	e.pool.Release()
 	e.done = true
 	if e.err == nil {
 		e.err = errReleased

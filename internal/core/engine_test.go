@@ -149,6 +149,26 @@ func TestIdealIgnoresL1Size(t *testing.T) {
 	}
 }
 
+// TestReleaseRecyclesInstructions: an engine built after a release draws
+// its instructions from the released engine's slab.
+func TestReleaseRecyclesInstructions(t *testing.T) {
+	w := icacheStressWorkload(t, 4_000, 5)
+	cfg := Config{Tech: cacti.Tech90, L1ISize: 2 << 10, Engine: EngineCLGP, UseL0: true}
+	eng := MustNewEngine(cfg, w.Dict, w.Trace)
+	if _, err := eng.Run(); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	old := eng.pool.Get()
+	eng.Release()
+	next := MustNewEngine(cfg, w.Dict, w.Trace)
+	for i := 0; i < next.cfg.Backend.RUUSize+dispatchQueueCap+next.cfg.Backend.Width; i++ {
+		if next.pool.Get() == old {
+			return
+		}
+	}
+	t.Fatal("the next engine's instructions are not the released engine's")
+}
+
 // TestReleasedEngineRefusesWork: once an engine has handed its tables back,
 // stepping, running, snapshotting and restoring it fail instead of touching
 // tables another engine may own, its results stay readable, and a second

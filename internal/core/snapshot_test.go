@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"clgp/internal/cacti"
+	"clgp/internal/freelist"
 	"clgp/internal/snap"
 	"clgp/internal/stats"
 	"clgp/internal/trace"
@@ -123,11 +124,12 @@ func TestSnapshotBytesPinned(t *testing.T) {
 	}
 }
 
-// TestSnapshotAllocBudget: once the scratch encoder is warm, a snapshot
-// allocates little beyond the container it returns (at most 1.1x its
-// length). A sync.Pool may drop the scratch encoder at a collection (and at
-// random under the race detector), so the budget holds the cheapest of a
-// few snapshots.
+// TestSnapshotAllocBudget: once a first snapshot has sized Seal's buffer
+// request, a snapshot allocates little beyond the container it returns (at
+// most 1.1x its length), and a snapshot whose predecessor's container was
+// handed back to freelist.Artifacts allocates under 4 KB. The budgets hold
+// the cheapest of a few snapshots, so a collection landing in one does not
+// decide them.
 func TestSnapshotAllocBudget(t *testing.T) {
 	eng, w := pinnedSnapshotEngine(t)
 	fp := workload.Fingerprint(w.Profile, w.Dict)
@@ -147,6 +149,28 @@ func TestSnapshotAllocBudget(t *testing.T) {
 	}
 	if float64(least) > 1.1*float64(size) {
 		t.Errorf("a repeated snapshot allocated %d bytes for a %d-byte result (budget 1.1x)", least, size)
+	}
+
+	const recycledBudget = 4 << 10
+	data, _ := eng.Snapshot(w.Name, fp)
+	least = ^uint64(0)
+	for try := 0; try < 10; try++ {
+		freelist.Artifacts.Put(data)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		again, err := eng.Snapshot(w.Name, fp)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("snapshot: %v", err)
+		}
+		if &again[0] != &data[0] {
+			t.Fatalf("try %d: the snapshot was not sealed into the handed-back container", try)
+		}
+		data, least = again, min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("a snapshot into a handed-back container allocated %d bytes", least)
+	if least > recycledBudget {
+		t.Errorf("a snapshot into a handed-back container allocated %d bytes (budget %d)", least, recycledBudget)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"time"
 
 	"clgp/internal/blob"
@@ -83,13 +84,28 @@ type objectClient struct {
 func (c objectClient) url(key string) string { return c.base + ObjectPathPrefix + key }
 
 // Put uploads one object with its content hash; the server commits it
-// atomically or not at all.
+// atomically or not at all. Put keeps no reference to data once it returns:
+// a transport may still read or close a request body on another goroutine
+// after Client.Do has returned (after an early response or a transport
+// error, say), so Put waits until the transport has closed every body it
+// was given.
 func (c objectClient) Put(key string, data []byte) error {
 	start := time.Now()
 	defer func() { observeStorePut(len(data), time.Since(start)) }()
-	req, err := http.NewRequest(http.MethodPut, c.url(key), bytes.NewReader(data))
+	req, err := http.NewRequest(http.MethodPut, c.url(key), nil)
 	if err != nil {
 		return fmt.Errorf("dispatch: store put %s: %w", key, err)
+	}
+	if len(data) > 0 {
+		var bodies sync.WaitGroup
+		defer bodies.Wait()
+		body := func() io.ReadCloser {
+			bodies.Add(1)
+			return &putBody{Reader: bytes.NewReader(data), done: bodies.Done}
+		}
+		req.Body = body()
+		req.GetBody = func() (io.ReadCloser, error) { return body(), nil }
+		req.ContentLength = int64(len(data))
 	}
 	req.Header.Set(ObjectHashHeader, hashOf(data))
 	resp, err := c.client.Do(req)
@@ -101,6 +117,19 @@ func (c objectClient) Put(key string, data []byte) error {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return fmt.Errorf("dispatch: store put %s: %s: %s", key, resp.Status, strings.TrimSpace(string(body)))
 	}
+	return nil
+}
+
+// putBody is one request body of a Put; its first Close reports that the
+// transport is done with it.
+type putBody struct {
+	*bytes.Reader
+	once sync.Once
+	done func()
+}
+
+func (b *putBody) Close() error {
+	b.once.Do(b.done)
 	return nil
 }
 

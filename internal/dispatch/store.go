@@ -79,11 +79,13 @@ type Store interface {
 	// key (sim.SnapshotKey form), or an error wrapping os.ErrNotExist when
 	// no worker has published it yet. Together with PushSnapshot this makes
 	// every Store a sim.SnapshotStore, so warm-up sharing spans hosts
-	// through the same backend the sweep's results flow through.
+	// through the same backend the sweep's results flow through. The
+	// returned buffer belongs to the caller, which may recycle it.
 	FetchSnapshot(key string) ([]byte, error)
 	// PushSnapshot publishes a snapshot artifact atomically. Snapshot bytes
 	// are deterministic, so workers racing on one key commit identical
-	// artifacts and either winner is correct.
+	// artifacts and either winner is correct. The store keeps no reference
+	// to data after PushSnapshot returns, so the caller may recycle it.
 	PushSnapshot(key string, data []byte) error
 }
 
@@ -104,6 +106,7 @@ type backend interface {
 	// there is none.
 	Get(key string) ([]byte, error)
 	// Put commits data under key atomically, replacing any previous object.
+	// It keeps no reference to data once it returns.
 	Put(key string, data []byte) error
 	// Head reports whether an object exists under key. A non-nil error
 	// means existence could not be determined, never "absent".

@@ -596,3 +596,47 @@ func TestOpenStoreResolution(t *testing.T) {
 		t.Errorf("slashed path rejected: %v", err)
 	}
 }
+
+// TestObjectPutKeepsNoReference: a server that answers 500 without reading
+// the upload leaves the transport still sending (or discarding) the body
+// after Client.Do returns; Put must not return before the transport has let
+// go of it, so the caller may overwrite the buffer at once. The race
+// detector catches a Put that returns early.
+func TestObjectPutKeepsNoReference(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "refused unread", http.StatusInternalServerError)
+	}))
+	t.Cleanup(ts.Close)
+	st := NewObjectStore(ts.URL)
+	data := bytes.Repeat([]byte{0x5a}, 4<<20)
+	for try := 0; try < 3; try++ {
+		err := st.PushSnapshot("k.clgs", data)
+		if err == nil || !strings.Contains(err.Error(), "500") {
+			t.Fatalf("push to a refusing server: %v, want a 500 error", err)
+		}
+		for i := range data {
+			data[i] = byte(try)
+		}
+	}
+}
+
+// TestObjectStorePushIsCopied: a snapshot pushed through the StoreServer and
+// overwritten at once is fetched back as it was pushed.
+func TestObjectStorePushIsCopied(t *testing.T) {
+	st := newTestObjectStore(t)
+	data := bytes.Repeat([]byte("snapshot"), 64<<10)
+	want := append([]byte(nil), data...)
+	if err := st.PushSnapshot("k.clgs", data); err != nil {
+		t.Fatal(err)
+	}
+	for i := range data {
+		data[i] = 0
+	}
+	got, err := st.FetchSnapshot("k.clgs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("the fetched snapshot differs from the pushed bytes")
+	}
+}

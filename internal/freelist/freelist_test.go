@@ -1,6 +1,7 @@
 package freelist
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -56,4 +57,50 @@ func TestConcurrentGetPut(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+func TestBytesGetWithinFactorOfTwo(t *testing.T) {
+	var bufs Bytes
+	big := make([]byte, 1000)
+	bufs.Put(big)
+	if b := bufs.Get(400); cap(b) != 400 {
+		t.Fatalf("Get(400) returned capacity %d, want a new 400-byte buffer (1000 is over twice 400)", cap(b))
+	}
+	if b := bufs.Get(2001); cap(b) != 2001 {
+		t.Fatalf("Get(2001) returned capacity %d, want a new buffer (1000 is under half of 2001)", cap(b))
+	}
+	b := bufs.Get(1200)
+	if len(b) != 0 || cap(b) != 1000 || &b[:1][0] != &big[0] {
+		t.Fatalf("Get(1200) = len %d cap %d, want the empty retained 1000-byte buffer", len(b), cap(b))
+	}
+	if c := bufs.Get(1000); cap(c) != 1000 || &c[:1][0] == &big[0] {
+		t.Fatal("one retained buffer handed out twice")
+	}
+	bufs.Put(nil) // ignored
+	if d := bufs.Get(0); cap(d) != 0 {
+		t.Fatalf("Get(0) returned capacity %d", cap(d))
+	}
+}
+
+// TestBytesNewestFirstAndBounded: Get takes the most recently handed back
+// buffer that fits, and the list keeps only the GOMAXPROCS newest buffers.
+func TestBytesNewestFirstAndBounded(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	var bufs Bytes
+	a, b, c := make([]byte, 100), make([]byte, 110), make([]byte, 120)
+	bufs.Put(a)
+	bufs.Put(b)
+	if got := bufs.Get(100); &got[:1][0] != &b[0] {
+		t.Fatal("Get did not take the newest fitting buffer")
+	}
+	bufs.Put(b)
+	bufs.Put(c) // a, the oldest, is displaced
+	for _, want := range [][]byte{c, b} {
+		if got := bufs.Get(100); &got[:1][0] != &want[0] {
+			t.Fatalf("got the %d-byte buffer, want the %d-byte one", cap(got), cap(want))
+		}
+	}
+	if got := bufs.Get(100); cap(got) != 100 || &got[:1][0] == &a[0] {
+		t.Fatal("the list kept more than GOMAXPROCS buffers")
+	}
 }

@@ -79,7 +79,7 @@ func checkMatchesWalk(t *testing.T, data []byte) {
 	}
 	got := MustNew(cfg, memA)
 	want := newWalkBackend(cfg, memB)
-	poolA, poolB := NewPool(), NewPool()
+	poolA, poolB := NewPool(0), NewPool(0)
 	got.SetPool(poolA)
 	want.pool = poolB
 

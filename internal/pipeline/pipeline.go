@@ -19,6 +19,7 @@ import (
 	"slices"
 
 	"clgp/internal/clock"
+	"clgp/internal/freelist"
 	"clgp/internal/isa"
 	"clgp/internal/memory"
 )
@@ -75,13 +76,26 @@ func (r depRef) done(now uint64) bool {
 
 // Pool is a free-list of DynInsts. The front-end takes instructions from the
 // pool at fetch time and the back-end returns them on commit and squash, so
-// the steady-state cycle loop allocates no instruction objects.
+// the steady-state cycle loop allocates no instruction objects. A pool's
+// first instructions come from one slab, which Release hands back for the
+// next pool, so a sweep's next engine reuses the previous one's
+// instructions.
 type Pool struct {
 	free []*DynInst
+	slab []DynInst // the undrawn rest of the slab
+	all  []DynInst // the whole slab, for Release
 }
 
-// NewPool creates an empty pool.
-func NewPool() *Pool { return &Pool{} }
+// slabs recycles the instruction slabs of released pools.
+var slabs freelist.Tables[DynInst]
+
+// NewPool creates a pool whose first n instructions come from one slab, a
+// released pool's when one of that size is free. Size n to the most
+// instructions the owner holds at once; past that, Get allocates.
+func NewPool(n int) *Pool {
+	all := slabs.Get(n)
+	return &Pool{slab: all, all: all}
+}
 
 // Get returns a zeroed DynInst, reusing a released one when available.
 func (p *Pool) Get() *DynInst {
@@ -89,6 +103,11 @@ func (p *Pool) Get() *DynInst {
 		d := p.free[n-1]
 		p.free = p.free[:n-1]
 		*d = DynInst{}
+		return d
+	}
+	if len(p.slab) > 0 {
+		d := &p.slab[0]
+		p.slab = p.slab[1:]
 		return d
 	}
 	return &DynInst{}
@@ -100,6 +119,16 @@ func (p *Pool) Put(d *DynInst) {
 	if d != nil {
 		p.free = append(p.free, d)
 	}
+}
+
+// Release hands the pool's slab back for the next pool to reuse, with every
+// instruction in it wherever it is: free, in flight or still referenced by a
+// discarded pipeline. Call it only once nothing will read or write them
+// again. Releasing twice is a no-op. A pool that is never released leaves
+// its slab to the collector.
+func (p *Pool) Release() {
+	slabs.Put(p.all)
+	*p = Pool{}
 }
 
 type instState uint8

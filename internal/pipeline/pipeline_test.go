@@ -606,3 +606,31 @@ func TestLoadStateRejectsMalformedRUU(t *testing.T) {
 		t.Error("restore accepted dispatched entries with decreasing issueAt")
 	}
 }
+
+// TestPoolReleaseRecycles: a released pool's slab instructions — free or
+// still in flight — come back zeroed from the next pool of that size, and a
+// second release is a no-op. Past its slab a pool allocates.
+func TestPoolReleaseRecycles(t *testing.T) {
+	const n = 8
+	p := NewPool(n)
+	var drawn []*DynInst
+	for i := 0; i < n+2; i++ {
+		d := p.Get()
+		d.Seq, d.WrongPath = uint64(i+1), true
+		drawn = append(drawn, d)
+	}
+	for _, d := range drawn[:n/2] {
+		p.Put(d) // free at release; the rest stay in flight
+	}
+	p.Release()
+	p.Release()
+	q := NewPool(n)
+	for i := 0; i < n; i++ {
+		if d := q.Get(); d != drawn[i] || *d != (DynInst{}) {
+			t.Fatalf("instruction %d of the next pool is not the released pool's %d, zeroed", i, i)
+		}
+	}
+	if d := q.Get(); d == drawn[n] || d == drawn[n+1] {
+		t.Fatal("an instruction allocated past the released pool's slab came back")
+	}
+}

@@ -33,7 +33,9 @@ func (b *Buffer) saveState(e *snap.Encoder) {
 }
 
 // loadState restores state saved by saveState into a buffer of the same
-// size, rebuilding the line index from the allocated entries.
+// size, rebuilding the line index from the allocated entries. It rejects
+// entries the buffer cannot reach: a negative consumers counter, or a line
+// allocated in two entries (the index would map it to one of them only).
 func (b *Buffer) loadState(d *snap.Decoder) {
 	d.Tag(stateTag)
 	n := d.Int()
@@ -65,9 +67,19 @@ func (b *Buffer) loadState(d *snap.Decoder) {
 	}
 	b.idx.clear()
 	for i := range b.entries {
-		if b.entries[i].allocated {
-			b.idx.put(b.entries[i].line, i)
+		en := &b.entries[i]
+		if en.consumers < 0 {
+			d.Failf("prebuffer %s: entry %d has %d consumers", b.name, i, en.consumers)
+			return
 		}
+		if !en.allocated {
+			continue
+		}
+		if j := b.idx.get(en.line); j >= 0 {
+			d.Failf("prebuffer %s: line %#x allocated in entries %d and %d", b.name, uint64(en.line), j, i)
+			return
+		}
+		b.idx.put(en.line, i)
 	}
 }
 
@@ -78,12 +90,23 @@ func (pb *PrefetchBuffer) SaveState(e *snap.Encoder) {
 	e.Int(pb.free)
 }
 
-// LoadState restores state saved by SaveState.
+// LoadState restores state saved by SaveState. It rejects consumers on any
+// entry (only the prestage buffer counts them) and a free count that
+// disagrees with the entries.
 func (pb *PrefetchBuffer) LoadState(d *snap.Decoder) {
 	pb.loadState(d)
 	pb.free = d.Int()
-	if d.Err() == nil && (pb.free < 0 || pb.free > len(pb.entries)) {
-		d.Failf("prebuffer %s: free count %d outside [0, %d]", pb.name, pb.free, len(pb.entries))
+	if d.Err() != nil {
+		return
+	}
+	for i := range pb.entries {
+		if c := pb.entries[i].consumers; c != 0 {
+			d.Failf("prebuffer %s: entry %d has %d consumers", pb.name, i, c)
+			return
+		}
+	}
+	if scan := pb.freeSlotsScan(); pb.free != scan {
+		d.Failf("prebuffer %s: free count %d, entries say %d", pb.name, pb.free, scan)
 	}
 }
 
@@ -94,11 +117,12 @@ func (sb *PrestageBuffer) SaveState(e *snap.Encoder) {
 	e.Int(sb.replaceable)
 }
 
-// LoadState restores state saved by SaveState.
+// LoadState restores state saved by SaveState. It rejects a replaceable
+// count that disagrees with the entries.
 func (sb *PrestageBuffer) LoadState(d *snap.Decoder) {
 	sb.loadState(d)
 	sb.replaceable = d.Int()
-	if d.Err() == nil && (sb.replaceable < 0 || sb.replaceable > len(sb.entries)) {
-		d.Failf("prebuffer %s: replaceable count %d outside [0, %d]", sb.name, sb.replaceable, len(sb.entries))
+	if scan := sb.replaceableSlotsScan(); d.Err() == nil && sb.replaceable != scan {
+		d.Failf("prebuffer %s: replaceable count %d, entries say %d", sb.name, sb.replaceable, scan)
 	}
 }

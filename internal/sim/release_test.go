@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"clgp/internal/cacti"
@@ -75,10 +76,46 @@ func damagedCopy(t *testing.T, from DirSnapshots) DirSnapshots {
 	return to
 }
 
-// TestRecycledTablesMatchFresh: engines built on tables recycled from
-// earlier jobs — released after a straight run, a recording run, a restored
-// run, or a restore that decoded every table and then failed — give every
-// job the results of an engine on fresh tables, on one worker and on two.
+// snapshotLog counts the snapshots a run fetched and pushed, and keeps per
+// key the buffers of the last fetch and the last push, only to compare
+// their addresses.
+type snapshotLog struct {
+	SnapshotStore
+	mu              sync.Mutex
+	fetches, pushes int
+	fetched, pushed map[string][]byte
+}
+
+func newSnapshotLog(st SnapshotStore) *snapshotLog {
+	return &snapshotLog{SnapshotStore: st, fetched: map[string][]byte{}, pushed: map[string][]byte{}}
+}
+
+func (s *snapshotLog) FetchSnapshot(key string) ([]byte, error) {
+	data, err := s.SnapshotStore.FetchSnapshot(key)
+	if err == nil {
+		s.mu.Lock()
+		s.fetches++
+		s.fetched[key] = data
+		s.mu.Unlock()
+	}
+	return data, err
+}
+
+func (s *snapshotLog) PushSnapshot(key string, data []byte) error {
+	s.mu.Lock()
+	s.pushes++
+	s.pushed[key] = data
+	s.mu.Unlock()
+	return s.SnapshotStore.PushSnapshot(key, data)
+}
+
+// TestRecycledTablesMatchFresh: engines built on tables and instruction
+// slabs recycled from earlier jobs, sealing and reading snapshots in
+// recycled buffers — released after a straight run, a recording run, a
+// restored run, or a restore that decoded every table and then failed — give
+// every job the results of an engine on fresh tables, on one worker and on
+// two. On one worker, the cold fallback after a failed restore seals its
+// snapshot into the very buffer the failed restore read.
 func TestRecycledTablesMatchFresh(t *testing.T) {
 	const insts = 12_000
 	w := benchWorkload(t, insts, 3)
@@ -111,7 +148,16 @@ func TestRecycledTablesMatchFresh(t *testing.T) {
 		check("cold", mixedJobs(w, insts/2, store), workers)
 		check("restored", mixedJobs(w, insts/2, store), workers)
 		damaged := damagedCopy(t, store)
-		check("damaged artifacts", mixedJobs(w, insts/2, damaged), workers)
+		trail := newSnapshotLog(damaged)
+		check("damaged artifacts", mixedJobs(w, insts/2, trail), workers)
+		if trail.fetches != trail.pushes || trail.fetches == 0 {
+			t.Fatalf("%d damaged artifacts read, %d replacements pushed", trail.fetches, trail.pushes)
+		}
+		for key, read := range trail.fetched {
+			if sealed := trail.pushed[key]; workers == 1 && (sealed == nil || &sealed[0] != &read[0]) {
+				t.Errorf("%s: the cold fallback did not seal into the buffer its failed restore read", key)
+			}
+		}
 		// The cold fallback re-published a good artifact over every bad one.
 		for _, j := range mixedJobs(w, insts/2, nil) {
 			key := SnapshotKey(jobFingerprint(t, j), j.Config.WarmKey(), insts/2)
@@ -125,18 +171,34 @@ func TestRecycledTablesMatchFresh(t *testing.T) {
 }
 
 // TestRunnerJobAllocBudget: a worker's jobs after its first build their
-// engines on the tables of the engines before them, so a job allocates tens
-// of kilobytes, not the ~470 KB of predictor and cache tables a fresh engine
-// needs.
+// engines on the tables and instruction slabs of the engines before them,
+// and seal or read their warm-state snapshots in the buffer the job before
+// handed back, so a job allocates tens of kilobytes: not the ~470 KB of
+// predictor and cache tables a fresh engine needs, nor a ~356 KB snapshot
+// container. The jobs record cold into a DirSnapshots store, then restore
+// from it, then run straight.
 func TestRunnerJobAllocBudget(t *testing.T) {
 	const budget = 64 << 10
-	w := benchWorkload(t, 10_000, 4)
+	const insts = 10_000
+	w := benchWorkload(t, insts, 4)
+	engines := []core.EngineKind{core.EngineNone, core.EngineNextN, core.EngineFDP, core.EngineCLGP}
+	store := newSnapshotLog(DirSnapshots{Dir: filepath.Join(t.TempDir(), "snaps")})
 	var jobs []Job
-	for rep := 0; rep < 3; rep++ {
-		for _, eng := range []core.EngineKind{core.EngineNone, core.EngineNextN, core.EngineFDP, core.EngineCLGP} {
-			cfg := core.Config{Tech: cacti.Tech90, L1ISize: 2 << 10, Engine: eng, UseL0: eng == core.EngineCLGP}
-			jobs = append(jobs, Job{Config: cfg, Workload: w})
+	var modes []string
+	add := func(mode string, size, warmup int, snaps SnapshotStore) {
+		for _, eng := range engines {
+			cfg := core.Config{Tech: cacti.Tech90, L1ISize: size, Engine: eng, UseL0: eng == core.EngineCLGP}
+			jobs = append(jobs, Job{Config: cfg, Workload: w, Warmup: warmup, Snapshots: snaps})
+			modes = append(modes, mode)
 		}
+	}
+	for _, mode := range []string{"cold", "restored"} {
+		for _, size := range []int{2 << 10, 8 << 10} {
+			add(mode, size, insts/2, store)
+		}
+	}
+	for rep := 0; rep < 3; rep++ {
+		add("straight", 2<<10, 0, nil)
 	}
 	allocs := make([]uint64, len(jobs)+1)
 	var ms runtime.MemStats
@@ -152,13 +214,17 @@ func TestRunnerJobAllocBudget(t *testing.T) {
 			t.Fatalf("job %d: %v", i, r.Err)
 		}
 	}
-	var most uint64
+	if store.fetches != 8 || store.pushes != 8 {
+		t.Fatalf("%d snapshots fetched and %d pushed, want 8 of each", store.fetches, store.pushes)
+	}
+	most := map[string]uint64{}
 	for i := 1; i < len(jobs); i++ {
 		got := allocs[i+1] - allocs[i]
 		if got > budget {
-			t.Errorf("job %d (%v) allocated %d bytes (budget %d)", i, jobs[i].Config.Engine, got, budget)
+			t.Errorf("job %d (%s, %v, %d B L1I) allocated %d bytes (budget %d)",
+				i, modes[i], jobs[i].Config.Engine, jobs[i].Config.L1ISize, got, budget)
 		}
-		most = max(most, got)
+		most[modes[i]] = max(most[modes[i]], got)
 	}
-	t.Logf("the most a job after the first allocated: %d bytes", most)
+	t.Logf("the most a job after the first allocated, by kind: %v", most)
 }

@@ -9,19 +9,28 @@ import (
 
 	"clgp/internal/blob"
 	"clgp/internal/core"
+	"clgp/internal/freelist"
 	"clgp/internal/workload"
 )
 
 // SnapshotStore publishes and fetches warm-state snapshot artifacts by key.
 // dispatch.Store (both the directory and object backends) satisfies it, as
 // does DirSnapshots for store-less local runs.
+//
+// Snapshot bytes change hands under an ownership contract that lets a sweep
+// recycle them (see Job.WarmStart): a fetched buffer belongs to the caller,
+// and a pushed one is the store's only until PushSnapshot returns.
 type SnapshotStore interface {
 	// FetchSnapshot returns the snapshot stored under key, or an error
-	// wrapping os.ErrNotExist when the store has none.
+	// wrapping os.ErrNotExist when the store has none. The returned buffer
+	// belongs to the caller: the store keeps no reference to it and never
+	// hands it out again.
 	FetchSnapshot(key string) ([]byte, error)
 	// PushSnapshot stores data under key. Publishing the same key twice is
 	// allowed (snapshot bytes are deterministic, so concurrent recorders
-	// racing on a key write identical artifacts).
+	// racing on a key write identical artifacts). The store keeps no
+	// reference to data after PushSnapshot returns, so the caller may
+	// overwrite it at once.
 	PushSnapshot(key string, data []byte) error
 }
 
@@ -67,6 +76,11 @@ func (j Job) warmTarget(trLen int) uint64 {
 // the caller must continue with the returned one only). The runner calls it
 // per job; it is exported for drivers that hold their own engine (clgpsim
 // run).
+//
+// The snapshot's bytes are handed back to freelist.Artifacts once the store
+// has them (after PushSnapshot returns) or once Restore is done with them,
+// whether it succeeded or not, so the next job seals or reads its snapshot
+// into the same buffer.
 func (j Job) WarmStart(eng *core.Engine, src core.TraceSource) (*core.Engine, error) {
 	warm := uint64(j.Warmup)
 	if warm >= j.warmTarget(src.Len()) {
@@ -76,7 +90,10 @@ func (j Job) WarmStart(eng *core.Engine, src core.TraceSource) (*core.Engine, er
 	fp := workload.Fingerprint(j.Workload.Profile, j.Workload.Dict)
 	key := SnapshotKey(fp, j.Config.WarmKey(), j.Warmup)
 	if data, err := j.Snapshots.FetchSnapshot(key); err == nil {
-		if rerr := eng.Restore(data, j.Workload.Name, fp); rerr == nil {
+		rerr := eng.Restore(data, j.Workload.Name, fp)
+		// Restore copies what it keeps out of data.
+		freelist.Artifacts.Put(data)
+		if rerr == nil {
 			return eng, nil
 		}
 		// Damaged or mismatched artifact: discard the partially restored
@@ -101,5 +118,6 @@ func (j Job) WarmStart(eng *core.Engine, src core.TraceSource) (*core.Engine, er
 	// Publication is best-effort: a full disk or unreachable store costs the
 	// grid its warm-up sharing, not the run its results.
 	_ = j.Snapshots.PushSnapshot(key, data)
+	freelist.Artifacts.Put(data)
 	return eng, nil
 }

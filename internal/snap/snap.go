@@ -15,7 +15,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sync"
+	"sync/atomic"
+
+	"clgp/internal/freelist"
 )
 
 // Magic identifies a CLGP snapshot container ("CLGS" little-endian).
@@ -246,39 +248,40 @@ func (d *Decoder) Count(limit int) int {
 // castagnoliTable is the CRC32-C polynomial table (same as tracefile's).
 var castagnoliTable = crc32.MakeTable(crc32.Castagnoli)
 
-// scratch recycles Seal's payload encoders, so a run that snapshots many
-// engines grows one buffer per concurrent caller instead of one per snapshot.
-var scratch = sync.Pool{New: func() any { return new(Encoder) }}
+// sealHint is the length of the container Seal produced last: the capacity
+// it asks the buffer list for next, since the snapshots of one sweep differ
+// little in size.
+var sealHint atomic.Int64
 
-// Seal runs write against a reused scratch encoder to produce the payload,
-// then frames meta + payload into a self-validating container:
+// Seal frames meta and the payload that write produces into a
+// self-validating container:
 //
 //	magic u32 | version u32 | metaLen u32 | meta | payloadLen u64 | payload | crc32c u32
 //
-// where the checksum covers every preceding byte. The container is the only
-// allocation that outlives the call, and it is made once at its final size.
+// where the checksum covers every preceding byte. It encodes the header and
+// then the payload straight into a buffer from freelist.Artifacts, patching
+// the payload length in once write returns, so the container is the only
+// buffer the call touches and, when a buffer of the right size has been
+// handed back there, nothing is allocated for it. The container belongs to
+// the caller, who may hand it back to freelist.Artifacts once done with it.
 // write must not retain the encoder.
 func Seal(m Meta, write func(*Encoder)) []byte {
-	pe := scratch.Get().(*Encoder)
-	pe.buf = pe.buf[:0]
-	write(pe)
-	payload := pe.buf
-
-	metaLen := 4 + len(m.Workload) + 5*8
-	e := Encoder{buf: make([]byte, 0, 4+4+4+metaLen+8+len(payload)+4)}
+	e := Encoder{buf: freelist.Artifacts.Get(int(sealHint.Load()))}
 	e.U32(Magic)
 	e.U32(Version)
-	e.U32(uint32(metaLen))
+	e.U32(uint32(4 + len(m.Workload) + 5*8))
 	e.String(m.Workload)
 	e.U64(m.Fingerprint)
 	e.U64(m.WarmKey)
 	e.I64(m.TraceLen)
 	e.U64(m.Committed)
 	e.U64(m.Cycle)
-	e.U64(uint64(len(payload)))
-	e.buf = append(e.buf, payload...)
-	scratch.Put(pe)
+	e.U64(0) // payload length, patched below
+	start := e.Len()
+	write(&e)
+	binary.LittleEndian.PutUint64(e.buf[start-8:], uint64(e.Len()-start))
 	e.U32(crc32.Checksum(e.buf, castagnoliTable))
+	sealHint.Store(int64(e.Len()))
 	return e.buf
 }
 

@@ -1,11 +1,13 @@
 package snap
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
-	"math"
 	"testing"
+
+	"clgp/internal/freelist"
 )
 
 func testMeta() Meta {
@@ -61,26 +63,40 @@ func TestSealOpenRoundtrip(t *testing.T) {
 	}
 }
 
-// TestSealOneAllocation: once the scratch encoder has grown, Seal's only
-// allocation is the container, made at its final size. A sync.Pool may drop
-// the scratch encoder at a collection (and at random under the race
-// detector), so the count is the least of a few tries.
+// TestSealOneAllocation: a container handed back to freelist.Artifacts is
+// the buffer the next Seal of its size encodes into, so that Seal's one
+// allocation is its 24-byte encoder header, and the bytes equal a fresh
+// container's. With nothing handed back, Seal allocates the container once,
+// at the length of the container sealed before it.
 func TestSealOneAllocation(t *testing.T) {
 	write := func(e *Encoder) {
 		for i := 0; i < 4096; i++ {
 			e.U64(uint64(i))
 		}
 	}
+	want := append([]byte(nil), Seal(testMeta(), write)...)
 	data := Seal(testMeta(), write)
-	if cap(data) != len(data) {
-		t.Errorf("container has length %d but capacity %d", len(data), cap(data))
+	if cap(data) != len(data) || !bytes.Equal(data, want) {
+		t.Fatalf("unrecycled container: length %d, capacity %d, equal %v; want a %d-byte container at its final size",
+			len(data), cap(data), bytes.Equal(data, want), len(want))
 	}
-	least := math.Inf(1)
-	for try := 0; try < 10; try++ {
-		least = min(least, testing.AllocsPerRun(1, func() { Seal(testMeta(), write) }))
+	if n := testing.AllocsPerRun(10, func() { Seal(testMeta(), write) }); n != 2 {
+		t.Errorf("an unrecycled Seal made %v allocations, want 2 (encoder and container)", n)
 	}
-	if least != 1 {
-		t.Errorf("Seal made %v allocations, want 1", least)
+	for try := 0; try < 3; try++ {
+		freelist.Artifacts.Put(data)
+		again := Seal(testMeta(), write)
+		if &again[0] != &data[0] || !bytes.Equal(again, want) {
+			t.Fatalf("try %d: Seal did not reseal the same bytes into the handed-back buffer", try)
+		}
+		data = again
+	}
+	n := testing.AllocsPerRun(10, func() {
+		freelist.Artifacts.Put(data)
+		data = Seal(testMeta(), write)
+	})
+	if n != 1 {
+		t.Errorf("a Seal with its buffer handed back made %v allocations, want 1 (the encoder)", n)
 	}
 }
 
