@@ -13,8 +13,11 @@ test:
 test-race:
 	$(GO) test -race ./...
 
+# go vet plus the gofmt gate: any file gofmt would rewrite is listed and
+# fails the target. Mirrors CI's test job.
 vet:
 	$(GO) vet ./...
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
 # Full benchmark pass (allocation counts are the contract: 0 allocs/op on
 # every steady-state path).

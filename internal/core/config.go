@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"clgp/internal/bpred"
 	"clgp/internal/cacti"
 	"clgp/internal/memory"
-	"clgp/internal/pipeline"
 	"clgp/internal/prefetch"
 )
 
@@ -81,14 +79,9 @@ type Config struct {
 	// node's default (the largest one-cycle buffer: 8 at 90nm, 4 at 45nm).
 	PreBufferEntries int
 
-	// FetchWidth is the fetch/issue/commit width (Table 2: 4).
-	FetchWidth int
 	// MaxInsts bounds the number of committed instructions to simulate; 0
 	// means the whole trace.
 	MaxInsts int
-	// RedirectPenalty is the number of cycles between branch resolution and
-	// the predictor restarting on the correct path.
-	RedirectPenalty int
 
 	// NoSkip disables the event-horizon clock and ticks every cycle
 	// individually (the reference mode). Results are bit-identical either
@@ -96,12 +89,17 @@ type Config struct {
 	// exists for equivalence tests and as the ns/cycle baseline the perf
 	// gate measures the fast-forward win against.
 	NoSkip bool
-
-	// Backend and Predictor allow overriding the defaults (Table 2 values
-	// are used when zero).
-	Backend   pipeline.Config
-	Predictor bpred.Config
 }
+
+// The Table 2 front-end parameters every configuration shares; the back end
+// and the stream predictor are pipeline.DefaultConfig and bpred.DefaultConfig.
+const (
+	// fetchWidth is the number of fetched instructions dispatched per cycle.
+	fetchWidth = 4
+	// redirectPenalty is the number of cycles between branch resolution and
+	// the predictor restarting on the correct path.
+	redirectPenalty = 3
+)
 
 // DefaultPreBufferEntries returns the largest pre-buffer that is accessible
 // in one cycle at the node: 8 entries (512B) at 0.09um, 4 entries (256B) at
@@ -129,18 +127,6 @@ func (c Config) normalise() (Config, error) {
 	}
 	if c.PreBufferEntries == 0 {
 		c.PreBufferEntries = DefaultPreBufferEntries(c.Tech)
-	}
-	if c.FetchWidth <= 0 {
-		c.FetchWidth = 4
-	}
-	if c.RedirectPenalty <= 0 {
-		c.RedirectPenalty = 3
-	}
-	if c.Backend == (pipeline.Config{}) {
-		c.Backend = pipeline.DefaultConfig()
-	}
-	if c.Predictor == (bpred.Config{}) {
-		c.Predictor = bpred.DefaultConfig()
 	}
 	if c.Name == "" {
 		c.Name = fmt.Sprintf("%s/%s/L1=%dB", c.Engine, c.Tech, c.L1ISize)

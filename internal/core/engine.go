@@ -36,7 +36,7 @@ import (
 // usefully warming) the caches and buffers. On resolution the queues are
 // flushed, wrong-path instructions are squashed, the predictor's history and
 // return-address stack are restored, and prediction restarts at the correct
-// target after RedirectPenalty cycles.
+// target after redirectPenalty cycles.
 type Engine struct {
 	cfg     Config
 	mem     *memory.Hierarchy
@@ -98,7 +98,7 @@ type Engine struct {
 
 	// Fetch state: at most one cache line is being fetched at a time; its
 	// instructions are delivered into the dispatch queue when the data
-	// arrives, and the back-end dispatches up to FetchWidth of them per
+	// arrives, and the back-end dispatches up to fetchWidth of them per
 	// cycle.
 	fetchActive  bool
 	fetchReq     *memory.Request // nil when served by the pre-buffer
@@ -181,11 +181,11 @@ func NewEngine(cfg Config, dict *isa.Dictionary, tr TraceSource) (*Engine, error
 	if err != nil {
 		return nil, err
 	}
-	backend, err := pipeline.New(cfg.Backend, mem)
+	backend, err := pipeline.New(pipeline.DefaultConfig(), mem)
 	if err != nil {
 		return nil, err
 	}
-	pred, err := bpred.New(cfg.Predictor)
+	pred, err := bpred.New(bpred.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -217,8 +217,8 @@ func NewEngine(cfg Config, dict *isa.Dictionary, tr TraceSource) (*Engine, error
 		dq:        make([]*pipeline.DynInst, dispatchQueueCap),
 		// At most a full RUU, a full dispatch queue and one commit group
 		// of instructions are in flight.
-		pool:      pipeline.NewPool(cfg.Backend.RUUSize + dispatchQueueCap + cfg.Backend.Width),
-		commitBuf: make([]*pipeline.DynInst, 0, cfg.Backend.Width),
+		pool:      pipeline.NewPool(backend.Config().RUUSize + dispatchQueueCap + backend.Config().Width),
+		commitBuf: make([]*pipeline.DynInst, 0, backend.Config().Width),
 		nop:       isa.StaticInst{Class: isa.OpNop, Src1: isa.RegZero, Src2: isa.RegZero, Dst: isa.RegZero},
 	}
 	backend.SetPool(e.pool)
@@ -384,7 +384,7 @@ func (e *Engine) Step() bool {
 	// 5. Fetch: finish the in-flight line, start the next one.
 	preFetched := e.fetched
 	e.fetchStage(now)
-	// 6. Dispatch up to FetchWidth fetched instructions into the RUU.
+	// 6. Dispatch up to fetchWidth fetched instructions into the RUU.
 	e.dispatchStage(now)
 	// 7. Predict one fetch block into the decoupling queue.
 	preSeqID := e.nextSeqID
@@ -837,9 +837,9 @@ func (e *Engine) deliverLine(now uint64, src stats.Source) {
 	}
 }
 
-// dispatchStage moves up to FetchWidth instructions into the back-end.
+// dispatchStage moves up to fetchWidth instructions into the back-end.
 func (e *Engine) dispatchStage(now uint64) {
-	for dispatched := 0; e.dqN > 0 && dispatched < e.cfg.FetchWidth; dispatched++ {
+	for dispatched := 0; e.dqN > 0 && dispatched < fetchWidth; dispatched++ {
 		if !e.backend.Dispatch(e.dq[e.dqHead], now) {
 			return // RUU full: back-pressure on fetch
 		}
@@ -901,7 +901,7 @@ func (e *Engine) recoverFromMisprediction(now uint64) {
 		e.recoveryValid = false
 	}
 	e.wrongPath = false
-	e.predStallUntil = now + uint64(e.cfg.RedirectPenalty)
+	e.predStallUntil = now + redirectPenalty
 }
 
 // sweepDrain releases abandoned demand fetches whose data arrived.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"clgp/internal/cacti"
+	"clgp/internal/pipeline"
 	"clgp/internal/stats"
 	"clgp/internal/workload"
 )
@@ -56,13 +57,10 @@ func TestEngineIPCBoundedByCommitWidth(t *testing.T) {
 	w := icacheStressWorkload(t, 30_000, 2)
 	for _, kind := range []EngineKind{EngineNone, EngineCLGP} {
 		cfg := Config{Tech: cacti.Tech90, L1ISize: 64 << 10, Engine: kind}
-		cfg2, err := cfg.normalise()
-		if err != nil {
-			t.Fatal(err)
-		}
+		width := pipeline.DefaultConfig().Width
 		r := runConfig(t, cfg, w)
-		if ipc := r.IPC(); ipc > float64(cfg2.Backend.Width) {
-			t.Errorf("%v: IPC %.3f exceeds commit width %d", kind, ipc, cfg2.Backend.Width)
+		if ipc := r.IPC(); ipc > float64(width) {
+			t.Errorf("%v: IPC %.3f exceeds commit width %d", kind, ipc, width)
 		}
 	}
 }
@@ -161,7 +159,7 @@ func TestReleaseRecyclesInstructions(t *testing.T) {
 	old := eng.pool.Get()
 	eng.Release()
 	next := MustNewEngine(cfg, w.Dict, w.Trace)
-	for i := 0; i < next.cfg.Backend.RUUSize+dispatchQueueCap+next.cfg.Backend.Width; i++ {
+	for i := 0; i < next.backend.Config().RUUSize+dispatchQueueCap+next.backend.Config().Width; i++ {
 		if next.pool.Get() == old {
 			return
 		}

@@ -25,10 +25,12 @@ func (c Config) WarmKey() uint64 {
 		c = n
 	}
 	h := fnv.New64a()
+	// The fixed Table 2 parameters stay in the hashed text so keys, and the
+	// snapshot stores addressed by them, match those of earlier builds.
 	fmt.Fprintf(h, "tech=%d l1i=%d l1ipipe=%t l0=%t ideal=%t eng=%d pb=%d fw=%d rp=%d be=%+v bp=%+v",
 		int(c.Tech), c.L1ISize, c.L1IPipelined, c.UseL0, c.IdealICache,
-		int(c.Engine), c.PreBufferEntries, c.FetchWidth, c.RedirectPenalty,
-		c.Backend, c.Predictor)
+		int(c.Engine), c.PreBufferEntries, fetchWidth, redirectPenalty,
+		pipeline.DefaultConfig(), bpred.DefaultConfig())
 	return h.Sum64()
 }
 
@@ -283,7 +285,15 @@ func (e *Engine) Restore(data []byte, workload string, fingerprint uint64) error
 		e.drain = append(e.drain, r)
 	}
 
+	if d.Err() == nil && (e.fetchFR.NumInsts < 0 || e.fetchFR.NumInsts > fetchLineHeadroom) {
+		d.Failf("core: fetch line of %d instructions, want 0..%d", e.fetchFR.NumInsts, fetchLineHeadroom)
+	}
 	dqN := d.Count(dispatchQueueCap)
+	// fetchStage starts a line only with a full line of headroom, and only
+	// dispatch moves the queue while the line is in flight.
+	if d.Err() == nil && e.fetchActive && dqN > dispatchQueueCap-fetchLineHeadroom {
+		d.Failf("core: %d queued instructions leave no room for the line in flight", dqN)
+	}
 	if d.Err() != nil {
 		return d.Err()
 	}

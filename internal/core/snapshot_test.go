@@ -341,3 +341,69 @@ func TestWarmKeyAxes(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmKeyPinned pins WarmKey for every engine with and without an L0,
+// and for one ideal-I-cache configuration. Snapshot stores are addressed by
+// these keys, so a change here orphans every stored warm-state snapshot.
+func TestWarmKeyPinned(t *testing.T) {
+	for _, tc := range []struct {
+		kind EngineKind
+		l0   bool
+		want uint64
+	}{
+		{EngineNone, false, 0x9ef26cd6d59faa31},
+		{EngineNone, true, 0x4322dd6ce9c270d4},
+		{EngineNextN, false, 0x1362407efd8e1a40},
+		{EngineNextN, true, 0x21cb74f5b311cb25},
+		{EngineFDP, false, 0xb361a5bed5d1e807},
+		{EngineFDP, true, 0x7fd02cb3aad6de92},
+		{EngineCLGP, false, 0x3d64ddc17b18bcee},
+		{EngineCLGP, true, 0x4cb615e0d5a6589b},
+	} {
+		c := Config{Tech: cacti.Tech90, L1ISize: 2 << 10, Engine: tc.kind, UseL0: tc.l0}
+		if got := c.WarmKey(); got != tc.want {
+			t.Errorf("%v l0=%v: warm key %#016x, want %#016x", tc.kind, tc.l0, got, tc.want)
+		}
+	}
+	ideal := Config{Tech: cacti.Tech45, L1ISize: 4 << 10, Engine: EngineNone, IdealICache: true}
+	if got, want := ideal.WarmKey(), uint64(0x5594df7c7e04ceff); got != want {
+		t.Errorf("ideal: warm key %#016x, want %#016x", got, want)
+	}
+}
+
+// TestRestoreRejectsDispatchQueueWithoutFetchHeadroom: fetch starts a line
+// only with a full line of dispatch-queue headroom, so a snapshot whose queue
+// is fuller than that while a line is in flight describes a state no run
+// reaches. Restore must reject it as corrupt; accepting it let the restored
+// run overflow the queue when the line arrived.
+func TestRestoreRejectsDispatchQueueWithoutFetchHeadroom(t *testing.T) {
+	eng, w := pinnedSnapshotEngine(t)
+	// A pre-buffer-served line lands within a cycle or two, before dispatch
+	// can drain the queue.
+	for !eng.fetchActive || eng.fetchReq != nil || eng.fetchFR.NumInsts <= 8 {
+		if !eng.Step() {
+			t.Fatalf("run ended before a pre-buffer line fetch: %v", eng.Err())
+		}
+	}
+	for eng.dqN < dispatchQueueCap {
+		d := eng.pool.Get()
+		d.Static = &eng.nop
+		d.WrongPath = true
+		eng.dqPush(d)
+	}
+	fp := workload.Fingerprint(w.Profile, w.Dict)
+	data, err := eng.Snapshot(w.Name, fp)
+	if err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	fresh := MustNewEngine(eng.Config(), w.Dict, w.Trace)
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("restored run panicked: %v", r)
+		}
+	}()
+	if err := fresh.Restore(data, w.Name, fp); !errors.Is(err, snap.ErrCorrupt) {
+		_, runErr := fresh.Run()
+		t.Fatalf("restore returned %v, want ErrCorrupt; the run then returned %v", err, runErr)
+	}
+}

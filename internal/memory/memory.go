@@ -99,39 +99,37 @@ func (r *Request) NextEvent(now uint64) uint64 {
 	return r.readyAt
 }
 
-// Config describes the hierarchy for one simulated configuration.
+// The Table 2 parameters every configuration shares: 64 B L0/L1 lines, a
+// 2-way L1I, a 32 KB 2-way one-cycle L1D with two ports and a 1 MB 2-way L2
+// with 128 B lines. The L2 and memory latencies come from cacti.
+const (
+	lineBytes   = 64
+	l1iAssoc    = 2
+	l1dSize     = 32 << 10
+	l1dAssoc    = 2
+	l1dLatency  = 1
+	l1dPorts    = 2
+	l2Size      = 1 << 20
+	l2Assoc     = 2
+	l2LineBytes = 128
+)
+
+// Config describes the hierarchy for one simulated configuration: the axes
+// the paper's figures vary. Everything else is fixed at Table 2.
 type Config struct {
 	// Tech selects the technology node (latencies via cacti).
 	Tech cacti.Tech
-	// LineBytes is the L1/L0 line size (Table 2: 64B).
-	LineBytes int
 
-	// L1ISize, L1IAssoc configure the L1 instruction cache. L1ILatency of 0
-	// means "use Table 3 for the size and node". L1IPipelined selects a
-	// pipelined L1 I-cache.
+	// L1ISize configures the L1 instruction cache. L1ILatency of 0 means
+	// "use Table 3 for the size and node". L1IPipelined selects a pipelined
+	// L1 I-cache.
 	L1ISize      int
-	L1IAssoc     int
 	L1ILatency   int
 	L1IPipelined bool
 
-	// L0Size of 0 disables the L0; otherwise the L0 is a one-cycle cache.
-	L0Size  int
-	L0Assoc int
-
-	// L1DSize etc. configure the data cache (Table 2: 32KB, 2-way, 1 cycle).
-	L1DSize    int
-	L1DAssoc   int
-	L1DLatency int
-	L1DPorts   int
-
-	// L2Size etc. configure the unified L2 (Table 2: 1MB, 2-way, 128B lines).
-	L2Size      int
-	L2Assoc     int
-	L2LineBytes int
-	L2Latency   int
-
-	// MemLatency is the main memory latency (Table 2: 200 cycles).
-	MemLatency int
+	// L0Size of 0 disables the L0; otherwise the L0 is a one-cycle, fully
+	// associative cache.
+	L0Size int
 
 	// PrefetchFromL1 selects where prefetches look first: with an L0
 	// present, prefetch requests are served by the L1 if it holds the line
@@ -143,73 +141,24 @@ type Config struct {
 	IdealICache bool
 }
 
-// DefaultConfig returns the Table 2 memory configuration for the given node
-// and L1 I-cache size.
+// DefaultConfig returns the memory configuration for the given node and L1
+// I-cache size.
 func DefaultConfig(tech cacti.Tech, l1iSize int) Config {
-	return Config{
-		Tech:        tech,
-		LineBytes:   64,
-		L1ISize:     l1iSize,
-		L1IAssoc:    2,
-		L1DSize:     32 << 10,
-		L1DAssoc:    2,
-		L1DLatency:  1,
-		L1DPorts:    2,
-		L2Size:      1 << 20,
-		L2Assoc:     2,
-		L2LineBytes: 128,
-		MemLatency:  cacti.MemoryLatency(),
-	}
+	return Config{Tech: tech, L1ISize: l1iSize}
 }
 
 func (c Config) normalise() (Config, error) {
 	if !c.Tech.Valid() {
 		return c, fmt.Errorf("memory: invalid technology node %v", c.Tech)
 	}
-	if c.LineBytes <= 0 {
-		c.LineBytes = 64
-	}
 	if c.L1ISize <= 0 {
 		return c, fmt.Errorf("memory: L1 I-cache size must be positive, got %d", c.L1ISize)
-	}
-	if c.L1IAssoc <= 0 {
-		c.L1IAssoc = 2
 	}
 	if c.L1ILatency <= 0 {
 		c.L1ILatency = cacti.CacheLatency(c.L1ISize, c.Tech)
 	}
 	if c.L0Size < 0 {
 		return c, fmt.Errorf("memory: L0 size must be non-negative, got %d", c.L0Size)
-	}
-	if c.L0Size > 0 && c.L0Assoc <= 0 {
-		c.L0Assoc = 0 // fully associative
-	}
-	if c.L1DSize <= 0 {
-		c.L1DSize = 32 << 10
-	}
-	if c.L1DAssoc <= 0 {
-		c.L1DAssoc = 2
-	}
-	if c.L1DLatency <= 0 {
-		c.L1DLatency = 1
-	}
-	if c.L1DPorts <= 0 {
-		c.L1DPorts = 2
-	}
-	if c.L2Size <= 0 {
-		c.L2Size = 1 << 20
-	}
-	if c.L2Assoc <= 0 {
-		c.L2Assoc = 2
-	}
-	if c.L2LineBytes <= 0 {
-		c.L2LineBytes = 128
-	}
-	if c.L2Latency <= 0 {
-		c.L2Latency = cacti.L2Latency(c.Tech)
-	}
-	if c.MemLatency <= 0 {
-		c.MemLatency = cacti.MemoryLatency()
 	}
 	return c, nil
 }
@@ -258,7 +207,7 @@ func New(cfg Config) (*Hierarchy, error) {
 	h := &Hierarchy{cfg: cfg, arb: bus.New()}
 
 	h.l1i, err = cache.New(cache.Config{
-		Name: "L1I", SizeBytes: cfg.L1ISize, LineBytes: cfg.LineBytes, Assoc: cfg.L1IAssoc,
+		Name: "L1I", SizeBytes: cfg.L1ISize, LineBytes: lineBytes, Assoc: l1iAssoc,
 		Latency: cfg.L1ILatency, Pipelined: cfg.L1IPipelined, Ports: 1,
 	})
 	if err != nil {
@@ -266,7 +215,7 @@ func New(cfg Config) (*Hierarchy, error) {
 	}
 	if cfg.L0Size > 0 {
 		h.l0, err = cache.New(cache.Config{
-			Name: "L0", SizeBytes: cfg.L0Size, LineBytes: cfg.LineBytes, Assoc: cfg.L0Assoc,
+			Name: "L0", SizeBytes: cfg.L0Size, LineBytes: lineBytes,
 			Latency: 1, Pipelined: true, Ports: 1,
 		})
 		if err != nil {
@@ -274,15 +223,15 @@ func New(cfg Config) (*Hierarchy, error) {
 		}
 	}
 	h.l1d, err = cache.New(cache.Config{
-		Name: "L1D", SizeBytes: cfg.L1DSize, LineBytes: cfg.LineBytes, Assoc: cfg.L1DAssoc,
-		Latency: cfg.L1DLatency, Pipelined: true, Ports: cfg.L1DPorts,
+		Name: "L1D", SizeBytes: l1dSize, LineBytes: lineBytes, Assoc: l1dAssoc,
+		Latency: l1dLatency, Pipelined: true, Ports: l1dPorts,
 	})
 	if err != nil {
 		return nil, err
 	}
 	h.l2, err = cache.New(cache.Config{
-		Name: "L2", SizeBytes: cfg.L2Size, LineBytes: cfg.L2LineBytes, Assoc: cfg.L2Assoc,
-		Latency: cfg.L2Latency, Pipelined: true, Ports: 1,
+		Name: "L2", SizeBytes: l2Size, LineBytes: l2LineBytes, Assoc: l2Assoc,
+		Latency: cacti.L2Latency(cfg.Tech), Pipelined: true, Ports: 1,
 	})
 	if err != nil {
 		return nil, err
@@ -331,7 +280,7 @@ func (h *Hierarchy) L2() *cache.Cache { return h.l2 }
 func (h *Hierarchy) HasL0() bool { return h.l0 != nil }
 
 // LineAddr aligns an address to the L1 line size.
-func (h *Hierarchy) LineAddr(a isa.Addr) isa.Addr { return isa.LineAddr(a, h.cfg.LineBytes) }
+func (h *Hierarchy) LineAddr(a isa.Addr) isa.Addr { return isa.LineAddr(a, lineBytes) }
 
 // newRequest takes a request from the free-list (or allocates one) and
 // initialises it.
@@ -481,7 +430,7 @@ func (h *Hierarchy) AccessIPrefetch(addr isa.Addr, now uint64) *Request {
 // as writes that hit or allocate in the L1D; loads that miss go to the L2
 // over the bus with the highest priority.
 func (h *Hierarchy) AccessData(addr isa.Addr, now uint64, isStore bool) *Request {
-	line := isa.LineAddr(addr, h.cfg.LineBytes)
+	line := isa.LineAddr(addr, lineBytes)
 	r := h.newRequest(line, KindData)
 	hit := h.l1d.Lookup(line)
 	if hit || isStore {
@@ -525,21 +474,21 @@ func (h *Hierarchy) Tick(now uint64) {
 
 // schedule resolves a bus-granted request against the L2 and memory.
 func (h *Hierarchy) schedule(r *Request, now uint64) {
-	l2Line := isa.LineAddr(r.Line, h.cfg.L2LineBytes)
+	l2Line := isa.LineAddr(r.Line, l2LineBytes)
 	l2Hit := h.l2.Lookup(l2Line)
 	if r.Kind != KindData {
 		h.l2IAccesses++
 	}
 	if l2Hit {
 		r.Source = stats.SrcL2
-		r.readyAt = now + uint64(h.cfg.L2Latency)
+		r.readyAt = now + uint64(h.l2.Latency())
 	} else {
 		if r.Kind != KindData {
 			h.l2IMisses++
 			h.memIAccesses++
 		}
 		r.Source = stats.SrcMem
-		r.readyAt = now + uint64(h.cfg.L2Latency) + uint64(h.cfg.MemLatency)
+		r.readyAt = now + uint64(h.l2.Latency()) + uint64(cacti.MemoryLatency())
 		h.l2.Insert(l2Line)
 	}
 	r.scheduled = true

@@ -34,11 +34,11 @@ func TestConfigNormalisation(t *testing.T) {
 	if got.L1ILatency != 4 {
 		t.Errorf("L1 latency = %d, want 4 (Table 3)", got.L1ILatency)
 	}
-	if got.L2Latency != 24 {
-		t.Errorf("L2 latency = %d, want 24 (Table 3)", got.L2Latency)
+	if got := h.L2().Latency(); got != 24 {
+		t.Errorf("L2 latency = %d, want 24 (Table 3)", got)
 	}
-	if got.MemLatency != 200 {
-		t.Errorf("memory latency = %d, want 200 (Table 2)", got.MemLatency)
+	if got := cacti.MemoryLatency(); got != 200 {
+		t.Errorf("memory latency = %d, want 200 (Table 2)", got)
 	}
 	if h.L1ILatency() != 4 {
 		t.Errorf("hierarchy L1ILatency = %d", h.L1ILatency())

@@ -37,7 +37,7 @@ func NewCLGP(cfg Config, mem *memory.Hierarchy) (*CLGPEngine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &CLGPEngine{common: common{cfg: cfg, mem: mem}, q: q, buf: buf}, nil
+	return &CLGPEngine{common: common{cfg: cfg, mem: mem, pb: &buf.Buffer}, q: q, buf: buf}, nil
 }
 
 // Name implements Engine.
@@ -98,7 +98,7 @@ func (e *CLGPEngine) Tick(now uint64) {
 	e.completeFills(now, e.buf.Fill, e.buf.Invalidate)
 
 	processed := 0
-	for processed < e.cfg.MaxPerCycle {
+	for processed < maxPerCycle {
 		idx := e.q.NextUnprefetched()
 		if idx < 0 {
 			break
@@ -147,14 +147,4 @@ func (e *CLGPEngine) NextEvent(now uint64) uint64 {
 func (e *CLGPEngine) Flush() {
 	e.q.Flush()
 	e.buf.ResetConsumers()
-}
-
-// BufferLatency implements Engine.
-func (e *CLGPEngine) BufferLatency() int { return e.bufferLatency() }
-
-// CollectStats implements Engine.
-func (e *CLGPEngine) CollectStats(r *stats.Results) {
-	r.PrefetchSources.Merge(e.prefetchSources)
-	r.PrefetchesIssued += e.issued
-	r.PrefetchesUseful += e.buf.UsedLines()
 }

@@ -2,9 +2,7 @@ package prefetch
 
 import (
 	"clgp/internal/ftq"
-	"clgp/internal/isa"
 	"clgp/internal/memory"
-	"clgp/internal/prebuffer"
 	"clgp/internal/stats"
 )
 
@@ -14,48 +12,25 @@ import (
 // L0 is present) are probed and already-resident lines are not prefetched.
 // Prefetched lines wait in a prefetch buffer; on a fetch-stage hit the line
 // is transferred to the L0 (or L1 when there is no L0) and the buffer entry
-// is freed for new prefetches.
+// is freed for new prefetches. Every line of an enqueued fetch block becomes
+// a prefetch candidate.
 type FDPEngine struct {
-	common
-	cursor blockCursor
-	buf    *prebuffer.PrefetchBuffer
-
-	// candidates is the prefetch instruction queue: line addresses waiting
-	// to be filtered/issued, expanded from enqueued fetch blocks.
-	candidates candRing
+	filterEngine
 }
 
 // NewFDP creates an FDP engine bound to the memory hierarchy.
 func NewFDP(cfg Config, mem *memory.Hierarchy) (*FDPEngine, error) {
-	cfg, err := cfg.normalise()
+	f, err := newFilterEngine("fdp", stats.SrcL0, cfg, mem)
 	if err != nil {
 		return nil, err
 	}
-	q, err := ftq.NewFTQ(cfg.QueueBlocks)
-	if err != nil {
-		return nil, err
-	}
-	buf, err := prebuffer.NewPrefetchBuffer(cfg.BufferEntries, cfg.BufferLatency)
-	if err != nil {
-		return nil, err
-	}
-	return &FDPEngine{
-		common: common{cfg: cfg, mem: mem},
-		cursor: blockCursor{q: q, lineSize: cfg.LineBytes},
-		buf:    buf,
-	}, nil
+	return &FDPEngine{f}, nil
 }
-
-// Name implements Engine.
-func (e *FDPEngine) Name() string { return "fdp" }
-
-// Buffer exposes the prefetch buffer (tests, fetch-source accounting).
-func (e *FDPEngine) Buffer() *prebuffer.PrefetchBuffer { return e.buf }
 
 // EnqueueBlock implements Engine: the block enters the FTQ and its lines
 // become prefetch candidates.
 func (e *FDPEngine) EnqueueBlock(fb ftq.FetchBlock) bool {
-	if !e.cursor.q.Push(fb) {
+	if !e.q.Push(fb) {
 		return false
 	}
 	for i, n := 0, fb.NumLines(e.cfg.LineBytes); i < n; i++ {
@@ -64,100 +39,4 @@ func (e *FDPEngine) EnqueueBlock(fb ftq.FetchBlock) bool {
 		}
 	}
 	return true
-}
-
-// QueueFull implements Engine.
-func (e *FDPEngine) QueueFull() bool { return e.cursor.q.Full() }
-
-// QueueEmpty implements Engine.
-func (e *FDPEngine) QueueEmpty() bool { return e.cursor.empty() }
-
-// BlocksQueued implements Engine.
-func (e *FDPEngine) BlocksQueued() int { return e.cursor.q.Len() }
-
-// NextFetch implements Engine.
-func (e *FDPEngine) NextFetch() (FetchRequest, bool) { return e.cursor.next() }
-
-// PopFetch implements Engine.
-func (e *FDPEngine) PopFetch() { e.cursor.pop() }
-
-// LookupBuffer implements Engine. On a hit the FDP policy applies: the line
-// is transferred to the L0 cache (or to the L1 when no L0 is configured) and
-// the buffer entry becomes available.
-func (e *FDPEngine) LookupBuffer(line isa.Addr, now uint64) (bool, int) {
-	hit := e.buf.Lookup(line)
-	if hit {
-		if e.cfg.HasL0 {
-			e.mem.InsertL0(line)
-		} else {
-			e.mem.InsertL1I(line)
-		}
-		e.buf.Invalidate(line)
-	}
-	return hit, e.cfg.BufferLatency
-}
-
-// Tick implements Engine: filter and issue prefetch candidates, and complete
-// outstanding fills.
-func (e *FDPEngine) Tick(now uint64) {
-	// Cancelled prefetches must free their pending buffer entry, or the
-	// buffer would slowly fill with dead allocations after flushes.
-	e.completeFills(now, e.buf.Fill, e.buf.Invalidate)
-
-	processed := 0
-	for e.candidates.n > 0 && processed < e.cfg.MaxPerCycle {
-		line := e.candidates.peek()
-		// Enqueue Cache Probe Filtering: skip lines already in the caches.
-		if e.cfg.HasL0 && e.mem.L0() != nil && e.mem.L0().Probe(line) {
-			e.recordSource(stats.SrcL0)
-			e.candidates.pop()
-			processed++
-			continue
-		}
-		if e.mem.L1I().Probe(line) {
-			e.recordSource(stats.SrcL1)
-			e.candidates.pop()
-			processed++
-			continue
-		}
-		// Already prefetched (resident or in flight): nothing to do.
-		if e.buf.Contains(line) {
-			e.recordSource(stats.SrcPreBuffer)
-			e.candidates.pop()
-			processed++
-			continue
-		}
-		// Need a free prefetch buffer entry; if none, stall the candidate
-		// queue (entries free up when fetch consumes lines).
-		if !e.buf.Allocate(line) {
-			break
-		}
-		e.issuePrefetch(line, now)
-		e.candidates.pop()
-		processed++
-	}
-}
-
-// NextEvent implements Engine; see common.candidateHeadEvent for the
-// head-progress policy it shares with NextN.
-func (e *FDPEngine) NextEvent(now uint64) uint64 {
-	return e.candidateHeadEvent(now, &e.candidates, e.buf)
-}
-
-// Flush implements Engine: the FTQ and the candidate queue are cleared. The
-// prefetch buffer keeps its contents (lines from the wrong path may still
-// turn out useful, exactly as in the paper's description of FDP).
-func (e *FDPEngine) Flush() {
-	e.cursor.flush()
-	e.candidates.reset()
-}
-
-// BufferLatency implements Engine.
-func (e *FDPEngine) BufferLatency() int { return e.bufferLatency() }
-
-// CollectStats implements Engine.
-func (e *FDPEngine) CollectStats(r *stats.Results) {
-	r.PrefetchSources.Merge(e.prefetchSources)
-	r.PrefetchesIssued += e.issued
-	r.PrefetchesUseful += e.buf.UsedLines()
 }

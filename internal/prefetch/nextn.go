@@ -1,141 +1,45 @@
 package prefetch
 
 import (
-	"clgp/internal/ftq"
 	"clgp/internal/isa"
 	"clgp/internal/memory"
-	"clgp/internal/prebuffer"
 	"clgp/internal/stats"
 )
 
+// nextNDegree is the number of sequential lines NextN prefetches for each
+// line the fetch stage consumes.
+const nextNDegree = 2
+
 // NextNEngine implements classic next-N-line sequential prefetching (Smith),
 // included as a related-work ablation: whenever the fetch stage consumes a
-// line, the next Degree sequential lines are prefetched into a prefetch
-// buffer (filtered against the caches). It shares the FDP prefetch-buffer
-// semantics (entries freed on use, line transferred to L0/L1).
+// line, the next nextNDegree sequential lines become prefetch candidates. It
+// shares FDP's filtering and prefetch-buffer semantics (entries freed on
+// use, line transferred to L0/L1), but counts a candidate the L0 filters out
+// as an L1 source.
 type NextNEngine struct {
-	common
-	cursor     blockCursor
-	buf        *prebuffer.PrefetchBuffer
-	candidates candRing
+	filterEngine
 }
 
 // NewNextN creates a next-N-line prefetching engine.
 func NewNextN(cfg Config, mem *memory.Hierarchy) (*NextNEngine, error) {
-	cfg, err := cfg.normalise()
+	f, err := newFilterEngine("nextn", stats.SrcL1, cfg, mem)
 	if err != nil {
 		return nil, err
 	}
-	q, err := ftq.NewFTQ(cfg.QueueBlocks)
-	if err != nil {
-		return nil, err
-	}
-	buf, err := prebuffer.NewPrefetchBuffer(cfg.BufferEntries, cfg.BufferLatency)
-	if err != nil {
-		return nil, err
-	}
-	return &NextNEngine{
-		common: common{cfg: cfg, mem: mem},
-		cursor: blockCursor{q: q, lineSize: cfg.LineBytes},
-		buf:    buf,
-	}, nil
+	return &NextNEngine{f}, nil
 }
 
-// Name implements Engine.
-func (e *NextNEngine) Name() string { return "nextn" }
-
-// Buffer exposes the prefetch buffer.
-func (e *NextNEngine) Buffer() *prebuffer.PrefetchBuffer { return e.buf }
-
-// EnqueueBlock implements Engine.
-func (e *NextNEngine) EnqueueBlock(fb ftq.FetchBlock) bool { return e.cursor.q.Push(fb) }
-
-// QueueFull implements Engine.
-func (e *NextNEngine) QueueFull() bool { return e.cursor.q.Full() }
-
-// QueueEmpty implements Engine.
-func (e *NextNEngine) QueueEmpty() bool { return e.cursor.empty() }
-
-// BlocksQueued implements Engine.
-func (e *NextNEngine) BlocksQueued() int { return e.cursor.q.Len() }
-
-// NextFetch implements Engine.
-func (e *NextNEngine) NextFetch() (FetchRequest, bool) { return e.cursor.next() }
-
-// PopFetch implements Engine: consuming a line triggers prefetches of the
-// next Degree sequential lines.
+// PopFetch implements Engine: consuming a line makes the next nextNDegree
+// sequential lines prefetch candidates.
 func (e *NextNEngine) PopFetch() {
-	req, ok := e.cursor.next()
-	e.cursor.pop()
+	req, ok := e.NextFetch()
+	e.blockCursor.PopFetch()
 	if !ok {
 		return
 	}
-	for i := 1; i <= e.cfg.Degree; i++ {
+	for i := 1; i <= nextNDegree; i++ {
 		if !e.candidates.push(req.Line + isa.Addr(i*e.cfg.LineBytes)) {
 			break
 		}
 	}
-}
-
-// LookupBuffer implements Engine (FDP-style transfer-on-use policy).
-func (e *NextNEngine) LookupBuffer(line isa.Addr, now uint64) (bool, int) {
-	hit := e.buf.Lookup(line)
-	if hit {
-		if e.cfg.HasL0 {
-			e.mem.InsertL0(line)
-		} else {
-			e.mem.InsertL1I(line)
-		}
-		e.buf.Invalidate(line)
-	}
-	return hit, e.cfg.BufferLatency
-}
-
-// Tick implements Engine.
-func (e *NextNEngine) Tick(now uint64) {
-	e.completeFills(now, e.buf.Fill, e.buf.Invalidate)
-	processed := 0
-	for e.candidates.n > 0 && processed < e.cfg.MaxPerCycle {
-		line := e.candidates.peek()
-		if (e.cfg.HasL0 && e.mem.L0() != nil && e.mem.L0().Probe(line)) || e.mem.L1I().Probe(line) {
-			e.recordSource(stats.SrcL1)
-			e.candidates.pop()
-			processed++
-			continue
-		}
-		if e.buf.Contains(line) {
-			e.recordSource(stats.SrcPreBuffer)
-			e.candidates.pop()
-			processed++
-			continue
-		}
-		if !e.buf.Allocate(line) {
-			break
-		}
-		e.issuePrefetch(line, now)
-		e.candidates.pop()
-		processed++
-	}
-}
-
-// NextEvent implements Engine; see common.candidateHeadEvent for the
-// head-progress policy it shares with FDP.
-func (e *NextNEngine) NextEvent(now uint64) uint64 {
-	return e.candidateHeadEvent(now, &e.candidates, e.buf)
-}
-
-// Flush implements Engine.
-func (e *NextNEngine) Flush() {
-	e.cursor.flush()
-	e.candidates.reset()
-}
-
-// BufferLatency implements Engine.
-func (e *NextNEngine) BufferLatency() int { return e.bufferLatency() }
-
-// CollectStats implements Engine.
-func (e *NextNEngine) CollectStats(r *stats.Results) {
-	r.PrefetchSources.Merge(e.prefetchSources)
-	r.PrefetchesIssued += e.issued
-	r.PrefetchesUseful += e.buf.UsedLines()
 }

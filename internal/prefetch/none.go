@@ -2,7 +2,6 @@ package prefetch
 
 import (
 	"clgp/internal/clock"
-	"clgp/internal/ftq"
 	"clgp/internal/isa"
 	"clgp/internal/memory"
 	"clgp/internal/stats"
@@ -12,44 +11,25 @@ import (
 // front-end (FTQ) so every configuration shares the same branch predictor
 // look-ahead, but has no pre-buffer and never issues prefetches.
 type NoneEngine struct {
-	cfg    Config
-	cursor blockCursor
+	blockCursor
 }
 
-// NewNone creates the no-prefetching baseline engine.
-func NewNone(cfg Config, mem *memory.Hierarchy) (*NoneEngine, error) {
+// NewNone creates the no-prefetching baseline engine; the baseline never
+// touches the hierarchy on its own.
+func NewNone(cfg Config, _ *memory.Hierarchy) (*NoneEngine, error) {
 	cfg, err := cfg.normalise()
 	if err != nil {
 		return nil, err
 	}
-	_ = mem // the baseline never touches the hierarchy on its own
-	q, err := ftq.NewFTQ(cfg.QueueBlocks)
+	bc, err := newBlockCursor(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &NoneEngine{cfg: cfg, cursor: blockCursor{q: q, lineSize: cfg.LineBytes}}, nil
+	return &NoneEngine{bc}, nil
 }
 
 // Name implements Engine.
 func (e *NoneEngine) Name() string { return "none" }
-
-// EnqueueBlock implements Engine.
-func (e *NoneEngine) EnqueueBlock(fb ftq.FetchBlock) bool { return e.cursor.q.Push(fb) }
-
-// QueueFull implements Engine.
-func (e *NoneEngine) QueueFull() bool { return e.cursor.q.Full() }
-
-// QueueEmpty implements Engine.
-func (e *NoneEngine) QueueEmpty() bool { return e.cursor.empty() }
-
-// BlocksQueued implements Engine.
-func (e *NoneEngine) BlocksQueued() int { return e.cursor.q.Len() }
-
-// NextFetch implements Engine.
-func (e *NoneEngine) NextFetch() (FetchRequest, bool) { return e.cursor.next() }
-
-// PopFetch implements Engine.
-func (e *NoneEngine) PopFetch() { e.cursor.pop() }
 
 // LookupBuffer implements Engine; the baseline has no buffer.
 func (e *NoneEngine) LookupBuffer(line isa.Addr, now uint64) (bool, int) { return false, 0 }
@@ -62,7 +42,7 @@ func (e *NoneEngine) Tick(now uint64) {}
 func (e *NoneEngine) NextEvent(now uint64) uint64 { return clock.None }
 
 // Flush implements Engine.
-func (e *NoneEngine) Flush() { e.cursor.flush() }
+func (e *NoneEngine) Flush() { e.flush() }
 
 // BufferLatency implements Engine.
 func (e *NoneEngine) BufferLatency() int { return 0 }

@@ -127,13 +127,11 @@ type Config struct {
 	// HasL0 reports whether the hierarchy has an L0 cache; FDP transfers
 	// used lines there instead of into the L1, and filtering also probes it.
 	HasL0 bool
-	// MaxPerCycle bounds how many queue entries the engine processes per
-	// cycle (prefetch issue bandwidth). Defaults to 2.
-	MaxPerCycle int
-	// Degree is the number of sequential lines prefetched by the NextN
-	// engine. Defaults to 2.
-	Degree int
 }
+
+// maxPerCycle bounds how many queue entries an engine processes per cycle
+// (prefetch issue bandwidth).
+const maxPerCycle = 2
 
 func (c Config) normalise() (Config, error) {
 	if c.LineBytes <= 0 || c.LineBytes&(c.LineBytes-1) != 0 {
@@ -148,17 +146,11 @@ func (c Config) normalise() (Config, error) {
 	if c.BufferLatency <= 0 {
 		c.BufferLatency = 1
 	}
-	if c.MaxPerCycle <= 0 {
-		c.MaxPerCycle = 2
-	}
-	if c.Degree <= 0 {
-		c.Degree = 2
-	}
 	return c, nil
 }
 
 // maxCandidateQueue bounds the prefetch instruction queue of the filtering
-// engines (FDP, NextN).
+// engines (FDP, NextN; see filterEngine).
 const maxCandidateQueue = 32
 
 // candRing is a fixed ring buffer of candidate prefetch lines; it replaces
@@ -203,21 +195,31 @@ type outstanding struct {
 	req  *memory.Request
 }
 
-// common holds state shared by the engine implementations.
+// common holds state shared by the prefetching engines (FDP, NextN, CLGP).
 type common struct {
 	cfg Config
 	mem *memory.Hierarchy
+	// pb is the part every pre-buffer shares, for its usage statistics.
+	pb *prebuffer.Buffer
 
 	prefetchSources stats.Distribution
 	issued          uint64
 	inflight        []outstanding
 }
 
-func (c *common) bufferLatency() int {
+// BufferLatency implements Engine.
+func (c *common) BufferLatency() int {
 	if c.cfg.BufferEntries == 0 {
 		return 0
 	}
 	return c.cfg.BufferLatency
+}
+
+// CollectStats implements Engine.
+func (c *common) CollectStats(r *stats.Results) {
+	r.PrefetchSources.Merge(c.prefetchSources)
+	r.PrefetchesIssued += c.issued
+	r.PrefetchesUseful += c.pb.UsedLines()
 }
 
 // recordSource counts one prefetch request by its supplying level.
@@ -233,25 +235,6 @@ func (c *common) nextFillEvent(now uint64) uint64 {
 		ev = clock.Min(ev, o.req.NextEvent(now))
 	}
 	return ev
-}
-
-// candidateHeadEvent is the shared FDP/NextN next-event horizon, mirroring
-// their identical Tick head-of-queue processing. The queued head is
-// same-cycle work exactly when Tick can make progress on it: it filters out
-// against the caches (L0/L1 probe), is already buffered, or a prefetch-
-// buffer slot is free to allocate. A head blocked on a full buffer leaves
-// Tick a no-op until a fetch-stage hit frees an entry or a resolution flush
-// clears the queue — both covered by the core's fetch and back-end horizons
-// — so the engine's own event is then only the earliest in-flight fill.
-func (c *common) candidateHeadEvent(now uint64, candidates *candRing, buf *prebuffer.PrefetchBuffer) uint64 {
-	if candidates.n > 0 {
-		line := candidates.peek()
-		if (c.cfg.HasL0 && c.mem.L0() != nil && c.mem.L0().Probe(line)) ||
-			c.mem.L1I().Probe(line) || buf.Contains(line) || buf.FreeSlots() > 0 {
-			return now
-		}
-	}
-	return c.nextFillEvent(now)
 }
 
 // issuePrefetch sends a prefetch to the hierarchy and tracks the fill.
@@ -288,7 +271,8 @@ func (c *common) completeFills(now uint64, fill, cancel func(isa.Addr)) {
 }
 
 // blockCursor adapts a block-granularity FTQ to the line-granularity fetch
-// interface: it tracks how far the head block has been consumed.
+// interface: it tracks how far the head block has been consumed. Its
+// exported methods are the queue side of Engine for every engine but CLGP.
 type blockCursor struct {
 	q        *ftq.FTQ
 	lineSize int
@@ -296,7 +280,25 @@ type blockCursor struct {
 	consumed int
 }
 
-func (bc *blockCursor) next() (FetchRequest, bool) {
+func newBlockCursor(cfg Config) (blockCursor, error) {
+	q, err := ftq.NewFTQ(cfg.QueueBlocks)
+	return blockCursor{q: q, lineSize: cfg.LineBytes}, err
+}
+
+// EnqueueBlock implements Engine.
+func (bc *blockCursor) EnqueueBlock(fb ftq.FetchBlock) bool { return bc.q.Push(fb) }
+
+// QueueFull implements Engine.
+func (bc *blockCursor) QueueFull() bool { return bc.q.Full() }
+
+// QueueEmpty implements Engine.
+func (bc *blockCursor) QueueEmpty() bool { return bc.q.Empty() }
+
+// BlocksQueued implements Engine.
+func (bc *blockCursor) BlocksQueued() int { return bc.q.Len() }
+
+// NextFetch implements Engine.
+func (bc *blockCursor) NextFetch() (FetchRequest, bool) {
 	head, ok := bc.q.Head()
 	if !ok {
 		return FetchRequest{}, false
@@ -322,12 +324,13 @@ func (bc *blockCursor) next() (FetchRequest, bool) {
 	}, true
 }
 
-func (bc *blockCursor) pop() {
+// PopFetch implements Engine.
+func (bc *blockCursor) PopFetch() {
 	head, ok := bc.q.Head()
 	if !ok {
 		return
 	}
-	req, _ := bc.next()
+	req, _ := bc.NextFetch()
 	bc.consumed += req.NumInsts
 	if bc.consumed >= head.NumInsts {
 		bc.q.Pop()
@@ -339,5 +342,3 @@ func (bc *blockCursor) flush() {
 	bc.q.Flush()
 	bc.consumed = 0
 }
-
-func (bc *blockCursor) empty() bool { return bc.q.Empty() }

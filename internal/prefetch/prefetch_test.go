@@ -1,6 +1,7 @@
 package prefetch
 
 import (
+	"fmt"
 	"testing"
 
 	"clgp/internal/cacti"
@@ -206,7 +207,6 @@ func TestFDPBufferCapacityStallsCandidates(t *testing.T) {
 	h := newHierarchy(t, false)
 	cfg := baseConfig(false)
 	cfg.BufferEntries = 2
-	cfg.MaxPerCycle = 8
 	e, _ := NewFDP(cfg, h)
 	// Three distinct lines but only two buffer entries; none is consumed, so
 	// only two prefetches can be issued.
@@ -274,7 +274,6 @@ func TestCLGPNoFilteringAndNoTransfer(t *testing.T) {
 func TestCLGPConsumersTrackCLTQReferences(t *testing.T) {
 	h := newHierarchy(t, false)
 	cfg := baseConfig(false)
-	cfg.MaxPerCycle = 8
 	e, _ := NewCLGP(cfg, h)
 	line := isa.Addr(0x40_0000)
 	// Two blocks referencing the same line: one prefetch, consumers = 2.
@@ -305,7 +304,6 @@ func TestCLGPStallsWhenAllEntriesHaveConsumers(t *testing.T) {
 	h := newHierarchy(t, false)
 	cfg := baseConfig(false)
 	cfg.BufferEntries = 2
-	cfg.MaxPerCycle = 8
 	e, _ := NewCLGP(cfg, h)
 	e.EnqueueBlock(block(0x40_0000, 4, 0, 1))
 	e.EnqueueBlock(block(0x40_1000, 4, 0, 2))
@@ -376,8 +374,6 @@ func TestCLGPFetchRequestsMatchCLTQ(t *testing.T) {
 func TestNextNEnginePrefetchesSequentialLines(t *testing.T) {
 	h := newHierarchy(t, false)
 	cfg := baseConfig(false)
-	cfg.Degree = 2
-	cfg.MaxPerCycle = 8
 	e, err := NewNextN(cfg, h)
 	if err != nil {
 		t.Fatal(err)
@@ -500,5 +496,202 @@ func TestCLGPCancelledPrefetchesReplaceableAfterFlush(t *testing.T) {
 	e.Tick(3)
 	if e.issued == issuedBefore {
 		t.Errorf("re-reference of cancelled line did not re-issue a prefetch")
+	}
+}
+
+// filterKinds lists the engines built on filterEngine, each with the prefetch
+// source it counts an L0-filtered candidate as and a way to queue the two
+// candidate lines base and base+64: FDP takes them from an enqueued two-line
+// block, NextN from consuming the line before base.
+var filterKinds = []struct {
+	name     string
+	build    func(Config, *memory.Hierarchy) (Engine, *filterEngine)
+	l0Source stats.Source
+	queueTwo func(e Engine, base isa.Addr, id uint64) bool
+}{
+	{
+		name: "fdp",
+		build: func(cfg Config, h *memory.Hierarchy) (Engine, *filterEngine) {
+			e, err := NewFDP(cfg, h)
+			if err != nil {
+				panic(err)
+			}
+			return e, &e.filterEngine
+		},
+		l0Source: stats.SrcL0,
+		queueTwo: func(e Engine, base isa.Addr, id uint64) bool {
+			return e.EnqueueBlock(block(base, 32, 0, id))
+		},
+	},
+	{
+		name: "nextn",
+		build: func(cfg Config, h *memory.Hierarchy) (Engine, *filterEngine) {
+			e, err := NewNextN(cfg, h)
+			if err != nil {
+				panic(err)
+			}
+			return e, &e.filterEngine
+		},
+		l0Source: stats.SrcL1,
+		queueTwo: func(e Engine, base isa.Addr, id uint64) bool {
+			if !e.EnqueueBlock(block(base-64, 16, 0, id)) {
+				return false
+			}
+			e.PopFetch()
+			return true
+		},
+	},
+}
+
+// TestFilterEnginesBufferCapacityStalls: with every prefetch buffer entry
+// allocated and none consumed, the candidate queue stalls; a fetch-stage hit
+// frees an entry and the stalled head then issues.
+func TestFilterEnginesBufferCapacityStalls(t *testing.T) {
+	for _, k := range filterKinds {
+		t.Run(k.name, func(t *testing.T) {
+			h := newHierarchy(t, false)
+			cfg := baseConfig(false)
+			cfg.BufferEntries = 2
+			e, f := k.build(cfg, h)
+			k.queueTwo(e, 0x40_0000, 1)
+			k.queueTwo(e, 0x40_1000, 2)
+			now := drainBus(h, e, 0, 300)
+			var r stats.Results
+			e.CollectStats(&r)
+			if r.PrefetchesIssued != 2 || f.candidates.n != 2 {
+				t.Fatalf("issued %d with %d candidates left, want 2 and 2", r.PrefetchesIssued, f.candidates.n)
+			}
+			if e.NextEvent(now) == now {
+				t.Errorf("a head blocked on a full buffer reported same-cycle work")
+			}
+			if hit, _ := e.LookupBuffer(0x40_0000, now); !hit {
+				t.Fatalf("expected a buffer hit")
+			}
+			if e.NextEvent(now) != now {
+				t.Errorf("a freed entry did not make the stalled head same-cycle work")
+			}
+			e.Tick(now)
+			var r2 stats.Results
+			e.CollectStats(&r2)
+			if r2.PrefetchesIssued != 3 {
+				t.Errorf("after freeing an entry, issued = %d, want 3", r2.PrefetchesIssued)
+			}
+		})
+	}
+}
+
+// TestFilterEnginesFlushClearsQueues: a flush drops the FTQ and every queued
+// candidate, so nothing is prefetched afterwards.
+func TestFilterEnginesFlushClearsQueues(t *testing.T) {
+	for _, k := range filterKinds {
+		t.Run(k.name, func(t *testing.T) {
+			h := newHierarchy(t, false)
+			e, f := k.build(baseConfig(false), h)
+			k.queueTwo(e, 0x40_0000, 1)
+			k.queueTwo(e, 0x40_4000, 2)
+			e.Flush()
+			if !e.QueueEmpty() || e.BlocksQueued() != 0 || f.candidates.n != 0 {
+				t.Errorf("flush left %d blocks and %d candidates", e.BlocksQueued(), f.candidates.n)
+			}
+			e.Tick(0)
+			var r stats.Results
+			e.CollectStats(&r)
+			if r.PrefetchesIssued != 0 {
+				t.Errorf("flushed candidates should not be prefetched")
+			}
+		})
+	}
+}
+
+// TestFilterEnginesTransferOnUse: a fetch-stage hit moves the line into the
+// L0 when there is one and into the L1 otherwise, frees the buffer entry and
+// counts the prefetch as useful.
+func TestFilterEnginesTransferOnUse(t *testing.T) {
+	for _, k := range filterKinds {
+		for _, hasL0 := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/l0=%v", k.name, hasL0), func(t *testing.T) {
+				h := newHierarchy(t, hasL0)
+				e, f := k.build(baseConfig(hasL0), h)
+				line := isa.Addr(0x40_0000)
+				k.queueTwo(e, line, 1)
+				now := drainBus(h, e, 0, 300)
+				if !f.buf.ContainsValid(line) || !f.buf.ContainsValid(line+64) {
+					t.Fatalf("prefetches did not fill the buffer: %+v", f.buf.Entries())
+				}
+				free := f.buf.FreeSlots()
+				hit, lat := e.LookupBuffer(line, now)
+				if !hit || lat != 1 {
+					t.Fatalf("buffer lookup = %v, %d", hit, lat)
+				}
+				inL0 := hasL0 && h.L0().Probe(line)
+				if inL0 != hasL0 || h.L1I().Probe(line) == hasL0 {
+					t.Errorf("used line in L0 %v, in L1 %v; want it in the L0 exactly when one exists",
+						inL0, h.L1I().Probe(line))
+				}
+				if f.buf.Contains(line) || f.buf.FreeSlots() != free+1 {
+					t.Errorf("used line should leave the buffer and free its entry")
+				}
+				var r stats.Results
+				e.CollectStats(&r)
+				if r.PrefetchesIssued != 2 || r.PrefetchesUseful != 1 {
+					t.Errorf("issued %d, useful %d; want 2, 1", r.PrefetchesIssued, r.PrefetchesUseful)
+				}
+			})
+		}
+	}
+}
+
+// TestFilterEnginesCancelledPrefetchFreesSlot: prefetches cancelled on the
+// bus by a misprediction free their pending buffer entries, and the engine
+// prefetches again afterwards.
+func TestFilterEnginesCancelledPrefetchFreesSlot(t *testing.T) {
+	for _, k := range filterKinds {
+		t.Run(k.name, func(t *testing.T) {
+			h := newHierarchy(t, false)
+			e, f := k.build(baseConfig(false), h)
+			k.queueTwo(e, 0x40_0000, 1)
+			k.queueTwo(e, 0x40_1000, 2)
+			e.Tick(0)
+			e.Tick(1)
+			if free := f.buf.FreeSlots(); free != 0 {
+				t.Fatalf("expected all 4 entries pending, %d free", free)
+			}
+			if n := h.CancelPrefetches(); n != 4 {
+				t.Fatalf("cancelled %d prefetches, want 4", n)
+			}
+			e.Flush()
+			e.Tick(2)
+			if free := f.buf.FreeSlots(); free != 4 {
+				t.Errorf("cancelled prefetches leaked buffer entries: %d free, want 4", free)
+			}
+			k.queueTwo(e, 0x60_0000, 3)
+			e.Tick(3)
+			if got := f.buf.Allocations(); got != 6 {
+				t.Errorf("%d allocations after cancellation recovery, want 6", got)
+			}
+		})
+	}
+}
+
+// TestFilterEnginesL0FilterSource pins the prefetch source each engine
+// charges a candidate the L0 probe filters out to: FDP counts it as an L0
+// source, NextN as an L1 source.
+func TestFilterEnginesL0FilterSource(t *testing.T) {
+	for _, k := range filterKinds {
+		t.Run(k.name, func(t *testing.T) {
+			h := newHierarchy(t, true)
+			e, _ := k.build(baseConfig(true), h)
+			line := isa.Addr(0x40_0000)
+			h.InsertL0(line)
+			h.InsertL0(line + 64)
+			k.queueTwo(e, line, 1)
+			e.Tick(0)
+			var r stats.Results
+			e.CollectStats(&r)
+			if r.PrefetchesIssued != 0 || r.PrefetchSources[k.l0Source] != 2 || r.PrefetchSources.Total() != 2 {
+				t.Errorf("issued %d, sources %+v; want 0 issued and both candidates on source %v",
+					r.PrefetchesIssued, r.PrefetchSources, k.l0Source)
+			}
+		})
 	}
 }

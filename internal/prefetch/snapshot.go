@@ -17,9 +17,9 @@ const (
 // maxInflight bounds a decoded in-flight prefetch list.
 const maxInflight = 1 << 20
 
-// addLiveRequests registers the in-flight prefetch fills with the request
-// identity table.
-func (c *common) addLiveRequests(s *memory.ReqSet) {
+// AddLiveRequests implements Engine: it registers the in-flight prefetch
+// fills with the request identity table.
+func (c *common) AddLiveRequests(s *memory.ReqSet) {
 	for _, o := range c.inflight {
 		s.Add(o.req)
 	}
@@ -111,9 +111,6 @@ func checkEngineHeader(d *snap.Decoder, name string) {
 	}
 }
 
-// AddLiveRequests implements Engine.
-func (e *CLGPEngine) AddLiveRequests(s *memory.ReqSet) { e.addLiveRequests(s) }
-
 // SaveState implements Engine: shared state, the CLTQ and the prestage
 // buffer.
 func (e *CLGPEngine) SaveState(enc *snap.Encoder, s *memory.ReqSet) {
@@ -131,45 +128,21 @@ func (e *CLGPEngine) LoadState(d *snap.Decoder, s *memory.ReqSet) {
 	e.buf.LoadState(d)
 }
 
-// AddLiveRequests implements Engine.
-func (e *FDPEngine) AddLiveRequests(s *memory.ReqSet) { e.addLiveRequests(s) }
-
 // SaveState implements Engine: shared state, the FTQ cursor, the candidate
 // ring and the prefetch buffer.
-func (e *FDPEngine) SaveState(enc *snap.Encoder, s *memory.ReqSet) {
-	engineHeader(enc, e.Name())
-	e.saveState(enc, s)
-	e.cursor.saveState(enc)
+func (e *filterEngine) SaveState(enc *snap.Encoder, s *memory.ReqSet) {
+	engineHeader(enc, e.name)
+	e.common.saveState(enc, s)
+	e.blockCursor.saveState(enc)
 	e.candidates.saveState(enc)
 	e.buf.SaveState(enc)
 }
 
 // LoadState implements Engine.
-func (e *FDPEngine) LoadState(d *snap.Decoder, s *memory.ReqSet) {
-	checkEngineHeader(d, e.Name())
-	e.loadState(d, s)
-	e.cursor.loadState(d)
-	e.candidates.loadState(d)
-	e.buf.LoadState(d)
-}
-
-// AddLiveRequests implements Engine.
-func (e *NextNEngine) AddLiveRequests(s *memory.ReqSet) { e.addLiveRequests(s) }
-
-// SaveState implements Engine (same shape as FDP).
-func (e *NextNEngine) SaveState(enc *snap.Encoder, s *memory.ReqSet) {
-	engineHeader(enc, e.Name())
-	e.saveState(enc, s)
-	e.cursor.saveState(enc)
-	e.candidates.saveState(enc)
-	e.buf.SaveState(enc)
-}
-
-// LoadState implements Engine.
-func (e *NextNEngine) LoadState(d *snap.Decoder, s *memory.ReqSet) {
-	checkEngineHeader(d, e.Name())
-	e.loadState(d, s)
-	e.cursor.loadState(d)
+func (e *filterEngine) LoadState(d *snap.Decoder, s *memory.ReqSet) {
+	checkEngineHeader(d, e.name)
+	e.common.loadState(d, s)
+	e.blockCursor.loadState(d)
 	e.candidates.loadState(d)
 	e.buf.LoadState(d)
 }
@@ -180,11 +153,11 @@ func (e *NoneEngine) AddLiveRequests(s *memory.ReqSet) {}
 // SaveState implements Engine: only the FTQ cursor carries state.
 func (e *NoneEngine) SaveState(enc *snap.Encoder, s *memory.ReqSet) {
 	engineHeader(enc, e.Name())
-	e.cursor.saveState(enc)
+	e.blockCursor.saveState(enc)
 }
 
 // LoadState implements Engine.
 func (e *NoneEngine) LoadState(d *snap.Decoder, s *memory.ReqSet) {
 	checkEngineHeader(d, e.Name())
-	e.cursor.loadState(d)
+	e.blockCursor.loadState(d)
 }
