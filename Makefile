@@ -68,7 +68,8 @@ stream-smoke:
 	diff /tmp/clgp-smoke-mem.txt /tmp/clgp-smoke-str.txt
 
 # The multi-host dispatch protocol on one machine: an HTTP object store,
-# child workers pointed at the URL, merged figures diffed against the
+# child workers pointed at the URL, ssh workers through a stand-in ssh that
+# runs the remote command here, merged figures diffed against the
 # in-process run, then a warm-state sweep that records every snapshot
 # through the store and one that restores them all (no snapshot file is
 # committed again). Mirrors CI's remote-smoke job.
@@ -82,6 +83,11 @@ remote-smoke:
 		./clgpsim figures -insts 20000 -profiles gzip,mcf \
 			-store "http://$$(cat addr.txt)" -exec -retries 2 -dir fig-remote && \
 		diff fig-local/figure6_ipc_90nm.csv fig-remote/figure6_ipc_90nm.csv && \
+		mkdir -p fake-ssh && printf '#!/bin/sh\nshift; exec "$$@"\n' > fake-ssh/ssh && chmod +x fake-ssh/ssh && \
+		PATH="$$PWD/fake-ssh:$$PATH" ./clgpsim figures -insts 20000 -profiles gzip,mcf \
+			-store "http://$$(cat addr.txt)" -ssh h1,h2 -ssh-remote "$$PWD/clgpsim" -dir fig-ssh && \
+		for f in figure1_ipc_vs_l1_90nm figure6_ipc_90nm cycle_breakdown_90nm; do \
+			diff "fig-local/$$f.csv" "fig-ssh/$$f.csv" || exit 1; done && \
 		./clgpsim figures -insts 20000 -profiles gzip,mcf -warmup 10000 \
 			-store "http://$$(cat addr.txt)" -exec -retries 2 -dir fig-warm-cold && \
 		ls -i store-root/snapshots | sort > snaps-before.txt && \
@@ -91,7 +97,7 @@ remote-smoke:
 		diff snaps-before.txt snaps-after.txt && \
 		diff fig-local/figure6_ipc_90nm.csv fig-warm-cold/figure6_ipc_90nm.csv && \
 		diff fig-local/figure6_ipc_90nm.csv fig-warm-restored/figure6_ipc_90nm.csv
-	@echo "remote-smoke: object-store sweeps (plain, warm-state cold and restored) match the in-process run"
+	@echo "remote-smoke: object-store sweeps (plain, ssh, warm-state cold and restored) match the in-process run"
 
 # Warm-state snapshots end to end: a cold figures sweep records warm-state
 # artifacts into the store, a second sweep over the same store restores them,

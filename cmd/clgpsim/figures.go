@@ -96,7 +96,7 @@ func cmdFigures(args []string) error {
 	out := fs.String("out", "", "figure output directory (empty = the sweep directory)")
 	shards := fs.Int("shards", 0, "shard count (0 = one per workload)")
 	workers := fs.Int("workers", 0, "sim worker pool size per shard (0 = GOMAXPROCS)")
-	parallel := fs.Int("parallel", 0, "concurrent worker processes in -exec mode (0 = GOMAXPROCS), or shards per host with -ssh (0 = 1; >1 needs -workers)")
+	parallel := fs.Int("parallel", 0, "concurrent worker processes per host: -exec children on this machine (0 = GOMAXPROCS), or workers per -ssh host (0 = 1; >1 needs -workers)")
 	execMode := fs.Bool("exec", false, "run shards as child worker processes instead of in-process")
 	storeFlag := fs.String("store", "", "checkpoint through this store instead of -dir: an http(s) object-store URL (clgpsim store serve) or a shared directory")
 	sshHosts := fs.String("ssh", "", "comma-separated ssh hosts to run workers on (needs a -store the hosts can reach)")
@@ -187,39 +187,27 @@ func cmdFigures(args []string) error {
 		return err
 	}
 
-	mode := dispatch.ModeInProcess
-	if *execMode {
-		mode = dispatch.ModeChild
-	}
 	o := &dispatch.Orchestrator{
-		Store: st, Workers: *workers, Parallel: *parallel, Mode: mode, Logger: lg,
+		Store: st, Workers: *workers, Logger: lg,
 		Retry:      dispatch.RetryPolicy{Attempts: *retries + 1},
 		StallAfter: *stallAfter,
 	}
-	if *sshHosts != "" {
-		if *storeFlag == "" {
-			return fmt.Errorf("-ssh workers need -store (an object-store URL or a directory every host mounts)")
-		}
-		var hosts []string
-		for _, h := range strings.Split(*sshHosts, ",") {
-			if h = strings.TrimSpace(h); h != "" {
-				hosts = append(hosts, h)
+	if *execMode || *sshHosts != "" {
+		pl := &dispatch.ProcessLauncher{Store: st, PerHost: *parallel, Workers: *workers, Remote: *sshRemote}
+		if *sshHosts != "" {
+			if *storeFlag == "" {
+				return fmt.Errorf("-ssh workers need -store (an object-store URL or a directory every host mounts)")
+			}
+			for _, h := range strings.Split(*sshHosts, ",") {
+				if h = strings.TrimSpace(h); h != "" {
+					pl.Hosts = append(pl.Hosts, h)
+				}
+			}
+			if len(pl.Hosts) == 0 {
+				return fmt.Errorf("-ssh %q names no hosts", *sshHosts)
 			}
 		}
-		if len(hosts) == 0 {
-			return fmt.Errorf("-ssh %q names no hosts", *sshHosts)
-		}
-		perHost := *parallel
-		if perHost <= 0 {
-			perHost = 1
-		}
-		o.Launcher = &dispatch.SSHLauncher{
-			Hosts:   hosts,
-			PerHost: perHost,
-			Remote:  *sshRemote,
-			Store:   o.Store,
-			Workers: *workers,
-		}
+		o.Launcher = pl
 	}
 	outcome, err := o.Run(specs, *shards, *resume)
 	if err != nil {

@@ -246,6 +246,11 @@ func (e *Engine) Restore(data []byte, workload string, fingerprint uint64) error
 	// Clock-mode diagnostics restart from zero (see Snapshot).
 	e.skipped, e.ffJumps = 0, 0
 
+	// Prediction runs ahead of commit along the trace, and never past its
+	// end.
+	if d.Err() == nil && (e.predCursor < int(e.lastCommitted) || e.predCursor > e.trLen) {
+		d.Failf("core: prediction cursor %d outside [%d, %d]", e.predCursor, e.lastCommitted, e.trLen)
+	}
 	n := d.Count(blockMetaRing)
 	if d.Err() == nil && n != blockMetaRing {
 		d.Failf("core: block meta ring size %d, want %d", n, blockMetaRing)

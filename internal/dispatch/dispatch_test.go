@@ -317,7 +317,7 @@ func TestResumeRejectsDifferentGrid(t *testing.T) {
 	}
 }
 
-// TestChildProcessMode runs the orchestrator in ModeChild, re-exec'ing this
+// TestChildProcessMode runs the orchestrator over child worker processes, re-exec'ing this
 // test binary as the worker (helper-process pattern): the worker path is the
 // same RunShard+WriteShardResults code the clgpsim worker subcommand uses.
 func TestChildProcessMode(t *testing.T) {
@@ -331,13 +331,15 @@ func TestChildProcessMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := NewDirStore(dir)
 	o := &Orchestrator{
-		Store: NewDirStore(dir), Workers: 1, Parallel: 2, Mode: ModeChild,
-		WorkerArgv: func(dir string, shard, workers int, spanParent string) []string {
-			// Positional args after "--" reach the helper via os.Args.
-			return []string{exe, "-test.run", "TestHelperWorkerProcess", "--",
-				dir, strconv.Itoa(shard), strconv.Itoa(workers)}
-		},
+		Store: st,
+		Launcher: &ProcessLauncher{Store: st, PerHost: 2, Workers: 1,
+			Argv: func(dir string, shard, workers int, spanParent string) []string {
+				// Positional args after "--" reach the helper via os.Args.
+				return []string{exe, "-test.run", "TestHelperWorkerProcess", "--",
+					dir, strconv.Itoa(shard), strconv.Itoa(workers)}
+			}},
 		Logger: testLogger(t),
 	}
 	out, err := o.Run(specs, 2, false)
@@ -439,8 +441,8 @@ func TestRunShardRejectsOutOfRangeShard(t *testing.T) {
 	}
 }
 
-func TestDefaultWorkerArgvShape(t *testing.T) {
-	argv := DefaultWorkerArgv("/tmp/sweep", 3, 4, "")
+func TestWorkerArgvShape(t *testing.T) {
+	argv := WorkerArgv("clgpsim", "/tmp/sweep", 3, 4, "")
 	if len(argv) != 8 || argv[1] != "worker" || argv[3] != "/tmp/sweep" || argv[5] != "3" || argv[7] != "4" {
 		t.Errorf("unexpected worker argv %v", argv)
 	}

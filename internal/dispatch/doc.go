@@ -32,12 +32,13 @@
 // # Execution
 //
 // A Launcher turns a leased shard into running work: in the calling
-// process (InProcessLauncher), as re-exec'd `clgpsim worker` children
-// (ChildLauncher), or on a remote host list over ssh (SSHLauncher). The
-// orchestrator leases pending shards over the launcher's slots and applies
-// a per-shard RetryPolicy — exponential backoff with jitter, plus an
-// excluded-host set so a re-leased shard avoids the host that just failed
-// it. Success is never taken from a launcher's word alone: the
-// orchestrator verifies the shard's result object exists in the store
-// after every launch.
+// process (InProcessLauncher, the default), or as `clgpsim worker`
+// processes (ProcessLauncher) — children of this process, or on a remote
+// host list over ssh. The orchestrator leases pending shards over the
+// launcher's slots, tells each lease how many run at once (a child divides
+// this machine's cores by that), and applies a per-shard RetryPolicy —
+// exponential backoff with jitter, plus an excluded-host set so a
+// re-leased shard avoids the host that just failed it. Success is never
+// taken from a launcher's word alone: the orchestrator verifies the
+// shard's result object exists in the store after every launch.
 package dispatch

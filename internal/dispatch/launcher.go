@@ -7,6 +7,7 @@ import (
 	"os/exec"
 	"runtime"
 	"strconv"
+	"sync"
 )
 
 // Launcher is how the orchestrator turns a leased shard into running work.
@@ -42,14 +43,18 @@ type Lease struct {
 	// -span-parent for spawned workers) so the lease's phase spans parent
 	// correctly in the stitched trace.
 	SpanParent string
+	// Concurrent is the number of leases the orchestrator runs at once:
+	// the launcher's slots, capped at the pending shards. A launcher that
+	// divides this machine over its workers divides it by this, so a
+	// resume with one shard left gives that shard the whole machine. 0
+	// means the launcher's Slots.
+	Concurrent int
 }
 
-// WorkerArgv builds the `clgpsim worker` argv for any launcher that spawns
-// worker processes: `bin worker -store LOC -shard N -workers W`, plus
-// `-span-parent ID` when spanParent is non-empty. It is the single home of
-// the worker flag contract — DefaultWorkerArgv and the ssh launcher both
-// build through it, so the contract cannot drift between local and remote
-// spawning.
+// WorkerArgv builds the `clgpsim worker` argv: `bin worker -store LOC
+// -shard N -workers W`, plus `-span-parent ID` when spanParent is
+// non-empty. It is the single home of the worker flag contract, so the
+// contract cannot drift between local and remote workers.
 func WorkerArgv(bin, store string, shard, workers int, spanParent string) []string {
 	argv := []string{bin, "worker",
 		"-store", store,
@@ -60,18 +65,6 @@ func WorkerArgv(bin, store string, shard, workers int, spanParent string) []stri
 		argv = append(argv, "-span-parent", spanParent)
 	}
 	return argv
-}
-
-// DefaultWorkerArgv builds the child argv used by process-spawning
-// launchers when no Argv override is set: the current executable re-exec'd
-// through the WorkerArgv contract. store is the store location in -store
-// form (a sweep directory or an http(s) base URL).
-func DefaultWorkerArgv(store string, shard, workers int, spanParent string) []string {
-	exe, err := os.Executable()
-	if err != nil {
-		exe = os.Args[0]
-	}
-	return WorkerArgv(exe, store, shard, workers, spanParent)
 }
 
 // InProcessLauncher runs shards inside the calling process, one at a time,
@@ -99,60 +92,180 @@ func (l *InProcessLauncher) Launch(m *Manifest, shard int, lease Lease) (string,
 	return host, err
 }
 
-// ChildLauncher re-execs a worker process per shard and runs up to Parallel
-// of them concurrently. Workers communicate with the orchestrator only
-// through the store, which is the same protocol remote launchers use — a
-// child worker is indistinguishable from one on another machine.
-type ChildLauncher struct {
-	// Store locates the sweep for spawned workers (its Location is passed
-	// as -store) and verifies their commits.
+// ProcessLauncher runs each shard as a `clgpsim worker` process: a child
+// of this process when Hosts is empty, or over plain ssh on one of Hosts
+// otherwise — no daemon, no scheduler. Workers communicate with the
+// orchestrator only through the store, so a child worker is
+// indistinguishable from one on another machine.
+//
+// Each host (this machine counts as one) runs up to PerHost workers at a
+// time, and a shard goes to the least-loaded host outside the lease's
+// excluded set, so a retried shard lands on a different machine than the
+// one that just failed it whenever one exists.
+//
+// Remote workers must reach the store — in practice an ObjectStore URL,
+// or a DirStore on a filesystem every host mounts at the same path — and
+// the remote hosts need the clgpsim binary (Remote) and non-interactive
+// ssh (keys or an agent).
+type ProcessLauncher struct {
+	// Store locates the sweep for the workers: its Location is passed as
+	// -store.
 	Store Store
-	// Argv overrides the worker argv built for a shard (tests use it to
-	// re-exec the test binary); nil selects DefaultWorkerArgv.
-	Argv func(store string, shard, workers int, spanParent string) []string
-	// Parallel is the number of concurrently running children (<= 0 selects
-	// GOMAXPROCS).
-	Parallel int
-	// Workers is the sim worker-pool size forwarded to each child; <= 0
-	// divides GOMAXPROCS evenly over the slots so concurrent children do
-	// not oversubscribe the machine.
+	// Hosts are the ssh destinations ("host" or "user@host"); empty runs
+	// the workers here, as children of this process.
+	Hosts []string
+	// PerHost is the number of concurrent workers per host; <= 0 selects
+	// GOMAXPROCS for children and 1 per ssh host.
+	PerHost int
+	// Workers is the sim worker-pool size forwarded to each worker. <= 0
+	// divides this machine's GOMAXPROCS over the concurrent children, and
+	// forwards 0 to an ssh worker so the remote host sizes its own pool;
+	// with PerHost > 1 that would let every worker claim the whole host, so
+	// Validate rejects it.
 	Workers int
+	// Remote is the clgpsim binary on the ssh hosts; empty selects
+	// "clgpsim". Children re-exec this process's executable.
+	Remote string
+	// Argv overrides the worker argv (tests use it to re-exec the test
+	// binary); nil builds it through WorkerArgv.
+	Argv func(store string, shard, workers int, spanParent string) []string
+
+	mu    sync.Mutex
+	cond  *sync.Cond
+	inUse map[string]int
 }
 
-// Slots implements Launcher.
-func (l *ChildLauncher) Slots() int {
-	if l.Parallel > 0 {
-		return l.Parallel
+// localHost labels this machine, the one host of a launcher without Hosts.
+const localHost = "child"
+
+func (l *ProcessLauncher) hosts() []string {
+	if len(l.Hosts) == 0 {
+		return []string{localHost}
 	}
-	return runtime.GOMAXPROCS(0)
+	return l.Hosts
 }
 
-// workerPool resolves the per-child sim pool size: forwarding 0 verbatim
-// would make every child size its own pool to the whole machine,
-// oversubscribing it Slots()-fold.
-func (l *ChildLauncher) workerPool() int {
-	if l.Workers > 0 {
+func (l *ProcessLauncher) perHost() int {
+	switch {
+	case l.PerHost > 0:
+		return l.PerHost
+	case len(l.Hosts) == 0:
+		return runtime.GOMAXPROCS(0)
+	default:
+		return 1
+	}
+}
+
+// Slots implements Launcher: concurrent workers over all hosts.
+func (l *ProcessLauncher) Slots() int { return len(l.hosts()) * l.perHost() }
+
+// Validate checks the launcher's configuration. The orchestrator calls it
+// before planning anything, so a flag mistake fails the sweep immediately
+// instead of being pushed through every shard's retry schedule.
+func (l *ProcessLauncher) Validate() error {
+	if l.Store == nil {
+		return fmt.Errorf("dispatch: process launcher has no store")
+	}
+	if len(l.Hosts) > 0 && l.perHost() > 1 && l.Workers <= 0 {
+		return fmt.Errorf("dispatch: ssh launcher with %d workers per host needs an explicit Workers pool size (0 would let each worker claim the whole host)", l.perHost())
+	}
+	return nil
+}
+
+// acquire blocks until a host with a free slot is available and claims it.
+// Excluded hosts are skipped while any non-excluded host exists; when the
+// exclusion covers every host (a small host list that all failed the
+// shard), it is ignored — retrying somewhere beats never retrying.
+func (l *ProcessLauncher) acquire(exclude map[string]bool) string {
+	hosts := l.hosts()
+	allExcluded := true
+	for _, h := range hosts {
+		if !exclude[h] {
+			allExcluded = false
+			break
+		}
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.cond == nil {
+		l.cond = sync.NewCond(&l.mu)
+		l.inUse = make(map[string]int, len(hosts))
+	}
+	for {
+		best := ""
+		for _, h := range hosts {
+			if exclude[h] && !allExcluded {
+				continue
+			}
+			if l.inUse[h] < l.perHost() && (best == "" || l.inUse[h] < l.inUse[best]) {
+				best = h
+			}
+		}
+		if best != "" {
+			l.inUse[best]++
+			return best
+		}
+		l.cond.Wait()
+	}
+}
+
+func (l *ProcessLauncher) release(host string) {
+	l.mu.Lock()
+	l.inUse[host]--
+	l.cond.Broadcast()
+	l.mu.Unlock()
+}
+
+// workerPool resolves the sim pool size forwarded to a worker. A child
+// forwarding 0 would size its pool to the whole machine, oversubscribing
+// it once per concurrent child, so children divide GOMAXPROCS over the
+// leases that really run at once.
+func (l *ProcessLauncher) workerPool(concurrent int) int {
+	if l.Workers > 0 || len(l.Hosts) > 0 {
 		return l.Workers
 	}
-	w := runtime.GOMAXPROCS(0) / l.Slots()
-	if w < 1 {
-		w = 1
+	if concurrent <= 0 {
+		concurrent = l.Slots()
 	}
-	return w
+	return max(1, runtime.GOMAXPROCS(0)/concurrent)
+}
+
+// binary is the clgpsim executable a worker runs: this process's own for
+// a child, Remote on an ssh host.
+func (l *ProcessLauncher) binary() string {
+	if len(l.Hosts) > 0 {
+		if l.Remote != "" {
+			return l.Remote
+		}
+		return "clgpsim"
+	}
+	if exe, err := os.Executable(); err == nil {
+		return exe
+	}
+	return os.Args[0]
 }
 
 // Launch implements Launcher.
-func (l *ChildLauncher) Launch(m *Manifest, shard int, lease Lease) (string, error) {
-	const host = "child"
-	argvFor := l.Argv
-	if argvFor == nil {
-		argvFor = DefaultWorkerArgv
+func (l *ProcessLauncher) Launch(m *Manifest, shard int, lease Lease) (string, error) {
+	if err := l.Validate(); err != nil {
+		return "", err
 	}
-	argv := argvFor(l.Store.Location(), shard, l.workerPool(), lease.SpanParent)
-	cmd := exec.Command(argv[0], argv[1:]...)
-	out, err := cmd.CombinedOutput()
+	host := l.acquire(lease.Exclude)
+	defer l.release(host)
+
+	loc, workers := l.Store.Location(), l.workerPool(lease.Concurrent)
+	var argv []string
+	if l.Argv != nil {
+		argv = l.Argv(loc, shard, workers, lease.SpanParent)
+	} else {
+		argv = WorkerArgv(l.binary(), loc, shard, workers, lease.SpanParent)
+	}
+	if len(l.Hosts) > 0 {
+		argv = append([]string{"ssh", host}, argv...)
+	}
+	out, err := exec.Command(argv[0], argv[1:]...).CombinedOutput()
 	if err != nil {
-		return host, fmt.Errorf("dispatch: worker for %s failed: %w\n%s", m.Shards[shard].Name, err, out)
+		return host, fmt.Errorf("dispatch: worker for %s on %s failed: %w\n%s", m.Shards[shard].Name, host, err, out)
 	}
 	return host, nil
 }

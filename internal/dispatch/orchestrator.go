@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -14,54 +13,18 @@ import (
 	"clgp/internal/telemetry"
 )
 
-// Mode selects the built-in launcher the orchestrator uses when no explicit
-// Launcher is set.
-type Mode int
-
-const (
-	// ModeInProcess runs shards inside the calling process, one after the
-	// other, parallelising within each shard via the sim worker pool.
-	ModeInProcess Mode = iota
-	// ModeChild re-execs a worker process per shard (clgpsim worker) and
-	// runs up to Parallel of them concurrently. Workers communicate with
-	// the orchestrator only through the store, which is the same protocol
-	// remote workers use.
-	ModeChild
-)
-
-// String names the mode.
-func (m Mode) String() string {
-	switch m {
-	case ModeInProcess:
-		return "in-process"
-	case ModeChild:
-		return "child-process"
-	default:
-		return fmt.Sprintf("mode(%d)", int(m))
-	}
-}
-
 // Orchestrator drives a sharded, checkpointed sweep: it plans (or resumes)
 // the manifest in a Store, leases pending shards to a Launcher's slots with
 // per-shard retry, and merges the committed results. Store is required;
-// Launcher is pluggable, and Mode, Parallel and WorkerArgv configure the
-// built-in in-process and child launchers when it is nil.
+// Launcher is pluggable and defaults to running shards in this process.
 type Orchestrator struct {
 	// Store is the checkpoint backend (required).
 	Store Store
-	// Workers is the sim worker-pool size used inside each shard
-	// (<= 0 selects GOMAXPROCS; in ModeChild it is forwarded to workers).
+	// Workers is the sim worker-pool size inside each shard when Launcher
+	// is nil (<= 0 selects GOMAXPROCS); a set Launcher carries its own.
 	Workers int
-	// Parallel is the number of concurrently running child processes in
-	// ModeChild (<= 0 selects GOMAXPROCS; ignored in ModeInProcess).
-	Parallel int
-	// Mode selects the built-in launcher; ignored when Launcher is set.
-	Mode Mode
-	// WorkerArgv overrides the child argv built for a shard (tests use it
-	// to re-exec the test binary); nil selects DefaultWorkerArgv. Its first
-	// argument is the store location (the sweep directory for a DirStore).
-	WorkerArgv func(store string, shard, workers int, spanParent string) []string
-	// Launcher overrides shard execution; nil selects a launcher from Mode.
+	// Launcher executes the shards; nil selects an InProcessLauncher over
+	// Store, Workers and Logger.
 	Launcher Launcher
 	// Retry is the per-shard retry policy; the zero value means a single
 	// attempt per shard.
@@ -147,32 +110,6 @@ func (o *Orchestrator) log() *slog.Logger {
 	return telemetry.NopLogger()
 }
 
-// launcher resolves shard execution for this run. npending caps the
-// built-in child launcher's parallelism: a child's sim pool is sized by
-// dividing the machine over the concurrent children, and only children
-// that will actually run concurrently may count in that division — on a
-// resume with one shard left, that one child must get the whole machine.
-func (o *Orchestrator) launcher(st Store, npending int) (Launcher, error) {
-	if o.Launcher != nil {
-		return o.Launcher, nil
-	}
-	switch o.Mode {
-	case ModeInProcess:
-		return &InProcessLauncher{Store: st, Workers: o.Workers, Logger: o.Logger}, nil
-	case ModeChild:
-		parallel := o.Parallel
-		if parallel <= 0 {
-			parallel = runtime.GOMAXPROCS(0)
-		}
-		if npending > 0 && parallel > npending {
-			parallel = npending
-		}
-		return &ChildLauncher{Store: st, Argv: o.WorkerArgv, Parallel: parallel, Workers: o.Workers}, nil
-	default:
-		return nil, fmt.Errorf("dispatch: unknown mode %v", o.Mode)
-	}
-}
-
 // Run executes (or resumes) a sweep of the grid split into nShards shards.
 //
 // With resume set and a manifest already present in the store, the stored
@@ -185,10 +122,14 @@ func (o *Orchestrator) Run(specs []JobSpec, nShards int, resume bool) (*Outcome,
 	if st == nil {
 		return nil, fmt.Errorf("dispatch: orchestrator needs a store")
 	}
+	ln := o.Launcher
+	if ln == nil {
+		ln = &InProcessLauncher{Store: st, Workers: o.Workers, Logger: o.Logger}
+	}
 	// A misconfigured launcher is a configuration error, not a per-shard
 	// failure: surface it before any checkpoint state is touched, not
 	// through the retry schedule.
-	if v, ok := o.Launcher.(interface{ Validate() error }); ok {
+	if v, ok := ln.(interface{ Validate() error }); ok {
 		if err := v.Validate(); err != nil {
 			return nil, err
 		}
@@ -223,10 +164,6 @@ func (o *Orchestrator) Run(specs []JobSpec, nShards int, resume bool) (*Outcome,
 		} else {
 			pending = append(pending, sp.ID)
 		}
-	}
-	ln, err := o.launcher(st, len(pending))
-	if err != nil {
-		return nil, err
 	}
 	o.log().Info("sweep planned",
 		"grid", m.GridHash, "jobs", m.NumJobs(), "shards", len(m.Shards),
@@ -312,13 +249,7 @@ func (o *Orchestrator) execute(st Store, ln Launcher, m *Manifest, pending []int
 	if len(pending) == 0 {
 		return 0, nil, nil
 	}
-	slots := ln.Slots()
-	if slots < 1 {
-		slots = 1
-	}
-	if slots > len(pending) {
-		slots = len(pending)
-	}
+	slots := min(max(ln.Slots(), 1), len(pending))
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
@@ -345,7 +276,7 @@ func (o *Orchestrator) execute(st Store, ln Launcher, m *Manifest, pending []int
 				if failed() {
 					continue // drain without running: fail fast
 				}
-				r, hosts, err := o.runShard(st, ln, m, id)
+				r, hosts, err := o.runShard(st, ln, m, id, slots)
 				mu.Lock()
 				retries += r
 				for _, h := range hosts {
@@ -432,10 +363,11 @@ func (o *Orchestrator) monitorStalls(st Store, m *Manifest, stallAfter time.Dura
 }
 
 // runShard drives one shard through lease/verify/retry until it commits or
-// the retry budget is spent. A launcher reporting success without the store
-// holding the result object is treated as a failure — commit, not exit
-// status, is the completion signal.
-func (o *Orchestrator) runShard(st Store, ln Launcher, m *Manifest, id int) (retries int, excludedHosts []string, err error) {
+// the retry budget is spent; concurrent is the number of leases execute
+// runs at once. A launcher reporting success without the store holding the
+// result object is treated as a failure — commit, not exit status, is the
+// completion signal.
+func (o *Orchestrator) runShard(st Store, ln Launcher, m *Manifest, id, concurrent int) (retries int, excludedHosts []string, err error) {
 	sp := m.Shards[id]
 	lg := o.log().With("shard", sp.Name)
 	policy := o.Retry.withDefaults()
@@ -469,6 +401,7 @@ func (o *Orchestrator) runShard(st Store, ln Launcher, m *Manifest, id int) (ret
 			fmt.Sprintf("%s#%d", sp.Name, attempt+1), sp.Name, shardSpan.ID())
 		host, err := ln.Launch(m, id, Lease{
 			Attempt: attempt, Exclude: exclude, SpanParent: attemptSpan.ID(),
+			Concurrent: concurrent,
 		})
 		if err == nil {
 			// Commit, not exit status, is the completion signal. A failed

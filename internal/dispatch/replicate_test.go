@@ -212,12 +212,14 @@ func TestReplicationDeterminismAcrossModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := NewDirStore(t.TempDir())
 	child := &Orchestrator{
-		Store: NewDirStore(t.TempDir()), Workers: 1, Parallel: 2, Mode: ModeChild,
-		WorkerArgv: func(dir string, shard, workers int, spanParent string) []string {
-			return []string{exe, "-test.run", "TestHelperWorkerProcess", "--",
-				dir, strconv.Itoa(shard), strconv.Itoa(workers)}
-		},
+		Store: st,
+		Launcher: &ProcessLauncher{Store: st, PerHost: 2, Workers: 1,
+			Argv: func(dir string, shard, workers int, spanParent string) []string {
+				return []string{exe, "-test.run", "TestHelperWorkerProcess", "--",
+					dir, strconv.Itoa(shard), strconv.Itoa(workers)}
+			}},
 		Logger: testLogger(t),
 	}
 	outChild, err := child.Run(specs, 2, false)

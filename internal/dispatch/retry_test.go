@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -164,17 +166,17 @@ func TestBackoffScheduleGrowsAndCaps(t *testing.T) {
 	}
 }
 
-// sshFakeScript builds a stand-in ssh client: it drops the destination
-// argument and execs the remote command locally, refusing connections to
-// the host named "bad".
-func sshFakeScript(t *testing.T) string {
+// fakeSSHOnPath puts a stand-in ssh client first on PATH: it drops the
+// destination argument and execs the remote command locally, refusing
+// connections to the host named "bad".
+func fakeSSHOnPath(t *testing.T) {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "fake-ssh")
+	dir := t.TempDir()
 	script := "#!/bin/sh\nhost=\"$1\"; shift\nif [ \"$host\" = \"bad\" ]; then echo \"connect to host bad: connection refused\" >&2; exit 255; fi\nexec \"$@\"\n"
-	if err := os.WriteFile(path, []byte(script), 0o755); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "ssh"), []byte(script), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	return path
+	t.Setenv("PATH", dir+string(os.PathListSeparator)+os.Getenv("PATH"))
 }
 
 // TestSSHLauncherExcludesFailedHost: with hosts {bad, good}, the shard that
@@ -192,11 +194,11 @@ func TestSSHLauncherExcludesFailedHost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fakeSSHOnPath(t)
 	o := &Orchestrator{
 		Store: st,
-		Launcher: &SSHLauncher{
+		Launcher: &ProcessLauncher{
 			Hosts: []string{"bad", "good"},
-			SSH:   sshFakeScript(t),
 			Store: st,
 			Argv: func(store string, shard, workers int, spanParent string) []string {
 				return []string{exe, "-test.run", "TestHelperWorkerProcess", "--",
@@ -220,10 +222,80 @@ func TestSSHLauncherExcludesFailedHost(t *testing.T) {
 // still yield a host (retrying somewhere beats never retrying), not
 // deadlock.
 func TestSSHAcquireFallsBackWhenAllExcluded(t *testing.T) {
-	l := &SSHLauncher{Hosts: []string{"a", "b"}}
+	l := &ProcessLauncher{Hosts: []string{"a", "b"}}
 	host := l.acquire(map[string]bool{"a": true, "b": true})
 	if host != "a" && host != "b" {
 		t.Fatalf("acquire returned %q", host)
 	}
 	l.release(host)
+}
+
+// TestChildPoolFollowsConcurrentLeases: a child worker's sim pool is
+// GOMAXPROCS divided over the leases that really run at once — the
+// launcher's slots capped at the pending shards — so a resume with one
+// shard left forwards the whole machine to that one child.
+func TestChildPoolFollowsConcurrentLeases(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping process-spawning launcher in -short mode")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	specs := testGrid(t)
+	dir := t.TempDir()
+	st := NewDirStore(dir)
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu    sync.Mutex
+		pools []int
+	)
+	o := &Orchestrator{
+		Store: st,
+		Launcher: &ProcessLauncher{Store: st,
+			Argv: func(store string, shard, workers int, spanParent string) []string {
+				mu.Lock()
+				pools = append(pools, workers)
+				mu.Unlock()
+				return []string{exe, "-test.run", "TestHelperWorkerProcess", "--",
+					store, strconv.Itoa(shard), strconv.Itoa(workers)}
+			}},
+		Logger: testLogger(t),
+	}
+	out, err := o.Run(specs, 2, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{2, 2}; !reflect.DeepEqual(pools, want) {
+		t.Errorf("two children on 4 procs forwarded pools %v, want %v", pools, want)
+	}
+	if err := os.Remove(filepath.Join(dir, ShardsDir, out.Manifest.Shards[1].Name+".jsonl")); err != nil {
+		t.Fatal(err)
+	}
+	pools = nil
+	if _, err := o.Run(specs, 2, true); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{4}; !reflect.DeepEqual(pools, want) {
+		t.Errorf("a resume with one pending shard forwarded pools %v, want %v", pools, want)
+	}
+}
+
+// TestSSHPerHostNeedsWorkersBeforeAnyWrite: several workers per ssh host
+// with no explicit pool size would let each claim the whole host. Run must
+// reject that configuration before it writes a manifest or any shard
+// object.
+func TestSSHPerHostNeedsWorkersBeforeAnyWrite(t *testing.T) {
+	dir := t.TempDir()
+	st := NewDirStore(dir)
+	o := &Orchestrator{
+		Store:    st,
+		Launcher: &ProcessLauncher{Store: st, Hosts: []string{"h1", "h2"}, PerHost: 2},
+	}
+	if _, err := o.Run(testGrid(t), 2, false); err == nil || !strings.Contains(err.Error(), "explicit Workers") {
+		t.Fatalf("Run error = %v, want the explicit-Workers rejection", err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Errorf("the rejected sweep left %d entries in the store", len(entries))
+	}
 }

@@ -156,12 +156,14 @@ func TestChildWorkerWarmRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := NewDirStore(dir)
 	o := &Orchestrator{
-		Store: NewDirStore(dir), Workers: 1, Parallel: 2, Mode: ModeChild,
-		WorkerArgv: func(store string, shard, workers int, spanParent string) []string {
-			return []string{exe, "-test.run", "TestHelperSnapshotWorkerProcess", "--",
-				store, strconv.Itoa(shard), strconv.Itoa(workers)}
-		},
+		Store: st,
+		Launcher: &ProcessLauncher{Store: st, PerHost: 2, Workers: 1,
+			Argv: func(store string, shard, workers int, spanParent string) []string {
+				return []string{exe, "-test.run", "TestHelperSnapshotWorkerProcess", "--",
+					store, strconv.Itoa(shard), strconv.Itoa(workers)}
+			}},
 		Logger: testLogger(t),
 	}
 	out, err := o.Run(specs, 2, false)

@@ -113,6 +113,11 @@ func (q *CLTQ) LoadState(d *snap.Decoder) {
 			Prefetched:   d.Bool(),
 			Occupied:     d.Bool(),
 		}
+		// Push never splits a block into an empty line or one holding more
+		// instructions than fit in it.
+		if got := q.entries[i].NumInsts; d.Err() == nil && (got < 1 || got > q.lineSize/isa.InstBytes) {
+			d.Failf("cltq: entry %d holds %d instructions, want 1..%d", i, got, q.lineSize/isa.InstBytes)
+		}
 	}
 	q.blockCount = d.Int()
 	q.lastBlockID = d.U64()
