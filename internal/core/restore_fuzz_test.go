@@ -152,3 +152,56 @@ func FuzzEngineRestore(f *testing.F) {
 		}
 	})
 }
+
+// TestStallWatchdogSkipMatchesNoSkip restores two corpus mutants that stop
+// committing a few instructions after the restore point, in both clock
+// modes: pein-stall-after-restore keeps the machine ticking, and
+// reqs-wedge-after-restore leaves it with no pending event at all, so the
+// skip path jumps straight to the deadline. Each run must fail with the
+// no-progress error stallCycles after its last commit, at the same cycle in
+// both modes, long before maxCycles.
+func TestStallWatchdogSkipMatchesNoSkip(t *testing.T) {
+	fx := pinnedRestoreFixture(t)
+	for _, tc := range []struct {
+		name string
+		tag  string
+		nth  int
+		off  int // the corpus edit's little-endian offset, and its xor
+		xor  byte
+	}{
+		{"pein-stall-after-restore", "PEIN", 63, 0x9ef2, 0x80},
+		{"reqs-wedge-after-restore", "REQS", 48, 0xeecd, 0x80},
+	} {
+		start, end, ok := section(fx.payload, tc.tag, tc.nth)
+		if !ok {
+			t.Fatalf("pinned snapshot has no %s section", tc.tag)
+		}
+		payload := append([]byte(nil), fx.payload...)
+		payload[start+tc.off%(end-start)] ^= tc.xor
+		data := snap.Seal(fx.meta, func(e *snap.Encoder) {
+			for _, b := range payload {
+				e.U8(b)
+			}
+		})
+		var cycles [2]uint64
+		for i, noSkip := range []bool{false, true} {
+			cfg := fx.cfg
+			cfg.NoSkip = noSkip
+			eng := MustNewEngine(cfg, fx.w.Dict, fx.w.Trace)
+			if err := eng.Restore(data, fx.w.Name, workload.Fingerprint(fx.w.Profile, fx.w.Dict)); err != nil {
+				t.Fatalf("%s NoSkip=%v: restore: %v", tc.name, noSkip, err)
+			}
+			if _, err := eng.Run(); err == nil || !strings.Contains(err.Error(), "no forward progress") {
+				t.Fatalf("%s NoSkip=%v: run returned %v, want the no-progress error", tc.name, noSkip, err)
+			}
+			if eng.Cycles() != eng.deadline || eng.deadline < fx.meta.Cycle+stallCycles || eng.deadline >= eng.maxCycles {
+				t.Errorf("%s NoSkip=%v: stopped at cycle %d with deadline %d, restored at cycle %d, maxCycles %d",
+					tc.name, noSkip, eng.Cycles(), eng.deadline, fx.meta.Cycle, eng.maxCycles)
+			}
+			cycles[i] = eng.Cycles()
+		}
+		if cycles[0] != cycles[1] {
+			t.Errorf("%s: skip stopped at cycle %d, no-skip at %d", tc.name, cycles[0], cycles[1])
+		}
+	}
+}

@@ -351,6 +351,10 @@ func (e *Engine) Restore(data []byte, workload string, fingerprint uint64) error
 	// Let windowed trace sources evict the committed prefix, exactly as the
 	// recording run's commit path did.
 	e.tr.Advance(int(e.lastCommitted))
+	// The watchdog counts from the restore point: the last commit's cycle
+	// is not in the snapshot, and a healthy run's next commit is far
+	// closer than stallCycles either way.
+	e.deadline = min(e.maxCycles, e.cycle+stallCycles)
 	return nil
 }
 

@@ -8,16 +8,21 @@
 // package tracefile.
 //
 // A committed trace is continuous: every record's Target is the next
-// record's PC. MemTrace relies on that to hold a record in 16 bytes instead
-// of Record's 32. It stores {PC | taken, EffAddr} per record, with Taken in
-// the low bit of the InstBytes-aligned PC, plus the last record's Target;
+// record's PC. MemTrace relies on that, and on every address fitting in 32
+// bits, to hold a record in 8 bytes instead of Record's 32. It stores
+// {PC | taken, EffAddr} per record as two 32-bit words, with Taken in the
+// low bit of the InstBytes-aligned PC, plus the last record's Target;
 // record i's Target is read back as record i+1's PC. A 300M-record slice
-// therefore takes 4.8 GB in memory. Appending a misaligned PC, or a PC that
-// is not the previous record's Target, is an error.
+// therefore takes 2.4 GB in memory. Appending a misaligned PC, a PC that is
+// not the previous record's Target, or an address wider than 32 bits is an
+// error. Records themselves, trace containers and WindowTrace keep 64-bit
+// addresses.
 package trace
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"clgp/internal/isa"
@@ -40,23 +45,27 @@ type Record struct {
 
 // takenBit holds Record.Taken in an entry's PC word; InstBytes alignment
 // keeps the bit clear in every valid PC.
-const takenBit isa.Addr = 1
+const takenBit uint32 = 1
 
 // The packing needs at least one alignment bit below the PC.
 var _ [isa.InstBytes - 2]struct{}
 
+// ErrWideAddr is wrapped by the error Append returns for a record whose PC,
+// Target or EffAddr does not fit in the in-memory trace's 32-bit words.
+var ErrWideAddr = errors.New("address beyond the in-memory trace's 32 bits")
+
 // entry is the packed form of one record: its Target is the next entry's
 // PC (or MemTrace.end for the last record).
 type entry struct {
-	pc  isa.Addr // PC | takenBit
-	eff isa.Addr
+	pc  uint32 // PC | takenBit
+	eff uint32
 }
 
-// MemTrace is an in-memory continuous trace, 16 bytes per record. The zero
-// value is an empty trace ready for Append.
+// MemTrace is an in-memory continuous trace of 32-bit addresses, 8 bytes
+// per record. The zero value is an empty trace ready for Append.
 type MemTrace struct {
 	ents []entry
-	end  isa.Addr // Target of the last record
+	end  uint32 // Target of the last record
 }
 
 // NewMemTrace creates a trace holding a copy of recs, which must be a
@@ -78,18 +87,35 @@ func (t *MemTrace) Grow(n int) { t.ents = slices.Grow(t.ents, n) }
 
 // Append adds a record to the end of the trace. It rejects a PC that is not
 // InstBytes-aligned or, after the first record, not equal to the previous
-// record's Target; the error names the record's index.
+// record's Target, and a PC, Target or EffAddr wider than 32 bits (wrapping
+// ErrWideAddr); the error names the record's index.
 func (t *MemTrace) Append(r Record) error {
-	if err := checkContinuity(len(t.ents), r.PC, t.end); err != nil {
+	i := len(t.ents)
+	if err := checkContinuity(i, r.PC, isa.Addr(t.end)); err != nil {
 		return err
 	}
-	e := entry{pc: r.PC, eff: r.EffAddr}
+	if r.PC|r.Target|r.EffAddr > math.MaxUint32 {
+		return wideAddrError(i, r)
+	}
+	e := entry{pc: uint32(r.PC), eff: uint32(r.EffAddr)}
 	if r.Taken {
 		e.pc |= takenBit
 	}
 	t.ents = append(t.ents, e)
-	t.end = r.Target
+	t.end = uint32(r.Target)
 	return nil
+}
+
+// wideAddrError names the first of record i's addresses that needs more
+// than 32 bits.
+func wideAddrError(i int, r Record) error {
+	name, v := "EffAddr", r.EffAddr
+	if r.PC > math.MaxUint32 {
+		name, v = "PC", r.PC
+	} else if r.Target > math.MaxUint32 {
+		name, v = "Target", r.Target
+	}
+	return fmt.Errorf("trace: record %d: %s %#x: %w", i, name, uint64(v), ErrWideAddr)
 }
 
 // checkContinuity reports a record i whose pc is not InstBytes-aligned or,
@@ -115,12 +141,13 @@ func (t *MemTrace) Advance(frontier int) {}
 // At returns record i.
 func (t *MemTrace) At(i int) Record {
 	e := t.ents[i]
-	return Record{PC: e.pc &^ takenBit, Taken: e.pc&takenBit != 0, Target: t.target(i), EffAddr: e.eff}
+	return Record{PC: isa.Addr(e.pc &^ takenBit), Taken: e.pc&takenBit != 0,
+		Target: isa.Addr(t.target(i)), EffAddr: isa.Addr(e.eff)}
 }
 
 // target returns record i's Target: the next record's PC, or end for the
 // last record.
-func (t *MemTrace) target(i int) isa.Addr {
+func (t *MemTrace) target(i int) uint32 {
 	if i+1 < len(t.ents) {
 		return t.ents[i+1].pc &^ takenBit
 	}

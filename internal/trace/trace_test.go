@@ -2,7 +2,10 @@ package trace
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -147,11 +150,11 @@ func TestRepresentativeSliceEdgeCases(t *testing.T) {
 	}
 }
 
-// TestMemTraceEntryIs16Bytes pins the packed layout: halving the 32-byte
-// Record is the point of MemTrace's representation.
-func TestMemTraceEntryIs16Bytes(t *testing.T) {
-	if n := unsafe.Sizeof(entry{}); n != 16 {
-		t.Errorf("MemTrace entry is %d bytes, want 16", n)
+// TestMemTraceEntryIs8Bytes pins the packed layout: a quarter of the
+// 32-byte Record is the point of MemTrace's representation.
+func TestMemTraceEntryIs8Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(entry{}); n != 8 {
+		t.Errorf("MemTrace entry is %d bytes, want 8", n)
 	}
 }
 
@@ -185,14 +188,24 @@ func fuzzRecords(start uint64, data []byte) []Record {
 	return recs
 }
 
-// FuzzMemTraceRoundTrip: every continuous, aligned record sequence reads
-// back exactly, through the trace and through any slice of it, and one
-// broken record (an odd PC, or a PC that does not continue the previous
-// target) is rejected at its index. The seed corpus is in
+// FuzzMemTraceRoundTrip: the first record with a PC, Target or EffAddr
+// wider than 32 bits is rejected at its index; every continuous, aligned
+// record sequence of 32-bit addresses (the prefix before it) reads back
+// exactly, through the trace and through any slice of it; and one broken
+// record (an odd PC, or a PC that does not continue the previous target) is
+// rejected at its index. The seed corpus is in
 // testdata/fuzz/FuzzMemTraceRoundTrip.
 func FuzzMemTraceRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, start uint64, data []byte, lo, hi, mut uint16) {
 		recs := fuzzRecords(start, data)
+		if w := slices.IndexFunc(recs, func(r Record) bool {
+			return r.PC|r.Target|r.EffAddr > math.MaxUint32
+		}); w >= 0 {
+			if _, err := NewMemTrace(recs); !errors.Is(err, ErrWideAddr) || !strings.Contains(err.Error(), fmt.Sprintf("record %d:", w)) {
+				t.Fatalf("record %d has a wide address %+v: NewMemTrace error %v", w, recs[w], err)
+			}
+			recs = recs[:w]
+		}
 		mt, err := NewMemTrace(recs)
 		if err != nil {
 			t.Fatalf("valid trace rejected: %v", err)

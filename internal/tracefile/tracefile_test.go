@@ -330,6 +330,57 @@ func TestWindowRejectsBrokenContainers(t *testing.T) {
 	}
 }
 
+// TestReadAllRejectsWideAddresses: containers keep 64-bit addresses, the
+// in-memory trace 32. A valid container with a wider address fails ReadAll
+// with trace.ErrWideAddr naming the record, not with ErrCorrupt, and still
+// streams through a window with the address intact.
+func TestReadAllRejectsWideAddresses(t *testing.T) {
+	recs := testRecords(t, 10_000, 9)
+	const bad = 5000
+	for _, tc := range []struct {
+		name  string
+		index int // the record ReadAll must name
+		wide  func(recs []trace.Record)
+	}{
+		{"wide-effaddr", bad, func(recs []trace.Record) { recs[bad].EffAddr = 1 << 32 }},
+		// Every PC and Target moved above 4 GB: still continuous and aligned.
+		{"code-above-4GB", 0, func(recs []trace.Record) {
+			for i := range recs {
+				recs[i].PC += 1 << 32
+				recs[i].Target += 1 << 32
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wide := append([]trace.Record(nil), recs...)
+			tc.wide(wide)
+			rd, err := Open(writeContainer(t, wide, Options{Workload: "gcc", ChunkRecords: 2048}))
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			defer rd.Close()
+			mt, err := rd.ReadAll()
+			if !errors.Is(err, trace.ErrWideAddr) || errors.Is(err, ErrCorrupt) ||
+				!strings.Contains(err.Error(), fmt.Sprintf("record %d:", tc.index)) {
+				t.Fatalf("ReadAll = %v, want trace.ErrWideAddr naming record %d", err, tc.index)
+			}
+			if mt != nil {
+				t.Errorf("ReadAll returned a %d-record trace alongside its error", mt.Len())
+			}
+			wt, err := trace.NewWindowTrace(rd, trace.MinWindowCap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < wt.Len(); i++ {
+				if got := wt.At(i); got != wide[i] {
+					t.Fatalf("streamed record %d = %+v, want %+v", i, got, wide[i])
+				}
+				wt.Advance(i)
+			}
+		})
+	}
+}
+
 // FuzzOpen drives NewReader + a full decode over mutated container bytes.
 // The invariant: no panic, and a successful open either decodes exactly
 // Len() records or reports an error.

@@ -21,7 +21,10 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"sort"
+
+	"clgp/internal/isa"
 )
 
 // Profile parameterises one synthetic benchmark.
@@ -132,7 +135,37 @@ func (p Profile) Validate() error {
 	if p.SkewFactor < 0 {
 		return fmt.Errorf("workload %s: SkewFactor must be non-negative", p.Name)
 	}
+	// Every generated address must fit the in-memory trace's 32 bits.
+	if float64(DataBase)+float64(p.DataFootprintKB)*1024 > addrSpace {
+		return fmt.Errorf("workload %s: DataFootprintKB %d puts the data segment past the 32-bit address space",
+			p.Name, p.DataFootprintKB)
+	}
+	if code := maxCodeBytes(p); float64(CodeBase)+code >= addrSpace {
+		return fmt.Errorf("workload %s: code may span %.3g bytes from %#x, past the 32-bit address space",
+			p.Name, code, uint64(CodeBase))
+	}
 	return nil
+}
+
+// addrSpace is the end of the 32-bit address space generated programs live
+// in (see trace.MemTrace).
+const addrSpace = 1 << 32
+
+// maxCodeBytes bounds the size of the program buildProgram lays out for p:
+// every leaf at its longest (5 blocks of at most 5 instructions), the mid
+// functions at their longest blocks (AvgBlockInsts+2 body instructions plus
+// a terminator), and the driver's guard and call blocks (at most 4 and 3
+// instructions per mid function) plus its closing jump block. The last
+// block's fall-through target is code end itself, so code end must stay
+// below addrSpace. It is computed in float64, exact far beyond 2^32, so no
+// parameter can overflow it.
+func maxCodeBytes(p Profile) float64 {
+	funcBytes := float64(p.FuncBlocks) * float64(p.AvgBlockInsts) * isa.InstBytes
+	numMid := math.Max(2, math.Ceil(float64(p.HotCodeKB)*1024/funcBytes))
+	insts := 25*math.Max(0, float64(p.LeafFuncs)) +
+		numMid*float64(p.FuncBlocks)*(float64(p.AvgBlockInsts)+3) +
+		7*numMid + 3
+	return insts * isa.InstBytes
 }
 
 // builtinProfiles are the twelve SPECint2000 stand-ins. Footprints and

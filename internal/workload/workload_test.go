@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"sort"
 	"testing"
 
@@ -62,6 +63,60 @@ func TestProfileValidateErrors(t *testing.T) {
 		mutate(&p)
 		if err := p.Validate(); err == nil {
 			t.Errorf("case %d should be invalid", i)
+		}
+	}
+}
+
+// TestProfileValidateAddressSpace: the in-memory trace holds 32-bit
+// addresses, so Validate rejects a profile whose data segment or code
+// could reach 2^32, and accepts one whose data segment ends exactly there.
+func TestProfileValidateAddressSpace(t *testing.T) {
+	base, _ := ProfileByName("gcc")
+	const maxDataKB = (1<<32 - int(DataBase)) / 1024
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Profile)
+		ok     bool
+	}{
+		{"data-ends-at-4GB", func(p *Profile) { p.DataFootprintKB = maxDataKB }, true},
+		{"data-past-4GB", func(p *Profile) { p.DataFootprintKB = maxDataKB + 1 }, false},
+		{"data-overflows-int", func(p *Profile) { p.DataFootprintKB = math.MaxInt }, false},
+		{"code-1GB", func(p *Profile) { p.HotCodeKB = 1 << 20 }, true},
+		{"code-4GB", func(p *Profile) { p.HotCodeKB = 4 << 20 }, false},
+		{"leaves-past-4GB", func(p *Profile) { p.LeafFuncs = 1 << 30 }, false},
+		{"blocks-past-4GB", func(p *Profile) { p.FuncBlocks = 1 << 30 }, false},
+		{"block-length-overflows-int", func(p *Profile) { p.AvgBlockInsts = math.MaxInt }, false},
+	} {
+		p := base
+		tc.mutate(&p)
+		if err := p.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+	p := base
+	p.DataFootprintKB = maxDataKB
+	w, err := Generate(p, 20_000, 1)
+	if err != nil {
+		t.Fatalf("generate with a data segment ending at 4 GB: %v", err)
+	}
+	if w.Trace.Len() != 20_000 {
+		t.Errorf("trace holds %d records, want 20000", w.Trace.Len())
+	}
+}
+
+// TestMaxCodeBytesBoundsLayout: the bound Validate checks code placement
+// with covers the image every builtin profile lays out.
+func TestMaxCodeBytesBoundsLayout(t *testing.T) {
+	for _, p := range Profiles() {
+		for seed := int64(1); seed <= 3; seed++ {
+			dict, err := BuildImage(p, seed)
+			if err != nil {
+				t.Fatalf("%s: %v", p.Name, err)
+			}
+			_, hi := dict.Bounds()
+			if got, bound := float64(hi+isa.InstBytes-CodeBase), maxCodeBytes(p); got > bound {
+				t.Errorf("%s seed %d: code spans %v bytes, above the %v bound", p.Name, seed, got, bound)
+			}
 		}
 	}
 }
