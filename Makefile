@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: all build test test-race vet bench bench-smoke bench-gate run sweep figures stream-smoke remote-smoke snapshot-smoke clean
+.PHONY: all build test test-race vet bench-module bench bench-smoke bench-gate run sweep figures stream-smoke remote-smoke snapshot-smoke clean
 
-all: vet build test
+all: vet build test bench-module
 
 build:
 	$(GO) build ./...
@@ -18,6 +18,13 @@ test-race:
 vet:
 	$(GO) vet ./...
 	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
+
+# The benchmark's own module (bench/go.mod, which the root ./... does not
+# reach), vetted and tested against this tree's packages, so a change to an
+# API it compiles against breaks here as it would in CI. Mirrors CI's
+# "Benchmark module" step.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Full benchmark pass (allocation counts are the contract: 0 allocs/op on
 # every steady-state path).

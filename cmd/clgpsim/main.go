@@ -78,7 +78,7 @@ commands:
   run      simulate one configuration and print its statistics
   sweep    run one profile's (engine x L1 size) grid and print the IPC table
   bench    measure the cycle engine, or gate this build against a parent clgpsim binary
-  figures  run/resume the sharded full-paper grid, emit Figure 1/6/7/8 series (mean±CI with -seeds) and gate them against a paper reference table
+  figures  run/resume the sharded full-paper grid, emit Figure 1/6/7/8 series (mean±CI with -seeds)
   worker   execute one shard of a sweep store (spawned by figures -exec / -ssh)
   store    serve a sweep object store over HTTP for multi-host dispatch
   trace    record/inspect/slice on-disk trace containers

@@ -157,16 +157,11 @@ func cmdTraceSlice(args []string) error {
 		if *from != 0 {
 			return fmt.Errorf("trace slice -simpoint selects the start itself; drop -from")
 		}
-		mt, err := src.ReadAll()
+		iv, best, err := trace.RepresentativeSlice(src, *count)
 		if err != nil {
 			return err
 		}
-		sl, best, err := trace.RepresentativeSlice(mt, *count)
-		if err != nil {
-			return err
-		}
-		lo = best * *count
-		hi = lo + sl.Len()
+		lo, hi = iv.Start, iv.End
 		fmt.Printf("simpoint: interval %d ([%d,%d) of %d records) is closest to the whole-trace basic-block distribution\n",
 			best, lo, hi, src.Len())
 	}

@@ -271,12 +271,3 @@ func PreBufferPipelineDepth(entries, lineSize int, t Tech) int {
 		return 1 + (bytes-1)/oneCycle/2
 	}
 }
-
-// PipelinedCacheStages returns the number of pipeline stages used when a
-// cache of the given size is pipelined at node t: the cache accepts a new
-// access every cycle but each access completes after this many cycles. Per
-// the paper's "ideal pipelining" assumption, the number of stages equals the
-// unpipelined latency.
-func PipelinedCacheStages(sizeBytes int, t Tech) int {
-	return CacheLatency(sizeBytes, t)
-}

@@ -227,14 +227,3 @@ func TestPreBufferPipelineDepth(t *testing.T) {
 		}
 	}
 }
-
-func TestPipelinedCacheStages(t *testing.T) {
-	// Ideal pipelining: stages == unpipelined latency.
-	for _, tech := range []Tech{Tech90, Tech45} {
-		for _, s := range L1Sizes() {
-			if PipelinedCacheStages(s, tech) != CacheLatency(s, tech) {
-				t.Errorf("%v size %d: stages != latency", tech, s)
-			}
-		}
-	}
-}

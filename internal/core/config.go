@@ -64,9 +64,8 @@ type Config struct {
 	// Tech is the technology node (0.09um or 0.045um in the paper).
 	Tech cacti.Tech
 	// L1ISize is the L1 instruction cache size in bytes (the swept axis).
+	// The L1 I-cache is not pipelined; its latency is Table 3's.
 	L1ISize int
-	// L1IPipelined selects a pipelined L1 I-cache.
-	L1IPipelined bool
 	// UseL0 adds the one-cycle L0 cache sized by the node's one-cycle
 	// capacity (512B at 90nm, 256B at 45nm).
 	UseL0 bool
@@ -78,10 +77,6 @@ type Config struct {
 	// PreBufferEntries is the pre-buffer size in lines; 0 selects the
 	// node's default (the largest one-cycle buffer: 8 at 90nm, 4 at 45nm).
 	PreBufferEntries int
-
-	// MaxInsts bounds the number of committed instructions to simulate; 0
-	// means the whole trace.
-	MaxInsts int
 
 	// NoSkip disables the event-horizon clock and ticks every cycle
 	// individually (the reference mode). Results are bit-identical either
@@ -137,13 +132,9 @@ func (c Config) normalise() (Config, error) {
 // memoryConfig derives the hierarchy configuration.
 func (c Config) memoryConfig() memory.Config {
 	mc := memory.DefaultConfig(c.Tech, c.L1ISize)
-	mc.L1IPipelined = c.L1IPipelined
 	mc.IdealICache = c.IdealICache
 	if c.UseL0 {
 		mc.L0Size = DefaultL0Size(c.Tech)
-		// With an L0, prefetches are served by the L1 when it has the line
-		// (Sections 3.1.1 and 3.2.4).
-		mc.PrefetchFromL1 = true
 	}
 	return mc
 }

@@ -207,9 +207,6 @@ func NewEngine(cfg Config, dict *isa.Dictionary, tr TraceSource) (*Engine, error
 	}
 
 	target := uint64(tr.Len())
-	if cfg.MaxInsts > 0 && uint64(cfg.MaxInsts) < target {
-		target = uint64(cfg.MaxInsts)
-	}
 	e := &Engine{
 		cfg:       cfg,
 		mem:       mem,

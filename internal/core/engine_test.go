@@ -112,15 +112,6 @@ func TestEngineDeterministic(t *testing.T) {
 	}
 }
 
-func TestEngineMaxInsts(t *testing.T) {
-	w := icacheStressWorkload(t, 30_000, 5)
-	cfg := Config{Tech: cacti.Tech90, L1ISize: 4 << 10, Engine: EngineFDP, MaxInsts: 10_000}
-	r := runConfig(t, cfg, w)
-	if r.Committed < 10_000 || r.Committed > 10_000+8 {
-		t.Errorf("committed %d, want ~10000 (MaxInsts)", r.Committed)
-	}
-}
-
 // TestIdealIgnoresL1Size: with an ideal I-cache every fetch is a one-cycle
 // hit whatever the L1's size, so the runs at 256 B, 2 KB and 64 KB agree on
 // every result but L1Misses. That field still moves, because the ideal

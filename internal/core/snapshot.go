@@ -17,18 +17,19 @@ const coreTag uint32 = 0x45524F43
 // WarmKey hashes the configuration fields that determine warm-up state: two
 // configurations with equal keys reach bit-identical microarchitectural state
 // after the same number of committed instructions, so they can share a
-// warm-state snapshot. Name (a label), MaxInsts (the stop condition) and
-// NoSkip (the clock mode, which never changes results) are deliberately
-// excluded — a sweep that varies only those axes pays warm-up once.
+// warm-state snapshot. Name (a label) and NoSkip (the clock mode, which
+// never changes results) are deliberately excluded — a sweep that varies
+// only those axes pays warm-up once.
 func (c Config) WarmKey() uint64 {
 	if n, err := c.normalise(); err == nil {
 		c = n
 	}
 	h := fnv.New64a()
-	// The fixed Table 2 parameters stay in the hashed text so keys, and the
-	// snapshot stores addressed by them, match those of earlier builds.
-	fmt.Fprintf(h, "tech=%d l1i=%d l1ipipe=%t l0=%t ideal=%t eng=%d pb=%d fw=%d rp=%d be=%+v bp=%+v",
-		int(c.Tech), c.L1ISize, c.L1IPipelined, c.UseL0, c.IdealICache,
+	// The fixed Table 2 parameters, and the L1 I-cache's pipelining (always
+	// off), stay in the hashed text so keys, and the snapshot stores
+	// addressed by them, match those of earlier builds.
+	fmt.Fprintf(h, "tech=%d l1i=%d l1ipipe=false l0=%t ideal=%t eng=%d pb=%d fw=%d rp=%d be=%+v bp=%+v",
+		int(c.Tech), c.L1ISize, c.UseL0, c.IdealICache,
 		int(c.Engine), c.PreBufferEntries, fetchWidth, redirectPenalty,
 		pipeline.DefaultConfig(), bpred.DefaultConfig())
 	return h.Sum64()

@@ -313,7 +313,7 @@ func TestSnapshotRejectsMismatch(t *testing.T) {
 }
 
 // TestWarmKeyAxes pins which configuration axes participate in the warm key:
-// result-label and stop-condition fields must not (they do not change warm
+// the result label and the clock mode must not (they do not change warm
 // state), microarchitectural fields must.
 func TestWarmKeyAxes(t *testing.T) {
 	base := Config{Tech: cacti.Tech90, L1ISize: 2 << 10, Engine: EngineCLGP, UseL0: true}
@@ -321,10 +321,9 @@ func TestWarmKeyAxes(t *testing.T) {
 
 	same := base
 	same.Name = "renamed"
-	same.MaxInsts = 12345
 	same.NoSkip = true
 	if same.WarmKey() != key {
-		t.Error("Name/MaxInsts/NoSkip changed the warm key; sweeps over those axes cannot share snapshots")
+		t.Error("Name/NoSkip changed the warm key; sweeps over those axes cannot share snapshots")
 	}
 
 	for name, mutate := range map[string]func(*Config){

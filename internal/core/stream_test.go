@@ -81,33 +81,3 @@ func TestStreamedEngineMatchesInMemory(t *testing.T) {
 		})
 	}
 }
-
-// TestStreamedEngineHonoursMaxInsts checks the early-stop interaction: a
-// streamed run that commits only a prefix must still match the in-memory
-// prefix run.
-func TestStreamedEngineHonoursMaxInsts(t *testing.T) {
-	path, w := recordTraceFile(t, 60_000, 23)
-	cfg := Config{L1ISize: 1 << 10, Engine: EngineCLGP, MaxInsts: 20_000}
-	want := runConfig(t, cfg, w)
-
-	rd, err := tracefile.Open(path)
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	defer rd.Close()
-	wt, err := trace.NewWindowTrace(rd, 4096)
-	if err != nil {
-		t.Fatalf("window: %v", err)
-	}
-	eng, err := NewEngine(cfg, w.Dict, wt)
-	if err != nil {
-		t.Fatalf("engine: %v", err)
-	}
-	got, err := eng.Run()
-	if err != nil {
-		t.Fatalf("streamed run: %v", err)
-	}
-	if !reflect.DeepEqual(got.WithoutTelemetry(), want.WithoutTelemetry()) {
-		t.Errorf("streamed MaxInsts stats differ from in-memory stats")
-	}
-}

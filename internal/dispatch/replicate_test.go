@@ -113,9 +113,8 @@ func TestGridMatchesSweepJobs(t *testing.T) {
 		var want []sim.Job
 		for rep := 0; rep < reps; rep++ {
 			w := &workload.Workload{Name: "gzip"}
-			for _, j := range sim.SweepJobs(w, cacti.Tech45, cacti.L1Sizes(), engines, l0, 0) {
-				j.Name = sim.ReplicateName(j.Name, rep)
-				j.Config.Name = j.Name
+			for _, j := range sim.SweepJobs(w, cacti.Tech45, cacti.L1Sizes(), engines, l0) {
+				j.Config.Name = sim.ReplicateName(j.Config.Name, rep)
 				want = append(want, j)
 			}
 		}
@@ -127,8 +126,8 @@ func TestGridMatchesSweepJobs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s.Name() != want[i].Name {
-				t.Errorf("l0=%v job %d: name %q, want %q", l0, i, s.Name(), want[i].Name)
+			if s.Name() != want[i].Config.Name {
+				t.Errorf("l0=%v job %d: name %q, want %q", l0, i, s.Name(), want[i].Config.Name)
 			}
 			if !reflect.DeepEqual(cfg, want[i].Config) {
 				t.Errorf("l0=%v job %s: config %+v, want %+v", l0, s.Name(), cfg, want[i].Config)

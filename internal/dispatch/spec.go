@@ -46,8 +46,6 @@ type JobSpec struct {
 	UseL0 bool `json:"use_l0,omitempty"`
 	// Ideal makes every instruction fetch a one-cycle hit (Figure 1 baseline).
 	Ideal bool `json:"ideal,omitempty"`
-	// MaxInsts bounds committed instructions; 0 simulates the whole trace.
-	MaxInsts int `json:"max_insts,omitempty"`
 	// Warmup is the warm-state snapshot boundary in committed instructions:
 	// jobs sharing a workload fingerprint and warm-configuration key restore
 	// from one checkpoint published through the sweep store instead of each
@@ -121,7 +119,6 @@ func (s JobSpec) Config() (core.Config, error) {
 		Engine:      eng,
 		UseL0:       s.UseL0 && eng != core.EngineNone,
 		IdealICache: s.Ideal,
-		MaxInsts:    s.MaxInsts,
 	}, nil
 }
 
@@ -133,7 +130,7 @@ func (s JobSpec) SimJob(w *workload.Workload) (sim.Job, error) {
 	if err != nil {
 		return sim.Job{}, err
 	}
-	return sim.Job{Name: cfg.Name, Config: cfg, Workload: w, TraceFile: s.TraceFile, Window: s.Window, Warmup: s.Warmup}, nil
+	return sim.Job{Config: cfg, Workload: w, TraceFile: s.TraceFile, Window: s.Window, Warmup: s.Warmup}, nil
 }
 
 // GridConfig enumerates a paper evaluation grid.
@@ -162,8 +159,6 @@ type GridConfig struct {
 	L0Variants bool
 	// IncludeIdeal adds the ideal-I-cache baseline (Figure 1) per size.
 	IncludeIdeal bool
-	// MaxInsts bounds committed instructions per run (0 = whole trace).
-	MaxInsts int
 	// TraceFile streams every job's trace from one shared recorded
 	// container instead of regenerating workloads per shard. A trace file
 	// records one workload, so the grid must name exactly one profile.
@@ -236,7 +231,7 @@ func GridSpecs(gc GridConfig) ([]JobSpec, error) {
 								Profile: prof, Insts: gc.Insts, Seed: seed, Rep: rep,
 								TraceFile: gc.TraceFile, Window: gc.Window,
 								Tech: tech.String(), Engine: eng.String(),
-								L1Size: size, UseL0: l0, MaxInsts: gc.MaxInsts,
+								L1Size: size, UseL0: l0,
 								Warmup: gc.Warmup,
 							})
 							if err != nil {
@@ -251,7 +246,7 @@ func GridSpecs(gc GridConfig) ([]JobSpec, error) {
 							Profile: prof, Insts: gc.Insts, Seed: seed, Rep: rep,
 							TraceFile: gc.TraceFile, Window: gc.Window,
 							Tech: tech.String(), Engine: core.EngineNone.String(),
-							L1Size: size, Ideal: true, MaxInsts: gc.MaxInsts,
+							L1Size: size, Ideal: true,
 							Warmup: gc.Warmup,
 						})
 						if err != nil {

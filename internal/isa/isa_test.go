@@ -196,32 +196,24 @@ func TestDictionaryAddAndLookup(t *testing.T) {
 	d := NewDictionary()
 	b1 := makeBlock(0x1000, 4, OpBranch, 0x2000)
 	b2 := makeBlock(0x2000, 6, OpJump, 0x1000)
-	if err := d.AddBlock(b1); err != nil {
-		t.Fatalf("AddBlock b1: %v", err)
-	}
+	// The higher block first, so the table also grows downwards.
 	if err := d.AddBlock(b2); err != nil {
 		t.Fatalf("AddBlock b2: %v", err)
 	}
+	if err := d.AddBlock(b1); err != nil {
+		t.Fatalf("AddBlock b1: %v", err)
+	}
 	d.SetEntry(0x1000)
+	for _, bb := range []*BasicBlock{b1, b2} {
+		for i := range bb.Insts {
+			if got := d.Inst(bb.Insts[i].PC); got != &bb.Insts[i] {
+				t.Errorf("Inst(%#x) = %p, want the block's instruction %p", bb.Insts[i].PC, got, &bb.Insts[i])
+			}
+		}
+	}
 
 	if d.Entry() != 0x1000 {
 		t.Errorf("Entry = %#x", d.Entry())
-	}
-	if d.BlockCount() != 2 {
-		t.Errorf("BlockCount = %d, want 2", d.BlockCount())
-	}
-	if d.InstCount() != 10 {
-		t.Errorf("InstCount = %d, want 10", d.InstCount())
-	}
-	if d.CodeBytes() != 40 {
-		t.Errorf("CodeBytes = %d, want 40", d.CodeBytes())
-	}
-	lo, hi := d.Bounds()
-	if lo != 0x1000 || hi != 0x2014 {
-		t.Errorf("Bounds = %#x, %#x", lo, hi)
-	}
-	if !d.Contains(0x1008) || d.Contains(0x3000) {
-		t.Errorf("Contains misbehaves")
 	}
 	if si := d.Inst(0x200c); si == nil || si.Class != OpALU {
 		t.Errorf("Inst(0x200c) = %+v", si)
@@ -229,11 +221,14 @@ func TestDictionaryAddAndLookup(t *testing.T) {
 	if d.Inst(0x5000) != nil {
 		t.Errorf("Inst on unknown PC should be nil")
 	}
-	if d.Block(0x2000) != b2 || d.Block(0x2004) != nil {
-		t.Errorf("Block lookup wrong")
+	// Holes inside the image and the slots past either end are empty.
+	for _, pc := range []Addr{0x0ffc, 0x1010, 0x1ffc, 0x2018, 0x1002} {
+		if d.Inst(pc) != nil {
+			t.Errorf("Inst(%#x) should be nil", pc)
+		}
 	}
 	blocks := d.Blocks()
-	if len(blocks) != 2 || blocks[0].Start != 0x1000 || blocks[1].Start != 0x2000 {
+	if len(blocks) != 2 || blocks[0] != b1 || blocks[1] != b2 {
 		t.Errorf("Blocks() = %+v", blocks)
 	}
 }
@@ -253,6 +248,30 @@ func TestDictionaryAddBlockErrors(t *testing.T) {
 	if err := d.AddBlock(makeBlock(0x1000, 2, OpJump, 0x3000)); err == nil {
 		t.Errorf("duplicate block start should error")
 	}
+	if err := d.AddBlock(makeBlock(0x1000+2*InstBytes, 2, OpJump, 0x3000)); err == nil {
+		t.Errorf("block redefining the terminator of another should error")
+	}
+	if err := d.AddBlock(makeBlock(0x1000-InstBytes, 2, OpJump, 0x3000)); err == nil {
+		t.Errorf("block running into another should error")
+	}
+	if err := d.AddBlock(makeBlock(0x2002, 2, OpJump, 0x3000)); err == nil {
+		t.Errorf("misaligned block should error")
+	}
+	if err := d.AddBlock(makeBlock(0x1000+MaxImageBytes, 1, OpJump, 0)); err == nil {
+		t.Errorf("block stretching the image past MaxImageBytes should error")
+	}
+	high := NewDictionary()
+	if err := high.AddBlock(makeBlock(2*MaxImageBytes, 1, OpJump, 0)); err != nil {
+		t.Fatalf("AddBlock: %v", err)
+	}
+	if err := high.AddBlock(makeBlock(MaxImageBytes, 1, OpJump, 0)); err == nil {
+		t.Errorf("block stretching the image downwards past MaxImageBytes should error")
+	}
+	// Every rejection left the image as it was.
+	if len(d.Blocks()) != 1 || d.Inst(0x1008) != &good.Insts[2] || d.Inst(0x1000-InstBytes) != nil ||
+		d.Inst(0x100c) != nil {
+		t.Errorf("a rejected block changed the image")
+	}
 	// Block with a misnumbered PC.
 	bad := makeBlock(0x4000, 3, OpJump, 0)
 	bad.Insts[1].PC = 0x9999
@@ -267,54 +286,7 @@ func TestDictionaryAddBlockErrors(t *testing.T) {
 	}
 }
 
-func TestDictionaryLines(t *testing.T) {
-	d := NewDictionary()
-	// 20 instructions starting at 0x1000 span 2 lines (0x1000, 0x1040).
-	if err := d.AddBlock(makeBlock(0x1000, 20, OpJump, 0x1000)); err != nil {
-		t.Fatal(err)
-	}
-	lines := d.Lines(64)
-	if len(lines) != 2 || lines[0] != 0x1000 || lines[1] != 0x1040 {
-		t.Errorf("Lines = %#v", lines)
-	}
-}
-
-func TestDictionaryNextPC(t *testing.T) {
-	d := NewDictionary()
-	bb := makeBlock(0x1000, 2, OpBranch, 0x2000)
-	jmp := makeBlock(0x3000, 1, OpJump, 0x4000)
-	call := makeBlock(0x5000, 1, OpCall, 0x6000)
-	ret := makeBlock(0x7000, 1, OpReturn, 0)
-	for _, b := range []*BasicBlock{bb, jmp, call, ret} {
-		if err := d.AddBlock(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cases := []struct {
-		pc       Addr
-		taken    bool
-		returnTo Addr
-		want     Addr
-	}{
-		{0x1000, true, 0, 0x1004},  // non-control: fall through regardless of taken
-		{0x1004, true, 0, 0x2000},  // taken branch
-		{0x1004, false, 0, 0x1008}, // not-taken branch
-		{0x3000, false, 0, 0x4000}, // jump always taken
-		{0x5000, false, 0, 0x6000}, // call always taken
-		{0x7000, false, 0xabc0, 0xabc0},
-	}
-	for _, c := range cases {
-		got, ok := d.NextPC(c.pc, c.taken, c.returnTo)
-		if !ok || got != c.want {
-			t.Errorf("NextPC(%#x, %v) = %#x, %v; want %#x", c.pc, c.taken, got, ok, c.want)
-		}
-	}
-	if _, ok := d.NextPC(0xdead, false, 0); ok {
-		t.Errorf("NextPC on unknown PC should report !ok")
-	}
-}
-
-// hashTestImage returns a sealed two-block image.
+// hashTestImage returns a two-block image.
 func hashTestImage(t *testing.T) *Dictionary {
 	t.Helper()
 	d := NewDictionary()
@@ -327,12 +299,11 @@ func hashTestImage(t *testing.T) *Dictionary {
 		}
 	}
 	d.SetEntry(0x1000)
-	d.Seal()
 	return d
 }
 
 // TestDictionaryHashMemo: the memoised Hash must equal a fresh walk of the
-// image, and every mutation after Seal must drop the memo.
+// image, and every mutation after the first Hash must drop the memo.
 func TestDictionaryHashMemo(t *testing.T) {
 	d := hashTestImage(t)
 	first := d.Hash()
@@ -348,7 +319,7 @@ func TestDictionaryHashMemo(t *testing.T) {
 	}
 	afterAdd := d.Hash()
 	if afterAdd == first {
-		t.Error("Hash did not change after a post-Seal AddBlock")
+		t.Error("Hash did not change after AddBlock")
 	}
 	if afterAdd != d.computeHash() {
 		t.Errorf("hash after AddBlock %#x differs from a fresh recomputation %#x", afterAdd, d.computeHash())
@@ -357,14 +328,14 @@ func TestDictionaryHashMemo(t *testing.T) {
 	d.SetEntry(0x2000)
 	afterEntry := d.Hash()
 	if afterEntry == afterAdd {
-		t.Error("Hash did not change after a post-Seal SetEntry")
+		t.Error("Hash did not change after SetEntry")
 	}
 	if afterEntry != d.computeHash() {
 		t.Errorf("hash after SetEntry %#x differs from a fresh recomputation %#x", afterEntry, d.computeHash())
 	}
 }
 
-// TestDictionaryHashConcurrent has several goroutines ask a sealed image
+// TestDictionaryHashConcurrent has several goroutines ask a finished image
 // for its first Hash at once, as parallel sweep workers do; run it under
 // -race.
 func TestDictionaryHashConcurrent(t *testing.T) {

@@ -120,21 +120,15 @@ type Config struct {
 	// Tech selects the technology node (latencies via cacti).
 	Tech cacti.Tech
 
-	// L1ISize configures the L1 instruction cache. L1ILatency of 0 means
-	// "use Table 3 for the size and node". L1IPipelined selects a pipelined
-	// L1 I-cache.
-	L1ISize      int
-	L1ILatency   int
-	L1IPipelined bool
+	// L1ISize is the L1 instruction cache size; its latency is Table 3's
+	// for the size and node, and it is not pipelined.
+	L1ISize int
 
 	// L0Size of 0 disables the L0; otherwise the L0 is a one-cycle, fully
-	// associative cache.
+	// associative cache. It also selects where prefetches look first: with
+	// an L0 present, prefetch requests are served by the L1 if it holds the
+	// line (Section 3.1.1/3.2.4); without an L0 they go straight to the L2.
 	L0Size int
-
-	// PrefetchFromL1 selects where prefetches look first: with an L0
-	// present, prefetch requests are served by the L1 if it holds the line
-	// (Section 3.1.1/3.2.4); without an L0 they go straight to the L2.
-	PrefetchFromL1 bool
 
 	// IdealICache makes every instruction fetch a one-cycle L1 hit
 	// (Figure 1's "ideal" curve).
@@ -153,9 +147,6 @@ func (c Config) normalise() (Config, error) {
 	}
 	if c.L1ISize <= 0 {
 		return c, fmt.Errorf("memory: L1 I-cache size must be positive, got %d", c.L1ISize)
-	}
-	if c.L1ILatency <= 0 {
-		c.L1ILatency = cacti.CacheLatency(c.L1ISize, c.Tech)
 	}
 	if c.L0Size < 0 {
 		return c, fmt.Errorf("memory: L0 size must be non-negative, got %d", c.L0Size)
@@ -208,7 +199,7 @@ func New(cfg Config) (*Hierarchy, error) {
 
 	h.l1i, err = cache.New(cache.Config{
 		Name: "L1I", SizeBytes: cfg.L1ISize, LineBytes: lineBytes, Assoc: l1iAssoc,
-		Latency: cfg.L1ILatency, Pipelined: cfg.L1IPipelined, Ports: 1,
+		Latency: cacti.CacheLatency(cfg.L1ISize, cfg.Tech), Ports: 1,
 	})
 	if err != nil {
 		return nil, err
@@ -408,14 +399,14 @@ func (h *Hierarchy) AccessIFetch(addr isa.Addr, now uint64, fillL1, fillL0 bool)
 }
 
 // AccessIPrefetch requests a prefetch of the line containing addr at cycle
-// now. With PrefetchFromL1 set and the line resident in L1, the prefetch is
+// now. With an L0 present and the line resident in L1, the prefetch is
 // served by the L1; otherwise it is sent to the L2 over the bus (lowest
 // priority).
 func (h *Hierarchy) AccessIPrefetch(addr isa.Addr, now uint64) *Request {
 	line := h.LineAddr(addr)
 	r := h.newRequest(line, KindIPrefetch)
 
-	if h.cfg.PrefetchFromL1 && h.l1i.Probe(line) {
+	if h.l0 != nil && h.l1i.Probe(line) {
 		r.Source = stats.SrcL1
 		r.scheduled = true
 		r.readyAt = now + uint64(h.l1i.Latency())

@@ -29,19 +29,15 @@ func TestKindString(t *testing.T) {
 func TestConfigNormalisation(t *testing.T) {
 	cfg := DefaultConfig(cacti.Tech45, 4<<10)
 	h := MustNew(cfg)
-	got := h.Config()
-	// The L1 latency must come from Table 3 (4KB at 45nm = 4 cycles).
-	if got.L1ILatency != 4 {
-		t.Errorf("L1 latency = %d, want 4 (Table 3)", got.L1ILatency)
-	}
 	if got := h.L2().Latency(); got != 24 {
 		t.Errorf("L2 latency = %d, want 24 (Table 3)", got)
 	}
 	if got := cacti.MemoryLatency(); got != 200 {
 		t.Errorf("memory latency = %d, want 200 (Table 2)", got)
 	}
+	// The L1 latency must come from Table 3 (4KB at 45nm = 4 cycles).
 	if h.L1ILatency() != 4 {
-		t.Errorf("hierarchy L1ILatency = %d", h.L1ILatency())
+		t.Errorf("hierarchy L1ILatency = %d, want 4 (Table 3)", h.L1ILatency())
 	}
 	if h.HasL0() || h.L0() != nil {
 		t.Errorf("default config should have no L0")
@@ -151,20 +147,6 @@ func TestNonPipelinedL1Occupancy(t *testing.T) {
 	if r2.ReadyAt() <= r1.ReadyAt() {
 		t.Errorf("second hit (%d) should be delayed past the first (%d)", r2.ReadyAt(), r1.ReadyAt())
 	}
-	// With a pipelined L1, the second access is not delayed.
-	cfgP := cfg
-	cfgP.L1IPipelined = true
-	hp := MustNew(cfgP)
-	ap := hp.AccessIFetch(line1, 0, true, false)
-	bp := hp.AccessIFetch(line2, 0, true, false)
-	hp.Tick(0)
-	hp.Tick(1)
-	_, _ = ap, bp
-	p1 := hp.AccessIFetch(line1, 1000, true, false)
-	p2 := hp.AccessIFetch(line2, 1001, true, false)
-	if p1.ReadyAt() != 1004 || p2.ReadyAt() != 1005 {
-		t.Errorf("pipelined hits ready at %d/%d, want 1004/1005", p1.ReadyAt(), p2.ReadyAt())
-	}
 }
 
 func TestBusPriorityDemandOverPrefetch(t *testing.T) {
@@ -192,9 +174,8 @@ func TestBusPriorityDemandOverPrefetch(t *testing.T) {
 }
 
 func TestPrefetchFromL1(t *testing.T) {
-	cfg := testConfig(4<<10, true)
-	cfg.PrefetchFromL1 = true
-	h := MustNew(cfg)
+	// With an L0, prefetches look in the L1 first.
+	h := MustNew(testConfig(4<<10, true))
 	line := isa.Addr(0x40_0000)
 	// Warm the L1.
 	r := h.AccessIFetch(line, 0, true, false)
@@ -217,7 +198,7 @@ func TestPrefetchFromL1(t *testing.T) {
 	if !pf2.Scheduled() || (pf2.Source != stats.SrcL2 && pf2.Source != stats.SrcMem) {
 		t.Errorf("prefetch source = %v", pf2.Source)
 	}
-	// Without PrefetchFromL1, even an L1-resident line goes to the bus.
+	// Without an L0, even an L1-resident line goes to the bus.
 	cfg2 := testConfig(4<<10, false)
 	h2 := MustNew(cfg2)
 	r2 := h2.AccessIFetch(line, 0, true, false)
@@ -225,7 +206,7 @@ func TestPrefetchFromL1(t *testing.T) {
 	_ = r2
 	pf3 := h2.AccessIPrefetch(line, 600)
 	if pf3.Scheduled() {
-		t.Errorf("prefetch should use the bus when PrefetchFromL1 is unset")
+		t.Errorf("prefetch should use the bus without an L0")
 	}
 }
 

@@ -51,7 +51,6 @@ type entry struct {
 type Buffer struct {
 	name    string
 	entries []entry
-	idx     lineIndex
 	stamp   uint64
 	latency int
 
@@ -70,9 +69,7 @@ func newBuffer(name string, entries, latency int) (*Buffer, error) {
 	if latency < 1 {
 		latency = 1
 	}
-	b := &Buffer{name: name, entries: make([]entry, entries), latency: latency}
-	b.idx.init(entries)
-	return b, nil
+	return &Buffer{name: name, entries: make([]entry, entries), latency: latency}, nil
 }
 
 // Size returns the number of entries.
@@ -99,17 +96,9 @@ func (b *Buffer) UsedLines() uint64 { return b.usedLines }
 
 // find returns the index of the entry holding line, or -1. It is the hot
 // lookup of both buffer flavours — every fetch-stage access and every
-// queue-walk Request funnels through it — so it reads the O(1) line→slot
-// index instead of scanning the entries (which was fine at 16 entries but
-// dominated the profile when buffers grow; see BenchmarkBufferFind).
+// queue-walk Request funnels through it — and a scan of the entries: the
+// buffers the paper models hold 4, 8 or 16 lines (see BenchmarkBufferFind).
 func (b *Buffer) find(line isa.Addr) int {
-	return b.idx.get(line)
-}
-
-// findLinear is the reference implementation of find: an exhaustive scan of
-// the entries. Tests cross-check the index against it; benchmarks use it to
-// quantify the index win at 16/64/256 entries.
-func (b *Buffer) findLinear(line isa.Addr) int {
 	for i := range b.entries {
 		if b.entries[i].allocated && b.entries[i].line == line {
 			return i
@@ -178,8 +167,8 @@ func (b *Buffer) touch(i int) {
 	b.entries[i].lru = b.stamp
 }
 
-// evictInto reuses entry i for a new allocation of line, keeping the
-// line→slot index in step with the displaced and installed lines.
+// evictInto reuses entry i for a new allocation of line, counting the
+// displaced line's eviction.
 func (b *Buffer) evictInto(i int, line isa.Addr) {
 	e := &b.entries[i]
 	if e.allocated {
@@ -189,10 +178,8 @@ func (b *Buffer) evictInto(i int, line isa.Addr) {
 				b.usedLines++
 			}
 		}
-		b.idx.del(e.line)
 	}
 	*e = entry{line: line, allocated: true}
-	b.idx.put(line, i)
 	b.allocs++
 	b.touch(i)
 }
@@ -284,7 +271,6 @@ func (pb *PrefetchBuffer) Invalidate(line isa.Addr) {
 			pb.free++
 		}
 		pb.entries[i] = entry{available: true}
-		pb.idx.del(line)
 	}
 }
 
@@ -309,7 +295,6 @@ func (pb *PrefetchBuffer) Reset() {
 	for i := range pb.entries {
 		pb.entries[i] = entry{available: true}
 	}
-	pb.idx.clear()
 	pb.free = len(pb.entries)
 }
 
@@ -410,7 +395,6 @@ func (sb *PrestageBuffer) Invalidate(line isa.Addr) {
 			sb.replaceable++
 		}
 		sb.entries[i] = entry{}
-		sb.idx.del(line)
 	}
 }
 
@@ -456,6 +440,5 @@ func (sb *PrestageBuffer) Reset() {
 	for i := range sb.entries {
 		sb.entries[i] = entry{}
 	}
-	sb.idx.clear()
 	sb.replaceable = len(sb.entries)
 }

@@ -9,8 +9,7 @@ import (
 const stateTag uint32 = 0x46554250
 
 // saveState serialises the shared buffer mechanics: every entry verbatim,
-// the LRU stamp and the statistics. The line→slot index is derivable and
-// rebuilt on load.
+// the LRU stamp and the statistics.
 func (b *Buffer) saveState(e *snap.Encoder) {
 	e.Tag(stateTag)
 	e.Int(len(b.entries))
@@ -33,9 +32,9 @@ func (b *Buffer) saveState(e *snap.Encoder) {
 }
 
 // loadState restores state saved by saveState into a buffer of the same
-// size, rebuilding the line index from the allocated entries. It rejects
-// entries the buffer cannot reach: a negative consumers counter, or a line
-// allocated in two entries (the index would map it to one of them only).
+// size. It rejects entries the buffer cannot reach: a negative consumers
+// counter, or a line allocated in two entries (find would only ever reach
+// the first of them).
 func (b *Buffer) loadState(d *snap.Decoder) {
 	d.Tag(stateTag)
 	n := d.Int()
@@ -65,7 +64,6 @@ func (b *Buffer) loadState(d *snap.Decoder) {
 	if d.Err() != nil {
 		return
 	}
-	b.idx.clear()
 	for i := range b.entries {
 		en := &b.entries[i]
 		if en.consumers < 0 {
@@ -75,11 +73,10 @@ func (b *Buffer) loadState(d *snap.Decoder) {
 		if !en.allocated {
 			continue
 		}
-		if j := b.idx.get(en.line); j >= 0 {
+		if j := b.find(en.line); j < i {
 			d.Failf("prebuffer %s: line %#x allocated in entries %d and %d", b.name, uint64(en.line), j, i)
 			return
 		}
-		b.idx.put(en.line, i)
 	}
 }
 

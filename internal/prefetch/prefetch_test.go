@@ -16,7 +16,6 @@ func newHierarchy(t *testing.T, l0 bool) *memory.Hierarchy {
 	cfg := memory.DefaultConfig(cacti.Tech45, 4<<10)
 	if l0 {
 		cfg.L0Size = 256
-		cfg.PrefetchFromL1 = true
 	}
 	return memory.MustNew(cfg)
 }

@@ -221,7 +221,7 @@ func snapshotGridJobs(w *workload.Workload, warmup int, store SnapshotStore) []J
 	jobs := SweepJobs(w, cacti.Tech90,
 		[]int{1 << 10, 2 << 10},
 		[]core.EngineKind{core.EngineNone, core.EngineNextN, core.EngineFDP, core.EngineCLGP},
-		false, 0)
+		false)
 	for i := range jobs {
 		jobs[i].Warmup = warmup
 		jobs[i].Snapshots = store
@@ -253,17 +253,17 @@ func MeasureSnapshotGrid(profile string, insts int, seed int64) (*GridSnapshotRe
 	plain := rn.Run(plainJobs)
 	for i, r := range plain {
 		if r.Err != nil {
-			return nil, fmt.Errorf("snapshot grid %s: plain run: %w", plainJobs[i].Name, r.Err)
+			return nil, fmt.Errorf("snapshot grid %s: plain run: %w", plainJobs[i].Config.Name, r.Err)
 		}
 	}
 	check := func(pass string, res []Result) error {
 		for i, r := range res {
 			if r.Err != nil {
-				return fmt.Errorf("snapshot grid %s: %s pass: %w", plainJobs[i].Name, pass, r.Err)
+				return fmt.Errorf("snapshot grid %s: %s pass: %w", plainJobs[i].Config.Name, pass, r.Err)
 			}
 			if !reflect.DeepEqual(r.Stats.WithoutTelemetry(), plain[i].Stats.WithoutTelemetry()) {
 				return fmt.Errorf("snapshot grid %s: %s pass diverges from the plain run — equivalence broken",
-					plainJobs[i].Name, pass)
+					plainJobs[i].Config.Name, pass)
 			}
 		}
 		return nil

@@ -38,7 +38,7 @@ func mixedJobs(w *workload.Workload, warmup int, store SnapshotStore) []Job {
 				UseL0: p.useL0, IdealICache: p.ideal,
 			}
 			cfg.Name = JobName(w.Name, p.eng, cfg.Tech, size, p.useL0, p.ideal)
-			jobs = append(jobs, Job{Name: cfg.Name, Config: cfg, Workload: w, Warmup: warmup, Snapshots: store})
+			jobs = append(jobs, Job{Config: cfg, Workload: w, Warmup: warmup, Snapshots: store})
 		}
 	}
 	return jobs
@@ -127,18 +127,18 @@ func TestRecycledTablesMatchFresh(t *testing.T) {
 		}
 		r, err := eng.Run()
 		if err != nil {
-			t.Fatalf("%s: fresh run: %v", j.Name, err)
+			t.Fatalf("%s: fresh run: %v", j.Config.Name, err)
 		}
-		fresh[j.Name] = r.WithoutTelemetry()
+		fresh[j.Config.Name] = r.WithoutTelemetry()
 	}
 	check := func(pass string, jobs []Job, workers int) {
 		t.Helper()
 		for i, r := range (Runner{Workers: workers}).Run(jobs) {
 			if r.Err != nil {
-				t.Fatalf("%s, %d workers: %s: %v", pass, workers, jobs[i].Name, r.Err)
+				t.Fatalf("%s, %d workers: %s: %v", pass, workers, jobs[i].Config.Name, r.Err)
 			}
-			if !reflect.DeepEqual(r.Stats.WithoutTelemetry(), fresh[jobs[i].Name]) {
-				t.Errorf("%s, %d workers: %s differs from a fresh engine's run", pass, workers, jobs[i].Name)
+			if !reflect.DeepEqual(r.Stats.WithoutTelemetry(), fresh[jobs[i].Config.Name]) {
+				t.Errorf("%s, %d workers: %s differs from a fresh engine's run", pass, workers, jobs[i].Config.Name)
 			}
 		}
 	}
@@ -164,7 +164,7 @@ func TestRecycledTablesMatchFresh(t *testing.T) {
 			good, _ := store.FetchSnapshot(key)
 			again, err := damaged.FetchSnapshot(key)
 			if err != nil || !reflect.DeepEqual(again, good) {
-				t.Fatalf("%s: the damaged artifact was not replaced by the cold path's (%v)", j.Name, err)
+				t.Fatalf("%s: the damaged artifact was not replaced by the cold path's (%v)", j.Config.Name, err)
 			}
 		}
 	}

@@ -30,9 +30,8 @@ import (
 // workload. Workloads may be shared between jobs; the engine treats the
 // program image and trace as read-only.
 type Job struct {
-	// Name labels the job in results; empty uses the configuration name.
-	Name string
-	// Config is the processor configuration.
+	// Config is the processor configuration; its Name labels the job in
+	// results.
 	Config core.Config
 	// Workload provides the program image and (unless TraceFile is set) the
 	// committed trace.
@@ -138,10 +137,7 @@ func (rn Runner) Run(jobs []Job) []Result {
 
 // runOne executes a single job.
 func runOne(j Job) Result {
-	name := j.Name
-	if name == "" {
-		name = j.Config.Name
-	}
+	name := j.Config.Name
 	start := time.Now()
 	if j.Workload == nil {
 		return Result{Name: name, Err: fmt.Errorf("sim %s: no workload", name)}
@@ -167,9 +163,6 @@ func runOne(j Job) Result {
 	eng.Release()
 	if err != nil {
 		return Result{Name: name, Err: err}
-	}
-	if name != "" {
-		st.Name = name
 	}
 	return Result{Name: st.Name, Stats: st, Wall: time.Since(start)}
 }
@@ -312,19 +305,18 @@ func ReplicateName(base string, rep int) string {
 
 // SweepJobs builds the cross product of engines × L1 sizes for one
 // technology node over a workload — one paper figure's worth of runs.
-func SweepJobs(w *workload.Workload, tech cacti.Tech, sizes []int, engines []core.EngineKind, useL0 bool, maxInsts int) []Job {
+func SweepJobs(w *workload.Workload, tech cacti.Tech, sizes []int, engines []core.EngineKind, useL0 bool) []Job {
 	jobs := make([]Job, 0, len(sizes)*len(engines))
 	for _, eng := range engines {
 		for _, size := range sizes {
 			cfg := core.Config{
-				Tech:     tech,
-				L1ISize:  size,
-				Engine:   eng,
-				UseL0:    useL0 && eng != core.EngineNone,
-				MaxInsts: maxInsts,
+				Tech:    tech,
+				L1ISize: size,
+				Engine:  eng,
+				UseL0:   useL0 && eng != core.EngineNone,
 			}
 			cfg.Name = JobName(w.Name, eng, tech, size, cfg.UseL0, false)
-			jobs = append(jobs, Job{Name: cfg.Name, Config: cfg, Workload: w})
+			jobs = append(jobs, Job{Config: cfg, Workload: w})
 		}
 	}
 	return jobs

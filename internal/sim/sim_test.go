@@ -29,7 +29,7 @@ func grid16(w *workload.Workload) []Job {
 	return SweepJobs(w, cacti.Tech90,
 		[]int{1 << 10, 2 << 10, 4 << 10, 8 << 10},
 		[]core.EngineKind{core.EngineNone, core.EngineNextN, core.EngineFDP, core.EngineCLGP},
-		false, 0)
+		false)
 }
 
 func TestParallelMatchesSerial(t *testing.T) {
@@ -43,12 +43,12 @@ func TestParallelMatchesSerial(t *testing.T) {
 	for i := range jobs {
 		s, p := serial[i], parallel[i]
 		if s.Err != nil || p.Err != nil {
-			t.Fatalf("job %s failed: serial=%v parallel=%v", jobs[i].Name, s.Err, p.Err)
+			t.Fatalf("job %s failed: serial=%v parallel=%v", jobs[i].Config.Name, s.Err, p.Err)
 		}
 		if s.Stats.Cycles != p.Stats.Cycles || s.Stats.Committed != p.Stats.Committed ||
 			s.Stats.Mispredictions != p.Stats.Mispredictions {
 			t.Errorf("job %s diverged between serial and parallel execution:\nserial   %+v\nparallel %+v",
-				jobs[i].Name, s.Stats, p.Stats)
+				jobs[i].Config.Name, s.Stats, p.Stats)
 		}
 	}
 }
@@ -92,7 +92,7 @@ func TestSweepParallelSpeedup(t *testing.T) {
 
 	for i := range jobs {
 		if serialRes[i].Err != nil || parRes[i].Err != nil {
-			t.Fatalf("job %s failed", jobs[i].Name)
+			t.Fatalf("job %s failed", jobs[i].Config.Name)
 		}
 	}
 	speedup := serialWall.Seconds() / parWall.Seconds()

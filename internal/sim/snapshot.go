@@ -57,15 +57,6 @@ func (s DirSnapshots) PushSnapshot(key string, data []byte) error {
 	return blob.Dir(s.Dir).Put(key, data)
 }
 
-// warmTarget is the committed-instruction goal of the job's engine.
-func (j Job) warmTarget(trLen int) uint64 {
-	target := uint64(trLen)
-	if j.Config.MaxInsts > 0 && uint64(j.Config.MaxInsts) < target {
-		target = uint64(j.Config.MaxInsts)
-	}
-	return target
-}
-
 // WarmStart applies the job's warm-up policy to a freshly built engine: on a
 // snapshot-store hit the engine restores and skips warm-up entirely; on a
 // miss it simulates through warm-up, publishes the snapshot for the rest of
@@ -83,7 +74,7 @@ func (j Job) warmTarget(trLen int) uint64 {
 // into the same buffer.
 func (j Job) WarmStart(eng *core.Engine, src core.TraceSource) (*core.Engine, error) {
 	warm := uint64(j.Warmup)
-	if warm >= j.warmTarget(src.Len()) {
+	if warm >= uint64(src.Len()) {
 		// Warm-up covers the whole run: nothing worth checkpointing.
 		return eng, nil
 	}

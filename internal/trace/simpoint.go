@@ -25,33 +25,42 @@ type IntervalProfile struct {
 	Freq map[isa.Addr]int
 }
 
-// Profile splits the trace into intervals of intervalLen records and
-// computes a basic-block frequency vector per interval. The final partial
-// interval is kept only if it is at least half full.
-func Profile(t *MemTrace, intervalLen int) ([]IntervalProfile, error) {
+// Profile splits the source's records into intervals of intervalLen and
+// computes a basic-block frequency vector per interval, in one forward pass
+// over the source. The final partial interval is kept only if it is at
+// least half full (a shorter one is not read). A record whose PC is not
+// InstBytes-aligned or does not continue the previous record's Target fails
+// the profile, naming the record's index.
+func Profile(src RecordReaderAt, intervalLen int) ([]IntervalProfile, error) {
 	if intervalLen <= 0 {
 		return nil, fmt.Errorf("trace: interval length must be positive, got %d", intervalLen)
 	}
-	n := t.Len()
+	n := src.Len()
 	var out []IntervalProfile
-	for start := 0; start < n; start += intervalLen {
-		end := start + intervalLen
-		if end > n {
-			end = n
-			if end-start < intervalLen/2 && len(out) > 0 {
-				break
-			}
+	var prevTarget isa.Addr
+	buf := make([]Record, min(n, 4096))
+	for i := 0; i < n; {
+		got, err := src.ReadRecordsAt(i, buf[:min(n-i, len(buf))])
+		if err != nil {
+			return nil, err
 		}
-		p := IntervalProfile{Start: start, End: end, Freq: make(map[isa.Addr]int)}
-		leader := t.At(start).PC
-		p.Freq[leader]++
-		for i := start; i < end; i++ {
-			r := t.At(i)
+		for _, r := range buf[:got] {
+			if err := checkContinuity(i, r.PC, prevTarget); err != nil {
+				return nil, err
+			}
+			prevTarget = r.Target
+			if i%intervalLen == 0 {
+				end := min(i+intervalLen, n)
+				if end-i < intervalLen/2 && len(out) > 0 {
+					return out, nil
+				}
+				out = append(out, IntervalProfile{Start: i, End: end, Freq: map[isa.Addr]int{r.PC: 1}})
+			}
 			if r.Taken || r.Target != r.PC+isa.InstBytes {
-				p.Freq[r.Target]++
+				out[len(out)-1].Freq[r.Target]++
 			}
+			i++
 		}
-		out = append(out, p)
 	}
 	return out, nil
 }
@@ -83,20 +92,17 @@ func manhattan(a, b []float64) float64 {
 }
 
 // RepresentativeSlice returns the interval whose basic-block distribution is
-// closest (L1 distance) to the average distribution of the whole trace,
+// closest (L1 distance) to the average distribution of the whole source,
 // mirroring the SimPoint "single representative slice" usage of the paper.
-// It returns the chosen slice and its interval index.
-func RepresentativeSlice(t *MemTrace, intervalLen int) (*MemTrace, int, error) {
-	profiles, err := Profile(t, intervalLen)
+// It returns the chosen interval and its index; copying its records out is
+// the caller's (tracefile.Slice for a container).
+func RepresentativeSlice(src RecordReaderAt, intervalLen int) (IntervalProfile, int, error) {
+	profiles, err := Profile(src, intervalLen)
 	if err != nil {
-		return nil, 0, err
+		return IntervalProfile{}, 0, err
 	}
 	if len(profiles) == 0 {
-		return nil, 0, fmt.Errorf("trace: empty trace")
-	}
-	if len(profiles) == 1 {
-		sl, err := t.Slice(profiles[0].Start, profiles[0].End)
-		return sl, 0, err
+		return IntervalProfile{}, 0, fmt.Errorf("trace: empty trace")
 	}
 	// Union of keys across intervals, in deterministic order.
 	keySet := make(map[isa.Addr]struct{})
@@ -130,9 +136,5 @@ func RepresentativeSlice(t *MemTrace, intervalLen int) (*MemTrace, int, error) {
 			best = i
 		}
 	}
-	sl, err := t.Slice(profiles[best].Start, profiles[best].End)
-	if err != nil {
-		return nil, 0, err
-	}
-	return sl, best, nil
+	return profiles[best], best, nil
 }

@@ -3,7 +3,7 @@
 // paper drives its simulator with 300M-instruction SimPoint slices of
 // SPECint2000 traces; here traces are produced by the synthetic workload
 // generator, but the record type, the in-memory and windowed trace sources
-// and the slicing utilities are workload-agnostic so externally captured
+// and the SimPoint analysis are workload-agnostic so externally captured
 // traces could be used as well. The on-disk container format lives in
 // package tracefile.
 //
@@ -152,13 +152,4 @@ func (t *MemTrace) target(i int) uint32 {
 		return t.ents[i+1].pc &^ takenBit
 	}
 	return t.end
-}
-
-// Slice returns a new MemTrace covering records [lo, hi); it shares the
-// underlying storage, and appending to it never writes into the parent.
-func (t *MemTrace) Slice(lo, hi int) (*MemTrace, error) {
-	if lo < 0 || hi > len(t.ents) || lo > hi {
-		return nil, fmt.Errorf("trace: slice [%d,%d) out of range 0..%d", lo, hi, len(t.ents))
-	}
-	return &MemTrace{ents: t.ents[lo:hi:hi], end: t.target(hi - 1)}, nil
 }

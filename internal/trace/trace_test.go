@@ -38,42 +38,23 @@ func TestMemTraceIteration(t *testing.T) {
 	}
 }
 
-func TestMemTraceAppendAndSlice(t *testing.T) {
+func TestMemTraceAppend(t *testing.T) {
 	var mt MemTrace
+	var recs []Record
 	for i := 0; i < 10; i++ {
-		if err := mt.Append(mkRecord(uint64(0x1000+4*i), false, uint64(0x1004+4*i), 0)); err != nil {
+		r := mkRecord(uint64(0x1000+4*i), i%3 == 0, uint64(0x1004+4*i), uint64(0x8000+8*i))
+		if err := mt.Append(r); err != nil {
 			t.Fatalf("Append %d: %v", i, err)
 		}
+		recs = append(recs, r)
 	}
 	if mt.Len() != 10 {
 		t.Fatalf("Len = %d", mt.Len())
 	}
-	sl, err := mt.Slice(2, 5)
-	if err != nil {
-		t.Fatalf("Slice: %v", err)
-	}
-	if sl.Len() != 3 || sl.At(0).PC != 0x1008 || sl.At(2).Target != 0x1014 {
-		t.Errorf("slice = len %d, first %+v, last %+v", sl.Len(), sl.At(0), sl.At(sl.Len()-1))
-	}
-	// A slice shares storage, but appending to it must not write into the
-	// parent: here the appended record differs from the parent's record 5
-	// only in Taken.
-	alt := mt.At(5)
-	alt.Taken = !alt.Taken
-	if err := sl.Append(alt); err != nil {
-		t.Fatalf("Append to slice: %v", err)
-	}
-	if got := mt.At(5); got.Taken {
-		t.Errorf("appending to a slice overwrote the parent: %+v", got)
-	}
-	if _, err := mt.Slice(-1, 3); err == nil {
-		t.Errorf("negative lo should error")
-	}
-	if _, err := mt.Slice(3, 11); err == nil {
-		t.Errorf("hi beyond end should error")
-	}
-	if _, err := mt.Slice(5, 2); err == nil {
-		t.Errorf("lo > hi should error")
+	for i, want := range recs {
+		if got := mt.At(i); got != want {
+			t.Errorf("At(%d) = %+v, want %+v", i, got, want)
+		}
 	}
 }
 
@@ -99,54 +80,59 @@ func TestProfileAndRepresentativeSlice(t *testing.T) {
 	// The trace is continuous: phase A's last back-edge leaves for phase B.
 	recs[len(recs)-1].Target = 0x9000
 	addLoop(0x9000, 20) // 320 records of phase B
-	mt, err := NewMemTrace(recs)
-	if err != nil {
-		t.Fatalf("NewMemTrace: %v", err)
-	}
+	// Short reads exercise the profile's refill path.
+	src := &sliceSource{recs: recs, batch: 37}
 
-	profiles, err := Profile(mt, 160)
+	profiles, err := Profile(src, 160)
 	if err != nil {
 		t.Fatalf("Profile: %v", err)
 	}
 	if len(profiles) < 10 {
 		t.Fatalf("expected >= 10 intervals, got %d", len(profiles))
 	}
-	if _, err := Profile(mt, 0); err == nil {
+	if _, err := Profile(src, 0); err == nil {
 		t.Errorf("zero interval length should error")
 	}
 
-	sl, idx, err := RepresentativeSlice(mt, 160)
+	iv, idx, err := RepresentativeSlice(src, 160)
 	if err != nil {
 		t.Fatalf("RepresentativeSlice: %v", err)
 	}
-	if sl.Len() == 0 {
-		t.Fatalf("empty representative slice")
+	if iv.Start != profiles[idx].Start || iv.End != profiles[idx].End {
+		t.Errorf("interval %d is [%d,%d), its profile says [%d,%d)", idx, iv.Start, iv.End, profiles[idx].Start, profiles[idx].End)
+	}
+	if iv.End-iv.Start != 160 {
+		t.Fatalf("representative interval [%d,%d) is not 160 records", iv.Start, iv.End)
 	}
 	// Phase A dominates, so the representative interval must be a phase-A
 	// interval (index < 10).
 	if idx >= 10 {
 		t.Errorf("representative interval %d comes from the minority phase", idx)
 	}
-	if sl.At(0).PC < 0x1000 || sl.At(0).PC >= 0x2000 {
-		t.Errorf("representative slice starts at %#x, expected phase A", sl.At(0).PC)
+	if pc := recs[iv.Start].PC; pc < 0x1000 || pc >= 0x2000 {
+		t.Errorf("representative slice starts at %#x, expected phase A", pc)
 	}
 }
 
 func TestRepresentativeSliceEdgeCases(t *testing.T) {
-	if _, _, err := RepresentativeSlice(new(MemTrace), 100); err == nil {
+	if _, _, err := RepresentativeSlice(&sliceSource{}, 100); err == nil {
 		t.Errorf("empty trace should error")
 	}
 	// Single interval: trace shorter than the interval length.
-	small, err := NewMemTrace([]Record{
+	small := &sliceSource{recs: []Record{
 		mkRecord(0x100, false, 0x104, 0),
 		mkRecord(0x104, false, 0x108, 0),
-	})
-	if err != nil {
-		t.Fatalf("NewMemTrace: %v", err)
+	}}
+	iv, idx, err := RepresentativeSlice(small, 100)
+	if err != nil || idx != 0 || iv.Start != 0 || iv.End != 2 {
+		t.Errorf("single-interval slice = [%d,%d) idx %d err %v", iv.Start, iv.End, idx, err)
 	}
-	sl, idx, err := RepresentativeSlice(small, 100)
-	if err != nil || idx != 0 || sl.Len() != 2 {
-		t.Errorf("single-interval slice = len %d idx %d err %v", sl.Len(), idx, err)
+	// A broken record fails the profile, named by its index.
+	for _, bad := range []Record{mkRecord(0x10c, false, 0x110, 0), mkRecord(0x10a, false, 0x10e, 0)} {
+		broken := &sliceSource{recs: []Record{small.recs[0], small.recs[1], bad}}
+		if _, _, err := RepresentativeSlice(broken, 2); err == nil || !strings.Contains(err.Error(), "record 2:") {
+			t.Errorf("record 2 at PC %#x: RepresentativeSlice error %v", bad.PC, err)
+		}
 	}
 }
 
@@ -191,12 +177,12 @@ func fuzzRecords(start uint64, data []byte) []Record {
 // FuzzMemTraceRoundTrip: the first record with a PC, Target or EffAddr
 // wider than 32 bits is rejected at its index; every continuous, aligned
 // record sequence of 32-bit addresses (the prefix before it) reads back
-// exactly, through the trace and through any slice of it; and one broken
+// exactly; and one broken
 // record (an odd PC, or a PC that does not continue the previous target) is
 // rejected at its index. The seed corpus is in
 // testdata/fuzz/FuzzMemTraceRoundTrip.
 func FuzzMemTraceRoundTrip(f *testing.F) {
-	f.Fuzz(func(t *testing.T, start uint64, data []byte, lo, hi, mut uint16) {
+	f.Fuzz(func(t *testing.T, start uint64, data []byte, mut uint16) {
 		recs := fuzzRecords(start, data)
 		if w := slices.IndexFunc(recs, func(r Record) bool {
 			return r.PC|r.Target|r.EffAddr > math.MaxUint32
@@ -220,23 +206,6 @@ func FuzzMemTraceRoundTrip(f *testing.F) {
 		}
 		if len(recs) == 0 {
 			return
-		}
-
-		l, h := int(lo)%(len(recs)+1), int(hi)%(len(recs)+1)
-		if l > h {
-			l, h = h, l
-		}
-		sl, err := mt.Slice(l, h)
-		if err != nil {
-			t.Fatalf("Slice(%d,%d): %v", l, h, err)
-		}
-		if sl.Len() != h-l {
-			t.Fatalf("Slice(%d,%d).Len = %d", l, h, sl.Len())
-		}
-		for k := 0; k < sl.Len(); k++ {
-			if got, want := sl.At(k), mt.At(l+k); got != want {
-				t.Fatalf("Slice(%d,%d).At(%d) = %+v, want %+v", l, h, k, got, want)
-			}
 		}
 
 		m := int(mut>>1) % len(recs)

@@ -101,8 +101,8 @@ func (t *WindowTrace) Len() int { return t.total }
 // on demand (evicting committed records first). Records are checked as they
 // enter the window: a PC that is not InstBytes-aligned, or that is not the
 // previous record's Target, panics naming the record's index, the same
-// conditions trace.MemTrace.Append and tracefile's ReadAll reject. Unlike
-// MemTrace, the window holds 64-bit addresses.
+// conditions MemTrace.Append and Profile reject. Unlike MemTrace, the
+// window holds 64-bit addresses.
 func (t *WindowTrace) At(i int) Record {
 	if i < t.base {
 		panic(fmt.Sprintf("trace: record %d already evicted (window is %d..%d, frontier %d)",

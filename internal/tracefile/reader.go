@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -321,31 +320,6 @@ func (r *Reader) ReadRecordsAt(lo int, dst []trace.Record) (int, error) {
 		return 0, err
 	}
 	return copy(dst, r.recs[lo-r.first[c]:]), nil
-}
-
-// ReadAll decodes the whole container into an in-memory trace. The
-// in-memory trace requires a continuous, aligned record stream (see
-// trace.MemTrace.Append); a container that breaks it fails with ErrCorrupt
-// naming the record. A well-formed container whose addresses need more than
-// the in-memory trace's 32 bits fails with trace.ErrWideAddr instead, also
-// naming the record: it is valid, just out of MemTrace's reach (stream it
-// through trace.WindowTrace).
-func (r *Reader) ReadAll() (*trace.MemTrace, error) {
-	mt := new(trace.MemTrace)
-	mt.Grow(r.total)
-	for c := range r.index {
-		if err := r.loadChunk(c); err != nil {
-			return nil, err
-		}
-		for _, rec := range r.recs {
-			if err := mt.Append(rec); errors.Is(err, trace.ErrWideAddr) {
-				return nil, err
-			} else if err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-			}
-		}
-	}
-	return mt, nil
 }
 
 // Close releases the reader and closes the underlying file when the Reader

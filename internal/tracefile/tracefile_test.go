@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -51,6 +52,22 @@ func writeContainer(t testing.TB, recs []trace.Record, opts Options) string {
 	return path
 }
 
+// readRecords decodes every record of the container through ReadRecordsAt.
+func readRecords(rd *Reader) ([]trace.Record, error) {
+	recs := make([]trace.Record, rd.Len())
+	for i := 0; i < len(recs); {
+		n, err := rd.ReadRecordsAt(i, recs[i:])
+		if err != nil {
+			return nil, err
+		}
+		if n == 0 {
+			return nil, fmt.Errorf("no records at %d", i)
+		}
+		i += n
+	}
+	return recs, nil
+}
+
 func TestRoundTrip(t *testing.T) {
 	recs := testRecords(t, 50_000, 3)
 	// A small chunk size forces many chunks plus a partial final chunk, so
@@ -72,15 +89,12 @@ func TestRoundTrip(t *testing.T) {
 	if want := (len(recs) + 4095) / 4096; rd.NumChunks() != want {
 		t.Errorf("NumChunks = %d, want %d", rd.NumChunks(), want)
 	}
-	got, err := rd.ReadAll()
+	got, err := readRecords(rd)
 	if err != nil {
-		t.Fatalf("readall: %v", err)
-	}
-	if got.Len() != len(recs) {
-		t.Fatalf("ReadAll holds %d records, want %d", got.Len(), len(recs))
+		t.Fatalf("read: %v", err)
 	}
 	for i := range recs {
-		if r := got.At(i); r != recs[i] {
+		if r := got[i]; r != recs[i] {
 			t.Fatalf("record %d decoded as %+v, want %+v", i, r, recs[i])
 		}
 	}
@@ -110,9 +124,8 @@ func TestEmptyContainer(t *testing.T) {
 	if rd.Len() != 0 || rd.NumChunks() != 0 {
 		t.Errorf("empty container reports %d records in %d chunks", rd.Len(), rd.NumChunks())
 	}
-	mt, err := rd.ReadAll()
-	if err != nil || mt.Len() != 0 {
-		t.Errorf("ReadAll = %d records, %v", mt.Len(), err)
+	if got, err := readRecords(rd); err != nil || len(got) != 0 {
+		t.Errorf("read %d records, %v", len(got), err)
 	}
 }
 
@@ -182,18 +195,18 @@ func TestSlice(t *testing.T) {
 		t.Fatalf("open slice: %v", err)
 	}
 	defer rd.Close()
-	got, err := rd.ReadAll()
+	got, err := readRecords(rd)
 	if err != nil {
-		t.Fatalf("readall: %v", err)
+		t.Fatalf("read: %v", err)
 	}
-	if got.Len() != hi-lo {
-		t.Fatalf("slice holds %d records, want %d", got.Len(), hi-lo)
+	if len(got) != hi-lo {
+		t.Fatalf("slice holds %d records, want %d", len(got), hi-lo)
 	}
 	if rd.Origin() != lo {
 		t.Errorf("slice origin = %d, want %d", rd.Origin(), lo)
 	}
-	for i := 0; i < got.Len(); i++ {
-		if r := got.At(i); r != recs[lo+i] {
+	for i := range got {
+		if r := got[i]; r != recs[lo+i] {
 			t.Fatalf("slice record %d = %+v, want %+v", i, r, recs[lo+i])
 		}
 	}
@@ -253,7 +266,7 @@ func TestCorruptContainers(t *testing.T) {
 		if err != nil {
 			return // caught at open time is fine too
 		}
-		if _, err := rd.ReadAll(); err == nil {
+		if _, err := readRecords(rd); err == nil {
 			t.Error("decoding a damaged chunk succeeded")
 		}
 	})
@@ -262,8 +275,8 @@ func TestCorruptContainers(t *testing.T) {
 			t.Error("open succeeded on an empty file")
 		}
 	})
-	// The Writer accepts any record stream, but an in-memory trace must be
-	// continuous and aligned: ReadAll rejects the broken record by index.
+	// The Writer accepts any record stream, but a trace must be continuous
+	// and aligned: the SimPoint profile rejects the broken record by index.
 	for _, tc := range []struct {
 		name   string
 		mangle func(r *trace.Record)
@@ -280,19 +293,16 @@ func TestCorruptContainers(t *testing.T) {
 				t.Fatalf("open: %v", err)
 			}
 			defer rd.Close()
-			mt, err := rd.ReadAll()
-			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("record %d:", bad)) {
-				t.Fatalf("ReadAll = %v, want ErrCorrupt naming record %d", err, bad)
-			}
-			if mt != nil {
-				t.Errorf("ReadAll returned a %d-record trace alongside its error", mt.Len())
+			if _, _, err := trace.RepresentativeSlice(rd, 1000); err == nil ||
+				!strings.Contains(err.Error(), fmt.Sprintf("record %d:", bad)) {
+				t.Fatalf("RepresentativeSlice = %v, want an error naming record %d", err, bad)
 			}
 		})
 	}
 }
 
-// TestWindowRejectsBrokenContainers streams the containers ReadAll rejects
-// in TestCorruptContainers through a bounded window: the streamed path must
+// TestWindowRejectsBrokenContainers streams the containers the SimPoint
+// profile rejects in TestCorruptContainers through a bounded window: the streamed path must
 // refuse the same broken record, by index, as it enters the window.
 func TestWindowRejectsBrokenContainers(t *testing.T) {
 	recs := testRecords(t, 10_000, 9)
@@ -330,21 +340,21 @@ func TestWindowRejectsBrokenContainers(t *testing.T) {
 	}
 }
 
-// TestReadAllRejectsWideAddresses: containers keep 64-bit addresses, the
-// in-memory trace 32. A valid container with a wider address fails ReadAll
-// with trace.ErrWideAddr naming the record, not with ErrCorrupt, and still
-// streams through a window with the address intact.
-func TestReadAllRejectsWideAddresses(t *testing.T) {
+// TestWideAddressesSelectAndSlice: containers keep 64-bit addresses. A
+// valid container with an address of 2^32 or more goes through the whole
+// `trace slice -simpoint` path: the SimPoint analysis selects an interval
+// over it, Slice copies that interval out with the addresses intact, and
+// the source still streams through a window.
+func TestWideAddressesSelectAndSlice(t *testing.T) {
 	recs := testRecords(t, 10_000, 9)
 	const bad = 5000
 	for _, tc := range []struct {
-		name  string
-		index int // the record ReadAll must name
-		wide  func(recs []trace.Record)
+		name string
+		wide func(recs []trace.Record)
 	}{
-		{"wide-effaddr", bad, func(recs []trace.Record) { recs[bad].EffAddr = 1 << 32 }},
+		{"wide-effaddr", func(recs []trace.Record) { recs[bad].EffAddr = 1 << 32 }},
 		// Every PC and Target moved above 4 GB: still continuous and aligned.
-		{"code-above-4GB", 0, func(recs []trace.Record) {
+		{"code-above-4GB", func(recs []trace.Record) {
 			for i := range recs {
 				recs[i].PC += 1 << 32
 				recs[i].Target += 1 << 32
@@ -359,13 +369,36 @@ func TestReadAllRejectsWideAddresses(t *testing.T) {
 				t.Fatalf("open: %v", err)
 			}
 			defer rd.Close()
-			mt, err := rd.ReadAll()
-			if !errors.Is(err, trace.ErrWideAddr) || errors.Is(err, ErrCorrupt) ||
-				!strings.Contains(err.Error(), fmt.Sprintf("record %d:", tc.index)) {
-				t.Fatalf("ReadAll = %v, want trace.ErrWideAddr naming record %d", err, tc.index)
+			const interval = 2000
+			iv, idx, err := trace.RepresentativeSlice(rd, interval)
+			if err != nil {
+				t.Fatalf("RepresentativeSlice: %v", err)
 			}
-			if mt != nil {
-				t.Errorf("ReadAll returned a %d-record trace alongside its error", mt.Len())
+			if iv.Start != idx*interval || iv.End != iv.Start+interval {
+				t.Fatalf("interval %d is [%d,%d)", idx, iv.Start, iv.End)
+			}
+			dstPath := filepath.Join(t.TempDir(), "rep.clgt")
+			dst, err := Create(dstPath, Options{Workload: "gcc", Origin: iv.Start, ChunkRecords: 2048})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := Slice(dst, rd, iv.Start, iv.End); err != nil {
+				t.Fatalf("slice: %v", err)
+			}
+			if err := dst.Close(); err != nil {
+				t.Fatal(err)
+			}
+			sl, err := Open(dstPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sl.Close()
+			got, err := readRecords(sl)
+			if err != nil {
+				t.Fatalf("read slice: %v", err)
+			}
+			if !slices.Equal(got, wide[iv.Start:iv.End]) {
+				t.Errorf("slice [%d,%d) differs from the source's records", iv.Start, iv.End)
 			}
 			wt, err := trace.NewWindowTrace(rd, trace.MinWindowCap)
 			if err != nil {
@@ -402,12 +435,12 @@ func FuzzOpen(f *testing.F) {
 		if err != nil {
 			return
 		}
-		mt, err := rd.ReadAll()
+		recs, err := readRecords(rd)
 		if err != nil {
 			return
 		}
-		if mt.Len() != rd.Len() {
-			t.Fatalf("decoded %d records, index advertises %d", mt.Len(), rd.Len())
+		if len(recs) != rd.Len() {
+			t.Fatalf("decoded %d records, index advertises %d", len(recs), rd.Len())
 		}
 	})
 }

@@ -448,11 +448,6 @@ func buildProgram(p Profile, rng *rand.Rand) (*program, error) {
 	}
 	prog.driver = entry
 	prog.dict.SetEntry(entry)
-	// Seal before the image escapes: BuildImage hands the dictionary
-	// straight to parallel engines (streamed shards share one image), and
-	// an unsealed dictionary's first lookups race on the lazy dense-table
-	// build.
-	prog.dict.Seal()
 	return prog, nil
 }
 

@@ -140,9 +140,10 @@ func (p Profile) Validate() error {
 		return fmt.Errorf("workload %s: DataFootprintKB %d puts the data segment past the 32-bit address space",
 			p.Name, p.DataFootprintKB)
 	}
-	if code := maxCodeBytes(p); float64(CodeBase)+code >= addrSpace {
-		return fmt.Errorf("workload %s: code may span %.3g bytes from %#x, past the 32-bit address space",
-			p.Name, code, uint64(CodeBase))
+	// The image cap also keeps code far below 2^32.
+	if code := maxCodeBytes(p); code > isa.MaxImageBytes {
+		return fmt.Errorf("workload %s: code may span %.3g bytes, past the %d-byte program image cap",
+			p.Name, code, isa.MaxImageBytes)
 	}
 	return nil
 }
@@ -156,9 +157,8 @@ const addrSpace = 1 << 32
 // functions at their longest blocks (AvgBlockInsts+2 body instructions plus
 // a terminator), and the driver's guard and call blocks (at most 4 and 3
 // instructions per mid function) plus its closing jump block. The last
-// block's fall-through target is code end itself, so code end must stay
-// below addrSpace. It is computed in float64, exact far beyond 2^32, so no
-// parameter can overflow it.
+// block's fall-through target is code end itself. It is computed in
+// float64, exact far beyond 2^32, so no parameter can overflow it.
 func maxCodeBytes(p Profile) float64 {
 	funcBytes := float64(p.FuncBlocks) * float64(p.AvgBlockInsts) * isa.InstBytes
 	numMid := math.Max(2, math.Ceil(float64(p.HotCodeKB)*1024/funcBytes))

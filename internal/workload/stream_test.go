@@ -232,11 +232,9 @@ func TestValidateRejectsChaseOverflow(t *testing.T) {
 	}
 }
 
-// TestBuildImageSafeForConcurrentLookup pins the seal contract: the image
-// BuildImage returns is shared by parallel engines in streamed sweeps, so
-// concurrent Inst lookups must not trigger a lazy rebuild. Run under
-// -race this fails deterministically on an unsealed dictionary (the first
-// two concurrent lookups race on the dense-table build).
+// TestBuildImageSafeForConcurrentLookup: the image BuildImage returns is
+// shared by parallel engines in streamed sweeps, so concurrent Inst lookups
+// must be plain reads. Run it under -race.
 func TestBuildImageSafeForConcurrentLookup(t *testing.T) {
 	p, err := ProfileByName("gzip")
 	if err != nil {
@@ -246,7 +244,8 @@ func TestBuildImageSafeForConcurrentLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, hi := d.Bounds()
+	blocks := d.Blocks()
+	lo, hi := blocks[0].Start, blocks[len(blocks)-1].LastPC()
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)

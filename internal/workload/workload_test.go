@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"sort"
+	"strings"
 	"testing"
 
 	"clgp/internal/isa"
@@ -81,7 +82,6 @@ func TestProfileValidateAddressSpace(t *testing.T) {
 		{"data-ends-at-4GB", func(p *Profile) { p.DataFootprintKB = maxDataKB }, true},
 		{"data-past-4GB", func(p *Profile) { p.DataFootprintKB = maxDataKB + 1 }, false},
 		{"data-overflows-int", func(p *Profile) { p.DataFootprintKB = math.MaxInt }, false},
-		{"code-1GB", func(p *Profile) { p.HotCodeKB = 1 << 20 }, true},
 		{"code-4GB", func(p *Profile) { p.HotCodeKB = 4 << 20 }, false},
 		{"leaves-past-4GB", func(p *Profile) { p.LeafFuncs = 1 << 30 }, false},
 		{"blocks-past-4GB", func(p *Profile) { p.FuncBlocks = 1 << 30 }, false},
@@ -104,6 +104,31 @@ func TestProfileValidateAddressSpace(t *testing.T) {
 	}
 }
 
+// TestProfileValidateImageCap: a profile whose code could pass the program
+// image cap fails validation, so BuildImage refuses it before laying out a
+// single block. gcc's code bound reaches the cap between HotCodeKB 10626
+// and 10627.
+func TestProfileValidateImageCap(t *testing.T) {
+	p, _ := ProfileByName("gcc")
+	p.HotCodeKB = 10626
+	if code := maxCodeBytes(p); code > isa.MaxImageBytes {
+		t.Fatalf("HotCodeKB 10626: code bound %v above the cap", code)
+	}
+	if err := p.Validate(); err != nil {
+		t.Errorf("profile at the image cap rejected: %v", err)
+	}
+	p.HotCodeKB = 10627
+	if code := maxCodeBytes(p); code <= isa.MaxImageBytes {
+		t.Fatalf("HotCodeKB 10627: code bound %v within the cap", code)
+	}
+	if err := p.Validate(); err == nil || !strings.Contains(err.Error(), "image cap") {
+		t.Errorf("profile past the image cap: Validate = %v", err)
+	}
+	if _, err := BuildImage(p, 1); err == nil {
+		t.Error("BuildImage accepted a profile past the image cap")
+	}
+}
+
 // TestMaxCodeBytesBoundsLayout: the bound Validate checks code placement
 // with covers the image every builtin profile lays out.
 func TestMaxCodeBytesBoundsLayout(t *testing.T) {
@@ -113,7 +138,8 @@ func TestMaxCodeBytesBoundsLayout(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", p.Name, err)
 			}
-			_, hi := dict.Bounds()
+			blocks := dict.Blocks()
+			hi := blocks[len(blocks)-1].LastPC()
 			if got, bound := float64(hi+isa.InstBytes-CodeBase), maxCodeBytes(p); got > bound {
 				t.Errorf("%s seed %d: code spans %v bytes, above the %v bound", p.Name, seed, got, bound)
 			}
@@ -220,7 +246,11 @@ func TestStaticFootprintMatchesProfile(t *testing.T) {
 	for _, name := range []string{"gzip", "mcf", "gcc", "eon", "vortex"} {
 		p, _ := ProfileByName(name)
 		w := MustGenerate(p, 1000, 1)
-		codeKB := float64(w.Dict.CodeBytes()) / 1024
+		insts := 0
+		for _, bb := range w.Dict.Blocks() {
+			insts += len(bb.Insts)
+		}
+		codeKB := float64(insts*isa.InstBytes) / 1024
 		if codeKB < float64(p.HotCodeKB)*0.8 {
 			t.Errorf("%s: static code %.1fKB, want >= %.1fKB", name, codeKB, float64(p.HotCodeKB)*0.8)
 		}
