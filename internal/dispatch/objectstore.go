@@ -10,11 +10,13 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
 	"clgp/internal/blob"
+	"clgp/internal/freelist"
 	"clgp/internal/tracefile"
 )
 
@@ -136,7 +138,8 @@ func (b *putBody) Close() error {
 // Get downloads one object and verifies its bytes against the server's
 // ETag, so truncated or corrupted transfers surface here instead of as
 // garbage results downstream. A missing object returns an error wrapping
-// os.ErrNotExist.
+// os.ErrNotExist. Like blob.Dir.Get, it reads a body of known length into a
+// buffer from freelist.Artifacts, which a warm-state restore hands back.
 func (c objectClient) Get(key string) (data []byte, err error) {
 	start := time.Now()
 	defer func() { observeStoreGet(len(data), time.Since(start)) }()
@@ -152,13 +155,20 @@ func (c objectClient) Get(key string) (data []byte, err error) {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return nil, fmt.Errorf("dispatch: store get %s: %s: %s", key, resp.Status, strings.TrimSpace(string(body)))
 	}
-	data, err = io.ReadAll(resp.Body)
+	if n := resp.ContentLength; n >= 0 {
+		data = slices.Grow(freelist.Artifacts.Get(int(n)), int(n))[:n]
+		_, err = io.ReadFull(resp.Body, data)
+	} else {
+		data, err = io.ReadAll(resp.Body)
+	}
 	if err != nil {
+		freelist.Artifacts.Put(data)
 		return nil, fmt.Errorf("dispatch: store get %s: %w", key, err)
 	}
-	if etag := strings.Trim(resp.Header.Get("ETag"), `"`); etag != "" && etag != hashOf(data) {
+	if etag, sum := strings.Trim(resp.Header.Get("ETag"), `"`), hashOf(data); etag != "" && etag != sum {
+		freelist.Artifacts.Put(data)
 		return nil, fmt.Errorf("dispatch: store get %s: body does not match ETag %s (got %d bytes hashing to %s)",
-			key, etag, len(data), hashOf(data))
+			key, etag, len(data), sum)
 	}
 	return data, nil
 }

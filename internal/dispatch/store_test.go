@@ -10,13 +10,19 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"clgp/internal/cacti"
 	"clgp/internal/core"
+	"clgp/internal/freelist"
+	"clgp/internal/sim"
 	"clgp/internal/stats"
 	"clgp/internal/tracefile"
+	"clgp/internal/workload"
 )
 
 // newTestObjectStore serves a fresh store root over httptest and returns a
@@ -639,4 +645,112 @@ func TestObjectStorePushIsCopied(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("the fetched snapshot differs from the pushed bytes")
 	}
+}
+
+// snapshotCount counts the snapshots a run fetched and pushed, and keeps
+// the size of the largest one pushed. A fetch returns only once the
+// server's GET handler has returned, which it reports on served.
+type snapshotCount struct {
+	sim.SnapshotStore
+	served          chan struct{}
+	fetches, pushes atomic.Int64
+	largest         atomic.Int64
+}
+
+func (s *snapshotCount) FetchSnapshot(key string) ([]byte, error) {
+	data, err := s.SnapshotStore.FetchSnapshot(key)
+	<-s.served
+	if err == nil {
+		s.fetches.Add(1)
+	}
+	return data, err
+}
+
+func (s *snapshotCount) PushSnapshot(key string, data []byte) error {
+	s.pushes.Add(1)
+	if n := int64(len(data)); n > s.largest.Load() {
+		s.largest.Store(n)
+	}
+	return s.SnapshotStore.PushSnapshot(key, data)
+}
+
+// TestObjectStoreRestoreAllocBudget: a job restored from an HTTP object
+// store reads its ~350 KB snapshot into a buffer from freelist.Artifacts,
+// and so does the server, and both hand their buffers back, so a restored
+// job allocates tens of kilobytes, not a snapshot container or more. It is
+// the object-store counterpart of sim's TestRunnerJobAllocBudget.
+//
+// Client and server share one process and one list here. Whether a fetch
+// needs one buffer or two depends on whether the server hands its buffer
+// back before the client takes one, which the scheduler decides, and a
+// buffer smaller than the snapshot is grown. So the measured pass starts
+// with two buffers of the largest snapshot's size in the list, and each
+// fetch returns only after the server's handler has.
+func TestObjectStoreRestoreAllocBudget(t *testing.T) {
+	const budget = 64 << 10
+	const insts = 10_000
+	p, err := workload.ProfileByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := workload.Generate(p, insts, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewStoreServer(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan struct{}, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		srv.ServeHTTP(w, r)
+		if r.Method == http.MethodGet {
+			served <- struct{}{}
+		}
+	}))
+	defer ts.Close()
+	store := &snapshotCount{SnapshotStore: NewObjectStore(ts.URL), served: served}
+	var jobs []sim.Job
+	for _, size := range []int{2 << 10, 8 << 10} {
+		for _, eng := range []core.EngineKind{core.EngineNone, core.EngineNextN, core.EngineFDP, core.EngineCLGP} {
+			cfg := core.Config{Tech: cacti.Tech90, L1ISize: size, Engine: eng, UseL0: eng == core.EngineCLGP}
+			jobs = append(jobs, sim.Job{Config: cfg, Workload: w, Warmup: insts / 2, Snapshots: store})
+		}
+	}
+	for i, r := range (sim.Runner{Workers: 1}).Run(jobs) {
+		if r.Err != nil {
+			t.Fatalf("cold job %d: %v", i, r.Err)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for range 2 {
+		freelist.Artifacts.Put(make([]byte, 0, store.largest.Load()))
+	}
+	allocs := make([]uint64, len(jobs)+1)
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	allocs[0] = ms.TotalAlloc
+	rn := sim.Runner{Workers: 1, OnResult: func(i int, r sim.Result) {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		allocs[i+1] = ms.TotalAlloc
+	}}
+	for i, r := range rn.Run(jobs) {
+		if r.Err != nil {
+			t.Fatalf("restored job %d: %v", i, r.Err)
+		}
+	}
+	if f, p := store.fetches.Load(), store.pushes.Load(); f != int64(len(jobs)) || p != int64(len(jobs)) {
+		t.Fatalf("%d snapshots fetched and %d pushed, want %d of each", f, p, len(jobs))
+	}
+	var most uint64
+	for i := range jobs {
+		got := allocs[i+1] - allocs[i]
+		if got > budget {
+			t.Errorf("restored job %d (%v, %d B L1I) allocated %d bytes (budget %d)",
+				i, jobs[i].Config.Engine, jobs[i].Config.L1ISize, got, budget)
+		}
+		most = max(most, got)
+	}
+	t.Logf("the most a restored job allocated: %d bytes", most)
 }

@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"clgp/internal/blob"
+	"clgp/internal/freelist"
 	"clgp/internal/telemetry"
 )
 
@@ -92,6 +93,9 @@ func (s *StoreServer) handleObject(w http.ResponseWriter, r *http.Request, key s
 		w.Header().Set("Content-Length", fmt.Sprint(len(data)))
 		w.Write(data)
 		mServerBytesOut.Add(uint64(len(data)))
+		// blob.Dir.Get read the object into a freelist.Artifacts buffer,
+		// and Write keeps no reference to data once it returns.
+		freelist.Artifacts.Put(data)
 	case http.MethodPut:
 		// Read the whole body before touching disk: a connection cut
 		// mid-upload fails here and commits nothing.

@@ -39,8 +39,9 @@ const MinWindowCap = 2048
 // monotonic prediction-cursor lookahead at the leading edge, plus the
 // lagging delivery reads that go back no further than the commit frontier.
 // Advance moves the eviction frontier; records behind it are dropped as
-// space is needed, and residency never exceeds the configured cap (plus the
-// source's own decode buffer, one chunk for a tracefile.Reader).
+// space is needed, and residency never exceeds the configured cap. The
+// source decodes outside the window: a tracefile.Reader holds the chunk
+// being read and the one it prestages, and none once read to its end.
 //
 // Reads never rewind behind the frontier: evicted records are gone. Its
 // Len is always definite, as core.TraceSource requires: it comes straight
@@ -55,11 +56,13 @@ const MinWindowCap = 2048
 // simulation rather than silently corrupting it.
 type WindowTrace struct {
 	src      RecordReaderAt
-	buf      []Record
-	head     int // ring position of record `base`
-	base     int // trace index of the first resident record
-	n        int // resident record count
-	frontier int // records below this index may be evicted
+	buf      []Record // the ring: a power of two of at least cap records
+	mask     int      // len(buf)-1
+	cap      int      // the residency bound
+	head     int      // ring position of record `base`
+	base     int      // trace index of the first resident record
+	n        int      // resident record count
+	frontier int      // records below this index may be evicted
 	total    int
 
 	// next is the Target of the last record loaded: records enter the
@@ -89,7 +92,11 @@ func NewWindowTrace(src RecordReaderAt, cap int) (*WindowTrace, error) {
 			cap = 1 // keep the ring allocatable for an empty source
 		}
 	}
-	return &WindowTrace{src: src, buf: make([]Record, cap), total: total}, nil
+	size := 1
+	for size < cap {
+		size <<= 1
+	}
+	return &WindowTrace{src: src, buf: make([]Record, size), mask: size - 1, cap: cap, total: total}, nil
 }
 
 // Len returns the definite total record count (from the source's index, not
@@ -114,7 +121,7 @@ func (t *WindowTrace) At(i int) Record {
 	for i >= t.base+t.n {
 		t.fill()
 	}
-	return t.buf[(t.head+(i-t.base))%len(t.buf)]
+	return t.buf[(t.head+i-t.base)&t.mask]
 }
 
 // Advance moves the eviction frontier: records below frontier have
@@ -128,7 +135,7 @@ func (t *WindowTrace) Advance(frontier int) {
 
 // Cap returns the effective resident-record cap (the configured cap,
 // clamped down for sources shorter than it).
-func (t *WindowTrace) Cap() int { return len(t.buf) }
+func (t *WindowTrace) Cap() int { return t.cap }
 
 // MaxResident returns the high-water mark of resident records; it never
 // exceeds the configured cap (the bounded-memory contract).
@@ -145,14 +152,14 @@ func (t *WindowTrace) fill() {
 		if evict > t.n {
 			evict = t.n
 		}
-		t.head = (t.head + evict) % len(t.buf)
+		t.head = (t.head + evict) & t.mask
 		t.base += evict
 		t.n -= evict
 	}
-	free := len(t.buf) - t.n
+	free := t.cap - t.n
 	if free == 0 {
 		panic(fmt.Sprintf("trace: window cap %d exhausted: records %d..%d are pinned above frontier %d; increase the window cap",
-			len(t.buf), t.base, t.base+t.n, t.frontier))
+			t.cap, t.base, t.base+t.n, t.frontier))
 	}
 	lo := t.base + t.n
 	want := free
@@ -160,7 +167,7 @@ func (t *WindowTrace) fill() {
 		want = remaining
 	}
 	// The ring's free region may wrap; fill the two contiguous spans.
-	tail := (t.head + t.n) % len(t.buf)
+	tail := (t.head + t.n) & t.mask
 	firstSpan := want
 	if tail+firstSpan > len(t.buf) {
 		firstSpan = len(t.buf) - tail

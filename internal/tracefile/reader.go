@@ -7,17 +7,29 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sort"
+	"sync"
 
 	"clgp/internal/isa"
 	"clgp/internal/trace"
 )
 
 // Reader decodes a container written by Writer. It keeps the footer index
-// plus at most one decoded chunk resident, so memory stays bounded by the
-// chunk size regardless of the trace length. A Reader is NOT safe for
-// concurrent use (the decoded-chunk cache is mutable state); concurrent
-// consumers each open their own Reader over the same file.
+// resident and prestages the trace: once a read makes chunk c current, the
+// Reader starts decoding chunk c+1 on a goroutine of its own, so a forward
+// scan finds the next chunk decoded, or being decoded on another core, when
+// it gets there. Decoded chunks live in decoders shared by every Reader
+// (see decoders), and a read that copies out the last record of the
+// current chunk hands its decoder straight back. So a Reader at rest (read
+// to its end, or not read yet) holds no decoded records, and one in the
+// middle of a forward scan holds two chunks: the current one and the one
+// being prestaged.
+//
+// A Reader is NOT safe for concurrent use (the current chunk is mutable
+// state); concurrent consumers each open their own Reader over the same
+// file. The read-ahead shares only the immutable index and the io.ReaderAt,
+// whose contract allows parallel ReadAt calls.
 type Reader struct {
 	r      io.ReaderAt
 	closer io.Closer
@@ -26,13 +38,62 @@ type Reader struct {
 	first  []int // first[i] is the trace index of chunk i's first record
 	total  int
 
-	// decoded-chunk cache
-	cur  int // chunk id held in recs, -1 when empty
+	cur   int        // the chunk dec holds; meaningless while dec is nil
+	dec   *decoder   // the current chunk, nil when the Reader holds none
+	ahead *readAhead // the prestaging of chunk cur+1, nil when none runs
+}
+
+// readAhead is one chunk decode on a goroutine of its own. d is set before
+// the goroutine starts; err is written before done closes and read only
+// after.
+type readAhead struct {
+	c    int
+	d    *decoder
+	err  error
+	done chan struct{}
+}
+
+// decoder is the scratch of one chunk decode: the compressed bytes, the
+// gunzipped payload, the decoded records and the gzip state.
+type decoder struct {
+	raw  []byte
+	pay  []byte
 	recs []trace.Record
-	raw  []byte // compressed chunk scratch
-	pay  []byte // decompressed payload scratch
-	br   *bytes.Reader
+	br   bytes.Reader
 	gz   *gzip.Reader
+}
+
+// decoders is the list every Reader takes its decoders from and hands them
+// back to, so the buffers of a finished chunk decode the next chunk of any
+// Reader. Like freelist.Bytes it retains at most GOMAXPROCS decoders, one
+// per goroutine that can decode at once; a decoder handed back to a full
+// list is left to the collector.
+var decoders decoderList
+
+type decoderList struct {
+	mu   sync.Mutex
+	free []*decoder
+}
+
+func (l *decoderList) get() *decoder {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.free)
+	if n == 0 {
+		return new(decoder)
+	}
+	d := l.free[n-1]
+	l.free[n-1] = nil
+	l.free = l.free[:n-1]
+	return d
+}
+
+func (l *decoderList) put(d *decoder) {
+	l.mu.Lock()
+	if len(l.free) < runtime.GOMAXPROCS(0) {
+		l.free = append(l.free, d)
+	}
+	l.mu.Unlock()
 }
 
 // NewReader opens a container over any random-access byte source of the
@@ -113,8 +174,6 @@ func NewReader(r io.ReaderAt, size int64) (*Reader, error) {
 		index: index,
 		first: first,
 		total: int(total),
-		cur:   -1,
-		br:    bytes.NewReader(nil),
 	}, nil
 }
 
@@ -200,37 +259,89 @@ func (r *Reader) chunkOf(i int) int {
 	return sort.Search(len(r.first), func(c int) bool { return r.first[c] > i }) - 1
 }
 
-// loadChunk decodes chunk c into the cache.
+// loadChunk makes chunk c current: it takes the prestaged decode when that
+// is chunk c, and decodes c on the caller's goroutine otherwise. Either way
+// it then starts prestaging chunk c+1. An error from the prestaging
+// reaches only the first read of its chunk; a read elsewhere discards it.
 func (r *Reader) loadChunk(c int) error {
-	if r.cur == c {
+	if r.dec != nil && r.cur == c {
 		return nil
 	}
-	ci := r.index[c]
-	if cap(r.raw) < int(ci.length) {
-		r.raw = make([]byte, ci.length)
+	r.release()
+	var d *decoder
+	var err error
+	if a := r.ahead; a != nil {
+		r.ahead = nil
+		<-a.done
+		if a.c == c {
+			d, err = a.d, a.err
+		} else {
+			decoders.put(a.d)
+		}
 	}
-	raw := r.raw[:ci.length]
-	if _, err := r.r.ReadAt(raw, int64(ci.offset)); err != nil {
+	if d == nil {
+		d = decoders.get()
+		err = d.decode(r.r, c, r.index[c], r.opts.ChunkRecords)
+	}
+	if err != nil {
+		decoders.put(d)
+		return err
+	}
+	r.cur, r.dec = c, d
+	if c+1 < len(r.index) {
+		r.ahead = prestage(r.r, c+1, r.index[c+1], r.opts.ChunkRecords)
+	}
+	return nil
+}
+
+// prestage starts decoding chunk c on a goroutine of its own, which ends
+// when the decode does.
+func prestage(src io.ReaderAt, c int, ci chunkInfo, chunkRecords int) *readAhead {
+	a := &readAhead{c: c, d: decoders.get(), done: make(chan struct{})}
+	go func() {
+		defer close(a.done)
+		a.err = a.d.decode(src, c, ci, chunkRecords)
+	}()
+	return a
+}
+
+// release hands the current chunk's decoder back to the shared list.
+func (r *Reader) release() {
+	if r.dec != nil {
+		decoders.put(r.dec)
+		r.dec = nil
+	}
+}
+
+// decode reads chunk c, whose index entry is ci, from src and decodes its
+// records into d.recs. It touches nothing but d and its arguments, so a
+// read-ahead goroutine runs it while the Reader serves another chunk.
+func (d *decoder) decode(src io.ReaderAt, c int, ci chunkInfo, chunkRecords int) error {
+	if cap(d.raw) < int(ci.length) {
+		d.raw = make([]byte, ci.length)
+	}
+	raw := d.raw[:ci.length]
+	if _, err := src.ReadAt(raw, int64(ci.offset)); err != nil {
 		return fmt.Errorf("tracefile: reading chunk %d: %w", c, err)
 	}
-	r.br.Reset(raw)
-	if r.gz == nil {
-		gz, err := gzip.NewReader(r.br)
+	d.br.Reset(raw)
+	if d.gz == nil {
+		gz, err := gzip.NewReader(&d.br)
 		if err != nil {
 			return fmt.Errorf("%w: chunk %d: %v", ErrCorrupt, c, err)
 		}
-		r.gz = gz
-	} else if err := r.gz.Reset(r.br); err != nil {
+		d.gz = gz
+	} else if err := d.gz.Reset(&d.br); err != nil {
 		return fmt.Errorf("%w: chunk %d: %v", ErrCorrupt, c, err)
 	}
-	r.pay = r.pay[:0]
-	if cap(r.pay) == 0 {
-		r.pay = make([]byte, 0, 4*r.opts.ChunkRecords)
+	d.pay = d.pay[:0]
+	if cap(d.pay) == 0 {
+		d.pay = make([]byte, 0, 4*chunkRecords)
 	}
 	var rbuf [4096]byte
 	for {
-		n, err := r.gz.Read(rbuf[:])
-		r.pay = append(r.pay, rbuf[:n]...)
+		n, err := d.gz.Read(rbuf[:])
+		d.pay = append(d.pay, rbuf[:n]...)
 		if err == io.EOF {
 			break
 		}
@@ -238,12 +349,11 @@ func (r *Reader) loadChunk(c int) error {
 			return fmt.Errorf("%w: chunk %d: %v", ErrCorrupt, c, err)
 		}
 	}
-	recs, err := decodeChunk(r.pay, int(ci.count), r.recs[:0])
+	recs, err := decodeChunk(d.pay, int(ci.count), d.recs[:0])
 	if err != nil {
 		return fmt.Errorf("%w: chunk %d: %v", ErrCorrupt, c, err)
 	}
-	r.recs = recs
-	r.cur = c
+	d.recs = recs
 	return nil
 }
 
@@ -306,8 +416,9 @@ func decodeChunk(payload []byte, want int, dst []trace.Record) ([]trace.Record, 
 // ReadRecordsAt fills dst with records starting at trace index lo and
 // returns how many were copied (possibly fewer than len(dst) when lo's chunk
 // ends; call again with a higher lo for more). It satisfies the streaming
-// contract trace.WindowTrace pulls through. Sequential reads hit the
-// decoded-chunk cache, so a forward scan decodes every chunk exactly once.
+// contract trace.WindowTrace pulls through. A forward scan decodes every
+// chunk exactly once, each but the first on the read-ahead goroutine, and
+// the read that copies out a chunk's last record releases the chunk.
 func (r *Reader) ReadRecordsAt(lo int, dst []trace.Record) (int, error) {
 	if lo < 0 || lo >= r.total {
 		return 0, fmt.Errorf("tracefile: record %d out of range 0..%d", lo, r.total)
@@ -319,12 +430,23 @@ func (r *Reader) ReadRecordsAt(lo int, dst []trace.Record) (int, error) {
 	if err := r.loadChunk(c); err != nil {
 		return 0, err
 	}
-	return copy(dst, r.recs[lo-r.first[c]:]), nil
+	recs := r.dec.recs[lo-r.first[c]:]
+	n := copy(dst, recs)
+	if n == len(recs) {
+		r.release()
+	}
+	return n, nil
 }
 
-// Close releases the reader and closes the underlying file when the Reader
-// owns it.
+// Close waits for a read-ahead still running, hands back every decoder the
+// Reader holds, and closes the underlying file when the Reader owns it.
 func (r *Reader) Close() error {
+	r.release()
+	if a := r.ahead; a != nil {
+		r.ahead = nil
+		<-a.done
+		decoders.put(a.d)
+	}
 	if r.closer != nil {
 		err := r.closer.Close()
 		r.closer = nil

@@ -52,8 +52,9 @@ const (
 	Version uint32 = 1
 
 	// DefaultChunkRecords is the records-per-chunk used when Options leaves
-	// it zero: 64K records decode to ~2MB, small enough to keep a reader's
-	// resident decode buffer bounded and large enough to compress well.
+	// it zero: 64K records decode to ~2MB, large enough to compress well and
+	// small enough that a Reader mid-scan, which holds the chunk it reads
+	// and the one it prestages, stays at a few megabytes.
 	DefaultChunkRecords = 1 << 16
 
 	// maxNameLen bounds the workload name stored in the header.

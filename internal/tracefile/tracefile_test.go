@@ -435,6 +435,7 @@ func FuzzOpen(f *testing.F) {
 		if err != nil {
 			return
 		}
+		defer rd.Close()
 		recs, err := readRecords(rd)
 		if err != nil {
 			return
