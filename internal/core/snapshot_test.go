@@ -84,7 +84,14 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 // snapshot bytes TestSnapshotBytesPinned pins.
 func pinnedSnapshotEngine(t *testing.T) (*Engine, *workload.Workload) {
 	t.Helper()
-	p, err := workload.ProfileByName("gzip")
+	return warmedEngine(t, "gzip", Config{Tech: cacti.Tech90, L1ISize: 2 << 10, Engine: EngineCLGP, UseL0: true})
+}
+
+// warmedEngine runs profile (seed 1, 20K instructions) on cfg to 10K
+// committed instructions.
+func warmedEngine(t *testing.T, profile string, cfg Config) (*Engine, *workload.Workload) {
+	t.Helper()
+	p, err := workload.ProfileByName(profile)
 	if err != nil {
 		t.Fatalf("profile: %v", err)
 	}
@@ -92,7 +99,6 @@ func pinnedSnapshotEngine(t *testing.T) (*Engine, *workload.Workload) {
 	if err != nil {
 		t.Fatalf("generate: %v", err)
 	}
-	cfg := Config{Tech: cacti.Tech90, L1ISize: 2 << 10, Engine: EngineCLGP, UseL0: true}
 	eng, err := NewEngine(cfg, w.Dict, w.Trace)
 	if err != nil {
 		t.Fatalf("engine: %v", err)
@@ -121,6 +127,41 @@ func TestSnapshotBytesPinned(t *testing.T) {
 	if got := hex.EncodeToString(sum[:]); len(data) != wantLen || got != wantSum {
 		t.Errorf("snapshot is %d bytes with SHA-256 %s, want %d bytes with %s",
 			len(data), got, wantLen, wantSum)
+	}
+
+	// Every other section variant: the filter engines' cursor, candidate
+	// ring and prefetch buffer, the baseline's cursor-only record, a
+	// hierarchy without an L0, and the ideal I-cache. gcc's larger code
+	// keeps prefetches in flight at the snapshot point.
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		wantLen int
+		wantSum string
+	}{
+		{"none", Config{Tech: cacti.Tech90, L1ISize: 2 << 10, Engine: EngineNone},
+			355233, "1eed338f822a9de8b9faec36aa88d4a484a403e9960669624aee11e58db6e01d"},
+		{"nextn", Config{Tech: cacti.Tech90, L1ISize: 2 << 10, Engine: EngineNextN},
+			355622, "0e4186028a094c7c844db40a2f728f21553cd3ca153f29bd715fedad7ee67e09"},
+		{"fdp", Config{Tech: cacti.Tech90, L1ISize: 2 << 10, Engine: EngineFDP},
+			355836, "feec72531240c978cabf129f020ac371f57826f0ddfe3d6d9f37f08b5333049e"},
+		{"clgp-no-l0", Config{Tech: cacti.Tech90, L1ISize: 2 << 10, Engine: EngineCLGP},
+			356684, "5c662af5819c4f50b32f7d7a9363d696abaf93c858e163bd03e2297ad1ee6431"},
+		{"ideal", Config{Tech: cacti.Tech90, L1ISize: 2 << 10, Engine: EngineNone, IdealICache: true},
+			355233, "9105f0fbae51d038d7545de47aa4493a9a6ab75e4b70a6f1914f9dad21f2679a"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, w := warmedEngine(t, "gcc", tc.cfg)
+			data, err := eng.Snapshot(w.Name, workload.Fingerprint(w.Profile, w.Dict))
+			if err != nil {
+				t.Fatalf("snapshot: %v", err)
+			}
+			sum := sha256.Sum256(data)
+			if got := hex.EncodeToString(sum[:]); len(data) != tc.wantLen || got != tc.wantSum {
+				t.Errorf("snapshot is %d bytes with SHA-256 %s, want %d bytes with %s",
+					len(data), got, tc.wantLen, tc.wantSum)
+			}
+		})
 	}
 }
 
