@@ -16,7 +16,6 @@ import (
 	"os"
 	"path"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strings"
 
@@ -79,7 +78,7 @@ func (d Dir) Get(key string) ([]byte, error) {
 	// Objects are committed by rename and never written in place, so the
 	// open file keeps the size it has now.
 	n := int(fi.Size())
-	data := slices.Grow(freelist.Artifacts.Get(n), n)[:n]
+	data := freelist.Artifacts.Get(n)[:n]
 	if _, err := io.ReadFull(f, data); err != nil {
 		freelist.Artifacts.Put(data)
 		return nil, err

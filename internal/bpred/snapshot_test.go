@@ -17,7 +17,7 @@ var snapTestConfig = Config{FirstLevelEntries: 16, SecondLevelEntries: 48, RASEn
 
 // seal wraps the predictor's saved state in a snapshot container.
 func seal(p *Predictor) []byte {
-	return snap.Seal(snap.Meta{Workload: "bpred-test"}, p.SaveState)
+	return snap.Seal(snap.Meta{Workload: "bpred-test"}, func(e *snap.Encoder) { p.Walk(snap.Saver(e)) })
 }
 
 // load opens a container and restores it into p, returning the decoder's
@@ -29,7 +29,7 @@ func load(t *testing.T, p *Predictor, data []byte) error {
 		t.Fatalf("open: %v", err)
 	}
 	d := snap.NewDecoder(payload)
-	p.LoadState(d)
+	p.Walk(snap.Loader(d))
 	if d.Err() == nil && d.Remaining() != 0 {
 		t.Fatalf("%d trailing bytes after predictor state", d.Remaining())
 	}
@@ -95,7 +95,7 @@ const (
 )
 
 // resealed saves p, lets mutate edit the payload, and re-seals it into a
-// container with a valid checksum, so only LoadState's own checks stand
+// container with a valid checksum, so only the loading walk's own checks stand
 // between the edit and the predictor.
 func resealed(t *testing.T, p *Predictor, mutate func(payload []byte)) []byte {
 	t.Helper()

@@ -9,43 +9,31 @@ const stateTag uint32 = 0x41535542
 // tens of in-flight requests, so anything past this is corruption.
 const maxQueue = 1 << 20
 
-// SaveState serialises the arbiter: each class's pending requests in FIFO
-// order plus the grant bookkeeping. Request tags are slot indices into the
-// memory hierarchy's slot table, which the hierarchy preserves positionally
-// across a snapshot, so the tags stay valid verbatim.
-func (a *Arbiter) SaveState(e *snap.Encoder) {
-	e.Tag(stateTag)
+// Walk walks the arbiter: each class's pending requests in FIFO order plus
+// the grant bookkeeping. Request tags are slot indices into the memory
+// hierarchy's slot table, which the hierarchy preserves positionally across
+// a snapshot, so the tags stay valid verbatim. Loading re-bases each queue
+// at zero.
+func (a *Arbiter) Walk(w *snap.Walker) {
+	w.Tag(stateTag)
 	for cls := range a.queues {
 		q := &a.queues[cls]
-		e.Int(q.n)
-		for i := 0; i < q.n; i++ {
-			r := q.buf[(q.head+i)%len(q.buf)]
-			e.U64(r.Tag)
-			e.U64(r.Enqueued)
+		n := q.n
+		w.Count(&n, maxQueue)
+		if w.Loading() {
+			q.reset()
+		}
+		for i := 0; i < n && w.Err() == nil; i++ {
+			if w.Loading() {
+				q.push(Request{From: Requester(cls)})
+			}
+			r := &q.buf[(q.head+i)%len(q.buf)]
+			w.U64(&r.Tag)
+			w.U64(&r.Enqueued)
 		}
 	}
-	e.U64(a.grants)
-	e.U64(a.conflicts)
-	e.U64(a.lastGrant)
-	e.Bool(a.hasGrant)
-}
-
-// LoadState restores state saved by SaveState into a (fresh) arbiter.
-func (a *Arbiter) LoadState(d *snap.Decoder) {
-	d.Tag(stateTag)
-	for cls := range a.queues {
-		a.queues[cls].reset()
-		n := d.Count(maxQueue)
-		for i := 0; i < n && d.Err() == nil; i++ {
-			a.queues[cls].push(Request{
-				From:     Requester(cls),
-				Tag:      d.U64(),
-				Enqueued: d.U64(),
-			})
-		}
-	}
-	a.grants = d.U64()
-	a.conflicts = d.U64()
-	a.lastGrant = d.U64()
-	a.hasGrant = d.Bool()
+	w.U64(&a.grants)
+	w.U64(&a.conflicts)
+	w.U64(&a.lastGrant)
+	w.Bool(&a.hasGrant)
 }

@@ -13,7 +13,7 @@ import (
 
 // seal wraps the cache's saved state in a snapshot container.
 func seal(c *Cache) []byte {
-	return snap.Seal(snap.Meta{Workload: "cache-test"}, c.SaveState)
+	return snap.Seal(snap.Meta{Workload: "cache-test"}, func(e *snap.Encoder) { c.Walk(snap.Saver(e)) })
 }
 
 // load opens a container and restores it into c, returning the decoder's
@@ -25,7 +25,7 @@ func load(t *testing.T, c *Cache, data []byte) error {
 		t.Fatalf("open: %v", err)
 	}
 	d := snap.NewDecoder(payload)
-	c.LoadState(d)
+	c.Walk(snap.Loader(d))
 	if d.Err() == nil && d.Remaining() != 0 {
 		t.Fatalf("%d trailing bytes after cache state", d.Remaining())
 	}
@@ -104,7 +104,7 @@ const (
 )
 
 // resealed saves c, lets mutate edit the payload, and re-seals it into a
-// container with a valid checksum, so only LoadState's own checks stand
+// container with a valid checksum, so only the loading walk's own checks stand
 // between the edit and the cache.
 func resealed(t *testing.T, c *Cache, mutate func(payload []byte)) []byte {
 	t.Helper()

@@ -81,9 +81,9 @@ func BenchmarkNewEngine(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshot measures Engine.Snapshot at a 10K-instruction warm-up
-// boundary; B/op should stay close to the snapshot's own size.
-func BenchmarkSnapshot(b *testing.B) {
+// snapshotBenchEngine is the engine BenchmarkSnapshot and BenchmarkRestore
+// work on: CLGP + L0 with a 2 KB L1I, at a 10K-instruction warm-up boundary.
+func snapshotBenchEngine(b *testing.B) (*Engine, *workload.Workload) {
 	w := icacheStressWorkload(b, 20_000, 7)
 	cfg := Config{Tech: cacti.Tech90, L1ISize: 2 << 10, Engine: EngineCLGP, UseL0: true}
 	eng, err := NewEngine(cfg, w.Dict, w.Trace)
@@ -93,6 +93,13 @@ func BenchmarkSnapshot(b *testing.B) {
 	if err := eng.RunUntilCommitted(10_000); err != nil {
 		b.Fatal(err)
 	}
+	return eng, w
+}
+
+// BenchmarkSnapshot measures Engine.Snapshot at a 10K-instruction warm-up
+// boundary; B/op should stay close to the snapshot's own size.
+func BenchmarkSnapshot(b *testing.B) {
+	eng, w := snapshotBenchEngine(b)
 	fp := workload.Fingerprint(w.Profile, w.Dict)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -102,5 +109,30 @@ func BenchmarkSnapshot(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.SetBytes(int64(len(data)))
+	}
+}
+
+// BenchmarkRestore measures Engine.Restore of BenchmarkSnapshot's snapshot
+// into a fresh engine; building that engine is not timed.
+func BenchmarkRestore(b *testing.B) {
+	eng, w := snapshotBenchEngine(b)
+	fp := workload.Fingerprint(w.Profile, w.Dict)
+	data, err := eng.Snapshot(w.Name, fp)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fresh := MustNewEngine(eng.Config(), w.Dict, w.Trace)
+		b.StartTimer()
+		if err := fresh.Restore(data, w.Name, fp); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		fresh.Release()
+		b.StartTimer()
 	}
 }

@@ -82,6 +82,17 @@ func section(payload []byte, tag string, nth int) (start, end int, ok bool) {
 // under the pinned meta, restores it into a fresh engine and runs that to
 // its target. It returns Restore's error, or else Run's.
 func restoreEdited(fx pinnedRestore, edit func(payload []byte)) (restoreErr, runErr error) {
+	eng, err := restoreEditedEngine(fx, edit)
+	if err != nil {
+		return err, nil
+	}
+	_, err = eng.Run()
+	return nil, err
+}
+
+// restoreEditedEngine is restoreEdited without the run: it returns the
+// restored engine, or Restore's error.
+func restoreEditedEngine(fx pinnedRestore, edit func(payload []byte)) (*Engine, error) {
 	payload := append([]byte(nil), fx.payload...)
 	edit(payload)
 	data := snap.Seal(fx.meta, func(e *snap.Encoder) {
@@ -91,10 +102,9 @@ func restoreEdited(fx pinnedRestore, edit func(payload []byte)) (restoreErr, run
 	})
 	eng := MustNewEngine(fx.cfg, fx.w.Dict, fx.w.Trace)
 	if err := eng.Restore(data, fx.w.Name, workload.Fingerprint(fx.w.Profile, fx.w.Dict)); err != nil {
-		return err, nil
+		return nil, err
 	}
-	_, err := eng.Run()
-	return nil, err
+	return eng, nil
 }
 
 // TestRestoreRejectsOverfullCLTQLine: the CLTQ splits fetch blocks into
@@ -128,7 +138,9 @@ func TestRestoreRejectsOverfullCLTQLine(t *testing.T) {
 // FuzzEngineRestore edits one section of the pinned snapshot — the nth
 // occurrence of a tag, at (offset, xor) pairs within it — re-seals it and
 // restores it. Every input must end in a restore error, a run to the
-// target, or the engine's own no-progress error; never in a panic.
+// target, or the engine's own no-progress error; never in a panic. An
+// input that restores must also snapshot, and that snapshot must restore
+// and snapshot again to the same bytes.
 //
 // Input: tag indexes snapshotTags (mod its length), nth picks the
 // occurrence, and edits is read as 3-byte groups: a little-endian offset
@@ -141,13 +153,27 @@ func FuzzEngineRestore(f *testing.F) {
 		if !ok {
 			return
 		}
-		restoreErr, runErr := restoreEdited(fx, func(p []byte) {
+		eng, restoreErr := restoreEditedEngine(fx, func(p []byte) {
 			for ; len(edits) >= 3; edits = edits[3:] {
 				off := int(binary.LittleEndian.Uint16(edits)) % (end - start)
 				p[start+off] ^= edits[2]
 			}
 		})
-		if restoreErr == nil && runErr != nil && !strings.Contains(runErr.Error(), "no forward progress") {
+		if restoreErr != nil {
+			return
+		}
+		once, err := eng.Snapshot(fx.w.Name, workload.Fingerprint(fx.w.Profile, fx.w.Dict))
+		if err != nil {
+			t.Fatalf("the restored engine does not snapshot: %v", err)
+		}
+		twice, err := resnapshot(fx.cfg, fx.w, once)
+		if err != nil {
+			t.Fatalf("the restored engine's snapshot does not round-trip: %v", err)
+		}
+		if !bytes.Equal(twice, once) {
+			t.Fatalf("the restored engine's %d-byte snapshot round-trips to %d different bytes", len(once), len(twice))
+		}
+		if _, runErr := eng.Run(); runErr != nil && !strings.Contains(runErr.Error(), "no forward progress") {
 			t.Fatalf("restored run failed with %v; want a run to the target or no forward progress", runErr)
 		}
 	})

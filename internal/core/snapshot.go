@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 
 	"clgp/internal/bpred"
+	"clgp/internal/freelist"
 	"clgp/internal/isa"
 	"clgp/internal/memory"
 	"clgp/internal/pipeline"
@@ -35,41 +36,39 @@ func (c Config) WarmKey() uint64 {
 	return h.Sum64()
 }
 
-// SaveStatic implements pipeline.InstCodec: a static-instruction pointer is
-// written as nil (0), the engine's synthetic off-image nop (2), or an image
-// instruction identified by its PC (1).
-func (e *Engine) SaveStatic(enc *snap.Encoder, s *isa.StaticInst) {
+// WalkStatic implements pipeline.InstCodec: a static-instruction pointer
+// travels as nil (0), the engine's synthetic off-image nop (2), or an image
+// instruction identified by its PC (1), which loading resolves through the
+// engine's dictionary.
+func (e *Engine) WalkStatic(w *snap.Walker, s **isa.StaticInst) {
+	marker, pc := uint8(1), isa.Addr(0)
 	switch {
-	case s == nil:
-		enc.U8(0)
-	case s == &e.nop:
-		enc.U8(2)
+	case *s == nil:
+		marker = 0
+	case *s == &e.nop:
+		marker = 2
 	default:
-		enc.U8(1)
-		enc.U64(uint64(s.PC))
+		pc = (*s).PC
 	}
-}
-
-// LoadStatic implements pipeline.InstCodec, resolving references written by
-// SaveStatic through the engine's dictionary.
-func (e *Engine) LoadStatic(d *snap.Decoder) *isa.StaticInst {
-	switch marker := d.U8(); marker {
+	w.U8(&marker)
+	switch marker {
 	case 0:
-		return nil
+		*s = nil
 	case 2:
-		return &e.nop
+		*s = &e.nop
 	case 1:
-		pc := isa.Addr(d.U64())
-		si := e.dict.Inst(pc)
-		if si == nil && d.Err() == nil {
-			d.Failf("core: static instruction at %#x not in the dictionary", pc)
+		snap.Word(w, &pc)
+		if w.Loading() {
+			*s = e.dict.Inst(pc)
+			if *s == nil && w.Err() == nil {
+				w.Failf("core: static instruction at %#x not in the dictionary", pc)
+			}
 		}
-		return si
 	default:
-		if d.Err() == nil {
-			d.Failf("core: invalid static instruction marker %d", marker)
+		*s = nil
+		if w.Err() == nil {
+			w.Failf("core: invalid static instruction marker %d", marker)
 		}
-		return nil
 	}
 }
 
@@ -113,83 +112,141 @@ func (e *Engine) Snapshot(workload string, fingerprint uint64) ([]byte, error) {
 		Committed:   e.lastCommitted,
 		Cycle:       e.cycle,
 	}
-	return snap.Seal(meta, func(enc *snap.Encoder) {
-		enc.Tag(coreTag)
-		rs.Save(enc)
+	var err error
+	data := snap.Seal(meta, func(enc *snap.Encoder) {
+		w := snap.Saver(enc)
+		e.walk(w, rs)
+		err = w.Err()
+	})
+	if err != nil {
+		freelist.Artifacts.Put(data)
+		return nil, fmt.Errorf("core %s: %w", e.cfg.Name, err)
+	}
+	return data, nil
+}
 
-		// Engine scalars.
-		enc.U64(e.cycle)
-		enc.U64(e.seq)
-		enc.U64(e.nextSeqID)
-		enc.U64(e.lastCommitted)
-		enc.U64(e.pfCancelled)
-		enc.Int(e.predCursor)
-		enc.Bool(e.wrongPath)
-		enc.U64(uint64(e.wrongPC))
-		enc.U64(e.predStallUntil)
-		enc.Bool(e.recoveryValid)
-		enc.U64(e.recoverHistory)
-		enc.U8(uint8(e.recoverEnd))
-		enc.U64(uint64(e.recoverRet))
-		// rasScratch is write-before-read scratch storage; only the recovery
-		// checkpoint itself needs to travel.
-		bpred.SaveRASSnapshot(enc, e.recoverRAS)
+// walk walks the engine's state in payload order (see FORMAT.md): the
+// request table, the engine's own state, then each component's section.
+func (e *Engine) walk(w *snap.Walker, rs *memory.ReqSet) {
+	w.Tag(coreTag)
+	rs.Walk(w)
 
-		// Block bookkeeping ring, verbatim.
-		enc.Int(len(e.blockMeta))
-		for i := range e.blockMeta {
-			m := &e.blockMeta[i]
-			enc.U64(m.seqID)
-			enc.Int(m.traceBase)
-			enc.Int(m.numInsts)
-			enc.Int(m.delivered)
-			enc.Bool(m.mispred)
+	// Engine scalars.
+	w.U64(&e.cycle)
+	w.U64(&e.seq)
+	w.U64(&e.nextSeqID)
+	w.U64(&e.lastCommitted)
+	w.U64(&e.pfCancelled)
+	w.Int(&e.predCursor)
+	w.Bool(&e.wrongPath)
+	snap.Word(w, &e.wrongPC)
+	w.U64(&e.predStallUntil)
+	w.Bool(&e.recoveryValid)
+	w.U64(&e.recoverHistory)
+	snap.Byte(w, &e.recoverEnd)
+	snap.Word(w, &e.recoverRet)
+	// rasScratch is write-before-read scratch storage; only the recovery
+	// checkpoint itself needs to travel.
+	bpred.WalkRASSnapshot(w, &e.recoverRAS)
+
+	// Block bookkeeping ring, verbatim.
+	n := len(e.blockMeta)
+	w.Count(&n, blockMetaRing)
+	if w.Err() == nil && n != blockMetaRing {
+		w.Failf("core: block meta ring size %d, want %d", n, blockMetaRing)
+	}
+	if w.Err() != nil {
+		return
+	}
+	for i := range e.blockMeta {
+		m := &e.blockMeta[i]
+		w.U64(&m.seqID)
+		w.Int(&m.traceBase)
+		w.Int(&m.numInsts)
+		w.Int(&m.delivered)
+		w.Bool(&m.mispred)
+	}
+
+	// Fetch stage.
+	w.Bool(&e.fetchActive)
+	rs.WalkID(w, &e.fetchReq)
+	w.U64(&e.fetchReadyAt)
+	fr := &e.fetchFR
+	snap.Word(w, &fr.Line)
+	snap.Word(w, &fr.Start)
+	w.Int(&fr.NumInsts)
+	snap.Word(w, &fr.Next)
+	w.Bool(&fr.LastOfBlock)
+	w.Bool(&fr.EndsInBranch)
+	w.Bool(&fr.WrongPath)
+	w.U64(&fr.BlockID)
+
+	// Abandoned wrong-path demand fetches still draining.
+	snap.Slice(w, &e.drain, 1<<20, func(r **memory.Request) { rs.WalkID(w, r) })
+
+	// Dispatch queue, in logical (fetch) order; loading re-bases it at zero.
+	dqN := e.dqN
+	w.Count(&dqN, dispatchQueueCap)
+	if w.Err() != nil {
+		return
+	}
+	if w.Loading() {
+		clear(e.dq)
+		e.dqHead, e.dqN = 0, dqN
+		for i := 0; i < dqN; i++ {
+			e.dq[i] = e.pool.Get()
 		}
+	}
+	for i := 0; i < dqN; i++ {
+		pipeline.WalkInst(w, e.dq[(e.dqHead+i)%dispatchQueueCap], rs, e)
+	}
 
-		// Fetch stage.
-		enc.Bool(e.fetchActive)
-		rs.SaveID(enc, e.fetchReq)
-		enc.U64(e.fetchReadyAt)
-		enc.U64(uint64(e.fetchFR.Line))
-		enc.U64(uint64(e.fetchFR.Start))
-		enc.Int(e.fetchFR.NumInsts)
-		enc.U64(uint64(e.fetchFR.Next))
-		enc.Bool(e.fetchFR.LastOfBlock)
-		enc.Bool(e.fetchFR.EndsInBranch)
-		enc.Bool(e.fetchFR.WrongPath)
-		enc.U64(e.fetchFR.BlockID)
+	// Statistics that feed stats.Results.
+	w.U64(&e.fetched)
+	w.U64(&e.wrongPathFetched)
+	w.U64(&e.branches)
+	w.U64(&e.mispredicts)
+	w.U64(&e.detectedMisp)
+	w.U64s(e.fetchSources[:])
+	w.U64s(e.accounts[:])
+	if w.Loading() {
+		e.checkRestored(w)
+	}
 
-		// Abandoned wrong-path demand fetches still draining.
-		enc.Int(len(e.drain))
-		for _, r := range e.drain {
-			rs.SaveID(enc, r)
+	// Component sections.
+	e.mem.Walk(w, rs)
+	e.backend.Walk(w, rs, e)
+	e.eng.Walk(w, rs)
+	e.pred.Walk(w)
+}
+
+// checkRestored rejects loaded engine state no run reaches: a prediction
+// cursor behind the commit frontier or past the trace, a drain entry with
+// no request, a fetch line longer than a line holds, or a dispatch queue
+// too full for the line in flight (fetchStage starts a line only with a
+// full line of headroom, and only dispatch moves the queue while the line
+// is in flight).
+func (e *Engine) checkRestored(w *snap.Walker) {
+	if w.Err() != nil {
+		return
+	}
+	if e.predCursor < int(e.lastCommitted) || e.predCursor > e.trLen {
+		w.Failf("core: prediction cursor %d outside [%d, %d]", e.predCursor, e.lastCommitted, e.trLen)
+		return
+	}
+	for i, r := range e.drain {
+		if r == nil {
+			w.Failf("core: drain entry %d references no request", i)
+			return
 		}
-
-		// Dispatch queue, in logical (fetch) order.
-		enc.Int(e.dqN)
-		for i := 0; i < e.dqN; i++ {
-			pipeline.SaveInst(enc, e.dq[(e.dqHead+i)%dispatchQueueCap], rs, e)
-		}
-
-		// Statistics that feed stats.Results.
-		enc.U64(e.fetched)
-		enc.U64(e.wrongPathFetched)
-		enc.U64(e.branches)
-		enc.U64(e.mispredicts)
-		enc.U64(e.detectedMisp)
-		for i := range e.fetchSources {
-			enc.U64(e.fetchSources[i])
-		}
-		for i := range e.accounts {
-			enc.U64(e.accounts[i])
-		}
-
-		// Component sections.
-		e.mem.SaveState(enc, rs)
-		e.backend.SaveState(enc, rs, e)
-		e.eng.SaveState(enc, rs)
-		e.pred.SaveState(enc)
-	}), nil
+	}
+	if e.fetchFR.NumInsts < 0 || e.fetchFR.NumInsts > fetchLineHeadroom {
+		w.Failf("core: fetch line of %d instructions, want 0..%d", e.fetchFR.NumInsts, fetchLineHeadroom)
+		return
+	}
+	if e.fetchActive && e.dqN > dispatchQueueCap-fetchLineHeadroom {
+		w.Failf("core: %d queued instructions leave no room for the line in flight", e.dqN)
+	}
 }
 
 // Restore loads a snapshot produced by Snapshot into a freshly constructed
@@ -226,112 +283,9 @@ func (e *Engine) Restore(data []byte, workload string, fingerprint uint64) error
 	}
 
 	d := snap.NewDecoder(payload)
-	d.Tag(coreTag)
-	rs := memory.NewReqSet()
-	rs.Load(d)
-
-	e.cycle = d.U64()
-	e.seq = d.U64()
-	e.nextSeqID = d.U64()
-	e.lastCommitted = d.U64()
-	e.pfCancelled = d.U64()
-	e.predCursor = d.Int()
-	e.wrongPath = d.Bool()
-	e.wrongPC = isa.Addr(d.U64())
-	e.predStallUntil = d.U64()
-	e.recoveryValid = d.Bool()
-	e.recoverHistory = d.U64()
-	e.recoverEnd = bpred.EndClass(d.U8())
-	e.recoverRet = isa.Addr(d.U64())
-	bpred.LoadRASSnapshot(d, &e.recoverRAS)
+	e.walk(snap.Loader(d), memory.NewReqSet())
 	// Clock-mode diagnostics restart from zero (see Snapshot).
 	e.skipped, e.ffJumps = 0, 0
-
-	// Prediction runs ahead of commit along the trace, and never past its
-	// end.
-	if d.Err() == nil && (e.predCursor < int(e.lastCommitted) || e.predCursor > e.trLen) {
-		d.Failf("core: prediction cursor %d outside [%d, %d]", e.predCursor, e.lastCommitted, e.trLen)
-	}
-	n := d.Count(blockMetaRing)
-	if d.Err() == nil && n != blockMetaRing {
-		d.Failf("core: block meta ring size %d, want %d", n, blockMetaRing)
-	}
-	if d.Err() != nil {
-		return d.Err()
-	}
-	for i := range e.blockMeta {
-		m := &e.blockMeta[i]
-		m.seqID = d.U64()
-		m.traceBase = d.Int()
-		m.numInsts = d.Int()
-		m.delivered = d.Int()
-		m.mispred = d.Bool()
-	}
-
-	e.fetchActive = d.Bool()
-	e.fetchReq = rs.LoadID(d)
-	e.fetchReadyAt = d.U64()
-	e.fetchFR.Line = isa.Addr(d.U64())
-	e.fetchFR.Start = isa.Addr(d.U64())
-	e.fetchFR.NumInsts = d.Int()
-	e.fetchFR.Next = isa.Addr(d.U64())
-	e.fetchFR.LastOfBlock = d.Bool()
-	e.fetchFR.EndsInBranch = d.Bool()
-	e.fetchFR.WrongPath = d.Bool()
-	e.fetchFR.BlockID = d.U64()
-
-	nd := d.Count(1 << 20)
-	e.drain = e.drain[:0]
-	for i := 0; i < nd && d.Err() == nil; i++ {
-		r := rs.LoadID(d)
-		if r == nil && d.Err() == nil {
-			d.Failf("core: drain entry %d references no request", i)
-			break
-		}
-		e.drain = append(e.drain, r)
-	}
-
-	if d.Err() == nil && (e.fetchFR.NumInsts < 0 || e.fetchFR.NumInsts > fetchLineHeadroom) {
-		d.Failf("core: fetch line of %d instructions, want 0..%d", e.fetchFR.NumInsts, fetchLineHeadroom)
-	}
-	dqN := d.Count(dispatchQueueCap)
-	// fetchStage starts a line only with a full line of headroom, and only
-	// dispatch moves the queue while the line is in flight.
-	if d.Err() == nil && e.fetchActive && dqN > dispatchQueueCap-fetchLineHeadroom {
-		d.Failf("core: %d queued instructions leave no room for the line in flight", dqN)
-	}
-	if d.Err() != nil {
-		return d.Err()
-	}
-	for i := range e.dq {
-		e.dq[i] = nil
-	}
-	e.dqHead = 0
-	e.dqN = dqN
-	for i := 0; i < dqN; i++ {
-		di := e.pool.Get()
-		// Pre-dispatch instructions carry no dependence links yet (Dispatch
-		// establishes them), so the fixups are always empty; discard them.
-		_ = pipeline.LoadInst(d, di, rs, e)
-		e.dq[i] = di
-	}
-
-	e.fetched = d.U64()
-	e.wrongPathFetched = d.U64()
-	e.branches = d.U64()
-	e.mispredicts = d.U64()
-	e.detectedMisp = d.U64()
-	for i := range e.fetchSources {
-		e.fetchSources[i] = d.U64()
-	}
-	for i := range e.accounts {
-		e.accounts[i] = d.U64()
-	}
-
-	e.mem.LoadState(d, rs)
-	e.backend.LoadState(d, rs, e)
-	e.eng.LoadState(d, rs)
-	e.pred.LoadState(d)
 	if err := d.Err(); err != nil {
 		return err
 	}

@@ -10,7 +10,6 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -156,7 +155,7 @@ func (c objectClient) Get(key string) (data []byte, err error) {
 		return nil, fmt.Errorf("dispatch: store get %s: %s: %s", key, resp.Status, strings.TrimSpace(string(body)))
 	}
 	if n := resp.ContentLength; n >= 0 {
-		data = slices.Grow(freelist.Artifacts.Get(int(n)), int(n))[:n]
+		data = freelist.Artifacts.Get(int(n))[:n]
 		_, err = io.ReadFull(resp.Body, data)
 	} else {
 		data, err = io.ReadAll(resp.Body)

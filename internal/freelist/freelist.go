@@ -73,14 +73,16 @@ type Bytes struct {
 	free [][]byte // oldest first
 }
 
-// Get returns an empty buffer for about n bytes: the most recently handed
-// back buffer whose capacity is within a factor of two of n, or else a new
+// Get returns an empty buffer that holds n bytes: the most recently handed
+// back buffer whose capacity is at least n and at most 2n, or else a new
 // one of capacity n. So a small object never takes a snapshot-sized buffer,
-// and a caller that needs more than the buffer holds grows it by append.
+// and a caller that reads n bytes never has to grow the buffer it got
+// (which would drop the smaller one from circulation); one that appends
+// past n grows it as append does.
 func (b *Bytes) Get(n int) []byte {
 	b.mu.Lock()
 	for i := len(b.free) - 1; i >= 0; i-- {
-		if c := cap(b.free[i]); 2*c >= n && c <= 2*n {
+		if c := cap(b.free[i]); c >= n && c <= 2*n {
 			buf := b.free[i]
 			end := i + copy(b.free[i:], b.free[i+1:])
 			b.free[end] = nil

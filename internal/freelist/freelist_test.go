@@ -69,9 +69,9 @@ func TestBytesGetWithinFactorOfTwo(t *testing.T) {
 	if b := bufs.Get(2001); cap(b) != 2001 {
 		t.Fatalf("Get(2001) returned capacity %d, want a new buffer (1000 is under half of 2001)", cap(b))
 	}
-	b := bufs.Get(1200)
+	b := bufs.Get(600)
 	if len(b) != 0 || cap(b) != 1000 || &b[:1][0] != &big[0] {
-		t.Fatalf("Get(1200) = len %d cap %d, want the empty retained 1000-byte buffer", len(b), cap(b))
+		t.Fatalf("Get(600) = len %d cap %d, want the empty retained 1000-byte buffer", len(b), cap(b))
 	}
 	if c := bufs.Get(1000); cap(c) != 1000 || &c[:1][0] == &big[0] {
 		t.Fatal("one retained buffer handed out twice")
@@ -79,6 +79,21 @@ func TestBytesGetWithinFactorOfTwo(t *testing.T) {
 	bufs.Put(nil) // ignored
 	if d := bufs.Get(0); cap(d) != 0 {
 		t.Fatalf("Get(0) returned capacity %d", cap(d))
+	}
+}
+
+// TestBytesGetFits: a retained buffer one byte short of n is not handed
+// out for Get(n), so a caller reading n bytes never grows it; a retained
+// buffer of exactly n is.
+func TestBytesGetFits(t *testing.T) {
+	var bufs Bytes
+	short := make([]byte, 999)
+	bufs.Put(short)
+	if b := bufs.Get(1000); cap(b) != 1000 || &b[:1][0] == &short[0] {
+		t.Fatalf("Get(1000) returned capacity %d, want a new 1000-byte buffer", cap(b))
+	}
+	if b := bufs.Get(999); cap(b) != 999 || &b[:1][0] != &short[0] {
+		t.Fatalf("Get(999) returned capacity %d, want the retained 999-byte buffer", cap(b))
 	}
 }
 

@@ -14,119 +14,92 @@ const cltqTag uint32 = 0x51544C43
 // maxEntries bounds a decoded queue length.
 const maxEntries = 1 << 20
 
-// SaveState serialises the FTQ's queued blocks in FIFO order.
-func (q *FTQ) SaveState(e *snap.Encoder) {
-	e.Tag(ftqTag)
-	e.Int(len(q.blocks))
-	e.Int(q.n)
-	for i := 0; i < q.n; i++ {
-		fb := q.blocks[(q.head+i)%len(q.blocks)]
-		e.U64(uint64(fb.Start))
-		e.Int(fb.NumInsts)
-		e.U64(uint64(fb.Next))
-		e.Bool(fb.EndsInBranch)
-		e.Bool(fb.WrongPath)
-		e.U64(fb.SeqID)
-	}
-}
-
-// LoadState restores state saved by SaveState into an FTQ of the same
-// capacity. The ring is re-based at zero, which is behaviour-neutral.
-func (q *FTQ) LoadState(d *snap.Decoder) {
-	d.Tag(ftqTag)
-	capacity := d.Int()
-	n := d.Count(maxEntries)
-	if d.Err() != nil {
+// Walk walks the FTQ's queued blocks in FIFO order. A loaded queue must
+// match the receiving one's capacity; loading re-bases the ring at zero,
+// which is behaviour-neutral.
+func (q *FTQ) Walk(w *snap.Walker) {
+	w.Tag(ftqTag)
+	capacity, n := len(q.blocks), q.n
+	w.Int(&capacity)
+	w.Count(&n, maxEntries)
+	if w.Err() != nil {
 		return
 	}
 	if capacity != len(q.blocks) {
-		d.Failf("ftq: capacity mismatch: snapshot %d, queue %d", capacity, len(q.blocks))
+		w.Failf("ftq: capacity mismatch: snapshot %d, queue %d", capacity, len(q.blocks))
 		return
 	}
 	if n > capacity {
-		d.Failf("ftq: %d queued blocks exceed capacity %d", n, capacity)
+		w.Failf("ftq: %d queued blocks exceed capacity %d", n, capacity)
 		return
 	}
-	q.head = 0
-	q.n = n
+	if w.Loading() {
+		q.head, q.n = 0, n
+	}
 	for i := 0; i < n; i++ {
-		q.blocks[i] = FetchBlock{
-			Start:        isa.Addr(d.U64()),
-			NumInsts:     d.Int(),
-			Next:         isa.Addr(d.U64()),
-			EndsInBranch: d.Bool(),
-			WrongPath:    d.Bool(),
-			SeqID:        d.U64(),
-		}
+		fb := &q.blocks[(q.head+i)%len(q.blocks)]
+		snap.Word(w, &fb.Start)
+		w.Int(&fb.NumInsts)
+		snap.Word(w, &fb.Next)
+		w.Bool(&fb.EndsInBranch)
+		w.Bool(&fb.WrongPath)
+		w.U64(&fb.SeqID)
 	}
 }
 
-// SaveState serialises the CLTQ's line entries in FIFO order plus the block
-// accounting and the prefetched-prefix scan hint. The QueuedLines scratch
-// buffer is dead state and not saved.
-func (q *CLTQ) SaveState(e *snap.Encoder) {
-	e.Tag(cltqTag)
-	e.Int(q.n)
-	for i := 0; i < q.n; i++ {
-		en := q.at(i)
-		e.U64(uint64(en.Line))
-		e.U64(uint64(en.Start))
-		e.Int(en.NumInsts)
-		e.U64(uint64(en.Next))
-		e.Bool(en.LastOfBlock)
-		e.Bool(en.EndsInBranch)
-		e.Bool(en.WrongPath)
-		e.U64(en.BlockID)
-		e.Bool(en.Prefetched)
-		e.Bool(en.Occupied)
-	}
-	e.Int(q.blockCount)
-	e.U64(q.lastBlockID)
-	e.Bool(q.haveLastBlock)
-	e.Int(q.scanHint)
-}
-
-// LoadState restores state saved by SaveState. The ring is re-based at zero;
-// ring capacity is a behaviour-neutral implementation detail, so any stored
+// Walk walks the CLTQ's line entries in FIFO order plus the block accounting
+// and the prefetched-prefix scan hint. The QueuedLines scratch buffer is
+// dead state and not saved. Loading re-bases the ring at zero; ring
+// capacity is a behaviour-neutral implementation detail, so any stored
 // entry count within the block bound is accepted.
-func (q *CLTQ) LoadState(d *snap.Decoder) {
-	d.Tag(cltqTag)
-	n := d.Count(maxEntries)
-	if d.Err() != nil {
+func (q *CLTQ) Walk(w *snap.Walker) {
+	w.Tag(cltqTag)
+	n := q.n
+	w.Count(&n, maxEntries)
+	if w.Err() != nil {
 		return
 	}
-	if len(q.entries) < n {
-		q.entries = make([]CLTQEntry, max(16, n))
+	if w.Loading() {
+		if len(q.entries) < n {
+			q.entries = make([]CLTQEntry, max(16, n))
+		}
+		q.head, q.n = 0, n
 	}
-	q.head = 0
-	q.n = n
 	for i := 0; i < n; i++ {
-		q.entries[i] = CLTQEntry{
-			Line:         isa.Addr(d.U64()),
-			Start:        isa.Addr(d.U64()),
-			NumInsts:     d.Int(),
-			Next:         isa.Addr(d.U64()),
-			LastOfBlock:  d.Bool(),
-			EndsInBranch: d.Bool(),
-			WrongPath:    d.Bool(),
-			BlockID:      d.U64(),
-			Prefetched:   d.Bool(),
-			Occupied:     d.Bool(),
-		}
-		// Push never splits a block into an empty line or one holding more
-		// instructions than fit in it.
-		if got := q.entries[i].NumInsts; d.Err() == nil && (got < 1 || got > q.lineSize/isa.InstBytes) {
-			d.Failf("cltq: entry %d holds %d instructions, want 1..%d", i, got, q.lineSize/isa.InstBytes)
+		en := q.at(i)
+		snap.Word(w, &en.Line)
+		snap.Word(w, &en.Start)
+		w.Int(&en.NumInsts)
+		snap.Word(w, &en.Next)
+		w.Bool(&en.LastOfBlock)
+		w.Bool(&en.EndsInBranch)
+		w.Bool(&en.WrongPath)
+		w.U64(&en.BlockID)
+		w.Bool(&en.Prefetched)
+		w.Bool(&en.Occupied)
+	}
+	w.Int(&q.blockCount)
+	w.U64(&q.lastBlockID)
+	w.Bool(&q.haveLastBlock)
+	w.Int(&q.scanHint)
+	if w.Loading() {
+		q.check(w)
+	}
+}
+
+// check rejects loaded CLTQ state Push and Pop never produce: an entry
+// holding no instructions or more than fit in its line, a block count past
+// the capacity, or a scan hint past the queue.
+func (q *CLTQ) check(w *snap.Walker) {
+	for i := 0; i < q.n && w.Err() == nil; i++ {
+		if got := q.at(i).NumInsts; got < 1 || got > q.lineSize/isa.InstBytes {
+			w.Failf("cltq: entry %d holds %d instructions, want 1..%d", i, got, q.lineSize/isa.InstBytes)
 		}
 	}
-	q.blockCount = d.Int()
-	q.lastBlockID = d.U64()
-	q.haveLastBlock = d.Bool()
-	q.scanHint = d.Int()
-	if d.Err() == nil && (q.blockCount < 0 || q.blockCount > q.blockCapacity) {
-		d.Failf("cltq: block count %d outside [0, %d]", q.blockCount, q.blockCapacity)
+	if w.Err() == nil && (q.blockCount < 0 || q.blockCount > q.blockCapacity) {
+		w.Failf("cltq: block count %d outside [0, %d]", q.blockCount, q.blockCapacity)
 	}
-	if d.Err() == nil && (q.scanHint < 0 || q.scanHint > q.n) {
-		d.Failf("cltq: scan hint %d outside [0, %d]", q.scanHint, q.n)
+	if w.Err() == nil && (q.scanHint < 0 || q.scanHint > q.n) {
+		w.Failf("cltq: scan hint %d outside [0, %d]", q.scanHint, q.n)
 	}
 }

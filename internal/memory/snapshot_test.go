@@ -39,8 +39,9 @@ func saveHierarchy(h *Hierarchy) []byte {
 	var e snap.Encoder
 	s := NewReqSet()
 	h.AddLiveRequests(s)
-	s.Save(&e)
-	h.SaveState(&e, s)
+	w := snap.Saver(&e)
+	s.Walk(w)
+	h.Walk(w, s)
 	return e.Bytes()
 }
 
@@ -49,8 +50,9 @@ func loadHierarchy(data []byte) (*Hierarchy, error) {
 	h := MustNew(testConfig(4<<10, false))
 	d := snap.NewDecoder(data)
 	s := NewReqSet()
-	s.Load(d)
-	h.LoadState(d, s)
+	w := snap.Loader(d)
+	s.Walk(w)
+	h.Walk(w, s)
 	return h, d.Err()
 }
 
@@ -148,6 +150,25 @@ func TestLoadStateRejectsImpossibleBusQueues(t *testing.T) {
 	}
 }
 
+// TestSaveRejectsUnregisteredRequest: a slot whose request was never added
+// to the identity table cannot be saved. Writing ID 0 would restore the
+// slot as empty, so the save fails instead, and names the request.
+func TestSaveRejectsUnregisteredRequest(t *testing.T) {
+	h := slotState(t)
+	var e snap.Encoder
+	s := NewReqSet()
+	for _, r := range h.slots[1:] {
+		s.Add(r) // every live slot but the data request in slot 0
+	}
+	w := snap.Saver(&e)
+	s.Walk(w)
+	h.Walk(w, s)
+	err := w.Err()
+	if err == nil || errors.Is(err, snap.ErrCorrupt) || !strings.Contains(err.Error(), "data request for line 0x90001000 was never registered") {
+		t.Fatalf("save returned %v, want an error naming the unregistered data request", err)
+	}
+}
+
 // Offsets into a saved request table: the section tag and the entry count,
 // then reqBytes per request (line u64, kind u8, source u8, four bools,
 // readyAt u64, issuedAt u64, pfIdx i64).
@@ -163,14 +184,15 @@ const (
 // >= NumSources panics in stats.Distribution.Add), so a byte outside either
 // enumeration must fail the restore with ErrCorrupt. Each case edits one
 // byte of a sealed payload and re-seals it with a valid checksum, so only
-// Load's own checks stand between the edit and the hierarchy.
+// the loading walk's own checks stand between the edit and the hierarchy.
 func TestReqSetLoadRejectsImpossibleBytes(t *testing.T) {
 	sealed := snap.Seal(snap.Meta{Workload: "memory-test"}, func(e *snap.Encoder) {
 		h := slotState(t)
 		s := NewReqSet()
 		h.AddLiveRequests(s)
-		s.Save(e)
-		h.SaveState(e, s)
+		w := snap.Saver(e)
+		s.Walk(w)
+		h.Walk(w, s)
 	})
 	meta, payload, err := snap.Open(sealed)
 	if err != nil {

@@ -206,7 +206,7 @@ type Backend struct {
 	ruuN    int
 
 	// The scheduler indices partition the RUU's not-yet-completed entries;
-	// they are derived state, rebuilt by LoadState and never serialised.
+	// they are derived state, rebuilt by a loading Walk and never serialised.
 	// Each holds at most RUUSize entries and is preallocated to that, so
 	// the cycle loop never grows them. Slots outside a list's live range
 	// may hold stale pointers; they are overwritten before they are read,

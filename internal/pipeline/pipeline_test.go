@@ -458,13 +458,15 @@ func TestSimultaneousMispredictionsResolveTheOlder(t *testing.T) {
 // testCodec resolves static instructions by index into a fixed program.
 type testCodec struct{ prog []*isa.StaticInst }
 
-func (c testCodec) SaveStatic(e *snap.Encoder, s *isa.StaticInst) { e.Int(slices.Index(c.prog, s)) }
-
-func (c testCodec) LoadStatic(d *snap.Decoder) *isa.StaticInst {
-	if i := d.Int(); i >= 0 && i < len(c.prog) {
-		return c.prog[i]
+func (c testCodec) WalkStatic(w *snap.Walker, s **isa.StaticInst) {
+	i := slices.Index(c.prog, *s)
+	w.Int(&i)
+	if w.Loading() {
+		*s = nil
+		if i >= 0 && i < len(c.prog) {
+			*s = c.prog[i]
+		}
 	}
-	return nil
 }
 
 // testProgram is a dependence-heavy stream: multiply and FP producers with
@@ -530,10 +532,10 @@ func TestSnapshotMidFlightContinuesCycleIdentical(t *testing.T) {
 	for now := uint64(0); now < 400; now++ {
 		if restored == nil && parked(orig) {
 			var e snap.Encoder
-			orig.SaveState(&e, memory.NewReqSet(), codec)
+			orig.Walk(snap.Saver(&e), memory.NewReqSet(), codec)
 			restored = MustNew(cfg, nil)
 			dec := snap.NewDecoder(e.Bytes())
-			restored.LoadState(dec, memory.NewReqSet(), codec)
+			restored.Walk(snap.Loader(dec), memory.NewReqSet(), codec)
 			if dec.Err() != nil || dec.Remaining() != 0 {
 				t.Fatalf("cycle %d: restore: %v (%d bytes left)", now, dec.Err(), dec.Remaining())
 			}
@@ -588,12 +590,12 @@ func TestLoadStateRejectsMalformedRUU(t *testing.T) {
 		}
 		mutate(ds)
 		var e snap.Encoder
-		b.SaveState(&e, memory.NewReqSet(), codec)
+		b.Walk(snap.Saver(&e), memory.NewReqSet(), codec)
 		return e.Bytes()
 	}
 	load := func(data []byte) error {
 		dec := snap.NewDecoder(data)
-		MustNew(DefaultConfig(), nil).LoadState(dec, memory.NewReqSet(), codec)
+		MustNew(DefaultConfig(), nil).Walk(snap.Loader(dec), memory.NewReqSet(), codec)
 		return dec.Err()
 	}
 	if err := load(saved(func([]*DynInst) {})); err != nil {

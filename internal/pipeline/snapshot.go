@@ -1,6 +1,9 @@
 package pipeline
 
 import (
+	"cmp"
+	"slices"
+
 	"clgp/internal/isa"
 	"clgp/internal/memory"
 	"clgp/internal/snap"
@@ -17,73 +20,59 @@ const (
 // *StaticInst) and the shared synthetic nop used for off-image wrong-path
 // fetches, neither of which this package can see.
 type InstCodec interface {
-	// SaveStatic writes a reference to s (nil, the synthetic nop, or an
-	// image instruction identified by PC).
-	SaveStatic(e *snap.Encoder, s *isa.StaticInst)
-	// LoadStatic resolves a reference written by SaveStatic.
-	LoadStatic(d *snap.Decoder) *isa.StaticInst
+	// WalkStatic walks a reference to *s: nil, the synthetic nop, or an
+	// image instruction identified by PC.
+	WalkStatic(w *snap.Walker, s **isa.StaticInst)
 }
 
-// SaveInst serialises one DynInst in full: identity, flags, execution state
-// and the dependence references (producer pointers collapse to sequence
-// numbers — restore re-binds them to the live producer still in the RUU, or
-// leaves them detached, which depRef.done treats identically to a departed
-// producer).
-func SaveInst(e *snap.Encoder, d *DynInst, s *memory.ReqSet, codec InstCodec) {
-	e.Tag(instTag)
-	codec.SaveStatic(e, d.Static)
-	e.U64(d.Seq)
-	e.Bool(d.WrongPath)
-	e.Bool(d.MispredictedBranch)
-	e.U64(uint64(d.EffAddr))
-	e.U64(d.FetchedAt)
-	e.U8(uint8(d.state))
-	e.U64(d.issueAt)
-	e.U64(d.completAt)
-	s.SaveID(e, d.memReq)
-	for i := range d.deps {
-		e.Bool(d.deps[i].d != nil)
-		e.U64(d.deps[i].seq)
+// WalkInst walks one DynInst in full: identity, flags, execution state and
+// the dependence references. Loading into d (freshly zeroed) leaves every
+// dependence reference detached, which depRef.done treats identically to a
+// departed producer; it is meant for instructions not yet dispatched, which
+// carry no dependence links.
+func WalkInst(w *snap.Walker, d *DynInst, s *memory.ReqSet, codec InstCodec) {
+	walkInst(w, d, s, codec, nil)
+}
+
+// walkInst is WalkInst that, loading, appends each dependence reference
+// that had a producer to fixes, for the back-end to re-bind once every RUU
+// entry exists.
+func walkInst(w *snap.Walker, d *DynInst, s *memory.ReqSet, codec InstCodec, fixes []*depRef) []*depRef {
+	w.Tag(instTag)
+	codec.WalkStatic(w, &d.Static)
+	w.U64(&d.Seq)
+	w.Bool(&d.WrongPath)
+	w.Bool(&d.MispredictedBranch)
+	snap.Word(w, &d.EffAddr)
+	w.U64(&d.FetchedAt)
+	snap.Byte(w, &d.state)
+	if w.Err() == nil && d.state > stateCompleted {
+		w.Failf("pipeline: invalid instruction state %d", d.state)
+		return fixes
 	}
-}
-
-// depFix is a deferred dependence re-bind: restored instructions are linked
-// after the whole RUU has been decoded, since a producer may sit at a higher
-// ring index than its consumer's decode position never does — but scanning
-// once at the end is simpler and the RUU is at most a few dozen entries.
-type depFix struct {
-	d    *DynInst
-	slot int
-	seq  uint64
-}
-
-// LoadInst restores one DynInst saved by SaveInst into d (freshly zeroed).
-// Dependence references are returned as fixups for the caller to resolve
-// once every instruction exists.
-func LoadInst(dec *snap.Decoder, d *DynInst, s *memory.ReqSet, codec InstCodec) []depFix {
-	dec.Tag(instTag)
-	d.Static = codec.LoadStatic(dec)
-	d.Seq = dec.U64()
-	d.WrongPath = dec.Bool()
-	d.MispredictedBranch = dec.Bool()
-	d.EffAddr = isa.Addr(dec.U64())
-	d.FetchedAt = dec.U64()
-	st := dec.U8()
-	if dec.Err() == nil && st > uint8(stateCompleted) {
-		dec.Failf("pipeline: invalid instruction state %d", st)
-		return nil
-	}
-	d.state = instState(st)
-	d.issueAt = dec.U64()
-	d.completAt = dec.U64()
-	d.memReq = s.LoadID(dec)
-	var fixes []depFix
+	w.U64(&d.issueAt)
+	w.U64(&d.completAt)
+	s.WalkID(w, &d.memReq)
 	for i := range d.deps {
-		had := dec.Bool()
-		seq := dec.U64()
-		d.deps[i] = depRef{seq: seq}
+		fixes = walkDep(w, &d.deps[i], fixes)
+	}
+	return fixes
+}
+
+// walkDep walks a dependence or scoreboard reference as "had a producer"
+// (d != nil) and the producer's sequence number. Loading leaves the
+// reference detached and, when it had a producer, appends it to fixes:
+// relink re-binds it only to a producer still in the RUU. So a producer
+// that had already left the RUU by the snapshot point saves as had,
+// restores detached, and saves again as not had.
+func walkDep(w *snap.Walker, r *depRef, fixes []*depRef) []*depRef {
+	had := r.d != nil
+	w.Bool(&had)
+	w.U64(&r.seq)
+	if w.Loading() {
+		r.d = nil
 		if had {
-			fixes = append(fixes, depFix{d: d, slot: i, seq: seq})
+			fixes = append(fixes, r)
 		}
 	}
 	return fixes
@@ -97,89 +86,69 @@ func (b *Backend) AddLiveRequests(s *memory.ReqSet) {
 	}
 }
 
-// SaveState serialises the back-end: the RUU in program order, the cached
-// event horizon, the register scoreboard (as producer sequence numbers) and
-// the counters.
-func (b *Backend) SaveState(e *snap.Encoder, s *memory.ReqSet, codec InstCodec) {
-	e.Tag(backendTag)
-	e.Int(b.ruuN)
-	for i := 0; i < b.ruuN; i++ {
-		SaveInst(e, b.ruuAt(i), s, codec)
-	}
-	e.U64(b.nextEv)
-	e.Bool(b.readyNow)
-	for r := range b.regProducer {
-		e.Bool(b.regProducer[r].d != nil)
-		e.U64(b.regProducer[r].seq)
-	}
-	e.U64(b.committed)
-	e.U64(b.wrongSquash)
-	e.U64(b.loadsExec)
-	e.U64(b.storesExec)
-	e.U64(b.resolvedMisp)
-}
-
-// LoadState restores state saved by SaveState into a back-end built from the
-// same configuration. RUU entries are drawn from the attached pool (fresh
-// allocations when the pool is empty); the ring is re-based at zero.
-// Dependence and scoreboard references are re-bound to the restored producer
-// instructions by sequence number — a sequence no longer in the RUU restores
-// as a detached reference, which depRef.done already treats as a departed
-// (completed or squashed) producer. The scheduler indices are rebuilt from
-// the restored RUU (see rebuildIndices), so the format carries none of them.
-func (b *Backend) LoadState(d *snap.Decoder, s *memory.ReqSet, codec InstCodec) {
-	d.Tag(backendTag)
-	n := d.Count(b.cfg.RUUSize)
-	if d.Err() != nil {
+// Walk walks the back-end: the RUU in program order, the cached event
+// horizon, the register scoreboard (as producer sequence numbers) and the
+// counters. Loading into a back-end built from the same configuration draws
+// RUU entries from the attached pool (fresh allocations when the pool is
+// empty) and re-bases the ring at zero. The scheduler indices are rebuilt
+// from the loaded RUU (see rebuildIndices), so the format carries none of
+// them, and the dependence and scoreboard references are re-bound to the
+// loaded producers by sequence number (see relink).
+func (b *Backend) Walk(w *snap.Walker, s *memory.ReqSet, codec InstCodec) {
+	w.Tag(backendTag)
+	n := b.ruuN
+	w.Count(&n, b.cfg.RUUSize)
+	if w.Err() != nil {
 		return
 	}
-	for i := range b.ruu {
-		b.ruu[i] = nil
-	}
-	b.ruuHead = 0
-	b.ruuN = n
-	var fixes []depFix
-	bySeq := make(map[uint64]*DynInst, n)
-	for i := 0; i < n; i++ {
-		var di *DynInst
-		if b.pool != nil {
-			di = b.pool.Get()
-		} else {
-			di = &DynInst{}
-		}
-		fixes = append(fixes, LoadInst(d, di, s, codec)...)
-		b.ruu[i] = di
-		bySeq[di.Seq] = di
-	}
-	if d.Err() != nil {
-		return
-	}
-	b.rebuildIndices(d)
-	if d.Err() != nil {
-		return
-	}
-	for _, f := range fixes {
-		if p, ok := bySeq[f.seq]; ok {
-			f.d.deps[f.slot] = depRef{d: p, seq: f.seq}
-		}
-	}
-	b.nextEv = d.U64()
-	b.readyNow = d.Bool()
-	for r := range b.regProducer {
-		had := d.Bool()
-		seq := d.U64()
-		b.regProducer[r] = depRef{seq: seq}
-		if had {
-			if p, ok := bySeq[seq]; ok {
-				b.regProducer[r] = depRef{d: p, seq: seq}
+	if w.Loading() {
+		clear(b.ruu)
+		b.ruuHead, b.ruuN = 0, n
+		for i := 0; i < n; i++ {
+			if b.pool != nil {
+				b.ruu[i] = b.pool.Get()
+			} else {
+				b.ruu[i] = &DynInst{}
 			}
 		}
 	}
-	b.committed = d.U64()
-	b.wrongSquash = d.U64()
-	b.loadsExec = d.U64()
-	b.storesExec = d.U64()
-	b.resolvedMisp = d.U64()
+	var fixes []*depRef
+	for i := 0; i < n; i++ {
+		fixes = walkInst(w, b.ruuAt(i), s, codec, fixes)
+	}
+	w.U64(&b.nextEv)
+	w.Bool(&b.readyNow)
+	for r := range b.regProducer {
+		fixes = walkDep(w, &b.regProducer[r], fixes)
+	}
+	w.U64(&b.committed)
+	w.U64(&b.wrongSquash)
+	w.U64(&b.loadsExec)
+	w.U64(&b.storesExec)
+	w.U64(&b.resolvedMisp)
+	if !w.Loading() || w.Err() != nil {
+		return
+	}
+	b.rebuildIndices(w)
+	if w.Err() == nil {
+		b.relink(fixes)
+	}
+}
+
+// relink re-binds each loaded reference in fixes to the RUU entry with its
+// sequence number. A sequence no longer in the RUU stays detached, which
+// depRef.done already treats as a departed (completed or squashed)
+// producer. rebuildIndices has checked that the loaded RUU's sequence
+// numbers strictly increase.
+func (b *Backend) relink(fixes []*depRef) {
+	ruu := b.ruu[:b.ruuN]
+	for _, r := range fixes {
+		if i, ok := slices.BinarySearchFunc(ruu, r.seq, func(d *DynInst, seq uint64) int {
+			return cmp.Compare(d.Seq, seq)
+		}); ok {
+			r.d = ruu[i]
+		}
+	}
 }
 
 // rebuildIndices derives the scheduler indices from the restored RUU:
@@ -190,20 +159,20 @@ func (b *Backend) LoadState(d *snap.Decoder, s *memory.ReqSet, codec InstCodec) 
 // always has — Seq strictly increasing and dispatched entries' issueAt
 // non-decreasing — and on every memory-waiting entry holding its request,
 // so a snapshot violating any of these is rejected.
-func (b *Backend) rebuildIndices(d *snap.Decoder) {
+func (b *Backend) rebuildIndices(w *snap.Walker) {
 	b.delayHead, b.delayN = 0, 0
 	b.ready = b.ready[:0]
 	b.exec = b.exec[:0]
 	for i := 0; i < b.ruuN; i++ {
 		di := b.ruu[i]
 		if i > 0 && di.Seq <= b.ruu[i-1].Seq {
-			d.Failf("pipeline: RUU sequence %d follows %d; restored entries must be in strictly increasing order", di.Seq, b.ruu[i-1].Seq)
+			w.Failf("pipeline: RUU sequence %d follows %d; restored entries must be in strictly increasing order", di.Seq, b.ruu[i-1].Seq)
 			return
 		}
 		switch di.state {
 		case stateDispatched:
 			if b.delayN > 0 && di.issueAt < b.delay[b.delayN-1].at {
-				d.Failf("pipeline: dispatched entry %d issues at %d, before the older entry's %d", di.Seq, di.issueAt, b.delay[b.delayN-1].at)
+				w.Failf("pipeline: dispatched entry %d issues at %d, before the older entry's %d", di.Seq, di.issueAt, b.delay[b.delayN-1].at)
 				return
 			}
 			b.delay[b.delayN] = timedInst{at: di.issueAt, d: di}
@@ -212,7 +181,7 @@ func (b *Backend) rebuildIndices(d *snap.Decoder) {
 			b.exec = append(b.exec, timedInst{at: di.completAt, d: di})
 		case stateWaitingMem:
 			if di.memReq == nil {
-				d.Failf("pipeline: memory-waiting entry %d has no request", di.Seq)
+				w.Failf("pipeline: memory-waiting entry %d has no request", di.Seq)
 				return
 			}
 			b.exec = append(b.exec, timedInst{at: 0, d: di})

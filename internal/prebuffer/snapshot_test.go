@@ -10,8 +10,7 @@ import (
 
 // state is what both buffer flavours save and load.
 type state interface {
-	SaveState(*snap.Encoder)
-	LoadState(*snap.Decoder)
+	Walk(*snap.Walker)
 }
 
 // Offsets into a buffer payload: the section tag and the entry count, then
@@ -28,11 +27,11 @@ const (
 func countOff(n int) int { return entriesOff + n*entryBytes + 6*8 }
 
 // resealed saves b, lets mutate edit the payload, and re-seals it with a
-// valid checksum, so only LoadState's own checks stand between the edit and
+// valid checksum, so only the loading walk's own checks stand between the edit and
 // the buffer.
 func resealed(t *testing.T, b state, mutate func(payload []byte)) []byte {
 	t.Helper()
-	m, payload, err := snap.Open(snap.Seal(snap.Meta{Workload: "prebuffer-test"}, b.SaveState))
+	m, payload, err := snap.Open(snap.Seal(snap.Meta{Workload: "prebuffer-test"}, func(e *snap.Encoder) { b.Walk(snap.Saver(e)) }))
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -54,7 +53,7 @@ func load(t *testing.T, b state, data []byte) error {
 		t.Fatalf("open: %v", err)
 	}
 	d := snap.NewDecoder(payload)
-	b.LoadState(d)
+	b.Walk(snap.Loader(d))
 	if d.Err() == nil && d.Remaining() != 0 {
 		t.Fatalf("%d trailing bytes after buffer state", d.Remaining())
 	}

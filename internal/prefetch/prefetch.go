@@ -103,12 +103,10 @@ type Engine interface {
 	// AddLiveRequests registers the engine's in-flight memory requests with
 	// a snapshot identity table (see internal/memory's ReqSet).
 	AddLiveRequests(s *memory.ReqSet)
-	// SaveState serialises the engine's mutable state into a snapshot
-	// payload; request pointers are written as identity-table IDs.
-	SaveState(e *snap.Encoder, s *memory.ReqSet)
-	// LoadState restores state saved by SaveState into an engine built from
-	// the same configuration, resolving request IDs through s.
-	LoadState(d *snap.Decoder, s *memory.ReqSet)
+	// Walk walks the engine's mutable state for a snapshot: saving, it
+	// writes request pointers as the IDs s assigned them; loading, into an
+	// engine built from the same configuration, it resolves them through s.
+	Walk(w *snap.Walker, s *memory.ReqSet)
 }
 
 // Config carries the parameters shared by all engines.

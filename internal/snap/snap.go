@@ -1,13 +1,14 @@
 // Package snap provides the serialisation substrate for warm-state engine
 // snapshots: a little-endian binary encoder, a strict sticky-error decoder,
-// and a sealed container format (magic, version pin, length checks, CRC32)
+// a Walker that drives either one through a component's fields, and a
+// sealed container format (magic, version pin, length checks, CRC32)
 // mirroring the tracefile container's validation discipline.
 //
 // The byte layout is specified in FORMAT.md next to this file. Component
 // packages (cache, bus, memory, bpred, ftq, prebuffer, prefetch, pipeline,
-// core) implement SaveState/LoadState hooks against Encoder/Decoder; the
-// container framing keeps a corrupted or mismatched snapshot from ever
-// reaching those hooks with silently wrong data.
+// core) each walk their state once, in a Walk method that both saves and
+// loads; the container framing keeps a corrupted or mismatched snapshot
+// from ever reaching those walks with silently wrong data.
 package snap
 
 import (
@@ -24,7 +25,7 @@ import (
 const Magic uint32 = 0x53474C43
 
 // Version is the container version this package writes and the only version
-// it reads. Any layout change to the payload (component hooks included) must
+// it reads. Any layout change to the payload (component walks included) must
 // bump it: restore compatibility across versions is intentionally not
 // attempted — snapshots are cheap, regenerable cache artifacts.
 const Version uint32 = 1
@@ -89,34 +90,19 @@ func (e *Encoder) I64(v int64) { e.U64(uint64(v)) }
 // Int appends an int as an int64.
 func (e *Encoder) Int(v int) { e.I64(int64(v)) }
 
-// Bool appends a bool as a single 0/1 byte.
-func (e *Encoder) Bool(v bool) {
-	if v {
-		e.U8(1)
-	} else {
-		e.U8(0)
-	}
-}
-
-// Raw appends a length-prefixed byte string.
-func (e *Encoder) Raw(b []byte) {
-	e.U32(uint32(len(b)))
-	e.buf = append(e.buf, b...)
-}
-
 // String appends a length-prefixed UTF-8 string.
 func (e *Encoder) String(s string) {
 	e.U32(uint32(len(s)))
 	e.buf = append(e.buf, s...)
 }
 
-// Tag appends a section tag. Component hooks open their section with a tag
+// Tag appends a section tag. Component walks open their section with a tag
 // so a reader that drifts out of phase fails immediately instead of
 // reinterpreting unrelated bytes.
 func (e *Encoder) Tag(t uint32) { e.U32(t) }
 
 // Decoder is a strict, sticky-error reader over an encoded stream: the first
-// failure latches and every subsequent read returns zero values, so hooks can
+// failure latches and every subsequent read returns zero values, so walks can
 // decode straight-line and check Err once at the end.
 type Decoder struct {
 	data []byte
@@ -139,7 +125,7 @@ func (d *Decoder) Remaining() int {
 }
 
 // Failf latches a formatted corruption error (wrapping ErrCorrupt). Component
-// hooks use it to reject semantic mismatches (geometry, capacities) that
+// walks use it to reject semantic mismatches (geometry, capacities) that
 // byte-level framing cannot see.
 func (d *Decoder) Failf(format string, args ...any) {
 	if d.err == nil {
@@ -248,9 +234,10 @@ func (d *Decoder) Count(limit int) int {
 // castagnoliTable is the CRC32-C polynomial table (same as tracefile's).
 var castagnoliTable = crc32.MakeTable(crc32.Castagnoli)
 
-// sealHint is the length of the container Seal produced last: the capacity
-// it asks the buffer list for next, since the snapshots of one sweep differ
-// little in size.
+// sealHint is the length of the container Seal produced or Open accepted
+// last: the capacity Seal asks the buffer list for next. The snapshots of
+// one sweep differ little in size, and a cold run that replaces a snapshot
+// that failed to restore seals one of that snapshot's size.
 var sealHint atomic.Int64
 
 // Seal frames meta and the payload that write produces into a
@@ -334,5 +321,6 @@ func Open(data []byte) (Meta, []byte, error) {
 			ErrCorrupt, plen, d.Remaining())
 	}
 	payload := body[len(body)-int(plen):]
+	sealHint.Store(int64(len(data)))
 	return m, payload, nil
 }

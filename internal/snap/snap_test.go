@@ -26,7 +26,7 @@ func testContainer() []byte {
 		e.Tag(0x54534554)
 		e.U64(42)
 		e.String("payload")
-		e.Bool(true)
+		e.U8(1) // a true bool
 	})
 }
 
