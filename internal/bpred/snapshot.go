@@ -62,11 +62,13 @@ func (p *Predictor) Walk(w *snap.Walker) {
 	if w.Err() != nil {
 		return
 	}
-	if len(ras.entries) != len(p.ras.entries) {
-		w.Failf("bpred: RAS depth mismatch: snapshot %d, predictor %d", len(ras.entries), len(p.ras.entries))
-		return
+	if w.Loading() {
+		if len(ras.entries) != len(p.ras.entries) {
+			w.Failf("bpred: RAS depth mismatch: snapshot %d, predictor %d", len(ras.entries), len(p.ras.entries))
+			return
+		}
+		p.ras.Restore(ras)
 	}
-	p.ras.Restore(ras)
 	w.U64(&p.history)
 	w.U64(&p.predictions)
 	w.U64(&p.firstHits)

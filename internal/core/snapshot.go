@@ -51,18 +51,21 @@ func (e *Engine) WalkStatic(w *snap.Walker, s **isa.StaticInst) {
 		pc = (*s).PC
 	}
 	w.U8(&marker)
+	if marker == 1 {
+		snap.Word(w, &pc)
+	}
+	if !w.Loading() {
+		return
+	}
 	switch marker {
 	case 0:
 		*s = nil
 	case 2:
 		*s = &e.nop
 	case 1:
-		snap.Word(w, &pc)
-		if w.Loading() {
-			*s = e.dict.Inst(pc)
-			if *s == nil && w.Err() == nil {
-				w.Failf("core: static instruction at %#x not in the dictionary", pc)
-			}
+		*s = e.dict.Inst(pc)
+		if *s == nil && w.Err() == nil {
+			w.Failf("core: static instruction at %#x not in the dictionary", pc)
 		}
 	default:
 		*s = nil

@@ -3,11 +3,13 @@ package core
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"clgp/internal/cacti"
@@ -511,5 +513,71 @@ func TestRestoreRejectsDispatchQueueWithoutFetchHeadroom(t *testing.T) {
 	if err := fresh.Restore(data, w.Name, fp); !errors.Is(err, snap.ErrCorrupt) {
 		_, runErr := fresh.Run()
 		t.Fatalf("restore returned %v, want ErrCorrupt; the run then returned %v", err, runErr)
+	}
+}
+
+// TestRestoreRejectsQueuedInstructionWithRequest: instructions wait in the
+// dispatch queue before they issue, so none holds a memory request, and
+// Snapshot registers no request on their behalf. A snapshot that moves the
+// fetch stage's granted request onto the head queued instruction (and points
+// the fetch stage at another request) leaves that request owned only by the
+// queued instruction. Restore must reject it as corrupt; accepting it let
+// the restored engine's next Snapshot fail on an unregistered request.
+func TestRestoreRejectsQueuedInstructionWithRequest(t *testing.T) {
+	eng, w := pinnedSnapshotEngine(t)
+	// A request granted the bus has left the hierarchy's slot table, so the
+	// fetch stage is its only owner.
+	for eng.fetchReq == nil || !eng.fetchReq.Scheduled() || eng.dqN == 0 {
+		if !eng.Step() {
+			t.Fatalf("run ended before a granted demand fetch with a queued instruction: %v", eng.Err())
+		}
+	}
+	fp := workload.Fingerprint(w.Profile, w.Dict)
+	data, err := eng.Snapshot(w.Name, fp)
+	if err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	meta, payload, err := snap.Open(data)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	fx := pinnedRestore{cfg: eng.Config(), w: w, meta: meta, payload: payload}
+	reqs, _, _ := section(payload, "REQS", 0)
+	numReqs := binary.LittleEndian.Uint64(payload[reqs+4:])
+	// The fetch stage's request ID follows the recovery RAS (tag, depth,
+	// top, entries), the block ring (count, 64 records of 33 bytes) and the
+	// fetchActive byte.
+	ras, _, _ := section(payload, "RASS", 0)
+	depth := int(binary.LittleEndian.Uint64(payload[ras+4:]))
+	fetchReqAt := ras + 4 + 8 + 8 + 8*depth + 8 + blockMetaRing*33 + 1
+	k := binary.LittleEndian.Uint32(payload[fetchReqAt:])
+	if k == 0 || numReqs < 2 {
+		t.Fatalf("fetch request ID %d in a table of %d; want a live fetch and another request", k, numReqs)
+	}
+	// The head queued instruction's request ID follows its tag, its static
+	// marker (and PC, for an image instruction) and 43 bytes of identity and
+	// timing.
+	inst, _, _ := section(payload, "PEIN", 0)
+	memReqAt := inst + 4 + 1 + 43
+	if payload[inst+4] == 1 {
+		memReqAt += 8
+	}
+	if got := binary.LittleEndian.Uint32(payload[memReqAt:]); got != 0 {
+		t.Fatalf("head queued instruction holds request %d", got)
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("restored run panicked: %v", r)
+		}
+	}()
+	restored, err := restoreEditedEngine(fx, func(p []byte) {
+		binary.LittleEndian.PutUint32(p[fetchReqAt:], k%uint32(numReqs)+1)
+		binary.LittleEndian.PutUint32(p[memReqAt:], k)
+	})
+	if !errors.Is(err, snap.ErrCorrupt) || !strings.Contains(err.Error(), "holds a memory request") {
+		if err == nil {
+			_, err = restored.Snapshot(w.Name, fp)
+		}
+		t.Fatalf("restore accepted the queued request, or failed otherwise; error: %v", err)
 	}
 }

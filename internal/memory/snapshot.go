@@ -110,7 +110,9 @@ func (s *ReqSet) Walk(w *snap.Walker) {
 		w.U64(&r.issuedAt)
 		pfIdx := int64(r.pfIdx)
 		w.I64(&pfIdx)
-		r.pfIdx = int32(pfIdx)
+		if w.Loading() {
+			r.pfIdx = int32(pfIdx)
+		}
 	})
 	if !w.Loading() || w.Err() != nil {
 		return

@@ -29,9 +29,13 @@ type InstCodec interface {
 // the dependence references. Loading into d (freshly zeroed) leaves every
 // dependence reference detached, which depRef.done treats identically to a
 // departed producer; it is meant for instructions not yet dispatched, which
-// carry no dependence links.
+// carry no dependence links and no memory request. Loading rejects one that
+// holds a request: no owner would register it, so the next save would fail.
 func WalkInst(w *snap.Walker, d *DynInst, s *memory.ReqSet, codec InstCodec) {
 	walkInst(w, d, s, codec, nil)
+	if w.Loading() && w.Err() == nil && d.memReq != nil {
+		w.Failf("pipeline: undispatched instruction %d holds a memory request", d.Seq)
+	}
 }
 
 // walkInst is WalkInst that, loading, appends each dependence reference

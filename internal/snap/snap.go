@@ -135,11 +135,8 @@ func (d *Decoder) Failf(format string, args ...any) {
 
 // take returns the next n bytes, latching ErrCorrupt on underrun.
 func (d *Decoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || len(d.data)-d.off < n {
-		d.Failf("truncated: need %d bytes at offset %d, have %d", n, d.off, len(d.data)-d.off)
+	if d.err != nil || n < 0 || len(d.data)-d.off < n {
+		d.underrun(n)
 		return nil
 	}
 	b := d.data[d.off : d.off+n]
@@ -147,13 +144,33 @@ func (d *Decoder) take(n int) []byte {
 	return b
 }
 
+// underrun latches the failure of a read of n bytes past the end, unless a
+// failure has latched already. It stays out of line, so the reads below
+// make no call while their bytes last.
+//
+//go:noinline
+func (d *Decoder) underrun(n int) {
+	if d.err == nil {
+		d.Failf("truncated: need %d bytes at offset %d, have %d", n, d.off, len(d.data)-d.off)
+	}
+}
+
 // U8 reads one byte.
 func (d *Decoder) U8() uint8 {
-	b := d.take(1)
-	if b == nil {
-		return 0
+	var v uint8
+	d.readU8(&v)
+	return v
+}
+
+// readU8 is U8 storing through p, the form a Walker calls.
+func (d *Decoder) readU8(p *uint8) {
+	if d.err != nil || d.off >= len(d.data) {
+		d.underrun(1)
+		*p = 0
+		return
 	}
-	return b[0]
+	*p = d.data[d.off]
+	d.off++
 }
 
 // U32 reads a little-endian uint32.
@@ -167,11 +184,20 @@ func (d *Decoder) U32() uint32 {
 
 // U64 reads a little-endian uint64.
 func (d *Decoder) U64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
+	var v uint64
+	d.readU64(&v)
+	return v
+}
+
+// readU64 is U64 storing through p, the form a Walker calls.
+func (d *Decoder) readU64(p *uint64) {
+	if d.err != nil || len(d.data)-d.off < 8 {
+		d.underrun(8)
+		*p = 0
+		return
 	}
-	return binary.LittleEndian.Uint64(b)
+	*p = binary.LittleEndian.Uint64(d.data[d.off:])
+	d.off += 8
 }
 
 // I64 reads a little-endian int64.
@@ -179,27 +205,41 @@ func (d *Decoder) I64() int64 { return int64(d.U64()) }
 
 // Int reads an int64 and narrows it to int, rejecting overflow.
 func (d *Decoder) Int() int {
+	var v int
+	d.readInt(&v)
+	return v
+}
+
+// readInt is Int storing through p, the form a Walker calls.
+func (d *Decoder) readInt(p *int) {
 	v := d.I64()
 	if int64(int(v)) != v {
 		d.Failf("int64 %d overflows int", v)
-		return 0
+		v = 0
 	}
-	return int(v)
+	*p = int(v)
 }
 
 // Bool reads a strict 0/1 byte.
 func (d *Decoder) Bool() bool {
-	switch d.U8() {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		if d.err == nil {
-			d.Failf("invalid bool byte at offset %d", d.off-1)
-		}
-		return false
+	var v bool
+	d.readBool(&v)
+	return v
+}
+
+// readBool is Bool storing through p, the form a Walker calls.
+func (d *Decoder) readBool(p *bool) {
+	if d.err != nil || d.off >= len(d.data) {
+		d.underrun(1)
+		*p = false
+		return
 	}
+	b := d.data[d.off]
+	if b > 1 {
+		d.Failf("invalid bool byte at offset %d", d.off)
+	}
+	d.off++
+	*p = b == 1
 }
 
 // Raw reads a length-prefixed byte string.

@@ -1,10 +1,6 @@
 package snap
 
-import (
-	"encoding/binary"
-	"fmt"
-	"unsafe"
-)
+import "fmt"
 
 // Walker walks a component's state in one direction. A saving walker writes
 // the field behind each pointer it is handed to an Encoder; a loading walker
@@ -62,17 +58,19 @@ func (w *Walker) Tag(t uint32) {
 	}
 }
 
-// The primitives below stay within the compiler's inlining budget, so the
-// walks of large tables (cache ways, predictor entries) pay no call per
-// field when saving, and one call (to a load helper below) when loading.
+// Each primitive calls the Encoder or the Decoder. U8, U64 and Int call
+// the Decoder's forms that store through the pointer, which keeps them
+// small enough to inline: a walk of a large table (cache ways, predictor
+// entries) then makes no call for such a field when saving, and one when
+// loading.
 
 // U8 walks one byte.
 func (w *Walker) U8(p *uint8) {
 	if w.d != nil {
-		w.loadU8(p)
-		return
+		w.d.readU8(p)
+	} else {
+		w.e.U8(*p)
 	}
-	w.e.buf = append(w.e.buf, *p)
 }
 
 // U32 walks a uint32.
@@ -87,10 +85,10 @@ func (w *Walker) U32(p *uint32) {
 // U64 walks a uint64.
 func (w *Walker) U64(p *uint64) {
 	if w.d != nil {
-		w.loadU64(p)
-		return
+		w.d.readU64(p)
+	} else {
+		w.e.U64(*p)
 	}
-	w.e.buf = binary.LittleEndian.AppendUint64(w.e.buf, *p)
 }
 
 // I64 walks an int64 (two's complement).
@@ -112,23 +110,23 @@ func (w *Walker) U64s(s []uint64) {
 // Int walks an int as an int64; loading rejects a value that overflows int.
 func (w *Walker) Int(p *int) {
 	if w.d != nil {
-		w.loadInt(p)
-		return
+		w.d.readInt(p)
+	} else {
+		w.e.U64(uint64(*p)) // Encoder.Int's bytes, one inlining level down
 	}
-	w.e.buf = binary.LittleEndian.AppendUint64(w.e.buf, uint64(*p))
 }
 
 // Bool walks a bool as a strict 0/1 byte.
 func (w *Walker) Bool(p *bool) {
 	if w.d != nil {
-		w.loadBool(p)
+		w.d.readBool(p)
 		return
 	}
 	var b uint8
 	if *p {
 		b = 1
 	}
-	w.e.buf = append(w.e.buf, b)
+	w.e.U8(b)
 }
 
 // String walks a length-prefixed string.
@@ -150,65 +148,23 @@ func (w *Walker) Count(p *int, limit int) {
 	}
 }
 
-// The load helpers read straight from the Decoder's bytes while they last
-// and no failure has latched, and leave every other case to the Decoder's
-// own methods. Each is one call from its primitive, never inlined into it.
-
-//go:noinline
-func (w *Walker) loadU8(p *uint8) {
-	if d := w.d; d.err == nil && d.off < len(d.data) {
-		*p = d.data[d.off]
-		d.off++
-		return
-	}
-	*p = w.d.U8()
-}
-
-//go:noinline
-func (w *Walker) loadU64(p *uint64) {
-	if d := w.d; d.err == nil && len(d.data)-d.off >= 8 {
-		*p = binary.LittleEndian.Uint64(d.data[d.off:])
-		d.off += 8
-		return
-	}
-	*p = w.d.U64()
-}
-
-//go:noinline
-func (w *Walker) loadBool(p *bool) {
-	if d := w.d; d.err == nil && d.off < len(d.data) && d.data[d.off] <= 1 {
-		*p = d.data[d.off] == 1
-		d.off++
-		return
-	}
-	*p = w.d.Bool()
-}
-
-//go:noinline
-func (w *Walker) loadInt(p *int) {
-	if d := w.d; d.err == nil && len(d.data)-d.off >= 8 {
-		if v := int64(binary.LittleEndian.Uint64(d.data[d.off:])); int64(int(v)) == v {
-			*p = int(v)
-			d.off += 8
-			return
-		}
-	}
-	*p = w.d.Int()
-}
-
 // Word walks a field of a type defined over uint64, such as an address.
 func Word[T ~uint64](w *Walker, p *T) {
-	// T's underlying type is uint64, so *T and *uint64 name the same memory
-	// layout.
-	w.U64((*uint64)(unsafe.Pointer(p)))
+	if w.d != nil {
+		*p = T(w.d.U64())
+	} else {
+		w.e.U64(uint64(*p))
+	}
 }
 
 // Byte walks an integer field written as one byte, such as an
 // enumeration; saving keeps the low byte.
 func Byte[T ~uint8 | ~int](w *Walker, p *T) {
-	v := uint8(*p)
-	w.U8(&v)
-	*p = T(v)
+	if w.d != nil {
+		*p = T(w.d.U8())
+	} else {
+		w.e.U8(uint8(*p))
+	}
 }
 
 // Slice walks a count-prefixed slice, visiting each element with f.
