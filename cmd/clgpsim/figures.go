@@ -104,8 +104,6 @@ func cmdFigures(args []string) error {
 	retries := fs.Int("retries", 1, "extra leases per shard after a worker failure (0 = no retry)")
 	resume := fs.Bool("resume", false, "resume an interrupted sweep, skipping completed shards")
 	figL1 := fs.Int("fig-l1", 2<<10, "L1 size used by the per-benchmark figures (6/7/8)")
-	traceFile := fs.String("tracefile", "", "stream every job's trace from this recorded container (single-profile grids only)")
-	window := fs.Int("window", 0, "resident-record cap when streaming (0 = default)")
 	warmupFlag := fs.Int("warmup", 0, "warm-state snapshot boundary in committed instructions: grid points sharing a warm configuration restore one checkpoint through the sweep store instead of re-simulating warm-up (0 = off)")
 	progress := fs.Bool("progress", false, "report per-shard sweep progress (state, jobs, ETA) from the store and exit without running anything")
 	stallAfter := fs.Duration("stall-after", 0, "flag a shard stalled when its latest progress mark is older than this (0 = 6s, negative disables)")
@@ -179,8 +177,6 @@ func cmdFigures(args []string) error {
 		Techs:        techs,
 		L0Variants:   true,
 		IncludeIdeal: true,
-		TraceFile:    *traceFile,
-		Window:       *window,
 		Warmup:       *warmupFlag,
 	})
 	if err != nil {

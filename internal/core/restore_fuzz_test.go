@@ -12,11 +12,12 @@ import (
 	"clgp/internal/workload"
 )
 
-// snapshotTags are the section tags the snapshot payload carries, as their
-// little-endian bytes (each tag constant spells its name that way).
+// snapshotTags are the section tags the pinned CLGP+L0 snapshot payload
+// carries, as their little-endian bytes (each tag constant spells its name
+// that way). TestSnapshotTagsInPinnedPayload checks that every one occurs.
 var snapshotTags = []string{
 	"CORE", "REQS", "RASS", "PEIN", "MEMH", "CACH", "BUSA", "PBUF",
-	"PEBK", "PFCM", "PFCD", "PFCR", "PFEN", "FTQS", "CLTQ", "BPRD",
+	"PEBK", "FPCM", "FPEN", "CLTQ", "BPRD",
 }
 
 // pinnedRestore is the snapshot of pinnedSnapshotEngine, opened, with the
@@ -76,6 +77,18 @@ func section(payload []byte, tag string, nth int) (start, end int, ok bool) {
 		}
 	}
 	return start, end, true
+}
+
+// TestSnapshotTagsInPinnedPayload: a tag that section cannot find makes
+// FuzzEngineRestore skip every input that names it, so each entry of
+// snapshotTags must occur in the pinned payload.
+func TestSnapshotTagsInPinnedPayload(t *testing.T) {
+	fx := pinnedRestoreFixture(t)
+	for _, tag := range snapshotTags {
+		if _, _, ok := section(fx.payload, tag, 0); !ok {
+			t.Errorf("the pinned snapshot payload carries no %s section", tag)
+		}
+	}
 }
 
 // restoreEdited applies edit to a copy of the pinned payload, re-seals it

@@ -2,6 +2,7 @@ package dispatch
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"log/slog"
 	"os"
@@ -147,7 +148,7 @@ func keyOf(r sim.Result) statsKey {
 // single-process path) and returns per-job stats keyed by job name.
 func runBaseline(t *testing.T, specs []JobSpec) map[string]statsKey {
 	t.Helper()
-	cache := newWorkloadCache(nil)
+	cache := make(workloadCache)
 	jobs := make([]sim.Job, len(specs))
 	for i, spec := range specs {
 		w, err := cache.get(spec)
@@ -207,7 +208,7 @@ func TestInterruptedSweepResumesAndMatchesSingleProcess(t *testing.T) {
 
 	// Simulate the interrupted first run: plan the sweep, complete only
 	// shards 0 and 2, then "die" before the rest.
-	m, err := o.prepare(NewDirStore(dir), specs, 4, false)
+	m, err := o.resolveManifest(NewDirStore(dir), specs, 4, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,13 +308,90 @@ func TestResumeRejectsDifferentGrid(t *testing.T) {
 	specs := testGrid(t)
 	dir := t.TempDir()
 	o := &Orchestrator{Store: NewDirStore(dir), Workers: 2}
-	if _, err := o.prepare(NewDirStore(dir), specs, 2, false); err != nil {
+	if _, err := o.resolveManifest(NewDirStore(dir), specs, 2, false); err != nil {
 		t.Fatal(err)
 	}
 	other := append([]JobSpec(nil), specs...)
 	other[0].Seed = 99
 	if _, err := o.Run(other, 2, true); err == nil {
 		t.Fatalf("resume against a different grid should fail")
+	}
+}
+
+// TestGridHashPinned pins the grid hash of two fixed grids, one of them
+// setting every optional spec field. A resumed sweep compares the hash
+// stored in its manifest against this one, so a moved hash orphans every
+// existing checkpoint.
+func TestGridHashPinned(t *testing.T) {
+	rich, err := GridSpecs(GridConfig{
+		Profiles: []string{"gzip"}, Insts: 6_000, Seed: 7, Seeds: 2,
+		Techs:   []cacti.Tech{cacti.Tech90, cacti.Tech45},
+		Engines: []core.EngineKind{core.EngineNone, core.EngineCLGP},
+		Sizes:   []int{1 << 10}, L0Variants: true, IncludeIdeal: true, Warmup: 3_000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		specs []JobSpec
+		want  string
+	}{
+		{"testGrid", testGrid(t), "8311e44d91c4a9db"},
+		{"replicated-l0-ideal-warm", rich, "654c9689fef4e48e"},
+	} {
+		if got := GridHash(tc.specs); got != tc.want {
+			t.Errorf("%s: grid hash %s, pinned %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestResumeRejectsStreamedManifest: a checkpoint whose specs stream from a
+// trace container ("trace_file") was planned for a grid this build cannot
+// run. Decoding drops the unknown fields, but the stored grid hash covers
+// them, so resume must refuse it as a different grid instead of merging.
+func TestResumeRejectsStreamedManifest(t *testing.T) {
+	specs, err := GridSpecs(GridConfig{
+		Profiles: []string{"gzip"}, Insts: 6_000, Seed: 7,
+		Engines: []core.EngineKind{core.EngineNone, core.EngineCLGP},
+		Sizes:   []int{1 << 10, 4 << 10},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewManifest(specs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := encodeManifest(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stored map[string]any
+	if err := json.Unmarshal(data, &stored); err != nil {
+		t.Fatal(err)
+	}
+	// The hash a streamed build wrote for this grid over "shared.clgt".
+	stored["grid_hash"] = "b7c91560fe9e19b7"
+	for _, sp := range stored["shards"].([]any) {
+		for _, spec := range sp.(map[string]any)["specs"].([]any) {
+			spec.(map[string]any)["trace_file"] = "shared.clgt"
+			spec.(map[string]any)["window"] = 8192
+		}
+	}
+	if data, err = json.Marshal(stored); err != nil {
+		t.Fatal(err)
+	}
+	st := NewDirStore(t.TempDir())
+	if err := st.b.Put(ManifestFile, data); err != nil {
+		t.Fatal(err)
+	}
+	o := &Orchestrator{Store: st, Workers: 1}
+	if _, err := o.Run(specs, 1, true); err == nil || !strings.Contains(err.Error(), "different grid") {
+		t.Fatalf("resume over a streamed checkpoint returned %v, want the different-grid error", err)
+	}
+	if done, err := st.ShardComplete(m.Shards[0]); err != nil || done {
+		t.Errorf("the refused resume committed shard results (complete %v, %v)", done, err)
 	}
 }
 

@@ -23,12 +23,6 @@
 // Either way the commit is blob.Dir.Put: a unique temporary file renamed
 // into place, so concurrent commits of one object all succeed.
 //
-// Shared trace containers ride the same channel: the orchestrator
-// publishes them by workload fingerprint (PushTrace) before any worker
-// launches, and a remote worker — which holds only (profile, seed) in its
-// specs — rebuilds the program image, recomputes the fingerprint and
-// fetches exactly the container that matches it (FetchTrace).
-//
 // # Execution
 //
 // A Launcher turns a leased shard into running work: in the calling

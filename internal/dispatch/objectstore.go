@@ -9,14 +9,11 @@ import (
 	"net/http"
 	"net/url"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"time"
 
-	"clgp/internal/blob"
 	"clgp/internal/freelist"
-	"clgp/internal/tracefile"
 )
 
 // The object-store wire protocol: plain HTTP with content-addressed
@@ -37,14 +34,6 @@ const (
 	ObjectHashHeader = "X-Content-Sha256"
 )
 
-// TraceObjectKey returns the content-addressed object key a trace container
-// is published under: its workload generation fingerprint, not its file
-// name, so a worker that has only (profile, seed) can rebuild the image,
-// compute the fingerprint and fetch exactly the container that matches it.
-func TraceObjectKey(fingerprint uint64) string {
-	return "traces/" + tracefile.FingerprintKey(fingerprint) + ".clgt"
-}
-
 // hashOf returns the protocol's content hash of data (lowercase hex SHA-256).
 func hashOf(data []byte) string {
 	sum := sha256.Sum256(data)
@@ -52,22 +41,18 @@ func hashOf(data []byte) string {
 }
 
 // ObjectStore is the HTTP client side of the object-store protocol: the
-// manifest, shard results and trace containers live as blobs behind a base
-// URL instead of a shared filesystem, so workers on any host that can reach
-// the URL can join a sweep. Methods are safe for concurrent use.
+// manifest, shard results, span logs and snapshots live as blobs behind a
+// base URL instead of a shared filesystem, so workers on any host that can
+// reach the URL can join a sweep. Methods are safe for concurrent use.
 type ObjectStore struct {
 	sweep
-	// CacheDir holds fetched trace containers, named by fingerprint; empty
-	// selects a per-user cache directory. Fetches are content-verified, so
-	// a cache hit never re-downloads.
-	CacheDir string
 }
 
 // NewObjectStore returns a client for the object store at baseURL.
 func NewObjectStore(baseURL string) *ObjectStore {
 	return &ObjectStore{sweep: sweep{objectClient{
 		base: strings.TrimRight(baseURL, "/"),
-		// A generous timeout: trace containers can be large.
+		// A generous bound on one object transfer over a slow link.
 		client: &http.Client{Timeout: 5 * time.Minute},
 	}}}
 }
@@ -229,94 +214,4 @@ func (c objectClient) List(prefix string) ([]string, error) {
 		}
 	}
 	return keys, nil
-}
-
-func (s *ObjectStore) cacheDir() string {
-	if s.CacheDir != "" {
-		return s.CacheDir
-	}
-	// Per-user, not world-shared: a cache under os.TempDir() would be one
-	// predictable path contended (and plantable) by every user on the host.
-	if base, err := os.UserCacheDir(); err == nil {
-		return filepath.Join(base, "clgp-trace-cache")
-	}
-	return filepath.Join(os.TempDir(), fmt.Sprintf("clgp-trace-cache-%d", os.Getuid()))
-}
-
-// cachedTrace reports whether local already holds a valid container with
-// the wanted fingerprint. A cache hit is verified, not trusted: a stale,
-// truncated or planted file re-fetches instead of simulating garbage.
-func cachedTrace(local string, fingerprint uint64) bool {
-	rd, err := tracefile.Open(local)
-	if err != nil {
-		return false
-	}
-	defer rd.Close()
-	return rd.Fingerprint() == fingerprint
-}
-
-// FetchTrace implements Store: it downloads the container published under
-// the workload fingerprint into the local cache (verifying the transfer
-// against the server's content hash and the container's own structure) and
-// returns the cached path. The reference name only labels error messages —
-// addressing is purely by fingerprint, so there is no path coordination
-// between hosts to get wrong.
-func (s *ObjectStore) FetchTrace(name string, fingerprint uint64) (string, error) {
-	if fingerprint == 0 {
-		return "", fmt.Errorf("dispatch: trace %s: cannot fetch by a zero fingerprint", name)
-	}
-	dir, file := s.cacheDir(), tracefile.FingerprintKey(fingerprint)+".clgt"
-	local := filepath.Join(dir, file)
-	if cachedTrace(local, fingerprint) {
-		return local, nil
-	}
-	data, err := s.b.Get(TraceObjectKey(fingerprint))
-	if err != nil {
-		return "", fmt.Errorf("dispatch: trace %s (fingerprint %s): %w", name, tracefile.FingerprintKey(fingerprint), err)
-	}
-	// Parse the container before committing it to the cache: the bytes are
-	// transfer-verified already, but a bad publish (or a hash collision in
-	// the key space) must fail here, not mid-simulation.
-	rd, err := tracefile.NewReader(bytes.NewReader(data), int64(len(data)))
-	if err != nil {
-		return "", fmt.Errorf("dispatch: trace %s: fetched object is not a valid container: %w", name, err)
-	}
-	if rd.Fingerprint() != fingerprint {
-		return "", fmt.Errorf("dispatch: trace %s: fetched container carries fingerprint %s, key says %s",
-			name, tracefile.FingerprintKey(rd.Fingerprint()), tracefile.FingerprintKey(fingerprint))
-	}
-	// Concurrent workers on one host missing the cache for the same
-	// fingerprint each commit their own copy whole; the contents are
-	// identical, so whichever lands last wins harmlessly.
-	if err := blob.Dir(dir).Put(file, data); err != nil {
-		return "", fmt.Errorf("dispatch: trace cache: %w", err)
-	}
-	return local, nil
-}
-
-// PushTrace implements Store: it publishes a local container under its
-// header fingerprint so remote workers can fetch it. Containers recorded
-// without a fingerprint are rejected — they could never be fetched back.
-func (s *ObjectStore) PushTrace(localPath string) error {
-	rd, err := tracefile.Open(localPath)
-	if err != nil {
-		return err
-	}
-	fp := rd.Fingerprint()
-	rd.Close()
-	if fp == 0 {
-		return fmt.Errorf("dispatch: %s has no workload fingerprint; remote workers could not fetch it", localPath)
-	}
-	key := TraceObjectKey(fp)
-	// The probe is an optimisation: on "exists" the upload is skipped
-	// (content-addressed — same fingerprint, same container); on "absent"
-	// or "could not check" it simply uploads.
-	if exists, err := s.b.Head(key); err == nil && exists {
-		return nil
-	}
-	data, err := os.ReadFile(localPath)
-	if err != nil {
-		return fmt.Errorf("dispatch: reading %s: %w", localPath, err)
-	}
-	return s.b.Put(key, data)
 }

@@ -147,7 +147,7 @@ func (o *Orchestrator) Run(specs []JobSpec, nShards int, resume bool) (*Outcome,
 		writeSpans(st, SweepSpansName, o.spans.Spans(), o.log())
 	}()
 
-	m, err := o.prepare(st, specs, nShards, resume)
+	m, err := o.resolveManifest(st, specs, nShards, resume)
 	if err != nil {
 		return nil, err
 	}
@@ -183,29 +183,9 @@ func (o *Orchestrator) Run(specs []JobSpec, nShards int, resume bool) (*Outcome,
 	return out, nil
 }
 
-// prepare resolves the manifest for this run: loading and validating the
-// stored one on resume, planning and persisting a fresh one otherwise. A
-// fresh start clears any leftover shard results first. When the grid
-// streams from trace containers, they are published to the store here —
-// before any worker launches — so a remote worker never races the upload.
-func (o *Orchestrator) prepare(st Store, specs []JobSpec, nShards int, resume bool) (*Manifest, error) {
-	m, err := o.resolveManifest(st, specs, nShards, resume)
-	if err != nil {
-		return nil, err
-	}
-	pushed := make(map[string]bool)
-	for _, s := range specs {
-		if s.TraceFile == "" || pushed[s.TraceFile] {
-			continue
-		}
-		if err := st.PushTrace(s.TraceFile); err != nil {
-			return nil, err
-		}
-		pushed[s.TraceFile] = true
-	}
-	return m, nil
-}
-
+// resolveManifest resolves the manifest for this run: loading and
+// validating the stored one on resume, planning and persisting a fresh one
+// otherwise. A fresh start clears any leftover shard results first.
 func (o *Orchestrator) resolveManifest(st Store, specs []JobSpec, nShards int, resume bool) (*Manifest, error) {
 	if resume {
 		m, err := st.LoadManifest()

@@ -292,7 +292,6 @@ func TestStoreServerMetricsEndpoint(t *testing.T) {
 	ts := httptest.NewServer(srv.DebugMux(telemetry.Default))
 	t.Cleanup(ts.Close)
 	st := NewObjectStore(ts.URL)
-	st.CacheDir = t.TempDir()
 
 	m, err := NewManifest(testGrid(t), 2)
 	if err != nil {

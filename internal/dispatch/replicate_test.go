@@ -151,7 +151,7 @@ func TestGridHashCoversSeedList(t *testing.T) {
 	// (and the single-seed one), exactly as any other grid mismatch.
 	dir := t.TempDir()
 	o := &Orchestrator{Store: NewDirStore(dir), Workers: 1}
-	if _, err := o.prepare(NewDirStore(dir), two, 2, false); err != nil {
+	if _, err := o.resolveManifest(NewDirStore(dir), two, 2, false); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := o.Run(three, 2, true); err == nil {
@@ -159,19 +159,6 @@ func TestGridHashCoversSeedList(t *testing.T) {
 	}
 	if _, err := o.Run(one, 2, true); err == nil {
 		t.Error("resume with the single-seed grid should fail")
-	}
-}
-
-func TestGridRejectsTraceFileReplication(t *testing.T) {
-	_, err := GridSpecs(GridConfig{
-		Profiles:  []string{"gzip"},
-		Insts:     6_000,
-		Seed:      7,
-		Seeds:     2,
-		TraceFile: "shared.clgt",
-	})
-	if err == nil {
-		t.Fatal("a shared trace file records one seed; a replicated grid over it must be rejected")
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 
 	"clgp/internal/sim"
 	"clgp/internal/stats"
-	"clgp/internal/tracefile"
 	"clgp/internal/workload"
 )
 
@@ -60,116 +59,25 @@ func recordFromResult(spec JobSpec, res sim.Result) RunRecord {
 	return rec
 }
 
-// workloadCache generates each distinct workload once per shard run. For
-// streamed specs it builds (and validates the trace container against) only
-// the program image: the trace itself is windowed per job by the sim layer,
-// so the shard never materialises or regenerates the full record stream.
-// When a Store is attached, trace containers are resolved through it (a
-// remote worker fetches them by workload fingerprint); without one the
-// spec's TraceFile is used as a shared-filesystem path directly.
-type workloadCache struct {
-	store     Store
-	workloads map[string]*workload.Workload
-	traces    map[string]string // spec.TraceFile -> resolved local path
-}
+// workloadCache generates each distinct workload once per shard run, keyed
+// by JobSpec.WorkloadKey.
+type workloadCache map[string]*workload.Workload
 
-func newWorkloadCache(st Store) *workloadCache {
-	return &workloadCache{
-		store:     st,
-		workloads: make(map[string]*workload.Workload),
-		traces:    make(map[string]string),
-	}
-}
-
-func (wc *workloadCache) get(spec JobSpec) (*workload.Workload, error) {
+func (wc workloadCache) get(spec JobSpec) (*workload.Workload, error) {
 	key := spec.WorkloadKey()
-	if w, ok := wc.workloads[key]; ok {
+	if w, ok := wc[key]; ok {
 		return w, nil
 	}
 	p, err := workload.ProfileByName(spec.Profile)
 	if err != nil {
 		return nil, err
 	}
-	var w *workload.Workload
-	if spec.TraceFile != "" {
-		dict, err := workload.BuildImage(p, spec.Seed)
-		if err != nil {
-			return nil, err
-		}
-		w = &workload.Workload{Name: p.Name, Profile: p, Dict: dict}
-		local, err := wc.resolveTrace(spec, w)
-		if err != nil {
-			return nil, err
-		}
-		if err := validateTraceFile(spec, local, w); err != nil {
-			return nil, err
-		}
-	} else {
-		w, err = workload.Generate(p, spec.Insts, spec.Seed)
-		if err != nil {
-			return nil, err
-		}
-	}
-	wc.workloads[key] = w
-	return w, nil
-}
-
-// resolveTrace maps a spec's trace-container reference to a local file path,
-// fetching it from the store by the workload's generation fingerprint when
-// the store is remote. A reference that is already readable on this host
-// with the right fingerprint is used in place — the orchestrator's own
-// in-process shards must not re-download a container sitting next to them.
-// The resolution is cached per reference so a shard fetches each shared
-// container at most once.
-func (wc *workloadCache) resolveTrace(spec JobSpec, w *workload.Workload) (string, error) {
-	if local, ok := wc.traces[spec.TraceFile]; ok {
-		return local, nil
-	}
-	fp := workload.Fingerprint(w.Profile, w.Dict)
-	local := spec.TraceFile
-	if wc.store != nil && !cachedTrace(local, fp) {
-		var err error
-		local, err = wc.store.FetchTrace(spec.TraceFile, fp)
-		if err != nil {
-			return "", err
-		}
-	}
-	wc.traces[spec.TraceFile] = local
-	return local, nil
-}
-
-// tracePath returns the resolved local path of a spec's trace container;
-// resolveTrace must have run for it (get does so for every streamed spec).
-func (wc *workloadCache) tracePath(name string) string { return wc.traces[name] }
-
-// validateTraceFile checks a streamed spec's container against the spec
-// before any simulation starts: the shared stream validation (workload name
-// + generation fingerprint) plus the exact record count, so a shard pointed
-// at the wrong (or differently sized) trace fails up front instead of
-// producing results that silently disagree with the regenerating path.
-func validateTraceFile(spec JobSpec, local string, w *workload.Workload) error {
-	rd, err := tracefile.Open(local)
+	w, err := workload.Generate(p, spec.Insts, spec.Seed)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer rd.Close()
-	if err := sim.ValidateStream(rd, w); err != nil {
-		return fmt.Errorf("dispatch: trace file %s: %w", local, err)
-	}
-	// Grid specs describe a generation from record 0: a mid-trace slice
-	// holds real records of the right workload but a different interval
-	// than regenerating (profile, insts, seed) would walk, so results would
-	// silently disagree with the regenerating path. Run slices through
-	// `clgpsim run -tracefile` instead.
-	if rd.Origin() != 0 {
-		return fmt.Errorf("dispatch: trace file %s is a mid-trace slice starting at record %d; grid specs need a from-the-start recording",
-			local, rd.Origin())
-	}
-	if rd.Len() != spec.Insts {
-		return fmt.Errorf("dispatch: trace file %s holds %d records, spec wants %d",
-			local, rd.Len(), spec.Insts)
-	}
-	return nil
+	wc[key] = w
+	return w, nil
 }
 
 // RunShard executes shard id of m as one lease on host and commits its
@@ -182,10 +90,7 @@ func validateTraceFile(spec JobSpec, local string, w *workload.Workload) error {
 // While it runs, the lease keeps its span log (spans/<shard>.jsonl) current
 // in st: its fetch-trace, simulate and commit phase spans, parented under
 // spanParent, with the open one marked with progress (see startShardLog).
-// Streamed specs fetch their shared container through st by workload
-// fingerprint; result records always carry the original spec — including
-// its TraceFile reference, not the fetched local path — so shard objects
-// merge identically whichever backend ran them. logger nil is silent.
+// logger nil is silent.
 func RunShard(st Store, m *Manifest, id, workers int, host, spanParent string, logger *slog.Logger) ([]RunRecord, error) {
 	if id < 0 || id >= len(m.Shards) {
 		return nil, fmt.Errorf("dispatch: shard %d out of range (manifest has %d)", id, len(m.Shards))
@@ -193,7 +98,7 @@ func RunShard(st Store, m *Manifest, id, workers int, host, spanParent string, l
 	sp := m.Shards[id]
 	log := startShardLog(st, sp, host, spanParent, logger)
 	defer log.close()
-	cache := newWorkloadCache(st)
+	cache := make(workloadCache)
 	jobs := make([]sim.Job, len(sp.Specs))
 	for i, spec := range sp.Specs {
 		w, err := cache.get(spec)
@@ -203,11 +108,6 @@ func RunShard(st Store, m *Manifest, id, workers int, host, spanParent string, l
 		jobs[i], err = spec.SimJob(w)
 		if err != nil {
 			return nil, fmt.Errorf("dispatch: shard %s: %w", sp.Name, err)
-		}
-		if spec.TraceFile != "" {
-			// The sim layer opens the container per job; point it at the
-			// locally resolved copy, not the store-relative reference.
-			jobs[i].TraceFile = cache.tracePath(spec.TraceFile)
 		}
 		if spec.Warmup > 0 {
 			// Warm-state snapshots flow through the sweep store, so workers on

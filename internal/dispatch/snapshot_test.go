@@ -34,7 +34,7 @@ func warmGrid(t testing.TB) []JobSpec {
 // same way the sim layer does (workload fingerprint × warm key × boundary).
 func expectedSnapshotKey(t *testing.T, spec JobSpec) string {
 	t.Helper()
-	w, err := newWorkloadCache(nil).get(spec)
+	w, err := make(workloadCache).get(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,14 +27,6 @@ type JobSpec struct {
 	// therefore the grid hash of old manifests, unchanged) carries the bare
 	// job name; higher replicates suffix it, so names stay unique.
 	Rep int `json:"rep,omitempty"`
-	// TraceFile, when non-empty, streams the committed trace from a shared
-	// recorded trace container instead of regenerating (walking) the
-	// workload: workers rebuild only the program image from (Profile, Seed)
-	// and window the records from the file. The container must hold exactly
-	// Insts records and carry the matching image hash.
-	TraceFile string `json:"trace_file,omitempty"`
-	// Window caps resident records when streaming (0 = default).
-	Window int `json:"window,omitempty"`
 
 	// Tech is the technology node name (cacti.ParseTech form, e.g. "0.09um").
 	Tech string `json:"tech"`
@@ -96,10 +88,9 @@ func (s JobSpec) PointName() string {
 
 // WorkloadKey identifies the workload the job runs against. Jobs with equal
 // keys can share one generated workload, so the shard planner keeps them
-// together. Streamed jobs share only the program image (each engine windows
-// its own reader), which the key also covers.
+// together.
 func (s JobSpec) WorkloadKey() string {
-	return fmt.Sprintf("%s/%d/%d/%s", s.Profile, s.Insts, s.Seed, s.TraceFile)
+	return fmt.Sprintf("%s/%d/%d", s.Profile, s.Insts, s.Seed)
 }
 
 // Config builds the processor configuration for the spec.
@@ -122,15 +113,13 @@ func (s JobSpec) Config() (core.Config, error) {
 	}, nil
 }
 
-// SimJob binds the spec to an already generated workload (or, for streamed
-// specs, to a program image whose trace the sim layer windows from the
-// spec's trace file).
+// SimJob binds the spec to an already generated workload.
 func (s JobSpec) SimJob(w *workload.Workload) (sim.Job, error) {
 	cfg, err := s.Config()
 	if err != nil {
 		return sim.Job{}, err
 	}
-	return sim.Job{Config: cfg, Workload: w, TraceFile: s.TraceFile, Window: s.Window, Warmup: s.Warmup}, nil
+	return sim.Job{Config: cfg, Workload: w, Warmup: s.Warmup}, nil
 }
 
 // GridConfig enumerates a paper evaluation grid.
@@ -144,8 +133,6 @@ type GridConfig struct {
 	// Seeds is the number of replicate seeds per grid point: replicate r
 	// runs seed Seed+r. 0 or 1 means a single-seed grid, enumerated exactly
 	// as before the seed axis existed (same specs, same grid hash).
-	// Replication regenerates workloads per seed, so it cannot be combined
-	// with a shared TraceFile, which records exactly one (profile, seed).
 	Seeds int
 	// Techs are the technology nodes to sweep.
 	Techs []cacti.Tech
@@ -159,12 +146,6 @@ type GridConfig struct {
 	L0Variants bool
 	// IncludeIdeal adds the ideal-I-cache baseline (Figure 1) per size.
 	IncludeIdeal bool
-	// TraceFile streams every job's trace from one shared recorded
-	// container instead of regenerating workloads per shard. A trace file
-	// records one workload, so the grid must name exactly one profile.
-	TraceFile string
-	// Window caps resident records when streaming (0 = default).
-	Window int
 	// Warmup sets every spec's warm-state snapshot boundary in committed
 	// instructions (0 disables snapshotting). Grid points that share a
 	// workload and warm-configuration key then pay warm-up once per sweep.
@@ -182,15 +163,9 @@ func GridSpecs(gc GridConfig) ([]JobSpec, error) {
 	if len(profiles) == 0 {
 		profiles = workload.ProfileNames()
 	}
-	if gc.TraceFile != "" && len(profiles) != 1 {
-		return nil, fmt.Errorf("dispatch: a shared trace file records one workload; the grid names %d profiles", len(profiles))
-	}
 	reps := gc.Seeds
 	if reps <= 0 {
 		reps = 1
-	}
-	if gc.TraceFile != "" && reps > 1 {
-		return nil, fmt.Errorf("dispatch: a shared trace file records one seed; the grid asks for %d replicate seeds", reps)
 	}
 	techs := gc.Techs
 	if len(techs) == 0 {
@@ -229,7 +204,6 @@ func GridSpecs(gc GridConfig) ([]JobSpec, error) {
 						for _, size := range sizes {
 							err := add(JobSpec{
 								Profile: prof, Insts: gc.Insts, Seed: seed, Rep: rep,
-								TraceFile: gc.TraceFile, Window: gc.Window,
 								Tech: tech.String(), Engine: eng.String(),
 								L1Size: size, UseL0: l0,
 								Warmup: gc.Warmup,
@@ -244,7 +218,6 @@ func GridSpecs(gc GridConfig) ([]JobSpec, error) {
 					for _, size := range sizes {
 						err := add(JobSpec{
 							Profile: prof, Insts: gc.Insts, Seed: seed, Rep: rep,
-							TraceFile: gc.TraceFile, Window: gc.Window,
 							Tech: tech.String(), Engine: core.EngineNone.String(),
 							L1Size: size, Ideal: true,
 							Warmup: gc.Warmup,

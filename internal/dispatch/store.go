@@ -9,7 +9,7 @@ import (
 
 // Store is the checkpoint and artifact backend of a sweep: everything the
 // orchestrator and its workers exchange — the manifest, per-shard JSONL
-// result objects, and shared trace containers — flows through this
+// result objects, span logs and warm-state snapshots — flows through this
 // interface, so the same protocol runs over a shared directory or an HTTP
 // object store without either side knowing which.
 //
@@ -63,18 +63,6 @@ type Store interface {
 	// nothing has been recorded under name.
 	LoadSpans(name string) ([]byte, error)
 
-	// FetchTrace resolves a spec's trace-container reference to a local
-	// file path. name is the spec's TraceFile value; fingerprint is the
-	// workload generation fingerprint the consumer computed by rebuilding
-	// the program image (workload.Fingerprint), which is the key remote
-	// stores address containers by. Shared-filesystem stores return name
-	// unchanged.
-	FetchTrace(name string, fingerprint uint64) (string, error)
-	// PushTrace publishes a local trace container so workers on other hosts
-	// can fetch it by its header fingerprint. Shared-filesystem stores need
-	// no copy and treat this as a no-op.
-	PushTrace(localPath string) error
-
 	// FetchSnapshot returns the warm-state snapshot artifact stored under
 	// key (sim.SnapshotKey form), or an error wrapping os.ErrNotExist when
 	// no worker has published it yet. Together with PushSnapshot this makes
@@ -90,7 +78,7 @@ type Store interface {
 }
 
 // SnapshotsDir is the key prefix warm-state snapshot artifacts live under,
-// beside manifest.json, shards/, spans/ and (object stores only) traces/.
+// beside manifest.json, shards/ and spans/.
 const SnapshotsDir = "snapshots"
 
 // shardKey returns the object key of a shard's result JSONL.
@@ -119,8 +107,8 @@ type backend interface {
 
 // sweep is the checkpoint protocol, written once over a backend. Both
 // Store implementations embed it and add only what differs between them:
-// their location and how trace containers are resolved. Atomicity is the
-// backend's: every object is committed whole by one Put.
+// their location. Atomicity is the backend's: every object is committed
+// whole by one Put.
 type sweep struct{ b backend }
 
 // LoadManifest reads and validates the sweep manifest.
@@ -213,8 +201,7 @@ func (s sweep) PushSnapshot(key string, data []byte) error {
 // DirStore is the shared-directory store backend: the objects are files
 // under the sweep directory, so a checkpoint directory written by earlier
 // versions is a valid DirStore. Multi-host use requires the directory to be
-// a shared filesystem (NFS or similar); trace containers are referenced by
-// path and never copied.
+// a shared filesystem (NFS or similar).
 type DirStore struct {
 	sweep
 	dir string
@@ -225,15 +212,6 @@ func NewDirStore(dir string) *DirStore { return &DirStore{sweep{blob.Dir(dir)}, 
 
 // Location implements Store: the directory path itself.
 func (s *DirStore) Location() string { return s.dir }
-
-// FetchTrace implements Store: with a shared filesystem the reference is
-// already a readable path, so it resolves to itself.
-func (s *DirStore) FetchTrace(name string, fingerprint uint64) (string, error) {
-	return name, nil
-}
-
-// PushTrace implements Store: nothing to publish on a shared filesystem.
-func (s *DirStore) PushTrace(localPath string) error { return nil }
 
 // OpenStore resolves a -store flag value to a backend: http(s) URLs open an
 // ObjectStore client, anything else is a sweep directory. Locations that

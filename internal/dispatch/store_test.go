@@ -21,12 +21,11 @@ import (
 	"clgp/internal/freelist"
 	"clgp/internal/sim"
 	"clgp/internal/stats"
-	"clgp/internal/tracefile"
 	"clgp/internal/workload"
 )
 
 // newTestObjectStore serves a fresh store root over httptest and returns a
-// client with a private trace cache.
+// client for it.
 func newTestObjectStore(t testing.TB) *ObjectStore {
 	t.Helper()
 	srv, err := NewStoreServer(t.TempDir())
@@ -35,9 +34,7 @@ func newTestObjectStore(t testing.TB) *ObjectStore {
 	}
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	st := NewObjectStore(ts.URL)
-	st.CacheDir = t.TempDir()
-	return st
+	return NewObjectStore(ts.URL)
 }
 
 // testStores returns one fresh store per backend, keyed by backend name,
@@ -438,101 +435,6 @@ func TestObjectStoreSweepMatchesDirStore(t *testing.T) {
 		t.Errorf("resumed object-store sweep ran %v / skipped %v", out2.Ran, out2.Skipped)
 	}
 	checkAgainstBaseline(t, baseline, out2)
-}
-
-// TestObjectStoreTracePushFetch: publish-by-fingerprint round-trips a
-// container, cache hits skip the network, and a fingerprint the store has
-// never seen fails cleanly.
-func TestObjectStoreTracePushFetch(t *testing.T) {
-	st := newTestObjectStore(t)
-	path := recordSharedTrace(t, t.TempDir(), "gzip", 6_000, 7)
-	src, err := tracefile.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp := src.Fingerprint()
-	src.Close()
-
-	if err := st.PushTrace(path); err != nil {
-		t.Fatal(err)
-	}
-	local, err := st.FetchTrace(path, fp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := tracefile.Open(local)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer got.Close()
-	if got.Fingerprint() != fp || got.Len() != 6_000 {
-		t.Errorf("fetched container fingerprint %#x len %d, want %#x len %d", got.Fingerprint(), got.Len(), fp, 6_000)
-	}
-	// Second fetch must come from the cache (same resolved path).
-	again, err := st.FetchTrace(path, fp)
-	if err != nil || again != local {
-		t.Errorf("cache miss on second fetch: %q vs %q (%v)", again, local, err)
-	}
-	if _, err := st.FetchTrace(path, fp+1); err == nil {
-		t.Errorf("fetching an unpublished fingerprint should fail")
-	}
-	if _, err := st.FetchTrace(path, 0); err == nil {
-		t.Errorf("fetching a zero fingerprint should fail")
-	}
-}
-
-// TestObjectStoreStreamedSweep is the remote-streaming acceptance path: a
-// streamed grid over the object store — container published by fingerprint,
-// fetched back by each worker — matches the shared-filesystem streamed run.
-func TestObjectStoreStreamedSweep(t *testing.T) {
-	const insts = 20_000
-	const seed = 7
-	path := recordSharedTrace(t, t.TempDir(), "gzip", insts, seed)
-	gc := GridConfig{
-		Profiles: []string{"gzip"}, Insts: insts, Seed: seed,
-		Engines:   []core.EngineKind{core.EngineNone, core.EngineCLGP},
-		Sizes:     []int{1 << 10, 4 << 10},
-		TraceFile: path, Window: 8192,
-	}
-	specs, err := GridSpecs(gc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseline := runBaseline(t, specs)
-
-	st := newTestObjectStore(t)
-	o := &Orchestrator{Store: st, Workers: 2}
-	out, err := o.Run(specs, 2, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkAgainstBaseline(t, baseline, out)
-
-	// The remote-worker condition: the spec's TraceFile path does not
-	// exist on the executing host, so the shard must fetch the container
-	// from the store by fingerprint. Deleting the local file after the
-	// orchestrator pushed it simulates exactly that.
-	if err := os.Remove(path); err != nil {
-		t.Fatal(err)
-	}
-	m, err := st.LoadManifest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id := range m.Shards {
-		recs, err := RunShard(st, m, id, 1, "", "", nil)
-		if err != nil {
-			t.Fatalf("remote-style shard %d: %v", id, err)
-		}
-		for _, rec := range recs {
-			if rec.Err != "" {
-				t.Fatalf("remote-style job %s failed: %s", rec.Job, rec.Err)
-			}
-			if got := keyOf(rec.Result()); got != baseline[rec.Job] {
-				t.Errorf("remote-style job %s diverged: %+v vs %+v", rec.Job, got, baseline[rec.Job])
-			}
-		}
-	}
 }
 
 func TestStoreServerRejectsTraversal(t *testing.T) {

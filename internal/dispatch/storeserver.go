@@ -68,8 +68,8 @@ func (s *StoreServer) handleObject(w http.ResponseWriter, r *http.Request, key s
 	}
 	switch r.Method {
 	case http.MethodHead:
-		// HEAD is the existence probe (ShardComplete, PushTrace): a stat,
-		// never a read of a possibly multi-gigabyte object to hash an ETag.
+		// HEAD is the existence probe (ShardComplete): a stat, never a read
+		// of a possibly large object to hash an ETag.
 		ok, err := s.objects.Head(key)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)

@@ -5,8 +5,10 @@ import (
 	"encoding/hex"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"clgp/internal/tracefile"
 	"clgp/internal/workload"
 )
 
@@ -45,5 +47,51 @@ func TestContainerBytesPinned(t *testing.T) {
 					len(data), got, tc.wantLen, tc.wantSum)
 			}
 		})
+	}
+}
+
+// TestOpenStreamImageRejectsFingerprintMismatch: a container whose header
+// fingerprint differs from what regenerating its (workload, seed) yields
+// holds another generation's records, so opening it must fail instead of
+// streaming them against the rebuilt image.
+func TestOpenStreamImageRejectsFingerprintMismatch(t *testing.T) {
+	const insts, seed = 2_000, 7
+	p, err := workload.ProfileByName("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.clgt")
+	dict, err := RecordTrace(p, insts, seed, good, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, rd, err := OpenStreamImage(good)
+	if err != nil {
+		t.Fatalf("opening a faithful recording: %v", err)
+	}
+	rd.Close()
+	if got, want := workload.Fingerprint(p, w.Dict), workload.Fingerprint(p, dict); got != want {
+		t.Fatalf("rebuilt image fingerprint %#x, recorded against %#x", got, want)
+	}
+
+	bad := filepath.Join(dir, "bad.clgt")
+	tw, err := tracefile.Create(bad, tracefile.Options{
+		Workload: p.Name, Fingerprint: workload.Fingerprint(p, dict) + 1, Seed: seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := workload.GenerateTo(p, insts, seed, tw); err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, rd, err := OpenStreamImage(bad); err == nil || !strings.Contains(err.Error(), "program image") {
+		if rd != nil {
+			rd.Close()
+		}
+		t.Errorf("OpenStreamImage of an off-by-one fingerprint returned %v, want the program-image error", err)
 	}
 }

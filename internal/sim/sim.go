@@ -21,7 +21,6 @@ import (
 	"clgp/internal/core"
 	"clgp/internal/isa"
 	"clgp/internal/stats"
-	"clgp/internal/trace"
 	"clgp/internal/tracefile"
 	"clgp/internal/workload"
 )
@@ -33,17 +32,8 @@ type Job struct {
 	// Config is the processor configuration; its Name labels the job in
 	// results.
 	Config core.Config
-	// Workload provides the program image and (unless TraceFile is set) the
-	// committed trace.
+	// Workload provides the program image and the committed trace.
 	Workload *workload.Workload
-	// TraceFile, when non-empty, streams the committed trace from a
-	// recorded trace container (internal/tracefile) through a bounded
-	// window instead of Workload.Trace; Workload then only supplies the
-	// program image, whose Hash must match the container header.
-	TraceFile string
-	// Window caps the resident records of a streamed trace
-	// (0 = trace.DefaultWindowCap). Ignored without TraceFile.
-	Window int
 	// Warmup is the warm-up boundary in committed instructions. With a
 	// Snapshots store attached, the run restores the shared warm-state
 	// snapshot when one exists, or simulates through warm-up once and
@@ -142,11 +132,10 @@ func runOne(j Job) Result {
 	if j.Workload == nil {
 		return Result{Name: name, Err: fmt.Errorf("sim %s: no workload", name)}
 	}
-	src, cleanup, err := j.traceSource()
-	if err != nil {
-		return Result{Name: name, Err: err}
+	src := j.Workload.Trace
+	if src == nil {
+		return Result{Name: name, Err: fmt.Errorf("sim %s: workload %s has no trace", name, j.Workload.Name)}
 	}
-	defer cleanup()
 	eng, err := core.NewEngine(j.Config, j.Workload.Dict, src)
 	if err != nil {
 		return Result{Name: name, Err: err}
@@ -165,50 +154,6 @@ func runOne(j Job) Result {
 		return Result{Name: name, Err: err}
 	}
 	return Result{Name: st.Name, Stats: st, Wall: time.Since(start)}
-}
-
-// traceSource resolves the job's committed-path trace: the in-memory
-// workload trace, or a bounded-window stream over the job's trace file. The
-// returned cleanup releases the file handle after the run.
-func (j Job) traceSource() (core.TraceSource, func(), error) {
-	noop := func() {}
-	if j.TraceFile == "" {
-		if j.Workload.Trace == nil {
-			return nil, noop, fmt.Errorf("sim: workload %s has no trace and the job names no trace file", j.Workload.Name)
-		}
-		return j.Workload.Trace, noop, nil
-	}
-	rd, err := tracefile.Open(j.TraceFile)
-	if err != nil {
-		return nil, noop, err
-	}
-	if err := ValidateStream(rd, j.Workload); err != nil {
-		rd.Close()
-		return nil, noop, fmt.Errorf("sim: trace file %s: %w", j.TraceFile, err)
-	}
-	wt, err := trace.NewWindowTrace(rd, j.Window)
-	if err != nil {
-		rd.Close()
-		return nil, noop, err
-	}
-	return wt, func() { rd.Close() }, nil
-}
-
-// ValidateStream is the one check every streaming consumer applies before a
-// container drives a simulation: the container must name the workload it is
-// about to stand in for, and its fingerprint must match what regenerating
-// that workload would produce — same program image AND same walk
-// parameters, so a container recorded before a profile retune is rejected
-// instead of silently disagreeing with the regenerating path.
-func ValidateStream(rd *tracefile.Reader, w *workload.Workload) error {
-	if rd.Workload() != w.Name {
-		return fmt.Errorf("records workload %q, the run wants %q", rd.Workload(), w.Name)
-	}
-	if fp := workload.Fingerprint(w.Profile, w.Dict); rd.Fingerprint() != 0 && rd.Fingerprint() != fp {
-		return fmt.Errorf("recorded against a different program image or walk parameters (fingerprint %#x, regenerated %#x)",
-			rd.Fingerprint(), fp)
-	}
-	return nil
 }
 
 // RecordTrace walks (p, insts, seed) and streams every record straight into
@@ -264,12 +209,15 @@ func OpenStreamImage(path string) (*workload.Workload, *tracefile.Reader, error)
 		rd.Close()
 		return nil, nil, err
 	}
-	w := &workload.Workload{Name: p.Name, Profile: p, Dict: dict}
-	if err := ValidateStream(rd, w); err != nil {
+	// The fingerprint covers the program image and the walk parameters, so
+	// a container recorded before a profile retune is rejected instead of
+	// silently disagreeing with regenerating the workload.
+	if fp := workload.Fingerprint(p, dict); rd.Fingerprint() != 0 && rd.Fingerprint() != fp {
 		rd.Close()
-		return nil, nil, fmt.Errorf("%s: %w", path, err)
+		return nil, nil, fmt.Errorf("%s: recorded against a different program image or walk parameters (fingerprint %#x, regenerated %#x)",
+			path, rd.Fingerprint(), fp)
 	}
-	return w, rd, nil
+	return &workload.Workload{Name: p.Name, Profile: p, Dict: dict}, rd, nil
 }
 
 // JobName builds the canonical job label shared by the sweep and dispatch

@@ -110,14 +110,6 @@ type Options struct {
 	ChunkRecords int
 }
 
-// FingerprintKey renders a workload fingerprint in the canonical form
-// content-addressed consumers share: fixed-width lowercase hex, so the
-// publisher of a container and a worker that recomputed the fingerprint
-// from (workload, seed) derive the identical object key or cache file name.
-func FingerprintKey(fingerprint uint64) string {
-	return fmt.Sprintf("%016x", fingerprint)
-}
-
 // chunkInfo is one footer index entry.
 type chunkInfo struct {
 	offset uint64 // file offset of the chunk's gzip stream

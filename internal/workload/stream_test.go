@@ -233,8 +233,8 @@ func TestValidateRejectsChaseOverflow(t *testing.T) {
 }
 
 // TestBuildImageSafeForConcurrentLookup: the image BuildImage returns is
-// shared by parallel engines in streamed sweeps, so concurrent Inst lookups
-// must be plain reads. Run it under -race.
+// shared by parallel engines streaming one container, so concurrent Inst
+// lookups must be plain reads. Run it under -race.
 func TestBuildImageSafeForConcurrentLookup(t *testing.T) {
 	p, err := ProfileByName("gzip")
 	if err != nil {
