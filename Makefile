@@ -63,16 +63,29 @@ sweep:
 figures:
 	$(GO) run ./cmd/clgpsim figures -insts 200000 -dir clgp-figures -resume
 
-# Record a trace container and stream it back through a bounded window:
-# the summary must be bit-identical to the regenerating in-memory path.
+# Trace containers end to end: record one and list its chunks, stream it
+# back through a bounded window (the summary must be bit-identical to the
+# regenerating in-memory path), slice an interval out of it and read the
+# slice back, and let -simpoint pick the representative interval itself.
 # (No pipes around clgpsim — a simulator failure must fail the recipe.)
+# Mirrors CI's streaming job.
 stream-smoke:
-	$(GO) run ./cmd/clgpsim trace record -profile gzip -insts 50000 -seed 1 -o /tmp/clgp-smoke.clgt
-	$(GO) run ./cmd/clgpsim run -profile gzip -insts 50000 -seed 1 -engine clgp -l1 2048 > /tmp/clgp-smoke-mem-full.txt
-	$(GO) run ./cmd/clgpsim run -tracefile /tmp/clgp-smoke.clgt -window 8192 -engine clgp -l1 2048 > /tmp/clgp-smoke-str-full.txt
-	grep -v "wall time" /tmp/clgp-smoke-mem-full.txt > /tmp/clgp-smoke-mem.txt
-	grep -v -e "wall time" -e "trace window" /tmp/clgp-smoke-str-full.txt > /tmp/clgp-smoke-str.txt
-	diff /tmp/clgp-smoke-mem.txt /tmp/clgp-smoke-str.txt
+	rm -rf /tmp/clgp-stream-smoke && mkdir -p /tmp/clgp-stream-smoke
+	$(GO) build -o /tmp/clgp-stream-smoke/clgpsim ./cmd/clgpsim
+	cd /tmp/clgp-stream-smoke && ./clgpsim trace record -profile gzip -insts 50000 -seed 1 -o tr.clgt && \
+		./clgpsim trace info -chunks tr.clgt
+	cd /tmp/clgp-stream-smoke && \
+		./clgpsim run -profile gzip -insts 50000 -seed 1 -engine clgp -l1 2048 > mem-full.txt && \
+		./clgpsim run -tracefile tr.clgt -window 8192 -engine clgp -l1 2048 > str-full.txt && \
+		grep -v "wall time" mem-full.txt > mem.txt && \
+		grep -v -e "wall time" -e "trace window" str-full.txt > str.txt && \
+		diff mem.txt str.txt
+	cd /tmp/clgp-stream-smoke && ./clgpsim trace slice -from 10000 -count 20000 -o tr.sp.clgt tr.clgt && \
+		./clgpsim trace info tr.sp.clgt
+	cd /tmp/clgp-stream-smoke && ./clgpsim trace slice -simpoint -count 10000 -o tr.rep.clgt tr.clgt > simpoint.log && \
+		cat simpoint.log && grep -q "simpoint: interval" simpoint.log && \
+		./clgpsim trace info tr.rep.clgt
+	@echo "stream-smoke: streamed run matches the in-memory run; slices and the simpoint interval read back"
 
 # The multi-host dispatch protocol on one machine: an HTTP object store,
 # child workers pointed at the URL, ssh workers through a stand-in ssh that
@@ -109,20 +122,35 @@ remote-smoke:
 # Warm-state snapshots end to end: a cold figures sweep records warm-state
 # artifacts into the store, a second sweep over the same store restores them,
 # and the emitted figure CSVs must be byte-identical to a sweep that never
-# snapshotted at all. Mirrors CI's snapshot-smoke job.
+# snapshotted at all; a single run recording, then restoring, its warm state
+# through -snapshot-dir must match a plain run (wall time and fast-forward
+# telemetry aside). Mirrors CI's snapshot-smoke job.
 snapshot-smoke:
 	rm -rf /tmp/clgp-snapshot-smoke && mkdir -p /tmp/clgp-snapshot-smoke
 	$(GO) build -o /tmp/clgp-snapshot-smoke/clgpsim ./cmd/clgpsim
 	cd /tmp/clgp-snapshot-smoke && ./clgpsim figures -insts 20000 -profiles gzip,mcf -dir fig-plain
 	cd /tmp/clgp-snapshot-smoke && ./clgpsim figures -insts 20000 -profiles gzip,mcf -warmup 10000 -dir fig-cold
-	test -n "$$(ls /tmp/clgp-snapshot-smoke/fig-cold/snapshots)"
+	test -n "$$(ls /tmp/clgp-snapshot-smoke/fig-cold/snapshots)" && ls /tmp/clgp-snapshot-smoke/fig-cold/snapshots
 	cd /tmp/clgp-snapshot-smoke && cp -r fig-cold fig-warm && rm -rf fig-warm/shards && \
 		./clgpsim figures -insts 20000 -profiles gzip,mcf -warmup 10000 -dir fig-warm -resume
 	cd /tmp/clgp-snapshot-smoke && \
 		diff fig-plain/figure6_ipc_90nm.csv fig-cold/figure6_ipc_90nm.csv && \
 		diff fig-plain/figure6_ipc_90nm.csv fig-warm/figure6_ipc_90nm.csv && \
-		diff fig-plain/figure1_ipc_vs_l1_90nm.csv fig-warm/figure1_ipc_vs_l1_90nm.csv
-	@echo "snapshot-smoke: cold-recording and warm-restoring sweeps match the plain run"
+		diff fig-plain/figure1_ipc_vs_l1_90nm.csv fig-warm/figure1_ipc_vs_l1_90nm.csv && \
+		diff fig-plain/cycle_breakdown_90nm.csv fig-cold/cycle_breakdown_90nm.csv && \
+		diff fig-plain/cycle_breakdown_90nm.csv fig-warm/cycle_breakdown_90nm.csv
+	cd /tmp/clgp-snapshot-smoke && \
+		./clgpsim run -profile gzip -insts 50000 -seed 1 -engine clgp -l1 2048 > plain-full.txt && \
+		./clgpsim run -profile gzip -insts 50000 -seed 1 -engine clgp -l1 2048 \
+			-warmup 25000 -snapshot-dir snapdir > cold-full.txt && \
+		./clgpsim run -profile gzip -insts 50000 -seed 1 -engine clgp -l1 2048 \
+			-warmup 25000 -snapshot-dir snapdir > warm-full.txt && \
+		test -n "$$(ls snapdir)" && \
+		for f in plain cold warm; do \
+			grep -v -e "wall time" -e "fast-forwarded" $$f-full.txt > $$f.txt || exit 1; done && \
+		diff plain.txt cold.txt && \
+		diff plain.txt warm.txt
+	@echo "snapshot-smoke: cold-recording and warm-restoring sweeps and a single -snapshot-dir run match the plain runs"
 
 clean:
 	$(GO) clean ./...

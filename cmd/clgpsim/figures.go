@@ -90,7 +90,7 @@ func cmdFigures(args []string) error {
 	insts := fs.Int("insts", 200_000, "trace length in instructions per workload")
 	seed := fs.Int64("seed", 1, "workload generation seed (of the first replicate)")
 	seeds := fs.Int("seeds", 1, "replicate seeds per grid point (replicate r runs seed+r); >1 emits mean±CI series")
-	techsFlag := fs.String("techs", "90", "comma-separated technology nodes (e.g. 90,45)")
+	techsFlag := fs.String("techs", "90", "comma-separated technology nodes (90, 45 or 90,45)")
 	profilesFlag := fs.String("profiles", "", "comma-separated profiles (empty = all 12)")
 	dir := fs.String("dir", "clgp-figures", "sweep checkpoint directory")
 	out := fs.String("out", "", "figure output directory (empty = the sweep directory)")

@@ -4,8 +4,8 @@
 //
 // Usage:
 //
-//	clgpsim run     [-profile gcc] [-insts 200000] [-engine clgp] [-tech 90] [-l1 2048] [-l0] [-pb 0] [-tracefile F -window N] [-no-skip] [-warmup N -snapshot-dir D] [-cpuprofile F] [-memprofile F] [-runtime-trace F]
-//	clgpsim sweep   [-profile gcc] [-insts 200000] [-seed 1] [-seeds N] [-tech 90] [-l0] [-workers 0] [-cpuprofile F] [-memprofile F]
+//	clgpsim run     [-profile gcc] [-insts 200000] [-engine clgp] [-tech 90|45] [-l1 2048] [-l0] [-pb 0] [-tracefile F -window N] [-no-skip] [-warmup N -snapshot-dir D] [-cpuprofile F] [-memprofile F] [-runtime-trace F]
+//	clgpsim sweep   [-profile gcc] [-insts 200000] [-seed 1] [-seeds N] [-tech 90|45] [-l0] [-workers 0] [-cpuprofile F] [-memprofile F]
 //	clgpsim bench   [-core-json F] [-gate PARENT_BINARY]
 //	clgpsim figures [-insts 200000] [-seeds N] [-techs 90,45] [-profiles ...] [-dir clgp-figures] [-shards 0] [-exec] [-resume] [-store URL] [-ssh h1,h2] [-retries 1] [-warmup N] [-progress] [-stall-after D] [-trace-out F] [-metrics-addr A [-metrics-addr-file F]]
 //	clgpsim worker  -store LOC -shard N [-workers 0] [-metrics-addr A [-metrics-addr-file F]] [-span-parent ID] [-runtime-trace F]
@@ -172,8 +172,8 @@ func cmdRun(args []string) error {
 	insts := fs.Int("insts", 200_000, "trace length in instructions")
 	seed := fs.Int64("seed", 1, "workload generation seed")
 	engine := fs.String("engine", "clgp", "instruction delivery engine (none|nextn|fdp|clgp)")
-	tech := fs.String("tech", "90", "technology node (180|130|90|65|45)")
-	l1 := fs.Int("l1", 2<<10, "L1 I-cache size in bytes")
+	tech := fs.String("tech", "90", "technology node (90|45)")
+	l1 := fs.Int("l1", 2<<10, "L1 I-cache size in bytes (a Table 3 size: 256, 512, ..., 65536)")
 	useL0 := fs.Bool("l0", false, "add the one-cycle L0 cache")
 	pb := fs.Int("pb", 0, "pre-buffer entries (0 = node default)")
 	ideal := fs.Bool("ideal", false, "ideal (one-cycle) instruction cache")
@@ -298,7 +298,7 @@ func cmdSweep(args []string) error {
 	insts := fs.Int("insts", 200_000, "trace length in instructions")
 	seed := fs.Int64("seed", 1, "workload generation seed (of the first replicate)")
 	seeds := fs.Int("seeds", 1, "replicate seeds per grid point (replicate r runs seed+r); >1 prints mean±CI cells")
-	tech := fs.String("tech", "90", "technology node (180|130|90|65|45)")
+	tech := fs.String("tech", "90", "technology node (90|45)")
 	useL0 := fs.Bool("l0", false, "add the one-cycle L0 to prefetching engines")
 	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	cpuProf, memProf := profileFlags(fs)

@@ -2,10 +2,9 @@
 // L1 instruction, L1 data and unified L2 caches of the simulator.
 //
 // The model tracks only tags (the simulator never needs data contents),
-// true-LRU replacement per set, and the timing aspects the paper depends on:
-// a fixed hit latency, optional pipelining (a pipelined cache accepts a new
-// access every cycle, a non-pipelined one is busy for its full latency), and
-// a bounded number of ports per cycle.
+// true-LRU replacement per set, and a fixed hit latency. The one timing rule
+// beyond the latency is the non-pipelined L1 I-cache's occupancy (Occupy):
+// its array serves one access at a time, each for its full latency.
 package cache
 
 import (
@@ -28,12 +27,6 @@ type Config struct {
 	Assoc int
 	// Latency is the hit latency in cycles (>= 1).
 	Latency int
-	// Pipelined selects pipelined access: a new access can start every
-	// cycle, each still taking Latency cycles to complete.
-	Pipelined bool
-	// Ports is the number of accesses that may start in the same cycle
-	// (default 1).
-	Ports int
 }
 
 // normalise fills defaults and validates.
@@ -57,9 +50,6 @@ func (c Config) normalise() (Config, error) {
 	if c.Latency < 1 {
 		c.Latency = 1
 	}
-	if c.Ports < 1 {
-		c.Ports = 1
-	}
 	return c, nil
 }
 
@@ -78,10 +68,9 @@ type Cache struct {
 	ways    []way
 	numSets int
 	stamp   uint64
-	// Timing state.
-	busyUntil   uint64 // for non-pipelined caches: cycle at which the array frees up
-	portsUsedAt uint64 // cycle the port counter refers to
-	portsUsed   int
+	// busyUntil is the cycle at which the array frees up after the last
+	// Occupy (0 before the first).
+	busyUntil uint64
 
 	// Statistics.
 	accesses uint64
@@ -126,9 +115,6 @@ func (c *Cache) Config() Config { return c.cfg }
 
 // Latency returns the hit latency in cycles.
 func (c *Cache) Latency() int { return c.cfg.Latency }
-
-// Pipelined reports whether the cache is pipelined.
-func (c *Cache) Pipelined() bool { return c.cfg.Pipelined }
 
 // Lines returns the total number of lines the cache can hold.
 func (c *Cache) Lines() int { return c.cfg.SizeBytes / c.cfg.LineBytes }
@@ -239,7 +225,6 @@ func (c *Cache) Invalidate(addr isa.Addr) bool {
 func (c *Cache) Flush() {
 	clear(c.ways)
 	c.busyUntil = 0
-	c.portsUsed = 0
 }
 
 // Contents returns all resident line addresses (unordered count is the
@@ -279,42 +264,11 @@ func (c *Cache) MissRate() float64 {
 	return float64(c.misses) / float64(c.accesses)
 }
 
-// CanAccept reports whether a new access may start at cycle `now`, given the
-// port limit and, for non-pipelined caches, array occupancy.
-func (c *Cache) CanAccept(now uint64) bool {
-	if !c.cfg.Pipelined && now < c.busyUntil {
-		return false
-	}
-	if c.portsUsedAt == now && c.portsUsed >= c.cfg.Ports {
-		return false
-	}
-	return true
-}
-
-// StartAccess reserves the array (and a port) for an access beginning at
-// cycle `now` and returns the cycle at which the result is available. It
-// returns ok=false if the access cannot start this cycle.
-func (c *Cache) StartAccess(now uint64) (done uint64, ok bool) {
-	if !c.CanAccept(now) {
-		return 0, false
-	}
-	if c.portsUsedAt != now {
-		c.portsUsedAt = now
-		c.portsUsed = 0
-	}
-	c.portsUsed++
-	done = now + uint64(c.cfg.Latency)
-	if !c.cfg.Pipelined {
-		c.busyUntil = done
-	}
-	return done, true
-}
-
-// BusyUntil returns the cycle until which a non-pipelined cache is occupied
-// (always 0 for pipelined caches).
-func (c *Cache) BusyUntil() uint64 {
-	if c.cfg.Pipelined {
-		return 0
-	}
+// Occupy reserves the array for an access requested at cycle now and
+// returns the cycle its result is available. The array serves one access
+// at a time: the access starts once the previous one has finished, at
+// max(now, busyUntil), and holds the array for Latency cycles.
+func (c *Cache) Occupy(now uint64) (done uint64) {
+	c.busyUntil = max(now, c.busyUntil) + uint64(c.cfg.Latency)
 	return c.busyUntil
 }

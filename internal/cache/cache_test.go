@@ -30,13 +30,13 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("config %q should be rejected", cfg.Name)
 		}
 	}
-	// Defaults: latency >= 1, ports >= 1, assoc <= lines.
-	c, err := New(Config{Name: "d", SizeBytes: 256, LineBytes: 64, Assoc: 99, Latency: 0, Ports: 0})
+	// Defaults: latency >= 1, assoc <= lines.
+	c, err := New(Config{Name: "d", SizeBytes: 256, LineBytes: 64, Assoc: 99, Latency: 0})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	got := c.Config()
-	if got.Assoc != 4 || got.Latency != 1 || got.Ports != 1 {
+	if got.Assoc != 4 || got.Latency != 1 {
 		t.Errorf("normalised config = %+v", got)
 	}
 	if c.Lines() != 4 || c.Sets() != 1 {
@@ -203,59 +203,25 @@ func TestLineAddrRoundTrip(t *testing.T) {
 	}
 }
 
+// TestNonPipelinedOccupancy: the array serves one access at a time. An
+// access starts at max(now, busyUntil) and holds the array for the full
+// latency, so back-to-back requests queue behind each other, and a request
+// after the array frees up starts at once.
 func TestNonPipelinedOccupancy(t *testing.T) {
 	c := smallCache(t, 1024, 64, 2, 3)
-	done, ok := c.StartAccess(10)
-	if !ok || done != 13 {
-		t.Fatalf("StartAccess = %d, %v", done, ok)
-	}
-	// Busy until cycle 13: cannot accept at 11 or 12.
-	if c.CanAccept(11) || c.CanAccept(12) {
-		t.Errorf("non-pipelined cache should be busy")
-	}
-	if _, ok := c.StartAccess(12); ok {
-		t.Errorf("StartAccess during occupancy should fail")
-	}
-	if !c.CanAccept(13) {
-		t.Errorf("should accept once the previous access completes")
-	}
-	if got := c.BusyUntil(); got != 13 {
-		t.Errorf("BusyUntil = %d", got)
-	}
-}
-
-func TestPipelinedAcceptsEveryCycle(t *testing.T) {
-	c, err := New(Config{Name: "p", SizeBytes: 1024, LineBytes: 64, Assoc: 2, Latency: 4, Pipelined: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for cyc := uint64(0); cyc < 5; cyc++ {
-		done, ok := c.StartAccess(cyc)
-		if !ok || done != cyc+4 {
-			t.Errorf("cycle %d: done=%d ok=%v", cyc, done, ok)
+	for _, step := range []struct{ now, done uint64 }{
+		{10, 13}, // idle array: starts at once
+		{11, 16}, // busy until 13
+		{12, 19}, // busy until 16
+		{19, 22}, // frees up exactly as requested
+		{40, 43}, // idle again
+	} {
+		if got := c.Occupy(step.now); got != step.done {
+			t.Errorf("Occupy(%d) = %d, want %d", step.now, got, step.done)
 		}
 	}
-	if c.BusyUntil() != 0 {
-		t.Errorf("pipelined BusyUntil should be 0")
-	}
-}
-
-func TestPortLimit(t *testing.T) {
-	c, err := New(Config{Name: "ports", SizeBytes: 1024, LineBytes: 64, Assoc: 2, Latency: 1, Pipelined: true, Ports: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.StartAccess(5); !ok {
-		t.Fatalf("first access should start")
-	}
-	if _, ok := c.StartAccess(5); !ok {
-		t.Fatalf("second access should start (2 ports)")
-	}
-	if _, ok := c.StartAccess(5); ok {
-		t.Errorf("third access in same cycle should be rejected")
-	}
-	if _, ok := c.StartAccess(6); !ok {
-		t.Errorf("next cycle should accept again")
+	if c.Occupy(0) != 46 {
+		t.Errorf("a request from the past should still queue behind the last access")
 	}
 }
 

@@ -6,7 +6,7 @@ import "clgp/internal/snap"
 const stateTag uint32 = 0x48434143
 
 // Walk walks the cache's mutable state: every way's valid bit, tag and LRU
-// stamp, the timing occupancy, and the demand statistics. Geometry (set
+// stamp, the array occupancy, and the demand statistics. Geometry (set
 // count, associativity) travels for validation only; a loaded snapshot's
 // must match the receiving cache's configuration, and so must its way
 // states (see check).
@@ -25,8 +25,23 @@ func (c *Cache) Walk(w *snap.Walker) {
 	}
 	w.U64(&c.stamp)
 	w.U64(&c.busyUntil)
-	w.U64(&c.portsUsedAt)
-	w.Int(&c.portsUsed)
+	// Two port words follow busyUntil in the format: the start cycle of the
+	// last Occupy and an access count of 1, or 0 and 0 before the first.
+	// Both follow from busyUntil, so a load checks them against it (and a
+	// busyUntil below one latency, which no Occupy leaves, wraps last).
+	var last uint64
+	var n int
+	if c.busyUntil != 0 {
+		last, n = c.busyUntil-uint64(c.cfg.Latency), 1
+	}
+	gotLast, gotN := last, n
+	w.U64(&gotLast)
+	w.Int(&gotN)
+	if w.Loading() && w.Err() == nil && (gotLast != last || gotN != n || last > c.busyUntil) {
+		w.Failf("cache %s: port words (%d, %d) do not follow from busy-until cycle %d",
+			c.cfg.Name, gotLast, gotN, c.busyUntil)
+		return
+	}
 	w.U64(&c.accesses)
 	w.U64(&c.misses)
 	for i := range c.ways {

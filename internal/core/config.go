@@ -63,8 +63,9 @@ type Config struct {
 
 	// Tech is the technology node (0.09um or 0.045um in the paper).
 	Tech cacti.Tech
-	// L1ISize is the L1 instruction cache size in bytes (the swept axis).
-	// The L1 I-cache is not pipelined; its latency is Table 3's.
+	// L1ISize is the L1 instruction cache size in bytes (the swept axis),
+	// one of cacti.L1Sizes. The L1 I-cache is not pipelined; its latency is
+	// Table 3's.
 	L1ISize int
 	// UseL0 adds the one-cycle L0 cache sized by the node's one-cycle
 	// capacity (512B at 90nm, 256B at 45nm).
@@ -108,12 +109,6 @@ func DefaultPreBufferEntries(tech cacti.Tech) int {
 func DefaultL0Size(tech cacti.Tech) int { return cacti.OneCycleCapacity(tech) }
 
 func (c Config) normalise() (Config, error) {
-	if !c.Tech.Valid() {
-		return c, fmt.Errorf("core: invalid technology node %v", c.Tech)
-	}
-	if c.L1ISize <= 0 {
-		return c, fmt.Errorf("core: L1 I-cache size must be positive, got %d", c.L1ISize)
-	}
 	if c.Engine < EngineNone || c.Engine > EngineCLGP {
 		return c, fmt.Errorf("core: unknown engine kind %d", c.Engine)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"clgp/internal/cacti"
@@ -49,6 +50,33 @@ func TestEngineRunsAllSchemes(t *testing.T) {
 		}
 		if r.Cycles == 0 || r.IPC() <= 0 {
 			t.Errorf("%v: degenerate run: cycles=%d IPC=%g", kind, r.Cycles, r.IPC())
+		}
+	}
+}
+
+// TestNewEngineRejectsOutsideTable3: a node the paper does not evaluate, or
+// an L1 size Table 3 does not list, is a construction error that names the
+// value, not a panic and not a run on an invented latency.
+func TestNewEngineRejectsOutsideTable3(t *testing.T) {
+	w := icacheStressWorkload(t, 2_000, 1)
+	for _, tc := range []struct {
+		tech cacti.Tech
+		size int
+		name string
+	}{
+		{cacti.Tech(0), 2 << 10, "tech(0)"},
+		{cacti.Tech(1), 2 << 10, "tech(1)"},
+		{cacti.Tech(3), 2 << 10, "tech(3)"},
+		{cacti.Tech90, 128, "128 B"},
+		{cacti.Tech45, 128 << 10, "131072 B"},
+	} {
+		cfg := Config{Tech: tc.tech, L1ISize: tc.size, Engine: EngineCLGP, UseL0: true}
+		eng, err := NewEngine(cfg, w.Dict, w.Trace)
+		if err == nil {
+			eng.Release()
+			t.Errorf("NewEngine(%v, L1 %d B) succeeded, want an error", tc.tech, tc.size)
+		} else if !strings.Contains(err.Error(), tc.name) {
+			t.Errorf("NewEngine(%v, L1 %d B) error %q does not name %q", tc.tech, tc.size, err, tc.name)
 		}
 	}
 }

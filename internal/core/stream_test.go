@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"clgp/internal/cacti"
 	"clgp/internal/trace"
 	"clgp/internal/tracefile"
 	"clgp/internal/workload"
@@ -49,7 +50,7 @@ func TestStreamedEngineMatchesInMemory(t *testing.T) {
 
 	for _, ek := range []EngineKind{EngineNone, EngineNextN, EngineFDP, EngineCLGP} {
 		t.Run(ek.String(), func(t *testing.T) {
-			cfg := Config{L1ISize: 1 << 10, Engine: ek, UseL0: ek == EngineCLGP}
+			cfg := Config{Tech: cacti.Tech90, L1ISize: 1 << 10, Engine: ek, UseL0: ek == EngineCLGP}
 			want := runConfig(t, cfg, w)
 
 			rd, err := tracefile.Open(path)

@@ -11,7 +11,6 @@ import (
 	"clgp/internal/core"
 	"clgp/internal/sim"
 	"clgp/internal/stats"
-	"clgp/internal/workload"
 )
 
 // replicatedGrid is testGrid with a seed axis: 3 replicate seeds per grid
@@ -88,14 +87,13 @@ func TestGridSeedAxis(t *testing.T) {
 // TestGridHashCoversSeedList: dispatch_test.go's hash test only mutates one
 // job's Seed scalar — this covers grids differing solely in the seed *list*
 // (replicate count), which must hash apart and never cross-resume.
-// TestGridMatchesSweepJobs pins the equivalence `clgpsim sweep` relies on:
-// one profile's GridSpecs grid on one node, keeping only the requested L0
-// setting for prefetching engines, enumerates exactly the jobs of
-// sim.SweepJobs per replicate (names suffixed by sim.ReplicateName), with
-// identical configurations.
+// TestGridMatchesSweepJobs pins the job set `clgpsim sweep` runs: one
+// profile's GridSpecs grid on one node, keeping only the requested L0
+// setting for prefetching engines, is every engine over every Table 3 L1
+// size per replicate, in this order, each configured as its name says.
 func TestGridMatchesSweepJobs(t *testing.T) {
 	const insts, seed, reps = 5_000, 3, 2
-	engines := []core.EngineKind{core.EngineNone, core.EngineNextN, core.EngineFDP, core.EngineCLGP}
+	sizes := []string{"256B", "512B", "1KB", "2KB", "4KB", "8KB", "16KB", "32KB", "64KB"}
 	for _, l0 := range []bool{false, true} {
 		grid, err := GridSpecs(GridConfig{
 			Profiles: []string{"gzip"}, Techs: []cacti.Tech{cacti.Tech45},
@@ -110,27 +108,31 @@ func TestGridMatchesSweepJobs(t *testing.T) {
 				specs = append(specs, s)
 			}
 		}
-		var want []sim.Job
-		for rep := 0; rep < reps; rep++ {
-			w := &workload.Workload{Name: "gzip"}
-			for _, j := range sim.SweepJobs(w, cacti.Tech45, cacti.L1Sizes(), engines, l0) {
-				j.Config.Name = sim.ReplicateName(j.Config.Name, rep)
-				want = append(want, j)
+		engines := []string{"none", "nextn", "fdp", "clgp"}
+		if l0 {
+			engines = []string{"none", "nextn+l0", "fdp+l0", "clgp+l0"}
+		}
+		var want []string
+		for _, rep := range []string{"", "#r1"} {
+			for _, eng := range engines {
+				for _, size := range sizes {
+					want = append(want, "gzip/"+eng+"/0.045um/L1="+size+rep)
+				}
 			}
 		}
 		if len(specs) != len(want) {
-			t.Fatalf("l0=%v: grid has %d jobs, SweepJobs %d", l0, len(specs), len(want))
+			t.Fatalf("l0=%v: sweep has %d jobs, want %d", l0, len(specs), len(want))
 		}
 		for i, s := range specs {
 			cfg, err := s.Config()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s.Name() != want[i].Config.Name {
-				t.Errorf("l0=%v job %d: name %q, want %q", l0, i, s.Name(), want[i].Config.Name)
+			if cfg.Name != want[i] {
+				t.Errorf("l0=%v job %d: name %q, want %q", l0, i, cfg.Name, want[i])
 			}
-			if !reflect.DeepEqual(cfg, want[i].Config) {
-				t.Errorf("l0=%v job %s: config %+v, want %+v", l0, s.Name(), cfg, want[i].Config)
+			if got := sim.ReplicateName(sim.JobName("gzip", cfg.Engine, cfg.Tech, cfg.L1ISize, cfg.UseL0, cfg.IdealICache), s.Rep); got != want[i] {
+				t.Errorf("job %s: configuration %+v names itself %q", want[i], cfg, got)
 			}
 			if wantSeed := int64(seed + s.Rep); s.Seed != wantSeed || s.Insts != insts {
 				t.Errorf("job %s runs seed %d over %d insts, want seed %d over %d", s.Name(), s.Seed, s.Insts, wantSeed, insts)

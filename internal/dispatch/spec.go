@@ -32,7 +32,7 @@ type JobSpec struct {
 	Tech string `json:"tech"`
 	// Engine is the instruction-delivery engine (core.ParseEngineKind form).
 	Engine string `json:"engine"`
-	// L1Size is the L1 I-cache size in bytes.
+	// L1Size is the L1 I-cache size in bytes, one of cacti.L1Sizes.
 	L1Size int `json:"l1_size"`
 	// UseL0 adds the one-cycle L0 cache.
 	UseL0 bool `json:"use_l0,omitempty"`
@@ -54,14 +54,15 @@ func (s JobSpec) Validate() error {
 	if s.Insts <= 0 {
 		return fmt.Errorf("dispatch: job %s: insts must be positive, got %d", s.Profile, s.Insts)
 	}
-	if _, err := cacti.ParseTech(s.Tech); err != nil {
+	tech, err := cacti.ParseTech(s.Tech)
+	if err != nil {
 		return err
 	}
 	if _, err := core.ParseEngineKind(s.Engine); err != nil {
 		return err
 	}
-	if s.L1Size <= 0 {
-		return fmt.Errorf("dispatch: job %s: L1 size must be positive, got %d", s.Profile, s.L1Size)
+	if _, err := cacti.CacheLatency(s.L1Size, tech); err != nil {
+		return fmt.Errorf("dispatch: job %s: %w", s.Profile, err)
 	}
 	return nil
 }

@@ -10,7 +10,6 @@ package figures
 import (
 	"fmt"
 	"path/filepath"
-	"strings"
 
 	"clgp/internal/cacti"
 	"clgp/internal/core"
@@ -132,11 +131,13 @@ func ipc(r *stats.Results) float64 { return r.IPC() }
 
 // techTag renders a node as a filename-friendly tag ("90nm").
 func techTag(t cacti.Tech) string {
-	e, err := cacti.RoadmapFor(t)
-	if err != nil {
-		return strings.ReplaceAll(t.String(), ".", "")
+	switch t {
+	case cacti.Tech90:
+		return "90nm"
+	case cacti.Tech45:
+		return "45nm"
 	}
-	return fmt.Sprintf("%dnm", e.FeatureNM)
+	return t.String()
 }
 
 // engineVariants are the per-benchmark figure columns, in legend order.

@@ -100,15 +100,14 @@ func (r *Request) NextEvent(now uint64) uint64 {
 }
 
 // The Table 2 parameters every configuration shares: 64 B L0/L1 lines, a
-// 2-way L1I, a 32 KB 2-way one-cycle L1D with two ports and a 1 MB 2-way L2
-// with 128 B lines. The L2 and memory latencies come from cacti.
+// 2-way L1I, a 32 KB 2-way one-cycle L1D and a 1 MB 2-way L2 with 128 B
+// lines. The L1I, L2 and memory latencies come from cacti.
 const (
 	lineBytes   = 64
 	l1iAssoc    = 2
 	l1dSize     = 32 << 10
 	l1dAssoc    = 2
 	l1dLatency  = 1
-	l1dPorts    = 2
 	l2Size      = 1 << 20
 	l2Assoc     = 2
 	l2LineBytes = 128
@@ -120,8 +119,9 @@ type Config struct {
 	// Tech selects the technology node (latencies via cacti).
 	Tech cacti.Tech
 
-	// L1ISize is the L1 instruction cache size; its latency is Table 3's
-	// for the size and node, and it is not pipelined.
+	// L1ISize is the L1 instruction cache size, one of cacti.L1Sizes; its
+	// latency is Table 3's for the size and node, and it is not pipelined
+	// (see cache.Occupy).
 	L1ISize int
 
 	// L0Size of 0 disables the L0; otherwise the L0 is a one-cycle, fully
@@ -139,19 +139,6 @@ type Config struct {
 // I-cache size.
 func DefaultConfig(tech cacti.Tech, l1iSize int) Config {
 	return Config{Tech: tech, L1ISize: l1iSize}
-}
-
-func (c Config) normalise() (Config, error) {
-	if !c.Tech.Valid() {
-		return c, fmt.Errorf("memory: invalid technology node %v", c.Tech)
-	}
-	if c.L1ISize <= 0 {
-		return c, fmt.Errorf("memory: L1 I-cache size must be positive, got %d", c.L1ISize)
-	}
-	if c.L0Size < 0 {
-		return c, fmt.Errorf("memory: L0 size must be non-negative, got %d", c.L0Size)
-	}
-	return c, nil
 }
 
 // Hierarchy is the composed memory system.
@@ -191,23 +178,25 @@ type Hierarchy struct {
 
 // New builds the hierarchy from cfg.
 func New(cfg Config) (*Hierarchy, error) {
-	cfg, err := cfg.normalise()
+	l1iLatency, err := cacti.CacheLatency(cfg.L1ISize, cfg.Tech)
 	if err != nil {
 		return nil, err
+	}
+	if cfg.L0Size < 0 {
+		return nil, fmt.Errorf("memory: L0 size must be non-negative, got %d", cfg.L0Size)
 	}
 	h := &Hierarchy{cfg: cfg, arb: bus.New()}
 
 	h.l1i, err = cache.New(cache.Config{
 		Name: "L1I", SizeBytes: cfg.L1ISize, LineBytes: lineBytes, Assoc: l1iAssoc,
-		Latency: cacti.CacheLatency(cfg.L1ISize, cfg.Tech), Ports: 1,
+		Latency: l1iLatency,
 	})
 	if err != nil {
 		return nil, err
 	}
 	if cfg.L0Size > 0 {
 		h.l0, err = cache.New(cache.Config{
-			Name: "L0", SizeBytes: cfg.L0Size, LineBytes: lineBytes,
-			Latency: 1, Pipelined: true, Ports: 1,
+			Name: "L0", SizeBytes: cfg.L0Size, LineBytes: lineBytes, Latency: 1,
 		})
 		if err != nil {
 			return nil, err
@@ -215,14 +204,14 @@ func New(cfg Config) (*Hierarchy, error) {
 	}
 	h.l1d, err = cache.New(cache.Config{
 		Name: "L1D", SizeBytes: l1dSize, LineBytes: lineBytes, Assoc: l1dAssoc,
-		Latency: l1dLatency, Pipelined: true, Ports: l1dPorts,
+		Latency: l1dLatency,
 	})
 	if err != nil {
 		return nil, err
 	}
 	h.l2, err = cache.New(cache.Config{
 		Name: "L2", SizeBytes: l2Size, LineBytes: l2LineBytes, Assoc: l2Assoc,
-		Latency: cacti.L2Latency(cfg.Tech), Pipelined: true, Ports: 1,
+		Latency: cacti.L2Latency(cfg.Tech),
 	})
 	if err != nil {
 		return nil, err
@@ -251,7 +240,7 @@ func (h *Hierarchy) ReleaseCaches() {
 	h.l2.Release()
 }
 
-// Config returns the normalised configuration.
+// Config returns the configuration.
 func (h *Hierarchy) Config() Config { return h.cfg }
 
 // L1I, L0, L1D, L2 expose the underlying caches (read-mostly: probing and
@@ -374,17 +363,8 @@ func (h *Hierarchy) AccessIFetch(addr isa.Addr, now uint64, fillL1, fillL0 bool)
 		r.readyAt = now + uint64(h.l0.Latency())
 	case l1Hit:
 		r.Source = stats.SrcL1
-		start := now
-		if !h.l1i.Pipelined() && h.l1i.BusyUntil() > start {
-			start = h.l1i.BusyUntil()
-		}
-		done, ok := h.l1i.StartAccess(start)
-		if !ok {
-			// Port conflict within the same cycle: retry next cycle.
-			done, _ = h.l1i.StartAccess(start + 1)
-		}
 		r.scheduled = true
-		r.readyAt = done
+		r.readyAt = h.l1i.Occupy(now)
 		// A demand L1 hit also refreshes the L0 when one is present (the L0
 		// captures recently fetched lines, filter-cache style).
 		if fillL0 && h.l0 != nil {

@@ -218,13 +218,13 @@ func MeasureCore(profiles []string, engines []core.EngineKind, insts int, seed i
 // over two L1 sizes, every point with its own warm key, all sharing one
 // in-memory workload.
 func snapshotGridJobs(w *workload.Workload, warmup int, store SnapshotStore) []Job {
-	jobs := SweepJobs(w, cacti.Tech90,
-		[]int{1 << 10, 2 << 10},
-		[]core.EngineKind{core.EngineNone, core.EngineNextN, core.EngineFDP, core.EngineCLGP},
-		false)
-	for i := range jobs {
-		jobs[i].Warmup = warmup
-		jobs[i].Snapshots = store
+	var jobs []Job
+	for _, eng := range CoreBenchEngines {
+		for _, size := range []int{1 << 10, 2 << 10} {
+			cfg := core.Config{Tech: cacti.Tech90, L1ISize: size, Engine: eng}
+			cfg.Name = JobName(w.Name, eng, cfg.Tech, size, false, false)
+			jobs = append(jobs, Job{Config: cfg, Workload: w, Warmup: warmup, Snapshots: store})
+		}
 	}
 	return jobs
 }

@@ -251,25 +251,6 @@ func ReplicateName(base string, rep int) string {
 	return fmt.Sprintf("%s#r%d", base, rep)
 }
 
-// SweepJobs builds the cross product of engines × L1 sizes for one
-// technology node over a workload — one paper figure's worth of runs.
-func SweepJobs(w *workload.Workload, tech cacti.Tech, sizes []int, engines []core.EngineKind, useL0 bool) []Job {
-	jobs := make([]Job, 0, len(sizes)*len(engines))
-	for _, eng := range engines {
-		for _, size := range sizes {
-			cfg := core.Config{
-				Tech:    tech,
-				L1ISize: size,
-				Engine:  eng,
-				UseL0:   useL0 && eng != core.EngineNone,
-			}
-			cfg.Name = JobName(w.Name, eng, tech, size, cfg.UseL0, false)
-			jobs = append(jobs, Job{Config: cfg, Workload: w})
-		}
-	}
-	return jobs
-}
-
 // Summary aggregates a batch of results.
 type Summary struct {
 	// Sims is the number of successful simulations.

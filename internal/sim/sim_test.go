@@ -25,11 +25,17 @@ func benchWorkload(t testing.TB, insts int, seed int64) *workload.Workload {
 	return w
 }
 
+// grid16 is the four engines over four L1 sizes at 90nm, no L0.
 func grid16(w *workload.Workload) []Job {
-	return SweepJobs(w, cacti.Tech90,
-		[]int{1 << 10, 2 << 10, 4 << 10, 8 << 10},
-		[]core.EngineKind{core.EngineNone, core.EngineNextN, core.EngineFDP, core.EngineCLGP},
-		false)
+	var jobs []Job
+	for _, eng := range CoreBenchEngines {
+		for _, size := range []int{1 << 10, 2 << 10, 4 << 10, 8 << 10} {
+			cfg := core.Config{Tech: cacti.Tech90, L1ISize: size, Engine: eng}
+			cfg.Name = JobName(w.Name, eng, cfg.Tech, size, false, false)
+			jobs = append(jobs, Job{Config: cfg, Workload: w})
+		}
+	}
+	return jobs
 }
 
 func TestParallelMatchesSerial(t *testing.T) {

@@ -51,10 +51,6 @@ func (s Source) String() string {
 	}
 }
 
-// OneCycle reports whether the source has a one-cycle access time in the
-// paper's configurations (pre-buffer within the one-cycle capacity and L0).
-func (s Source) OneCycle() bool { return s == SrcPreBuffer || s == SrcL0 }
-
 // Distribution is a counter per source.
 type Distribution [NumSources]uint64
 
@@ -287,9 +283,6 @@ func (r *Results) BranchMispredRate() float64 {
 	return float64(r.Mispredictions) / float64(r.Branches)
 }
 
-// BranchAccuracy returns 1 - BranchMispredRate.
-func (r *Results) BranchAccuracy() float64 { return 1 - r.BranchMispredRate() }
-
 // L1MissRate returns the L1 I-cache demand miss rate.
 func (r *Results) L1MissRate() float64 { return rate(r.L1Misses, r.L1Accesses) }
 
@@ -353,15 +346,6 @@ func (r *Results) Merge(other *Results) {
 	r.Telemetry = nil
 }
 
-// Speedup returns the relative speedup of new over old in terms of IPC:
-// (new-old)/old. It returns 0 when old is 0.
-func Speedup(newIPC, oldIPC float64) float64 {
-	if oldIPC == 0 {
-		return 0
-	}
-	return (newIPC - oldIPC) / oldIPC
-}
-
 // HarmonicMean returns the harmonic mean of xs, the average the paper uses
 // to summarise per-benchmark IPC (the HMEAN bar of Figure 6). Zero or
 // negative values make the mean zero.
@@ -377,21 +361,6 @@ func HarmonicMean(xs []float64) float64 {
 		sum += 1 / x
 	}
 	return float64(len(xs)) / sum
-}
-
-// GeometricMean returns the geometric mean of xs.
-func GeometricMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var logSum float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs)))
 }
 
 // Summary renders the headline counters of a run as a human-readable block.
@@ -538,20 +507,6 @@ func (s *Series) YAt(x float64) float64 {
 		}
 	}
 	return math.NaN()
-}
-
-// MaxY returns the maximum y value of the series, or NaN when empty.
-func (s *Series) MaxY() float64 {
-	if len(s.Y) == 0 {
-		return math.NaN()
-	}
-	m := s.Y[0]
-	for _, y := range s.Y[1:] {
-		if y > m {
-			m = y
-		}
-	}
-	return m
 }
 
 // SeriesSet is a collection of series sharing the same X axis, i.e. one

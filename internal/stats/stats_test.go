@@ -23,9 +23,6 @@ func TestSourceString(t *testing.T) {
 	if got := Source(42).String(); got != "source(42)" {
 		t.Errorf("unknown source = %q", got)
 	}
-	if !SrcPreBuffer.OneCycle() || !SrcL0.OneCycle() || SrcL1.OneCycle() || SrcL2.OneCycle() || SrcMem.OneCycle() {
-		t.Errorf("OneCycle misclassifies")
-	}
 }
 
 func TestDistribution(t *testing.T) {
@@ -89,9 +86,6 @@ func TestResultsDerivedMetrics(t *testing.T) {
 	if r.BranchMispredRate() != 0.07 {
 		t.Errorf("mispred rate = %v", r.BranchMispredRate())
 	}
-	if math.Abs(r.BranchAccuracy()-0.93) > 1e-12 {
-		t.Errorf("accuracy = %v", r.BranchAccuracy())
-	}
 	if r.L1MissRate() != 0.1 || r.L0MissRate() != 0.25 || r.DCacheMissRate() != 0.1 {
 		t.Errorf("miss rates wrong: %v %v %v", r.L1MissRate(), r.L0MissRate(), r.DCacheMissRate())
 	}
@@ -123,18 +117,6 @@ func TestResultsMerge(t *testing.T) {
 	}
 }
 
-func TestSpeedup(t *testing.T) {
-	if got := Speedup(1.25, 1.0); math.Abs(got-0.25) > 1e-12 {
-		t.Errorf("Speedup = %v", got)
-	}
-	if got := Speedup(0.9, 1.0); math.Abs(got+0.1) > 1e-12 {
-		t.Errorf("negative speedup = %v", got)
-	}
-	if Speedup(1, 0) != 0 {
-		t.Errorf("zero baseline should give 0")
-	}
-}
-
 func TestHarmonicAndGeometricMean(t *testing.T) {
 	xs := []float64{1, 2, 4}
 	hm := HarmonicMean(xs)
@@ -142,20 +124,16 @@ func TestHarmonicAndGeometricMean(t *testing.T) {
 	if math.Abs(hm-want) > 1e-12 {
 		t.Errorf("HarmonicMean = %v, want %v", hm, want)
 	}
-	gm := GeometricMean(xs)
-	if math.Abs(gm-2) > 1e-12 {
-		t.Errorf("GeometricMean = %v, want 2", gm)
+	if HarmonicMean(nil) != 0 {
+		t.Errorf("empty mean should be 0")
 	}
-	if HarmonicMean(nil) != 0 || GeometricMean(nil) != 0 {
-		t.Errorf("empty means should be 0")
-	}
-	if HarmonicMean([]float64{1, 0}) != 0 || GeometricMean([]float64{1, -1}) != 0 {
+	if HarmonicMean([]float64{1, 0}) != 0 || HarmonicMean([]float64{1, -1}) != 0 {
 		t.Errorf("non-positive values should give 0")
 	}
 }
 
 func TestMeanInequalityProperty(t *testing.T) {
-	// For positive inputs: harmonic mean <= geometric mean <= max.
+	// For positive inputs: harmonic mean <= arithmetic mean <= max.
 	f := func(raw []uint16) bool {
 		if len(raw) == 0 {
 			return true
@@ -164,16 +142,15 @@ func TestMeanInequalityProperty(t *testing.T) {
 			raw = raw[:20]
 		}
 		xs := make([]float64, len(raw))
-		maxV := 0.0
+		maxV, sum := 0.0, 0.0
 		for i, r := range raw {
 			xs[i] = float64(r%1000)/100 + 0.01
-			if xs[i] > maxV {
-				maxV = xs[i]
-			}
+			maxV = max(maxV, xs[i])
+			sum += xs[i]
 		}
 		hm := HarmonicMean(xs)
-		gm := GeometricMean(xs)
-		return hm <= gm+1e-9 && gm <= maxV+1e-9 && hm > 0
+		am := sum / float64(len(xs))
+		return hm <= am+1e-9 && am <= maxV+1e-9 && hm > 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -225,13 +202,6 @@ func TestSeries(t *testing.T) {
 	}
 	if !math.IsNaN(s.YAt(12345)) {
 		t.Errorf("missing x should be NaN")
-	}
-	if s.MaxY() != 1.2 {
-		t.Errorf("MaxY = %v", s.MaxY())
-	}
-	empty := &Series{}
-	if !math.IsNaN(empty.MaxY()) {
-		t.Errorf("empty MaxY should be NaN")
 	}
 }
 
