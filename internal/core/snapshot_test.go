@@ -57,29 +57,31 @@ func restoreAndRun(t *testing.T, cfg Config, w *workload.Workload, data []byte) 
 }
 
 // TestSnapshotRestoreBitIdentical is the acceptance property of warm-state
-// snapshots: for every engine kind, a run restored from a mid-run snapshot
+// snapshots: for every engine kind at both nodes, a run restored from a mid-run snapshot
 // must finish with results bit-identical (modulo telemetry) to a
 // straight-through run — same cycles, same cycle accounts, same every counter.
 func TestSnapshotRestoreBitIdentical(t *testing.T) {
 	const numInsts = 30_000
 	const warmup = numInsts / 2
 	w := icacheStressWorkload(t, numInsts, 7)
-	for _, ek := range []EngineKind{EngineNone, EngineNextN, EngineFDP, EngineCLGP} {
-		t.Run(ek.String(), func(t *testing.T) {
-			cfg := Config{
-				Tech: cacti.Tech90, L1ISize: 2 << 10, Engine: ek,
-				UseL0: ek == EngineCLGP, PreBufferEntries: 8,
-			}
-			ref := runConfig(t, cfg, w)
-			data := warmSnapshot(t, cfg, w, warmup)
-			got := restoreAndRun(t, cfg, w, data)
-			if !reflect.DeepEqual(got.WithoutTelemetry(), ref.WithoutTelemetry()) {
-				t.Errorf("restored run diverges from straight-through:\nrestored: %+v\nstraight: %+v", got, ref)
-			}
-			if got.Cycles != ref.Cycles {
-				t.Errorf("restored final cycle count %d != straight-through %d", got.Cycles, ref.Cycles)
-			}
-		})
+	for _, node := range contractTechs {
+		for _, ek := range []EngineKind{EngineNone, EngineNextN, EngineFDP, EngineCLGP} {
+			t.Run(node.prefix+ek.String(), func(t *testing.T) {
+				cfg := Config{
+					Tech: node.tech, L1ISize: 2 << 10, Engine: ek,
+					UseL0: ek == EngineCLGP, PreBufferEntries: 8,
+				}
+				ref := runConfig(t, cfg, w)
+				data := warmSnapshot(t, cfg, w, warmup)
+				got := restoreAndRun(t, cfg, w, data)
+				if !reflect.DeepEqual(got.WithoutTelemetry(), ref.WithoutTelemetry()) {
+					t.Errorf("restored run diverges from straight-through:\nrestored: %+v\nstraight: %+v", got, ref)
+				}
+				if got.Cycles != ref.Cycles {
+					t.Errorf("restored final cycle count %d != straight-through %d", got.Cycles, ref.Cycles)
+				}
+			})
+		}
 	}
 }
 
@@ -188,7 +190,7 @@ func resnapshot(cfg Config, w *workload.Workload, data []byte) ([]byte, error) {
 // producer" flags of producers that had already left it, and changes no
 // other byte. From then on snapshot∘restore is the identity on the bytes.
 // Checked for four profiles, every engine, with and without an L0 and an
-// ideal I-cache, at three points of each run.
+// ideal I-cache, at both nodes, at three points of each run.
 func TestSnapshotRestoreFixpoint(t *testing.T) {
 	for _, profile := range []string{"gzip", "gcc", "mcf", "twolf"} {
 		p, err := workload.ProfileByName(profile)
@@ -200,31 +202,33 @@ func TestSnapshotRestoreFixpoint(t *testing.T) {
 			t.Fatalf("generate: %v", err)
 		}
 		fp := workload.Fingerprint(w.Profile, w.Dict)
-		for _, ek := range []EngineKind{EngineNone, EngineNextN, EngineFDP, EngineCLGP} {
-			for _, l0 := range []bool{false, true} {
-				for _, ideal := range []bool{false, true} {
-					cfg := Config{Tech: cacti.Tech90, L1ISize: 2 << 10, Engine: ek, UseL0: l0, IdealICache: ideal}
-					name := fmt.Sprintf("%s %v l0=%v ideal=%v", profile, ek, l0, ideal)
-					eng := MustNewEngine(cfg, w.Dict, w.Trace)
-					for _, at := range []uint64{5_000, 12_345, 20_000} {
-						if err := eng.RunUntilCommitted(at); err != nil {
-							t.Fatalf("%s: warm-up: %v", name, err)
-						}
-						data, err := eng.Snapshot(w.Name, fp)
-						if err != nil {
-							t.Fatalf("%s: snapshot: %v", name, err)
-						}
-						once, err := resnapshot(cfg, w, data)
-						if err != nil {
-							t.Fatalf("%s at %d: first round trip: %v", name, at, err)
-						}
-						twice, err := resnapshot(cfg, w, once)
-						if err != nil {
-							t.Fatalf("%s at %d: second round trip: %v", name, at, err)
-						}
-						if len(once) != len(data) || !bytes.Equal(twice, once) {
-							t.Errorf("%s at %d: snapshot of %d bytes round-trips to %d, then %d bytes (equal: %v)",
-								name, at, len(data), len(once), len(twice), bytes.Equal(twice, once))
+		for _, node := range contractTechs {
+			for _, ek := range []EngineKind{EngineNone, EngineNextN, EngineFDP, EngineCLGP} {
+				for _, l0 := range []bool{false, true} {
+					for _, ideal := range []bool{false, true} {
+						cfg := Config{Tech: node.tech, L1ISize: 2 << 10, Engine: ek, UseL0: l0, IdealICache: ideal}
+						name := fmt.Sprintf("%s %s %v l0=%v ideal=%v", node.tech, profile, ek, l0, ideal)
+						eng := MustNewEngine(cfg, w.Dict, w.Trace)
+						for _, at := range []uint64{5_000, 12_345, 20_000} {
+							if err := eng.RunUntilCommitted(at); err != nil {
+								t.Fatalf("%s: warm-up: %v", name, err)
+							}
+							data, err := eng.Snapshot(w.Name, fp)
+							if err != nil {
+								t.Fatalf("%s: snapshot: %v", name, err)
+							}
+							once, err := resnapshot(cfg, w, data)
+							if err != nil {
+								t.Fatalf("%s at %d: first round trip: %v", name, at, err)
+							}
+							twice, err := resnapshot(cfg, w, once)
+							if err != nil {
+								t.Fatalf("%s at %d: second round trip: %v", name, at, err)
+							}
+							if len(once) != len(data) || !bytes.Equal(twice, once) {
+								t.Errorf("%s at %d: snapshot of %d bytes round-trips to %d, then %d bytes (equal: %v)",
+									name, at, len(data), len(once), len(twice), bytes.Equal(twice, once))
+							}
 						}
 					}
 				}

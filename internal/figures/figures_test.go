@@ -87,6 +87,58 @@ var pinnedSingle = pins{
 	},
 }
 
+// pinnedSingle45 is the plain run at 45 nm.
+var pinnedSingle45 = pins{
+	"cycle_breakdown_45nm.csv": {
+		"214408c26728c0f062e31cf6fc82eba0e7b7ad6cd1134d8891bc7803483b3b91",
+		"fcdedbdf7d37794e5366031a87d4b43608346c3721823872fc6819c3d851749b",
+		"752db067cbee9e8dd47454d5e3d4519871ae03946ae993038b03d7c140153dc5",
+	},
+	"cycle_breakdown_45nm.json": {
+		"2576f4d9345dca71c6abbdc0927ff7d21f0b4f63544c5860d319c6659e024a65",
+	},
+	"figure1_ipc_vs_l1_45nm.csv": {
+		"7305fd6ef1b9ca45aeaf58b5db21e13f58f8e9b84445c2dc08d8760a7da81824",
+		"f1f8b1008e4e56cd88262a5e7cf7a1877dbdb8044a0202112b925243fecf2809",
+		"fe9cd019e04f82f381cdeef84d3550bb8b6b889239d38110e4b36dfef2202376",
+		"615ce00f3ab60b32f43929f9692011921dcb64eccd7cd13b0ea2d90c26395696",
+		"296d56b209a9e72ac10751047dd8a85d2658dc4c17adccdbd6e4c564f288b9e3",
+		"d0b1ea98d726836636fee014c701eec341ea2539f3d19aa33e16ba9ba8052da3",
+		"4efb8ed4e03873f6c79c1ccf4aba313646e9ba9378f270534a72a14e4b8913e9",
+		"9ccc35c554c004f54f5ff6258e583ccbe551ddff484c238ff6175412de0ebe4d",
+		"d22c5678dbb2745f24019e0d3d4a60dd7b153a7b935ff60b7f4c073f8aaba3c5",
+		"95876b0162e35fc366883cf38f2c3c6c75d006ae24af3cfaa8d653802862062f",
+	},
+	"figure1_ipc_vs_l1_45nm.json": {
+		"ec161414f314c36dae24f2af33a5148e8d37ac19746395135896c99f5c743b05",
+	},
+	"figure6_ipc_45nm.csv": {
+		"8880953f7d4290d64905c6696e76e0d2cc3888fd1b6e9e90c1df995c0f4ffcf3",
+		"3c945204ce59c170640cbc35421479bb253becfb769035a1493db517913e4ccf",
+		"71ba4240351336b4219f1388432eddf1efd5c9e32b1eca00cec3ad61209cc340",
+		"508a08ffedce267ac23926c152818b020c3eb8260b116ed7a6eca3950fae208f",
+	},
+	"figure6_ipc_45nm.json": {
+		"e48988451236f45cc05a817d0a56e0f1b67573d50591aaedd49106ac8d1569d4",
+	},
+	"figure7_fetch_sources_45nm.csv": {
+		"5a71557d9496c67308000ba5cd7668daaf9568d6f7644666dff35a5b3313453e",
+		"7456f9cd42b05c4eae7d3f99d61cd49f8c0f1f27115120ead730819cf8310337",
+		"ee72ce6ef335b502b361643503e5fa131cd0d2681f80887c88ecd5cdc8b1dfcf",
+	},
+	"figure7_fetch_sources_45nm.json": {
+		"6b6b01e1bcdefa61ac1f7e5e41789a7034bc5e48c396c6ee199dcd99c0b45052",
+	},
+	"figure8_prefetch_sources_45nm.csv": {
+		"5a71557d9496c67308000ba5cd7668daaf9568d6f7644666dff35a5b3313453e",
+		"fca6e68cf09f810fdfc26df57ca4acb3a9562695620fc91563091c26b3deb5fa",
+		"b3a8fc327662d1eda3af22e9c6393f827719ad8232816213365b40e5eff65552",
+	},
+	"figure8_prefetch_sources_45nm.json": {
+		"dc35eaac7af56fdb2d59a4ac2493748843798c475faa8004ba470144bf9e049a",
+	},
+}
+
 // pinnedSeeds3 is the `Seeds: 3` run: every point a mean over seeds 1-3
 // with n, stddev and ci95 columns.
 var pinnedSeeds3 = pins{
@@ -143,10 +195,10 @@ var pinnedSeeds3 = pins{
 const figL1 = 2 << 10
 
 // smokeConfig is the CLI's figures grid over CI's smoke workloads.
-func smokeConfig(seeds, warmup int) dispatch.GridConfig {
+func smokeConfig(tech cacti.Tech, seeds, warmup int) dispatch.GridConfig {
 	return dispatch.GridConfig{
 		Profiles: []string{"gzip", "mcf"}, Insts: 20_000, Seed: 1, Seeds: seeds,
-		Techs:        []cacti.Tech{cacti.Tech90},
+		Techs:        []cacti.Tech{tech},
 		L0Variants:   true,
 		IncludeIdeal: true,
 		Warmup:       warmup,
@@ -200,8 +252,9 @@ func sweep(t *testing.T, st dispatch.Store, gc dispatch.GridConfig) []dispatch.R
 var smokeRuns = map[string][]dispatch.RunRecord{}
 
 // smoke returns the records of one smoke run: "plain", "seeds3", "cold"
-// (warm-up at 10K, recording snapshots) or "warm" (the cold run's grid
-// again over its store, restoring every job from those snapshots).
+// (warm-up at 10K, recording snapshots), "warm" (the cold run's grid
+// again over its store, restoring every job from those snapshots), or
+// "plain45" (the plain run at 45 nm, where the front end matters most).
 func smoke(t *testing.T, run string) []dispatch.RunRecord {
 	t.Helper()
 	if recs, ok := smokeRuns[run]; ok {
@@ -209,18 +262,20 @@ func smoke(t *testing.T, run string) []dispatch.RunRecord {
 	}
 	switch run {
 	case "plain":
-		smokeRuns[run] = sweep(t, dispatch.NewDirStore(t.TempDir()), smokeConfig(1, 0))
+		smokeRuns[run] = sweep(t, dispatch.NewDirStore(t.TempDir()), smokeConfig(cacti.Tech90, 1, 0))
+	case "plain45":
+		smokeRuns[run] = sweep(t, dispatch.NewDirStore(t.TempDir()), smokeConfig(cacti.Tech45, 1, 0))
 	case "seeds3":
-		smokeRuns[run] = sweep(t, dispatch.NewDirStore(t.TempDir()), smokeConfig(3, 0))
+		smokeRuns[run] = sweep(t, dispatch.NewDirStore(t.TempDir()), smokeConfig(cacti.Tech90, 3, 0))
 	case "cold", "warm":
 		st := &snapshotCounter{Store: dispatch.NewDirStore(t.TempDir())}
-		smokeRuns["cold"] = sweep(t, st, smokeConfig(1, 10_000))
+		smokeRuns["cold"] = sweep(t, st, smokeConfig(cacti.Tech90, 1, 10_000))
 		if st.pushed.Load() == 0 {
 			t.Fatal("cold run recorded no warm-state snapshots")
 		}
 		st.fetched.Store(0)
 		st.pushed.Store(0)
-		smokeRuns["warm"] = sweep(t, st, smokeConfig(1, 10_000))
+		smokeRuns["warm"] = sweep(t, st, smokeConfig(cacti.Tech90, 1, 10_000))
 		if st.fetched.Load() == 0 || st.pushed.Load() != 0 {
 			t.Fatalf("warm run restored %d snapshots and recorded %d; want every job restored",
 				st.fetched.Load(), st.pushed.Load())
@@ -231,9 +286,14 @@ func smoke(t *testing.T, run string) []dispatch.RunRecord {
 	return smokeRuns[run]
 }
 
+// build builds the figures of smoke records, which are all at one node.
 func build(t *testing.T, recs []dispatch.RunRecord) []Figure {
 	t.Helper()
-	figs, err := Build(recs, []cacti.Tech{cacti.Tech90}, figL1)
+	tech, err := cacti.ParseTech(recs[0].Spec.Tech)
+	if err != nil {
+		t.Fatal(err)
+	}
+	figs, err := Build(recs, []cacti.Tech{tech}, figL1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,6 +412,7 @@ func TestEmittedFiguresPinned(t *testing.T) {
 		want pins
 	}{
 		{"plain", pinnedSingle},
+		{"plain45", pinnedSingle45},
 		{"seeds3", pinnedSeeds3},
 		{"cold", pinnedSingle},
 		{"warm", pinnedSingle},
