@@ -37,6 +37,11 @@ import (
 // flushed, wrong-path instructions are squashed, the predictor's history and
 // return-address stack are restored, and prediction restarts at the correct
 // target after redirectPenalty cycles.
+//
+// Past fetch, a wrong-path instruction only holds a dispatch-queue slot and
+// then an RUU slot until the squash (see package pipeline), so it is carried
+// as a count, never as a DynInst: dqWrong behind the dispatch queue's
+// entries, then the back end's wrong-path slots.
 type Engine struct {
 	cfg     Config
 	mem     *memory.Hierarchy
@@ -113,15 +118,19 @@ type Engine struct {
 	// they complete in the background and are then released.
 	drain []*memory.Request
 
-	// dq is the dispatch queue ring (fetched, not yet dispatched).
-	dq     []*pipeline.DynInst
-	dqHead int
-	dqN    int
+	// dq is the dispatch queue ring of fetched, not yet dispatched
+	// correct-path instructions; dqWrong counts the wrong-path instructions
+	// queued behind them. Every headroom test counts both.
+	dq      []*pipeline.DynInst
+	dqHead  int
+	dqN     int
+	dqWrong int
 
 	pool      *pipeline.Pool
 	commitBuf []*pipeline.DynInst
 
-	// nop backs wrong-path fetches that run off the program image.
+	// nop backs a fetched PC that is off the program image, which only a
+	// restored state no run reaches can ask for.
 	nop isa.StaticInst
 
 	// statistics
@@ -478,7 +487,7 @@ func (e *Engine) horizonWalk(now uint64) (cause stats.CycleCause, horizon uint64
 		// Queue full: prediction unblocks via a fetch-stage pop, which the
 		// fetch horizon below already covers.
 	}
-	if e.dqN > 0 && e.backend.FreeSlots() > 0 {
+	if e.dqN+e.dqWrong > 0 && e.backend.FreeSlots() > 0 {
 		// Dispatch moves instructions this cycle: front-end delivery work.
 		return stats.CycleFrontend, now, true
 	}
@@ -499,7 +508,7 @@ func (e *Engine) horizonWalk(now uint64) (cause stats.CycleCause, horizon uint64
 		if t < horizon {
 			horizon, cause = t, c
 		}
-	} else if dispatchQueueCap-e.dqN >= fetchLineHeadroom {
+	} else if dispatchQueueCap-e.dqN-e.dqWrong >= fetchLineHeadroom {
 		if _, ok := e.eng.NextFetch(); ok {
 			// A line fetch starts this cycle.
 			return stats.CycleFrontend, now, true
@@ -786,12 +795,12 @@ func (e *Engine) fetchStage(now uint64) {
 			e.fetchReq = nil
 		}
 		if ready {
-			e.deliverLine(now, src)
+			e.deliverLine(src)
 			e.fetchActive = false
 		}
 	}
 	// Start the next line once the dispatch queue can absorb a full line.
-	if e.fetchActive || dispatchQueueCap-e.dqN < fetchLineHeadroom {
+	if e.fetchActive || dispatchQueueCap-e.dqN-e.dqWrong < fetchLineHeadroom {
 		return
 	}
 	fr, ok := e.eng.NextFetch()
@@ -814,25 +823,35 @@ func (e *Engine) fetchStage(now uint64) {
 	e.fetchActive = true
 }
 
-// deliverLine turns the fetched line into dynamic instructions.
-func (e *Engine) deliverLine(now uint64, src stats.Source) {
+// deliverLine turns the fetched line into dynamic instructions, or, on a
+// wrong path, into queued wrong-path slots. Either way every instruction
+// takes a sequence number, so correct-path numbering does not depend on how
+// wrong-path instructions are carried.
+func (e *Engine) deliverLine(src stats.Source) {
 	fr := &e.fetchFR
-	m := e.meta(fr.BlockID)
 	e.fetchSources.Add(src, 1)
+	if e.dqN+e.dqWrong+fr.NumInsts > dispatchQueueCap {
+		// Cannot happen: fetchStage leaves a full line of headroom.
+		panic("core: dispatch queue overflow")
+	}
+	e.fetched += uint64(fr.NumInsts)
+	if fr.WrongPath {
+		e.seq += uint64(fr.NumInsts)
+		e.wrongPathFetched += uint64(fr.NumInsts)
+		e.dqWrong += fr.NumInsts
+		return
+	}
+	m := e.meta(fr.BlockID)
 	for i := 0; i < fr.NumInsts; i++ {
 		pc := fr.Start + isa.Addr(i)*isa.InstBytes
 		d := e.pool.Get()
 		e.seq++
 		d.Seq = e.seq
-		d.WrongPath = fr.WrongPath
-		d.FetchedAt = now
-		si := e.dict.Inst(pc)
-		if si == nil {
-			// Wrong-path fetch ran off the program image.
-			si = &e.nop
+		d.Static = e.dict.Inst(pc)
+		if d.Static == nil {
+			d.Static = &e.nop
 		}
-		d.Static = si
-		if !fr.WrongPath && m != nil && m.traceBase >= 0 {
+		if m != nil && m.traceBase >= 0 {
 			rec := e.tr.At(m.traceBase + m.delivered)
 			d.EffAddr = rec.EffAddr
 			m.delivered++
@@ -840,31 +859,24 @@ func (e *Engine) deliverLine(now uint64, src stats.Source) {
 				d.MispredictedBranch = true
 			}
 		}
-		e.fetched++
-		if d.WrongPath {
-			e.wrongPathFetched++
-		}
-		e.dqPush(d)
+		e.dq[(e.dqHead+e.dqN)%dispatchQueueCap] = d
+		e.dqN++
 	}
 }
 
-// dispatchStage moves up to fetchWidth instructions into the back-end.
+// dispatchStage moves up to fetchWidth instructions into the back-end:
+// queued correct-path instructions first, then wrong-path ones.
 func (e *Engine) dispatchStage(now uint64) {
-	for dispatched := 0; e.dqN > 0 && dispatched < fetchWidth; dispatched++ {
+	dispatched := 0
+	for ; e.dqN > 0 && dispatched < fetchWidth; dispatched++ {
 		if !e.backend.Dispatch(e.dq[e.dqHead], now) {
 			return // RUU full: back-pressure on fetch
 		}
 		e.dqPop()
 	}
-}
-
-func (e *Engine) dqPush(d *pipeline.DynInst) {
-	if e.dqN >= dispatchQueueCap {
-		// Cannot happen: fetchStage leaves a full line of headroom.
-		panic("core: dispatch queue overflow")
+	if e.dqWrong > 0 {
+		e.dqWrong -= e.backend.DispatchWrongPath(min(e.dqWrong, fetchWidth-dispatched))
 	}
-	e.dq[(e.dqHead+e.dqN)%dispatchQueueCap] = d
-	e.dqN++
 }
 
 func (e *Engine) dqPop() {
@@ -889,6 +901,7 @@ func (e *Engine) recoverFromMisprediction(now uint64) {
 		e.pool.Put(e.dq[e.dqHead])
 		e.dqPop()
 	}
+	e.dqWrong = 0
 	// Abandon the in-flight line fetch; the request completes and is
 	// reclaimed in the background.
 	if e.fetchActive {

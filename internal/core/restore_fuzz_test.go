@@ -194,7 +194,9 @@ func FuzzEngineRestore(f *testing.F) {
 
 // TestStallWatchdogSkipMatchesNoSkip restores two corpus mutants that stop
 // committing a few instructions after the restore point, in both clock
-// modes: pein-stall-after-restore keeps the machine ticking, and
+// modes: pein-stall-after-restore (a completed RUU entry whose completion
+// cycle is pushed past the run, so it never commits) keeps the machine
+// ticking, and
 // reqs-wedge-after-restore leaves it with no pending event at all, so the
 // skip path jumps straight to the deadline. Each run must fail with the
 // no-progress error stallCycles after its last commit, at the same cycle in
@@ -208,7 +210,7 @@ func TestStallWatchdogSkipMatchesNoSkip(t *testing.T) {
 		off  int // the corpus edit's little-endian offset, and its xor
 		xor  byte
 	}{
-		{"pein-stall-after-restore", "PEIN", 63, 0x9ef2, 0x80},
+		{"pein-stall-after-restore", "PEIN", 21, 0x2b, 0x80},
 		{"reqs-wedge-after-restore", "REQS", 48, 0xeecd, 0x80},
 	} {
 		start, end, ok := section(fx.payload, tc.tag, tc.nth)

@@ -190,6 +190,7 @@ func (e *Engine) walk(w *snap.Walker, rs *memory.ReqSet) {
 	// Dispatch queue, in logical (fetch) order; loading re-bases it at zero.
 	dqN := e.dqN
 	w.Count(&dqN, dispatchQueueCap)
+	w.Count(&e.dqWrong, dispatchQueueCap-dqN)
 	if w.Err() != nil {
 		return
 	}
@@ -212,23 +213,24 @@ func (e *Engine) walk(w *snap.Walker, rs *memory.ReqSet) {
 	w.U64(&e.detectedMisp)
 	w.U64s(e.fetchSources[:])
 	w.U64s(e.accounts[:])
-	if w.Loading() {
-		e.checkRestored(w)
-	}
 
 	// Component sections.
 	e.mem.Walk(w, rs)
 	e.backend.Walk(w, rs, e)
 	e.eng.Walk(w, rs)
 	e.pred.Walk(w)
+	if w.Loading() {
+		e.checkRestored(w)
+	}
 }
 
 // checkRestored rejects loaded engine state no run reaches: a prediction
 // cursor behind the commit frontier or past the trace, a drain entry with
-// no request, a fetch line longer than a line holds, or a dispatch queue
-// too full for the line in flight (fetchStage starts a line only with a
-// full line of headroom, and only dispatch moves the queue while the line
-// is in flight).
+// no request, a fetch line longer than a line holds, a dispatch queue too
+// full for the line in flight (fetchStage starts a line only with a full
+// line of headroom, and only dispatch moves the queue while the line is in
+// flight), or wrong-path slots, queued or in the back end, on an engine
+// that is not on a wrong path (recovery frees them all).
 func (e *Engine) checkRestored(w *snap.Walker) {
 	if w.Err() != nil {
 		return
@@ -247,8 +249,12 @@ func (e *Engine) checkRestored(w *snap.Walker) {
 		w.Failf("core: fetch line of %d instructions, want 0..%d", e.fetchFR.NumInsts, fetchLineHeadroom)
 		return
 	}
-	if e.fetchActive && e.dqN > dispatchQueueCap-fetchLineHeadroom {
-		w.Failf("core: %d queued instructions leave no room for the line in flight", e.dqN)
+	if e.fetchActive && e.dqN+e.dqWrong > dispatchQueueCap-fetchLineHeadroom {
+		w.Failf("core: %d queued instructions leave no room for the line in flight", e.dqN+e.dqWrong)
+		return
+	}
+	if n := e.dqWrong + e.backend.WrongPathSlots(); n > 0 && !e.wrongPath {
+		w.Failf("core: %d wrong-path slots on an engine that is not on a wrong path", n)
 	}
 }
 

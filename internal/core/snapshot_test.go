@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"reflect"
 	"runtime"
 	"strings"
@@ -121,8 +122,8 @@ func warmedEngine(t *testing.T, profile string, cfg Config) (*Engine, *workload.
 // snap.Version, update FORMAT.md, and re-pin.
 func TestSnapshotBytesPinned(t *testing.T) {
 	const (
-		wantLen = 356010
-		wantSum = "9fd5653aff9f08460aede827b818b341dcd9bcdd84a302839110c349f6dd1af1"
+		wantLen = 352059
+		wantSum = "c1b9482b2f59a6c628e1fad49b69a9cfd7081981a6fd32677b8fd3555fe87058"
 	)
 	eng, w := pinnedSnapshotEngine(t)
 	data, err := eng.Snapshot(w.Name, workload.Fingerprint(w.Profile, w.Dict))
@@ -137,8 +138,8 @@ func TestSnapshotBytesPinned(t *testing.T) {
 
 	// Every other section variant: the filter engines' cursor, candidate
 	// ring and prefetch buffer, the baseline's cursor-only record, a
-	// hierarchy without an L0, and the ideal I-cache. gcc's larger code
-	// keeps prefetches in flight at the snapshot point.
+	// hierarchy without an L0, the ideal I-cache, and the 45 nm node. gcc's
+	// larger code keeps prefetches in flight at the snapshot point.
 	for _, tc := range []struct {
 		name    string
 		cfg     Config
@@ -146,15 +147,17 @@ func TestSnapshotBytesPinned(t *testing.T) {
 		wantSum string
 	}{
 		{"none", Config{Tech: cacti.Tech90, L1ISize: 2 << 10, Engine: EngineNone},
-			355233, "1eed338f822a9de8b9faec36aa88d4a484a403e9960669624aee11e58db6e01d"},
+			350289, "2a60f3f66596ce72af9de02b564117d67c186e8b6a296336c9054631c662bbdb"},
 		{"nextn", Config{Tech: cacti.Tech90, L1ISize: 2 << 10, Engine: EngineNextN},
-			355622, "0e4186028a094c7c844db40a2f728f21553cd3ca153f29bd715fedad7ee67e09"},
+			350678, "3f7258aea5a3b1d6150873cd12a14ab11687fafc28a03b69d914739254ae22b7"},
 		{"fdp", Config{Tech: cacti.Tech90, L1ISize: 2 << 10, Engine: EngineFDP},
-			355836, "feec72531240c978cabf129f020ac371f57826f0ddfe3d6d9f37f08b5333049e"},
+			350892, "4da76301fcce7ba2028128f123f45b0201d61eff3e99078de20ca3b6e0e7ab7b"},
 		{"clgp-no-l0", Config{Tech: cacti.Tech90, L1ISize: 2 << 10, Engine: EngineCLGP},
-			356684, "5c662af5819c4f50b32f7d7a9363d696abaf93c858e163bd03e2297ad1ee6431"},
+			351740, "535e06bb8e0e57e9bced734448d1ad2fcc56ed11a579aad3e3181b374d2b973e"},
 		{"ideal", Config{Tech: cacti.Tech90, L1ISize: 2 << 10, Engine: EngineNone, IdealICache: true},
-			355233, "9105f0fbae51d038d7545de47aa4493a9a6ab75e4b70a6f1914f9dad21f2679a"},
+			350289, "597dc7da7742f1de8057523b204640381c25291a4f760293f73fe593715a7ef5"},
+		{"clgp-45nm", Config{Tech: cacti.Tech45, L1ISize: 2 << 10, Engine: EngineCLGP, UseL0: true},
+			351748, "036d60448b677e034ef85e8275fdd2dd0c0b2da400d513a67e18aadaa6c22c5b"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng, w := warmedEngine(t, "gcc", tc.cfg)
@@ -234,6 +237,60 @@ func TestSnapshotRestoreFixpoint(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSnapshotMidWrongPathEpisode snapshots an engine in the middle of a
+// wrong-path episode, with wrong-path instructions both queued for dispatch
+// and holding RUU slots, and restores it under both clock modes: each
+// restored run must finish bit-identical to the straight-through run.
+func TestSnapshotMidWrongPathEpisode(t *testing.T) {
+	const numInsts = 20_000
+	w := icacheStressWorkload(t, numInsts, 17)
+	fp := workload.Fingerprint(w.Profile, w.Dict)
+	cfg := Config{Tech: cacti.Tech45, L1ISize: 2 << 10, Engine: EngineCLGP, UseL0: true}
+	eng := MustNewEngine(cfg, w.Dict, w.Trace)
+	if err := eng.RunUntilCommitted(numInsts / 2); err != nil {
+		t.Fatalf("warm-up: %v", err)
+	}
+	for eng.dqWrong == 0 || eng.backend.WrongPathSlots() == 0 {
+		if !eng.Step() {
+			t.Fatalf("run ended before a wrong-path episode filled the queue and the RUU: %v", eng.Err())
+		}
+	}
+	data, err := eng.Snapshot(w.Name, fp)
+	if err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	for _, noSkip := range []bool{false, true} {
+		c := cfg
+		c.NoSkip = noSkip
+		ref := runConfig(t, c, w)
+		if got := restoreAndRun(t, c, w, data); !reflect.DeepEqual(got.WithoutTelemetry(), ref.WithoutTelemetry()) {
+			t.Errorf("NoSkip=%v: run restored mid-episode diverges from straight-through:\nrestored: %+v\nstraight: %+v",
+				noSkip, got, ref)
+		}
+	}
+}
+
+// TestRestoreRejectsVersion1: version 1 snapshots carried wrong-path
+// instructions as records; this build reads only version 2, so a version 1
+// container fails with ErrBadVersion, and a sweep runs that job cold.
+func TestRestoreRejectsVersion1(t *testing.T) {
+	eng, w := pinnedSnapshotEngine(t)
+	fp := workload.Fingerprint(w.Profile, w.Dict)
+	data, err := eng.Snapshot(w.Name, fp)
+	if err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	// Re-stamp the version and re-seal the checksum, so the version is the
+	// only thing wrong with the container.
+	binary.LittleEndian.PutUint32(data[4:], 1)
+	body := data[:len(data)-4]
+	binary.LittleEndian.PutUint32(data[len(body):], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+	err = MustNewEngine(eng.Config(), w.Dict, w.Trace).Restore(data, w.Name, fp)
+	if !errors.Is(err, snap.ErrBadVersion) {
+		t.Fatalf("restoring a version 1 container returned %v, want ErrBadVersion", err)
 	}
 }
 
@@ -487,22 +544,19 @@ func TestWarmKeyPinned(t *testing.T) {
 // only with a full line of dispatch-queue headroom, so a snapshot whose queue
 // is fuller than that while a line is in flight describes a state no run
 // reaches. Restore must reject it as corrupt; accepting it let the restored
-// run overflow the queue when the line arrived.
+// run overflow the queue when the line arrived. The queue is filled with
+// wrong-path slots on an engine that is on a wrong path, so headroom is the
+// only thing wrong with the state.
 func TestRestoreRejectsDispatchQueueWithoutFetchHeadroom(t *testing.T) {
 	eng, w := pinnedSnapshotEngine(t)
 	// A pre-buffer-served line lands within a cycle or two, before dispatch
 	// can drain the queue.
-	for !eng.fetchActive || eng.fetchReq != nil || eng.fetchFR.NumInsts <= 8 {
+	for !eng.wrongPath || !eng.fetchActive || eng.fetchReq != nil || eng.fetchFR.NumInsts <= 8 {
 		if !eng.Step() {
-			t.Fatalf("run ended before a pre-buffer line fetch: %v", eng.Err())
+			t.Fatalf("run ended before a wrong-path pre-buffer line fetch: %v", eng.Err())
 		}
 	}
-	for eng.dqN < dispatchQueueCap {
-		d := eng.pool.Get()
-		d.Static = &eng.nop
-		d.WrongPath = true
-		eng.dqPush(d)
-	}
+	eng.dqWrong = dispatchQueueCap - eng.dqN
 	fp := workload.Fingerprint(w.Profile, w.Dict)
 	data, err := eng.Snapshot(w.Name, fp)
 	if err != nil {
@@ -514,7 +568,7 @@ func TestRestoreRejectsDispatchQueueWithoutFetchHeadroom(t *testing.T) {
 			t.Fatalf("restored run panicked: %v", r)
 		}
 	}()
-	if err := fresh.Restore(data, w.Name, fp); !errors.Is(err, snap.ErrCorrupt) {
+	if err := fresh.Restore(data, w.Name, fp); !errors.Is(err, snap.ErrCorrupt) || !strings.Contains(err.Error(), "no room") {
 		_, runErr := fresh.Run()
 		t.Fatalf("restore returned %v, want ErrCorrupt; the run then returned %v", err, runErr)
 	}
@@ -559,10 +613,10 @@ func TestRestoreRejectsQueuedInstructionWithRequest(t *testing.T) {
 		t.Fatalf("fetch request ID %d in a table of %d; want a live fetch and another request", k, numReqs)
 	}
 	// The head queued instruction's request ID follows its tag, its static
-	// marker (and PC, for an image instruction) and 43 bytes of identity and
+	// marker (and PC, for an image instruction) and 34 bytes of identity and
 	// timing.
 	inst, _, _ := section(payload, "PEIN", 0)
-	memReqAt := inst + 4 + 1 + 43
+	memReqAt := inst + 4 + 1 + 34
 	if payload[inst+4] == 1 {
 		memReqAt += 8
 	}

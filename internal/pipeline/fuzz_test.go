@@ -61,10 +61,11 @@ func fuzzReg(v byte) uint8 {
 // wrong path, the high nibble picks how many instructions to deliver — and
 // three bytes per delivered instruction: class and mispredict flag, two
 // source registers, destination register and data line. The back-end does
-// not care which class carries the mispredict flag, so any may, which lets
-// instructions of different latencies resolve in the same cycle. A
-// mispredicted correct-path instruction starts a wrong-path run, which ends
-// at the next squash.
+// not care which class carries the mispredict flag, so any correct-path
+// instruction may, which lets instructions of different latencies resolve
+// in the same cycle. A mispredicted instruction starts a wrong-path run,
+// which ends at the next squash; its instructions still consume their three
+// bytes, but enter both back ends as DispatchWrongPath slots.
 func checkMatchesWalk(t *testing.T, data []byte) {
 	in := &fuzzBytes{data: data}
 	c0 := in.next()
@@ -80,12 +81,13 @@ func checkMatchesWalk(t *testing.T, data []byte) {
 	got := MustNew(cfg, memA)
 	want := newWalkBackend(cfg, memB)
 	poolA, poolB := NewPool(0), NewPool(0)
-	got.SetPool(poolA)
-	want.pool = poolB
 
 	var seq uint64
 	wrongPath := false
-	var pendA, pendB *DynInst // delivered but refused by a full RUU; retried first
+	// Delivered but refused by a full RUU, and retried first: a correct-path
+	// instruction (pendA, pendB) or a wrong-path one (pendWrong).
+	var pendA, pendB *DynInst
+	pendWrong := false
 	bufA := make([]*DynInst, 0, cfg.Width)
 	bufB := make([]*DynInst, 0, cfg.Width)
 	const maxCycles = 1 << 20
@@ -120,38 +122,45 @@ func checkMatchesWalk(t *testing.T, data []byte) {
 			wrongPath = false
 			// Like the core's dispatch queue, a refused wrong-path
 			// instruction is flushed with the rest of the wrong path.
-			if pendA != nil && pendA.WrongPath {
-				poolA.Put(pendA)
-				poolB.Put(pendB)
-				pendA, pendB = nil, nil
-			}
+			pendWrong = false
 		}
-		for k := int(ctl>>4) % (cfg.Width + 1); k > 0 || pendA != nil; k-- {
-			if pendA == nil {
+		for k := int(ctl>>4) % (cfg.Width + 1); k > 0 || pendA != nil || pendWrong; k-- {
+			if pendA == nil && !pendWrong {
 				if k <= 0 {
 					break
 				}
 				b0, b1, b2 := in.next(), in.next(), in.next()
-				si := &isa.StaticInst{
-					PC:    isa.Addr(0x1000 + 4*seq),
-					Class: fuzzClasses[int(b0&0x3f)%len(fuzzClasses)],
-					Src1:  fuzzReg(b1),
-					Src2:  fuzzReg(b1 >> 3),
-					Dst:   fuzzReg(b2),
-				}
 				seq++
-				pendA, pendB = poolA.Get(), poolB.Get()
-				for _, d := range [...]*DynInst{pendA, pendB} {
-					d.Static = si
-					d.Seq = seq
-					d.WrongPath = wrongPath
-					d.MispredictedBranch = b0>>6 == 3
-					d.EffAddr = isa.Addr(0x9000_0000 + 64*uint64(b2>>3))
-					d.FetchedAt = now
+				if wrongPath {
+					pendWrong = true
+				} else {
+					si := &isa.StaticInst{
+						PC:    isa.Addr(0x1000 + 4*seq),
+						Class: fuzzClasses[int(b0&0x3f)%len(fuzzClasses)],
+						Src1:  fuzzReg(b1),
+						Src2:  fuzzReg(b1 >> 3),
+						Dst:   fuzzReg(b2),
+					}
+					pendA, pendB = poolA.Get(), poolB.Get()
+					for _, d := range [...]*DynInst{pendA, pendB} {
+						d.Static = si
+						d.Seq = seq
+						d.MispredictedBranch = b0>>6 == 3
+						d.EffAddr = isa.Addr(0x9000_0000 + 64*uint64(b2>>3))
+					}
+					wrongPath = pendA.MispredictedBranch
 				}
-				if pendA.MispredictedBranch && !wrongPath {
-					wrongPath = true
+			}
+			if pendWrong {
+				nA, nB := got.DispatchWrongPath(1), want.DispatchWrongPath(1)
+				if nA != nB {
+					t.Fatalf("cycle %d: wrong-path dispatch took %d, walk took %d", now, nA, nB)
 				}
+				if nA == 0 {
+					break
+				}
+				pendWrong = false
+				continue
 			}
 			okA, okB := got.Dispatch(pendA, now), want.Dispatch(pendB, now)
 			if okA != okB {
@@ -166,10 +175,11 @@ func checkMatchesWalk(t *testing.T, data []byte) {
 		if a, b := got.NextEvent(now), want.NextEvent(now); a != b {
 			t.Fatalf("cycle %d: NextEvent %d, walk %d", now, a, b)
 		}
-		if a, b := got.counters(), want.counters(); a != b || got.ruuN != want.ruuN {
-			t.Fatalf("cycle %d: counters %+v (occupancy %d), walk %+v (occupancy %d)", now, a, got.ruuN, b, want.ruuN)
+		if a, b := got.counters(), want.counters(); a != b || got.ruuN != want.ruuN || got.wrongN != want.wrongN {
+			t.Fatalf("cycle %d: counters %+v (occupancy %d+%d), walk %+v (occupancy %d+%d)",
+				now, a, got.ruuN, got.wrongN, b, want.ruuN, want.wrongN)
 		}
-		if in.exhausted() && pendA == nil && got.Drained() {
+		if in.exhausted() && pendA == nil && !pendWrong && got.Occupancy() == 0 {
 			return
 		}
 	}
@@ -185,13 +195,13 @@ func seqOf(d *DynInst) any {
 
 // backendCounters is every statistic a back-end keeps.
 type backendCounters struct {
-	committed, wrongSquash, loadsExec, storesExec, resolvedMisp uint64
+	committed, wrongSquash, resolvedMisp uint64
 }
 
 func (b *Backend) counters() backendCounters {
-	return backendCounters{b.committed, b.wrongSquash, b.loadsExec, b.storesExec, b.resolvedMisp}
+	return backendCounters{b.committed, b.wrongSquash, b.resolvedMisp}
 }
 
 func (b *walkBackend) counters() backendCounters {
-	return backendCounters{b.committed, b.wrongSquash, b.loadsExec, b.storesExec, b.resolvedMisp}
+	return backendCounters{b.committed, b.wrongSquash, b.resolvedMisp}
 }

@@ -12,11 +12,19 @@
 // fills up and back-pressures fetch, and a mispredicted branch is only
 // resolved when it executes, several cycles after it was fetched, so deeper
 // effective front-ends (slower caches) pay a larger misprediction penalty.
+//
+// Wrong-path instructions are not DynInsts here: the back end holds them as
+// a count of RUU slots behind the correct-path entries (DispatchWrongPath),
+// freed together by SquashWrongPath. Holding a slot is the only effect a
+// wrong-path instruction can have on this model. It never touches memory
+// or the scoreboard and never commits, and being younger than every
+// correct-path entry, it never takes an issue or commit slot one of them
+// wanted. So carrying the count instead of scheduling the instructions
+// changes no correct-path cycle.
 package pipeline
 
 import (
 	"fmt"
-	"slices"
 
 	"clgp/internal/clock"
 	"clgp/internal/freelist"
@@ -30,16 +38,11 @@ type DynInst struct {
 	Static *isa.StaticInst
 	// Seq is a global sequence number assigned by the front-end.
 	Seq uint64
-	// WrongPath marks instructions fetched down a mispredicted path; they
-	// occupy resources but are never committed.
-	WrongPath bool
 	// MispredictedBranch marks the branch whose resolution triggers
 	// recovery.
 	MispredictedBranch bool
 	// EffAddr is the effective address for loads and stores.
 	EffAddr isa.Addr
-	// FetchedAt is the cycle the instruction left the fetch stage.
-	FetchedAt uint64
 
 	state     instState
 	issueAt   uint64
@@ -48,8 +51,7 @@ type DynInst struct {
 	// deps are the in-flight producers of this instruction's source
 	// registers; the instruction may issue only once both have completed.
 	// Each reference carries the producer's sequence number so that a
-	// producer recycled through a Pool (necessarily committed or squashed,
-	// hence done) is recognised and never stalls the consumer.
+	// producer recycled through a Pool (necessarily committed, hence done) is recognised and never stalls the consumer.
 	deps [2]depRef
 	// waitHead lists the consumers parked on this instruction's completion;
 	// waitNext links a parked consumer into its producer's list. Both are
@@ -75,8 +77,8 @@ func (r depRef) done(now uint64) bool {
 }
 
 // Pool is a free-list of DynInsts. The front-end takes instructions from the
-// pool at fetch time and the back-end returns them on commit and squash, so
-// the steady-state cycle loop allocates no instruction objects. A pool's
+// pool at fetch time and returns them once they commit, so the steady-state
+// cycle loop allocates no instruction objects. A pool's
 // first instructions come from one slab, which Release hands back for the
 // next pool, so a sweep's next engine reuses the previous one's
 // instructions.
@@ -140,9 +142,6 @@ const (
 	stateCompleted
 )
 
-// Completed reports whether the instruction has finished execution.
-func (d *DynInst) Completed() bool { return d.state == stateCompleted }
-
 // Config sizes the back-end.
 type Config struct {
 	// Width is the dispatch/issue/commit width (Table 2: 4).
@@ -204,6 +203,10 @@ type Backend struct {
 	ruuMask int
 	ruuHead int
 	ruuN    int
+	// wrongN counts the wrong-path instructions occupying RUU slots behind
+	// the ring's entries (see the package doc). They are always the
+	// youngest and leave only by SquashWrongPath, so a count is exact.
+	wrongN int
 
 	// The scheduler indices partition the RUU's not-yet-completed entries;
 	// they are derived state, rebuilt by a loading Walk and never serialised.
@@ -237,20 +240,17 @@ type Backend struct {
 	nextEv   uint64
 	readyNow bool
 
-	// pool, when set, receives committed and squashed instructions so their
-	// objects are recycled by the front-end.
+	// pool, when set, supplies the RUU entries a loading Walk materialises.
 	pool *Pool
 
 	// regProducer tracks, per architectural register, the most recently
-	// dispatched correct-path instruction that writes it (the scoreboard).
+	// dispatched instruction that writes it (the scoreboard).
 	// References are seq-tagged: see depRef.
 	regProducer [isa.NumRegs]depRef
 
 	// statistics
 	committed    uint64
 	wrongSquash  uint64
-	loadsExec    uint64
-	storesExec   uint64
 	resolvedMisp uint64
 }
 
@@ -285,8 +285,8 @@ type timedInst struct {
 	d  *DynInst
 }
 
-// SetPool attaches a DynInst pool; committed and squashed instructions are
-// released to it. Without a pool the caller owns released instructions.
+// SetPool attaches the DynInst pool a loading Walk draws RUU entries from;
+// without one it allocates them.
 func (b *Backend) SetPool(p *Pool) { b.pool = p }
 
 // ruuAt returns the instruction at logical index i (0 = oldest).
@@ -305,42 +305,41 @@ func MustNew(cfg Config, mem *memory.Hierarchy) *Backend {
 func (b *Backend) Config() Config { return b.cfg }
 
 // FreeSlots returns how many instructions can currently be dispatched.
-func (b *Backend) FreeSlots() int { return b.cfg.RUUSize - b.ruuN }
+func (b *Backend) FreeSlots() int { return b.cfg.RUUSize - b.ruuN - b.wrongN }
 
-// Occupancy returns the number of instructions in the RUU.
-func (b *Backend) Occupancy() int { return b.ruuN }
+// Occupancy returns the number of instructions in the RUU, wrong-path slots
+// included.
+func (b *Backend) Occupancy() int { return b.ruuN + b.wrongN }
+
+// WrongPathSlots returns the number of RUU slots wrong-path instructions
+// hold.
+func (b *Backend) WrongPathSlots() int { return b.wrongN }
 
 // Committed returns the number of committed (correct-path) instructions.
 func (b *Backend) Committed() uint64 { return b.committed }
 
-// SquashedWrongPath returns the number of wrong-path instructions removed.
-func (b *Backend) SquashedWrongPath() uint64 { return b.wrongSquash }
-
-// ResolvedMispredictions returns how many mispredicted branches resolved.
-func (b *Backend) ResolvedMispredictions() uint64 { return b.resolvedMisp }
-
-// Dispatch inserts an instruction into the RUU at cycle now. It returns
-// false when the RUU is full (the caller must retry next cycle). At most
-// Width instructions should be dispatched per cycle; the caller enforces
-// that (it is the same limit as the fetch width).
+// Dispatch inserts a correct-path instruction into the RUU at cycle now. It
+// returns false when the RUU is full (the caller must retry next cycle). At
+// most Width instructions should be dispatched per cycle; the caller
+// enforces that (it is the same limit as the fetch width). No correct-path
+// instruction is dispatched behind wrong-path slots: the squash frees them
+// first.
 func (b *Backend) Dispatch(d *DynInst, now uint64) bool {
-	if b.ruuN >= b.cfg.RUUSize {
+	if b.FreeSlots() <= 0 {
 		return false
 	}
 	d.state = stateDispatched
 	d.issueAt = now + b.cfg.issueDelay()
-	if !d.WrongPath {
-		// Data dependences: remember the in-flight producers of the source
-		// registers; issue waits for them to complete.
-		if d.Static.Src1 != isa.RegZero {
-			d.deps[0] = b.regProducer[d.Static.Src1]
-		}
-		if d.Static.Src2 != isa.RegZero {
-			d.deps[1] = b.regProducer[d.Static.Src2]
-		}
-		if d.Static.Dst != isa.RegZero {
-			b.regProducer[d.Static.Dst] = depRef{d: d, seq: d.Seq}
-		}
+	// Data dependences: remember the in-flight producers of the source
+	// registers; issue waits for them to complete.
+	if d.Static.Src1 != isa.RegZero {
+		d.deps[0] = b.regProducer[d.Static.Src1]
+	}
+	if d.Static.Src2 != isa.RegZero {
+		d.deps[1] = b.regProducer[d.Static.Src2]
+	}
+	if d.Static.Dst != isa.RegZero {
+		b.regProducer[d.Static.Dst] = depRef{d: d, seq: d.Seq}
 	}
 	b.ruu[(b.ruuHead+b.ruuN)&b.ruuMask] = d
 	b.ruuN++
@@ -351,6 +350,15 @@ func (b *Backend) Dispatch(d *DynInst, now uint64) bool {
 	// the tick's recomputation did not see it).
 	b.nextEv = clock.Min(b.nextEv, d.issueAt)
 	return true
+}
+
+// DispatchWrongPath puts up to n wrong-path instructions into free RUU
+// slots and returns how many it took. They have no event and no effect but
+// the slots they hold, so the cached horizon is unchanged.
+func (b *Backend) DispatchWrongPath(n int) int {
+	n = min(n, b.FreeSlots())
+	b.wrongN += n
+	return n
 }
 
 // Tick advances execution and commit by one cycle. It returns the
@@ -387,10 +395,9 @@ func (b *Backend) TickInto(now uint64, buf []*DynInst) (committed []*DynInst, re
 	// become ready only when its producer completes, and that completion is
 	// in nextEv. Contributions are fixed cycles that never move earlier, so
 	// the cache stays never-late across any span of gated cycles;
-	// SquashWrongPath can expose a committable survivor at the head, so it
-	// forces the next tick itself. The per-cycle NoSkip clock mode takes
-	// this path too: the gate elides provably dead ticks, not cycles, so
-	// both clock modes see identical machine states.
+	// SquashWrongPath forces the next tick itself. The per-cycle NoSkip
+	// clock mode takes this path too: the gate elides provably dead ticks,
+	// not cycles, so both clock modes see identical machine states.
 	if b.ruuN > 0 && !b.readyNow && b.nextEv > now {
 		return committed, nil
 	}
@@ -474,10 +481,10 @@ func (b *Backend) TickInto(now uint64, buf []*DynInst) (committed []*DynInst, re
 	// A width-limited ready entry is same-cycle work.
 	readyNow := left > 0
 
-	// In-order commit of up to Width completed correct-path instructions.
+	// In-order commit of up to Width completed instructions.
 	for b.ruuN > 0 && len(committed)-len(buf) < b.cfg.Width {
 		head := b.ruu[b.ruuHead]
-		if head.WrongPath || head.state != stateCompleted || head.completAt > now {
+		if head.state != stateCompleted || head.completAt > now {
 			break
 		}
 		b.ruu[b.ruuHead] = nil
@@ -489,7 +496,7 @@ func (b *Backend) TickInto(now uint64, buf []*DynInst) (committed []*DynInst, re
 	// A still-committable head (width-limited commit, or completed behind the
 	// instructions committed above) is same-cycle work.
 	if b.ruuN > 0 {
-		if head := b.ruu[b.ruuHead]; !head.WrongPath && head.state == stateCompleted {
+		if head := b.ruu[b.ruuHead]; head.state == stateCompleted {
 			readyNow = true
 		}
 	}
@@ -509,8 +516,8 @@ func blocker(d *DynInst, now uint64) *DynInst {
 }
 
 // park puts d on producer p's consumer list until p completes. A producer is
-// always older than its consumers and is correct-path, hence never squashed,
-// so its completion is certain to wake every consumer parked on it.
+// always older than its consumers, and no RUU entry is ever squashed, so its
+// completion is certain to wake every consumer parked on it.
 func park(d, p *DynInst) {
 	d.waitNext = p.waitHead
 	p.waitHead = d
@@ -535,16 +542,14 @@ func (b *Backend) issue(d *DynInst, now uint64) uint64 {
 	cls := d.Static.Class
 	switch {
 	case cls == isa.OpLoad:
-		b.loadsExec++
-		if b.mem != nil && !d.WrongPath {
+		if b.mem != nil {
 			d.memReq = b.mem.AccessData(d.EffAddr, now, false)
 			d.state = stateWaitingMem
 			return d.memReq.NextEvent(now)
 		}
 		d.completAt = now + 1
 	case cls == isa.OpStore:
-		b.storesExec++
-		if b.mem != nil && !d.WrongPath {
+		if b.mem != nil {
 			// Stores complete immediately from the pipeline's perspective;
 			// the request is consumed on the spot, so release it right away.
 			b.mem.Release(b.mem.AccessData(d.EffAddr, now, true))
@@ -579,10 +584,10 @@ func (b *Backend) issue(d *DynInst, now uint64) uint64 {
 //     skipping past these horizons is what keeps resolution — and with it
 //     every downstream flush — on exactly the per-cycle schedule.
 //
-// Completed wrong-path instructions are inert until the resolution squash,
-// which the mispredicted (correct-path) branch's own completion event covers;
-// SquashWrongPath only removes work, so the cache going stale across a squash
-// is at worst conservatively early.
+// Wrong-path slots contribute nothing: they have no event of their own, and
+// the squash that frees them follows the mispredicted branch's completion,
+// which is an exec-list event. A back end holding only wrong-path slots is
+// idle (clock.None).
 func (b *Backend) NextEvent(now uint64) uint64 {
 	if b.ruuN == 0 {
 		return clock.None
@@ -593,54 +598,18 @@ func (b *Backend) NextEvent(now uint64) uint64 {
 	return b.nextEv
 }
 
-// SquashWrongPath removes every wrong-path instruction from the RUU and the
-// scheduler indices. The core calls it when the mispredicted branch
-// resolves. Squashed instructions are released to the pool when one is
-// attached. It returns the number of squashed instructions. Wrong-path
-// instructions carry no dependences and are never producers, so none is
-// parked and no consumer list needs repair.
+// SquashWrongPath frees every wrong-path slot and returns how many there
+// were. The core calls it when the mispredicted branch resolves.
 func (b *Backend) SquashWrongPath() int {
-	n := 0
-	w := 0
-	for r := 0; r < b.ruuN; r++ {
-		d := b.ruuAt(r)
-		if d.WrongPath {
-			n++
-			if b.pool != nil {
-				b.pool.Put(d)
-			}
-			continue
-		}
-		b.ruu[(b.ruuHead+w)&b.ruuMask] = d
-		w++
-	}
-	// Clear the vacated tail slots so no stale pointers linger.
-	for i := w; i < b.ruuN; i++ {
-		b.ruu[(b.ruuHead+i)&b.ruuMask] = nil
-	}
-	b.ruuN = w
+	n := b.wrongN
+	b.wrongN = 0
 	b.wrongSquash += uint64(n)
-
-	w = 0
-	for r := 0; r < b.delayN; r++ {
-		if e := b.delay[(b.delayHead+r)&b.ruuMask]; !e.d.WrongPath {
-			b.delay[(b.delayHead+w)&b.ruuMask] = e
-			w++
-		}
-	}
-	b.delayN = w
-	b.ready = slices.DeleteFunc(b.ready, func(d *DynInst) bool { return d.WrongPath })
-	b.exec = slices.DeleteFunc(b.exec, func(e timedInst) bool { return e.d.WrongPath })
-
-	// Removing a wrong-path head can expose an already-completed survivor at
-	// the commit point — work the cached horizon never accounted for. Force
-	// the next TickInto to run and recompute.
+	// The recovery that squashes also flushes and redirects the front end;
+	// force the next TickInto to run and recompute the horizon rather than
+	// reason about the cache across it.
 	b.readyNow = true
 	return n
 }
-
-// Drained reports whether the RUU is empty.
-func (b *Backend) Drained() bool { return b.ruuN == 0 }
 
 // OldestUncommitted returns the sequence number of the oldest instruction in
 // the RUU, or 0 and false when empty. Useful for debugging deadlocks.

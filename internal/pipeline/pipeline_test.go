@@ -1,10 +1,12 @@
 package pipeline
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 
 	"clgp/internal/cacti"
+	"clgp/internal/clock"
 	"clgp/internal/isa"
 	"clgp/internal/memory"
 	"clgp/internal/snap"
@@ -25,7 +27,7 @@ func runUntilDrained(t *testing.T, b *Backend, start uint64, maxCycles int) uint
 	now := start
 	for i := 0; i < maxCycles; i++ {
 		b.Tick(now)
-		if b.Drained() {
+		if b.Occupancy() == 0 {
 			return now
 		}
 		now++
@@ -224,10 +226,8 @@ func TestMispredictedBranchResolution(t *testing.T) {
 	bd := dyn(br, 0)
 	bd.MispredictedBranch = true
 	b.Dispatch(bd, 0)
-	for i := 1; i <= 6; i++ {
-		wd := dyn(alu(isa.Addr(0x200+i*4), isa.RegZero, isa.RegZero, uint8(i)), uint64(i))
-		wd.WrongPath = true
-		b.Dispatch(wd, 0)
+	if n := b.DispatchWrongPath(6); n != 6 {
+		t.Fatalf("DispatchWrongPath took %d of 6", n)
 	}
 
 	var resolvedAt uint64
@@ -257,8 +257,8 @@ func TestMispredictedBranchResolution(t *testing.T) {
 	if n != 6 {
 		t.Errorf("squashed %d, want 6", n)
 	}
-	if b.SquashedWrongPath() != 6 {
-		t.Errorf("SquashedWrongPath = %d", b.SquashedWrongPath())
+	if b.wrongSquash != 6 || b.Occupancy() > 1 {
+		t.Errorf("squashed %d in all, occupancy %d after the squash", b.wrongSquash, b.Occupancy())
 	}
 	// Only the branch itself ever commits (it may already have committed in
 	// the same cycle it resolved).
@@ -268,50 +268,81 @@ func TestMispredictedBranchResolution(t *testing.T) {
 	if b.Committed() != 1 {
 		t.Errorf("committed %d instructions, want only the branch", b.Committed())
 	}
-	if b.ResolvedMispredictions() != 1 {
-		t.Errorf("ResolvedMispredictions = %d", b.ResolvedMispredictions())
+	if b.resolvedMisp != 1 {
+		t.Errorf("resolved %d mispredictions", b.resolvedMisp)
 	}
 }
 
 func TestWrongPathInstructionsNeverCommit(t *testing.T) {
 	b := MustNew(DefaultConfig(), nil)
-	w := dyn(alu(0x10, isa.RegZero, isa.RegZero, 3), 0)
-	w.WrongPath = true
-	b.Dispatch(w, 0)
 	c := dyn(alu(0x14, isa.RegZero, isa.RegZero, 4), 1)
 	b.Dispatch(c, 0)
-	// Even after many cycles the wrong-path head blocks commit; nothing is
-	// committed until the squash.
-	for now := uint64(0); now < 30; now++ {
-		committed, _ := b.Tick(now)
-		if len(committed) != 0 {
-			t.Fatalf("committed %d instructions past a wrong-path head", len(committed))
-		}
-	}
-	b.SquashWrongPath()
+	b.DispatchWrongPath(3)
+	// The correct-path instruction commits; the wrong-path slots stay until
+	// the squash, however long that takes.
 	total := 0
-	for now := uint64(30); now < 60 && b.Occupancy() > 0; now++ {
+	for now := uint64(0); now < 60; now++ {
 		committed, _ := b.Tick(now)
 		total += len(committed)
 	}
-	if total != 1 {
-		t.Errorf("committed %d, want 1 after squash", total)
+	if total != 1 || b.Committed() != 1 || b.Occupancy() != 3 {
+		t.Fatalf("committed %d (counter %d), occupancy %d; want the one correct-path instruction and 3 slots left",
+			total, b.Committed(), b.Occupancy())
+	}
+	if n := b.SquashWrongPath(); n != 3 || b.Occupancy() != 0 {
+		t.Errorf("squash freed %d, occupancy %d after it; want 3 and 0", n, b.Occupancy())
 	}
 }
 
 func TestWrongPathDoesNotPolluteScoreboard(t *testing.T) {
+	// A squashed wrong path leaves nothing behind: a correct-path consumer
+	// of r5 dispatched after it issues at the issue delay, as on an empty
+	// back end.
 	b := MustNew(DefaultConfig(), nil)
-	// A wrong-path FP instruction writes r5 very late; a correct-path ALU
-	// instruction reading r5 must not wait for it.
-	w := dyn(&isa.StaticInst{PC: 0, Class: isa.OpFP, Src1: isa.RegZero, Src2: isa.RegZero, Dst: 5}, 0)
-	w.WrongPath = true
-	b.Dispatch(w, 0)
+	b.DispatchWrongPath(8)
+	b.SquashWrongPath()
 	c := dyn(alu(0x4, 5, isa.RegZero, 6), 1)
 	b.Dispatch(c, 0)
-	b.SquashWrongPath()
-	end := runUntilDrained(t, b, 0, 40)
-	if end > 20 {
-		t.Errorf("correct-path instruction waited %d cycles on a squashed producer", end)
+	if got := issueCycles(b, nil, []*DynInst{c}, 0, 20); got[0] != int(b.Config().issueDelay()) {
+		t.Errorf("consumer issued at %d, want the issue delay %d", got[0], b.Config().issueDelay())
+	}
+}
+
+// TestWrongPathSlotsAreInert: wrong-path slots take RUU capacity and nothing
+// else. They lower FreeSlots (and stop a dispatch when they fill the RUU); a
+// back end that holds only them has no event and changes no state however
+// long it ticks; and the squash returns and frees exactly their number.
+func TestWrongPathSlotsAreInert(t *testing.T) {
+	b := MustNew(Config{Width: 4, RUUSize: 8}, nil)
+	b.Dispatch(dyn(alu(0, isa.RegZero, isa.RegZero, 1), 1), 0)
+	if n := b.DispatchWrongPath(10); n != 7 || b.FreeSlots() != 0 || b.Occupancy() != 8 {
+		t.Fatalf("DispatchWrongPath took %d of 10; free %d, occupancy %d; want 7, 0, 8", n, b.FreeSlots(), b.Occupancy())
+	}
+	if b.Dispatch(dyn(alu(4, isa.RegZero, isa.RegZero, 2), 2), 0) {
+		t.Fatal("dispatch succeeded into an RUU full of wrong-path slots")
+	}
+	runUntil := func(until uint64) {
+		for now := uint64(0); now < until; now++ {
+			b.Tick(now)
+		}
+	}
+	runUntil(20)
+	if b.Committed() != 1 || b.Occupancy() != 7 {
+		t.Fatalf("committed %d, occupancy %d; want the correct-path instruction gone and 7 slots", b.Committed(), b.Occupancy())
+	}
+	if ev := b.NextEvent(20); ev != clock.None {
+		t.Fatalf("a back end of wrong-path slots only reports NextEvent %d, want clock.None", ev)
+	}
+	before := *b
+	before.ruu, before.delay = slices.Clone(b.ruu), slices.Clone(b.delay)
+	before.ready, before.exec = slices.Clone(b.ready), slices.Clone(b.exec)
+	runUntil(1000)
+	if !reflect.DeepEqual(*b, before) {
+		t.Fatal("ticking a back end of wrong-path slots only changed its state")
+	}
+	if n := b.SquashWrongPath(); n != 7 || b.Occupancy() != 0 || b.FreeSlots() != 8 || b.wrongSquash != 7 {
+		t.Errorf("squash returned %d; occupancy %d, free %d, squashed %d in all; want 7, 0, 8, 7",
+			n, b.Occupancy(), b.FreeSlots(), b.wrongSquash)
 	}
 }
 
@@ -412,7 +443,7 @@ func TestConsumerIssuesInItsProducersCompletionCycle(t *testing.T) {
 	for now := uint64(0); now < 2000 && issued < 0; now++ {
 		mem.Tick(now)
 		b.Tick(now)
-		if completed < 0 && ld.Completed() {
+		if completed < 0 && ld.state == stateCompleted {
 			completed = int(now)
 		}
 		if issued < 0 && c.state != stateDispatched {
@@ -445,13 +476,13 @@ func TestSimultaneousMispredictionsResolveTheOlder(t *testing.T) {
 		if now != 9 || r != o {
 			t.Fatalf("cycle %d resolved seq %d, want seq 1 at cycle 9", now, r.Seq)
 		}
-		if !y.Completed() || y.completAt != now {
+		if y.state != stateCompleted || y.completAt != now {
 			t.Fatalf("the younger flagged instruction did not complete alongside")
 		}
 		break
 	}
-	if b.ResolvedMispredictions() != 1 {
-		t.Errorf("ResolvedMispredictions = %d, want 1", b.ResolvedMispredictions())
+	if b.resolvedMisp != 1 {
+		t.Errorf("resolved %d mispredictions, want 1", b.resolvedMisp)
 	}
 }
 
@@ -505,10 +536,16 @@ func TestSnapshotMidFlightContinuesCycleIdentical(t *testing.T) {
 	feed := func(b *Backend, k int, now uint64) {
 		for w := 0; w < cfg.Width && next[k] < len(prog); w++ {
 			i := next[k]
-			d := dyn(prog[i], uint64(i+1))
-			d.WrongPath, d.MispredictedBranch = wrong[i], mispred[i]
-			if !b.Dispatch(d, now) {
-				return
+			if wrong[i] {
+				if b.DispatchWrongPath(1) == 0 {
+					return
+				}
+			} else {
+				d := dyn(prog[i], uint64(i+1))
+				d.MispredictedBranch = mispred[i]
+				if !b.Dispatch(d, now) {
+					return
+				}
 			}
 			next[k]++
 		}
@@ -530,7 +567,7 @@ func TestSnapshotMidFlightContinuesCycleIdentical(t *testing.T) {
 		return false
 	}
 	for now := uint64(0); now < 400; now++ {
-		if restored == nil && parked(orig) {
+		if restored == nil && parked(orig) && orig.wrongN > 0 {
 			var e snap.Encoder
 			orig.Walk(snap.Saver(&e), memory.NewReqSet(), codec)
 			restored = MustNew(cfg, nil)
@@ -570,9 +607,9 @@ func TestSnapshotMidFlightContinuesCycleIdentical(t *testing.T) {
 		}
 	}
 	if restored == nil {
-		t.Fatal("no consumer was ever parked; the snapshot point was never reached")
+		t.Fatal("no consumer was ever parked beside wrong-path slots; the snapshot point was never reached")
 	}
-	if !orig.Drained() || orig.Committed() != uint64(len(prog)-6) {
+	if orig.Occupancy() != 0 || orig.Committed() != uint64(len(prog)-6) {
 		t.Errorf("program did not run to completion: committed %d, occupancy %d", orig.Committed(), orig.Occupancy())
 	}
 }
@@ -618,7 +655,7 @@ func TestPoolReleaseRecycles(t *testing.T) {
 	var drawn []*DynInst
 	for i := 0; i < n+2; i++ {
 		d := p.Get()
-		d.Seq, d.WrongPath = uint64(i+1), true
+		d.Seq, d.MispredictedBranch = uint64(i+1), true
 		drawn = append(drawn, d)
 	}
 	for _, d := range drawn[:n/2] {

@@ -45,10 +45,8 @@ func walkInst(w *snap.Walker, d *DynInst, s *memory.ReqSet, codec InstCodec, fix
 	w.Tag(instTag)
 	codec.WalkStatic(w, &d.Static)
 	w.U64(&d.Seq)
-	w.Bool(&d.WrongPath)
 	w.Bool(&d.MispredictedBranch)
 	snap.Word(w, &d.EffAddr)
-	w.U64(&d.FetchedAt)
 	snap.Byte(w, &d.state)
 	if w.Err() == nil && d.state > stateCompleted {
 		w.Failf("pipeline: invalid instruction state %d", d.state)
@@ -90,9 +88,9 @@ func (b *Backend) AddLiveRequests(s *memory.ReqSet) {
 	}
 }
 
-// Walk walks the back-end: the RUU in program order, the cached event
-// horizon, the register scoreboard (as producer sequence numbers) and the
-// counters. Loading into a back-end built from the same configuration draws
+// Walk walks the back-end: the RUU in program order, the wrong-path slots
+// behind it, the cached event horizon, the register scoreboard (as producer
+// sequence numbers) and the counters. Loading into a back-end built from the same configuration draws
 // RUU entries from the attached pool (fresh allocations when the pool is
 // empty) and re-bases the ring at zero. The scheduler indices are rebuilt
 // from the loaded RUU (see rebuildIndices), so the format carries none of
@@ -102,6 +100,7 @@ func (b *Backend) Walk(w *snap.Walker, s *memory.ReqSet, codec InstCodec) {
 	w.Tag(backendTag)
 	n := b.ruuN
 	w.Count(&n, b.cfg.RUUSize)
+	w.Count(&b.wrongN, b.cfg.RUUSize-n)
 	if w.Err() != nil {
 		return
 	}
@@ -127,8 +126,6 @@ func (b *Backend) Walk(w *snap.Walker, s *memory.ReqSet, codec InstCodec) {
 	}
 	w.U64(&b.committed)
 	w.U64(&b.wrongSquash)
-	w.U64(&b.loadsExec)
-	w.U64(&b.storesExec)
 	w.U64(&b.resolvedMisp)
 	if !w.Loading() || w.Err() != nil {
 		return

@@ -7,19 +7,21 @@ import (
 )
 
 // walkBackend is the reference model the scheduler is checked against:
-// Dispatch, TickInto, NextEvent and SquashWrongPath written as the plainest
-// statement of the back-end's semantics. Every ticked cycle it walks the
-// whole RUU in program order, re-testing every dispatched entry's issue
-// delay and dependences and every issued entry's completion, so no derived
-// index can drift from the RUU.
+// Dispatch, DispatchWrongPath, TickInto, NextEvent and SquashWrongPath
+// written as the plainest statement of the back-end's semantics. Every
+// ticked cycle it walks the whole RUU in program order, re-testing every
+// dispatched entry's issue delay and dependences and every issued entry's
+// completion, so no derived index can drift from the RUU. Wrong-path
+// instructions are a count of slots behind the RUU's entries, as in the
+// back end.
 type walkBackend struct {
 	cfg     Config
 	mem     *memory.Hierarchy
-	pool    *Pool
 	ruu     []*DynInst
 	ruuMask int
 	ruuHead int
 	ruuN    int
+	wrongN  int
 
 	nextEv   uint64
 	readyNow bool
@@ -28,8 +30,6 @@ type walkBackend struct {
 
 	committed    uint64
 	wrongSquash  uint64
-	loadsExec    uint64
-	storesExec   uint64
 	resolvedMisp uint64
 }
 
@@ -48,26 +48,30 @@ func newWalkBackend(cfg Config, mem *memory.Hierarchy) *walkBackend {
 func (b *walkBackend) ruuAt(i int) *DynInst { return b.ruu[(b.ruuHead+i)&b.ruuMask] }
 
 func (b *walkBackend) Dispatch(d *DynInst, now uint64) bool {
-	if b.ruuN >= b.cfg.RUUSize {
+	if b.ruuN+b.wrongN >= b.cfg.RUUSize {
 		return false
 	}
 	d.state = stateDispatched
 	d.issueAt = now + b.cfg.issueDelay()
-	if !d.WrongPath {
-		if d.Static.Src1 != isa.RegZero {
-			d.deps[0] = b.regProducer[d.Static.Src1]
-		}
-		if d.Static.Src2 != isa.RegZero {
-			d.deps[1] = b.regProducer[d.Static.Src2]
-		}
-		if d.Static.Dst != isa.RegZero {
-			b.regProducer[d.Static.Dst] = depRef{d: d, seq: d.Seq}
-		}
+	if d.Static.Src1 != isa.RegZero {
+		d.deps[0] = b.regProducer[d.Static.Src1]
+	}
+	if d.Static.Src2 != isa.RegZero {
+		d.deps[1] = b.regProducer[d.Static.Src2]
+	}
+	if d.Static.Dst != isa.RegZero {
+		b.regProducer[d.Static.Dst] = depRef{d: d, seq: d.Seq}
 	}
 	b.ruu[(b.ruuHead+b.ruuN)&b.ruuMask] = d
 	b.ruuN++
 	b.nextEv = clock.Min(b.nextEv, d.issueAt)
 	return true
+}
+
+func (b *walkBackend) DispatchWrongPath(n int) int {
+	n = min(n, b.cfg.RUUSize-b.ruuN-b.wrongN)
+	b.wrongN += n
+	return n
 }
 
 func (b *walkBackend) TickInto(now uint64, buf []*DynInst) (committed []*DynInst, resolved *DynInst) {
@@ -131,7 +135,7 @@ func (b *walkBackend) TickInto(now uint64, buf []*DynInst) (committed []*DynInst
 	}
 	for b.ruuN > 0 && len(committed)-len(buf) < b.cfg.Width {
 		head := b.ruu[b.ruuHead]
-		if head.WrongPath || head.state != stateCompleted || head.completAt > now {
+		if head.state != stateCompleted || head.completAt > now {
 			break
 		}
 		b.ruu[b.ruuHead] = nil
@@ -141,7 +145,7 @@ func (b *walkBackend) TickInto(now uint64, buf []*DynInst) (committed []*DynInst
 		committed = append(committed, head)
 	}
 	if b.ruuN > 0 {
-		if head := b.ruu[b.ruuHead]; !head.WrongPath && head.state == stateCompleted {
+		if head := b.ruu[b.ruuHead]; head.state == stateCompleted {
 			readyNow = true
 		}
 	}
@@ -153,8 +157,7 @@ func (b *walkBackend) issue(d *DynInst, now uint64) {
 	cls := d.Static.Class
 	switch {
 	case cls == isa.OpLoad:
-		b.loadsExec++
-		if b.mem != nil && !d.WrongPath {
+		if b.mem != nil {
 			d.memReq = b.mem.AccessData(d.EffAddr, now, false)
 			d.state = stateWaitingMem
 			return
@@ -162,8 +165,7 @@ func (b *walkBackend) issue(d *DynInst, now uint64) {
 		d.completAt = now + 1
 		d.state = stateIssued
 	case cls == isa.OpStore:
-		b.storesExec++
-		if b.mem != nil && !d.WrongPath {
+		if b.mem != nil {
 			b.mem.Release(b.mem.AccessData(d.EffAddr, now, true))
 		}
 		d.completAt = now + 1
@@ -185,24 +187,8 @@ func (b *walkBackend) NextEvent(now uint64) uint64 {
 }
 
 func (b *walkBackend) SquashWrongPath() int {
-	n := 0
-	w := 0
-	for r := 0; r < b.ruuN; r++ {
-		d := b.ruuAt(r)
-		if d.WrongPath {
-			n++
-			if b.pool != nil {
-				b.pool.Put(d)
-			}
-			continue
-		}
-		b.ruu[(b.ruuHead+w)&b.ruuMask] = d
-		w++
-	}
-	for i := w; i < b.ruuN; i++ {
-		b.ruu[(b.ruuHead+i)&b.ruuMask] = nil
-	}
-	b.ruuN = w
+	n := b.wrongN
+	b.wrongN = 0
 	b.wrongSquash += uint64(n)
 	b.readyNow = true
 	return n

@@ -28,7 +28,7 @@ const Magic uint32 = 0x53474C43
 // it reads. Any layout change to the payload (component walks included) must
 // bump it: restore compatibility across versions is intentionally not
 // attempted — snapshots are cheap, regenerable cache artifacts.
-const Version uint32 = 1
+const Version uint32 = 2
 
 // Sentinel errors, matched with errors.Is by callers that distinguish
 // "not a snapshot" from "damaged snapshot".
