@@ -88,36 +88,92 @@ stream-smoke:
 	@echo "stream-smoke: streamed run matches the in-memory run; slices and the simpoint interval read back"
 
 # The multi-host dispatch protocol on one machine: an HTTP object store,
-# child workers pointed at the URL, ssh workers through a stand-in ssh that
-# runs the remote command here, merged figures diffed against the
-# in-process run, then a warm-state sweep that records every snapshot
-# through the store and one that restores them all (no snapshot file is
-# committed again). Mirrors CI's remote-smoke job.
+# child workers pointed at the URL (with the sweep's Chrome-trace export),
+# ssh workers through a stand-in ssh that runs the remote command here,
+# merged figures diffed against the in-process run, the store's and a live
+# worker's /metrics, the progress report and a resume read from the store,
+# then a warm-state sweep that records every snapshot through the store and
+# one that restores them all (no snapshot file is committed again). One
+# shell runs everything after the server starts, so its trap always stops
+# the server. CI's remote-smoke job runs this target.
 remote-smoke:
 	rm -rf /tmp/clgp-remote-smoke && mkdir -p /tmp/clgp-remote-smoke
 	$(GO) build -o /tmp/clgp-remote-smoke/clgpsim ./cmd/clgpsim
 	cd /tmp/clgp-remote-smoke && ./clgpsim figures -insts 20000 -profiles gzip,mcf -dir fig-local
-	cd /tmp/clgp-remote-smoke && { ./clgpsim store serve -dir store-root -addr 127.0.0.1:0 -addr-file addr.txt & echo $$! > server.pid; } && \
-	for i in $$(seq 1 50); do [ -s addr.txt ] && break; sleep 0.1; done
-	cd /tmp/clgp-remote-smoke && trap 'kill $$(cat server.pid) 2>/dev/null || true' EXIT && \
-		./clgpsim figures -insts 20000 -profiles gzip,mcf \
-			-store "http://$$(cat addr.txt)" -exec -retries 2 -dir fig-remote && \
-		diff fig-local/figure6_ipc_90nm.csv fig-remote/figure6_ipc_90nm.csv && \
-		mkdir -p fake-ssh && printf '#!/bin/sh\nshift; exec "$$@"\n' > fake-ssh/ssh && chmod +x fake-ssh/ssh && \
-		PATH="$$PWD/fake-ssh:$$PATH" ./clgpsim figures -insts 20000 -profiles gzip,mcf \
-			-store "http://$$(cat addr.txt)" -ssh h1,h2 -ssh-remote "$$PWD/clgpsim" -dir fig-ssh && \
+	@echo "remote-smoke: in-process shards write their own span logs, no heartbeats"
+	cd /tmp/clgp-remote-smoke && test ! -e fig-local/heartbeats && test -s fig-local/spans/sweep.jsonl && \
+		for s in fig-local/shards/*.jsonl; do test -s "fig-local/spans/$$(basename "$$s")" || exit 1; done && \
+		[ "$$(ls fig-local/spans | wc -l)" = "$$(( $$(ls fig-local/shards | wc -l) + 1 ))" ]
+	cd /tmp/clgp-remote-smoke && set -e; \
+	./clgpsim store serve -dir store-root -addr 127.0.0.1:0 -addr-file addr.txt & echo $$! > server.pid; \
+	trap 'kill $$(cat server.pid) 2>/dev/null || true' EXIT; \
+	for i in $$(seq 1 50); do [ -s addr.txt ] && break; sleep 0.1; done; \
+	store="http://$$(cat addr.txt)"; \
+	echo "remote-smoke: sweep through the store with child workers, exporting its trace"; \
+	./clgpsim figures -insts 20000 -profiles gzip,mcf -store "$$store" -exec -retries 2 \
+		-dir fig-remote -trace-out sweep-trace.json; \
+	python3 -c "$$CHECK_SWEEP_TRACE" sweep-trace.json; \
+	for f in figure1_ipc_vs_l1_90nm figure6_ipc_90nm; do diff "fig-local/$$f.csv" "fig-remote/$$f.csv"; done; \
+	echo "remote-smoke: sweep through the store with ssh workers"; \
+	mkdir -p fake-ssh && printf '#!/bin/sh\nshift; exec "$$@"\n' > fake-ssh/ssh && chmod +x fake-ssh/ssh; \
+	PATH="$$PWD/fake-ssh:$$PATH" ./clgpsim figures -insts 20000 -profiles gzip,mcf \
+		-store "$$store" -ssh h1,h2 -ssh-remote "$$PWD/clgpsim" -dir fig-ssh; \
+	for f in figure1_ipc_vs_l1_90nm figure6_ipc_90nm cycle_breakdown_90nm; do \
+		diff "fig-local/$$f.csv" "fig-ssh/$$f.csv"; done; \
+	echo "remote-smoke: the store server's /metrics moved with the sweeps' traffic"; \
+	curl -s "$$store/metrics" > store-metrics.txt; \
+	grep -E '^clgp_store_server_requests_total\{method="GET"\} [1-9]' store-metrics.txt; \
+	grep -E '^clgp_store_server_requests_total\{method="PUT"\} [1-9]' store-metrics.txt; \
+	echo "remote-smoke: a worker's /metrics, scraped mid-run, shows live dispatch counters"; \
+	./clgpsim worker -store "$$store" -shard 0 -metrics-addr 127.0.0.1:0 -metrics-addr-file waddr.txt & wpid=$$!; \
+	for i in $$(seq 1 100); do [ -s waddr.txt ] && break; sleep 0.1; done; \
+	ok=0; for i in $$(seq 1 100); do \
+		curl -s "http://$$(cat waddr.txt)/metrics" > worker-metrics.txt || true; \
+		if grep -Eq '^clgp_dispatch_jobs_done_total [1-9]' worker-metrics.txt; then ok=1; break; fi; \
+		sleep 0.1; done; \
+	wait $$wpid; [ "$$ok" = 1 ]; \
+	grep -E '^clgp_dispatch_progress_writes_total [1-9]' worker-metrics.txt; \
+	echo "remote-smoke: the progress report and a resume read every shard from the store"; \
+	./clgpsim figures -progress -store "$$store" > progress.txt; cat progress.txt; \
+	grep -q "shards: 2 done" progress.txt; \
+	./clgpsim figures -insts 20000 -profiles gzip,mcf -store "$$store" -resume -dir fig-resume > resume.log; \
+	cat resume.log; grep -q "2/2 shards from checkpoint" resume.log; \
+	echo "remote-smoke: warm-state sweeps record every snapshot through the store, then restore them all"; \
+	./clgpsim figures -insts 20000 -profiles gzip,mcf -warmup 10000 \
+		-store "$$store" -exec -retries 2 -dir fig-warm-cold; \
+	test -n "$$(ls store-root/snapshots)"; \
+	ls -i store-root/snapshots | sort > snaps-before.txt; \
+	./clgpsim figures -insts 20000 -profiles gzip,mcf -warmup 10000 \
+		-store "$$store" -exec -retries 2 -dir fig-warm-restored; \
+	ls -i store-root/snapshots | sort > snaps-after.txt; \
+	diff snaps-before.txt snaps-after.txt; \
+	for run in fig-warm-cold fig-warm-restored; do \
 		for f in figure1_ipc_vs_l1_90nm figure6_ipc_90nm cycle_breakdown_90nm; do \
-			diff "fig-local/$$f.csv" "fig-ssh/$$f.csv" || exit 1; done && \
-		./clgpsim figures -insts 20000 -profiles gzip,mcf -warmup 10000 \
-			-store "http://$$(cat addr.txt)" -exec -retries 2 -dir fig-warm-cold && \
-		ls -i store-root/snapshots | sort > snaps-before.txt && \
-		./clgpsim figures -insts 20000 -profiles gzip,mcf -warmup 10000 \
-			-store "http://$$(cat addr.txt)" -exec -retries 2 -dir fig-warm-restored && \
-		ls -i store-root/snapshots | sort > snaps-after.txt && \
-		diff snaps-before.txt snaps-after.txt && \
-		diff fig-local/figure6_ipc_90nm.csv fig-warm-cold/figure6_ipc_90nm.csv && \
-		diff fig-local/figure6_ipc_90nm.csv fig-warm-restored/figure6_ipc_90nm.csv
+			diff "fig-local/$$f.csv" "$$run/$$f.csv"; done; done
 	@echo "remote-smoke: object-store sweeps (plain, ssh, warm-state cold and restored) match the in-process run"
+
+# The Chrome-trace check remote-smoke runs on the sweep's -trace-out file
+# (argv[1]): complete spans with positive times and ids, and spans on each
+# of the two shard lanes.
+define CHECK_SWEEP_TRACE
+import json, sys
+doc = json.load(open(sys.argv[1]))
+events = doc["traceEvents"]
+spans = [e for e in events if e["ph"] == "X"]
+assert spans, "trace has no complete spans"
+for e in spans:
+    assert e["ts"] > 0 and e["dur"] >= 1, e
+    assert e["args"]["id"], e
+lanes = {e["tid"]: e["args"]["name"] for e in events
+         if e["ph"] == "M" and e["name"] == "thread_name"}
+shards = {n for n in lanes.values() if n.startswith("shard-")}
+assert len(shards) == 2, f"expected 2 shard lanes, got {sorted(lanes.values())}"
+for shard in sorted(shards):
+    tid = [t for t, n in lanes.items() if n == shard][0]
+    assert any(e["tid"] == tid for e in spans), f"no spans on lane {shard}"
+print(f"{len(spans)} spans over lanes {sorted(lanes.values())}")
+endef
+export CHECK_SWEEP_TRACE
 
 # Warm-state snapshots end to end: a cold figures sweep records warm-state
 # artifacts into the store, a second sweep over the same store restores them,

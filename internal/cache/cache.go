@@ -100,27 +100,11 @@ func (c *Cache) Release() {
 	c.ways = nil
 }
 
-// MustNew is New but panics on configuration errors; intended for tests and
-// internal presets whose parameters are static.
-func MustNew(cfg Config) *Cache {
-	c, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // Config returns the (normalised) configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
 // Latency returns the hit latency in cycles.
 func (c *Cache) Latency() int { return c.cfg.Latency }
-
-// Lines returns the total number of lines the cache can hold.
-func (c *Cache) Lines() int { return c.cfg.SizeBytes / c.cfg.LineBytes }
-
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.numSets }
 
 // set returns the ways of set s.
 func (c *Cache) set(s int) []way {
@@ -220,49 +204,11 @@ func (c *Cache) Invalidate(addr isa.Addr) bool {
 	return false
 }
 
-// Flush invalidates the entire cache and resets timing occupancy (but keeps
-// statistics).
-func (c *Cache) Flush() {
-	clear(c.ways)
-	c.busyUntil = 0
-}
-
-// Contents returns all resident line addresses (unordered count is the
-// caller's concern); intended for tests and debugging.
-func (c *Cache) Contents() []isa.Addr {
-	var out []isa.Addr
-	for i, w := range c.ways {
-		if w.valid {
-			out = append(out, c.lineAddr(i/c.cfg.Assoc, w.tag))
-		}
-	}
-	return out
-}
-
-// ResidentCount returns the number of valid lines.
-func (c *Cache) ResidentCount() int {
-	n := 0
-	for _, w := range c.ways {
-		if w.valid {
-			n++
-		}
-	}
-	return n
-}
-
 // Accesses and Misses return the demand-access statistics.
 func (c *Cache) Accesses() uint64 { return c.accesses }
 
 // Misses returns the number of demand misses recorded by Lookup.
 func (c *Cache) Misses() uint64 { return c.misses }
-
-// MissRate returns misses/accesses (0 when no accesses).
-func (c *Cache) MissRate() float64 {
-	if c.accesses == 0 {
-		return 0
-	}
-	return float64(c.misses) / float64(c.accesses)
-}
 
 // Occupy reserves the array for an access requested at cycle now and
 // returns the cycle its result is available. The array serves one access

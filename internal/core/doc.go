@@ -21,7 +21,8 @@
 //	          shared L2 bus
 //	fetch     at most one cache line is in flight; delivered instructions
 //	          enter the dispatch queue and the back-end dispatches up to
-//	          four per cycle (Table 2's fetch width)
+//	          four per cycle (Table 2's fetch width); wrong-path ones only
+//	          hold queue and RUU slots, so they travel as counts
 //	execute   the 4-wide, 15-stage, 64-entry-RUU back-end executes and
 //	          commits; a mispredicted branch resolving here flushes the
 //	          queues, restores the predictor checkpoint and redirects

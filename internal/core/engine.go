@@ -896,11 +896,7 @@ func (e *Engine) recoverFromMisprediction(now uint64) {
 	e.pfCancelled += uint64(e.mem.CancelPrefetches())
 
 	// Everything fetched after the (already dispatched and resolved) branch
-	// is wrong-path: drop it.
-	for e.dqN > 0 {
-		e.pool.Put(e.dq[e.dqHead])
-		e.dqPop()
-	}
+	// is wrong-path, queued as a count: drop it.
 	e.dqWrong = 0
 	// Abandon the in-flight line fetch; the request completes and is
 	// reclaimed in the background.

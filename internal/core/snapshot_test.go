@@ -574,6 +574,34 @@ func TestRestoreRejectsDispatchQueueWithoutFetchHeadroom(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsWrongPathSlotsOffTheWrongPath: recovery frees every
+// wrong-path slot, so an engine that is not on a wrong path holds none,
+// queued or in the back end. A snapshot that says otherwise is corrupt.
+func TestRestoreRejectsWrongPathSlotsOffTheWrongPath(t *testing.T) {
+	for _, where := range []string{"dispatch queue", "back end"} {
+		eng, w := pinnedSnapshotEngine(t)
+		for eng.wrongPath || eng.fetchActive {
+			if !eng.Step() {
+				t.Fatalf("run ended before a correct-path cycle with no line in flight: %v", eng.Err())
+			}
+		}
+		if where == "dispatch queue" {
+			eng.dqWrong = 1
+		} else if eng.backend.DispatchWrongPath(1) != 1 {
+			t.Fatal("the RUU has no free slot")
+		}
+		fp := workload.Fingerprint(w.Profile, w.Dict)
+		data, err := eng.Snapshot(w.Name, fp)
+		if err != nil {
+			t.Fatalf("snapshot: %v", err)
+		}
+		err = MustNewEngine(eng.Config(), w.Dict, w.Trace).Restore(data, w.Name, fp)
+		if !errors.Is(err, snap.ErrCorrupt) || !strings.Contains(err.Error(), "not on a wrong path") {
+			t.Errorf("a wrong-path slot in the %s off the wrong path: restore returned %v, want ErrCorrupt", where, err)
+		}
+	}
+}
+
 // TestRestoreRejectsQueuedInstructionWithRequest: instructions wait in the
 // dispatch queue before they issue, so none holds a memory request, and
 // Snapshot registers no request on their behalf. A snapshot that moves the

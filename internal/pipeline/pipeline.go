@@ -51,7 +51,8 @@ type DynInst struct {
 	// deps are the in-flight producers of this instruction's source
 	// registers; the instruction may issue only once both have completed.
 	// Each reference carries the producer's sequence number so that a
-	// producer recycled through a Pool (necessarily committed, hence done) is recognised and never stalls the consumer.
+	// producer recycled through a Pool (necessarily committed, hence done)
+	// is recognised and never stalls the consumer.
 	deps [2]depRef
 	// waitHead lists the consumers parked on this instruction's completion;
 	// waitNext links a parked consumer into its producer's list. Both are
@@ -78,10 +79,9 @@ func (r depRef) done(now uint64) bool {
 
 // Pool is a free-list of DynInsts. The front-end takes instructions from the
 // pool at fetch time and returns them once they commit, so the steady-state
-// cycle loop allocates no instruction objects. A pool's
-// first instructions come from one slab, which Release hands back for the
-// next pool, so a sweep's next engine reuses the previous one's
-// instructions.
+// cycle loop allocates no instruction objects. A pool's first instructions
+// come from one slab, which Release hands back for the next pool, so a
+// sweep's next engine reuses the previous one's instructions.
 type Pool struct {
 	free []*DynInst
 	slab []DynInst // the undrawn rest of the slab

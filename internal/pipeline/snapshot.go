@@ -17,8 +17,8 @@ const (
 
 // InstCodec resolves static-instruction pointers across a snapshot boundary.
 // The core implements it: it owns the program dictionary (PC → canonical
-// *StaticInst) and the shared synthetic nop used for off-image wrong-path
-// fetches, neither of which this package can see.
+// *StaticInst) and the shared synthetic nop used for off-image fetches,
+// neither of which this package can see.
 type InstCodec interface {
 	// WalkStatic walks a reference to *s: nil, the synthetic nop, or an
 	// image instruction identified by PC.
@@ -90,12 +90,13 @@ func (b *Backend) AddLiveRequests(s *memory.ReqSet) {
 
 // Walk walks the back-end: the RUU in program order, the wrong-path slots
 // behind it, the cached event horizon, the register scoreboard (as producer
-// sequence numbers) and the counters. Loading into a back-end built from the same configuration draws
-// RUU entries from the attached pool (fresh allocations when the pool is
-// empty) and re-bases the ring at zero. The scheduler indices are rebuilt
-// from the loaded RUU (see rebuildIndices), so the format carries none of
-// them, and the dependence and scoreboard references are re-bound to the
-// loaded producers by sequence number (see relink).
+// sequence numbers) and the counters. Loading into a back-end built from the
+// same configuration draws RUU entries from the attached pool (fresh
+// allocations when the pool is empty) and re-bases the ring at zero. The
+// scheduler indices are rebuilt from the loaded RUU (see rebuildIndices), so
+// the format carries none of them, and the dependence and scoreboard
+// references are re-bound to the loaded producers by sequence number (see
+// relink).
 func (b *Backend) Walk(w *snap.Walker, s *memory.ReqSet, codec InstCodec) {
 	w.Tag(backendTag)
 	n := b.ruuN
