@@ -36,21 +36,54 @@ bench:
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 100x -benchmem ./...
 
-# The cycle-engine perf gate, paired with the parent commit: build the parent
-# (HEAD~1, from git archive) in a temporary directory, then run five
-# alternating pairs of bench child runs, parent and this tree, on this host.
-# Per profile, the median of the per-pair change/parent ratios of
-# cycle-weighted ns/cycle must stay within 10% + 8ns over the parent's
-# median; per grid point, the within-run floors
-# (skipping >= 0.95x the per-cycle path everywhere and >= 1.6x on mcf,
-# grid_snapshot restore >= 1.2x cold warm-up, <= 1 alloc per 1000 cycles)
-# must hold on the change's median. Each child's measurement is kept as
-# BENCH_core.<side>-<round>.json. Mirrors CI's bench-gate job.
+# The cycle-engine perf gate, paired with the parent commit: build
+# internal/core's test binary from the parent (HEAD~1, from git archive, in
+# a temporary directory) and from this tree, then take five pairs of runs
+# on this host at its default GOMAXPROCS. Within a pair, the parent and
+# the change take turns on each BenchmarkCoreGrid leaf
+# (<profile>/<engine>/<mode>), then on BenchmarkSnapshotGrid; the side that
+# goes first flips each pair. Turns are this fine because the host's speed
+# moves in phases of seconds. Every run's raw output is kept as
+# BENCH_core/<side>-<pair>.<part>.txt, and internal/benchgate judges the
+# directory: per profile, the median of the per-pair change/parent ratios
+# of cycle-weighted ns/cycle must stay within 10% + 8ns over the parent's
+# median; on the change's medians, skipping must stay >= 0.95x the
+# per-cycle path everywhere and >= 1.6x on mcf at 0 allocs/op, and a warm
+# snapshot restore >= 1.2x a cold warm-up; a point missing from any run
+# fails. Mirrors CI's bench-gate job.
+# Run lengths: Steps per CoreGrid leaf in each clock mode (no-skip Steps
+# are single cycles; a million of them spans whole gzip runs, which the
+# skip floor is closest on), and ops (grid points) per SnapshotGrid half.
+CORE_GRID_SKIP_STEPS = 400000x
+CORE_GRID_NOSKIP_STEPS = 1000000x
+SNAPSHOT_GRID_OPS = 16x
 bench-gate:
+	rm -rf BENCH_core && mkdir BENCH_core
 	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	git archive HEAD~1 | tar -x -C "$$tmp" && \
-	(cd "$$tmp" && $(GO) build -o clgpsim ./cmd/clgpsim) && \
-	$(GO) run ./cmd/clgpsim bench -gate "$$tmp/clgpsim"
+	mkdir "$$tmp/parent" && git archive HEAD~1 | tar -x -C "$$tmp/parent" && \
+	(cd "$$tmp/parent" && $(GO) test -c -o "$$tmp/parent.test" ./internal/core) && \
+	$(GO) test -c -o "$$tmp/change.test" ./internal/core && \
+	leaves=$$(for p in gzip gcc mcf twolf; do for e in none nextn fdp clgp; do \
+		echo $$p/$$e/skip $$p/$$e/noskip; done; done) && \
+	for pair in 1 2 3 4 5; do \
+		sides="parent change"; [ $$((pair % 2)) = 1 ] || sides="change parent"; \
+		for part in $$leaves snapshot; do \
+			sel="^BenchmarkCoreGrid\$$/^$$(echo $$part | sed 's|/|$$/^|g')\$$"; n=$(CORE_GRID_SKIP_STEPS); \
+			case $$part in \
+			*/noskip) n=$(CORE_GRID_NOSKIP_STEPS) ;; \
+			snapshot) sel='^BenchmarkSnapshotGrid$$'; n=$(SNAPSHOT_GRID_OPS) ;; \
+			esac; \
+			for side in $$sides; do \
+				dir="$$PWD/internal/core"; [ $$side = change ] || dir="$$tmp/parent/internal/core"; \
+				out="$$PWD/BENCH_core/$$side-$$pair.$$(echo $$part | tr / -).txt"; \
+				echo "bench gate: pair $$pair/5, $$side, $$part"; \
+				(cd "$$dir" && "$$tmp/$$side.test" -test.run '^$$' -test.bench "$$sel" \
+					-test.benchtime $$n -test.timeout 10m > "$$out" 2>&1) || \
+					echo "FAIL: exit status $$?" >> "$$out"; \
+			done; \
+		done; \
+	done && \
+	$(GO) run ./internal/benchgate BENCH_core
 
 run:
 	$(GO) run ./cmd/clgpsim run -profile gcc -insts 200000 -engine clgp -l1 2048 -l0
@@ -210,5 +243,5 @@ snapshot-smoke:
 
 clean:
 	$(GO) clean ./...
-	rm -f BENCH_*.json
+	rm -rf BENCH_core
 	rm -rf clgp-figures

@@ -1,12 +1,11 @@
-// Command clgpsim drives the CLGP simulator: it runs single configurations,
-// sweeps the paper's (engine × technology × L1 size) grids through the
-// sharded dispatch orchestrator, and gates the cycle engine's own speed.
+// Command clgpsim drives the CLGP simulator: it runs single configurations
+// and sweeps the paper's (engine × technology × L1 size) grids through the
+// sharded dispatch orchestrator.
 //
 // Usage:
 //
 //	clgpsim run     [-profile gcc] [-insts 200000] [-engine clgp] [-tech 90|45] [-l1 2048] [-l0] [-pb 0] [-tracefile F -window N] [-no-skip] [-warmup N -snapshot-dir D] [-cpuprofile F] [-memprofile F] [-runtime-trace F]
 //	clgpsim sweep   [-profile gcc] [-insts 200000] [-seed 1] [-seeds N] [-tech 90|45] [-l0] [-workers 0] [-cpuprofile F] [-memprofile F]
-//	clgpsim bench   [-core-json F] [-gate PARENT_BINARY]
 //	clgpsim figures [-insts 200000] [-seeds N] [-techs 90,45] [-profiles ...] [-dir clgp-figures] [-shards 0] [-exec] [-resume] [-store URL] [-ssh h1,h2] [-retries 1] [-warmup N] [-progress] [-stall-after D] [-trace-out F] [-metrics-addr A [-metrics-addr-file F]]
 //	clgpsim worker  -store LOC -shard N [-workers 0] [-metrics-addr A [-metrics-addr-file F]] [-span-parent ID] [-runtime-trace F]
 //	clgpsim store   serve [-dir clgp-store] [-addr 127.0.0.1:8420] [-addr-file F]
@@ -23,7 +22,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	rtrace "runtime/trace"
-	"strings"
 	"time"
 
 	"clgp/internal/cacti"
@@ -48,8 +46,6 @@ func main() {
 		err = cmdRun(os.Args[2:])
 	case "sweep":
 		err = cmdSweep(os.Args[2:])
-	case "bench":
-		err = cmdBench(os.Args[2:])
 	case "figures":
 		err = cmdFigures(os.Args[2:])
 	case "worker":
@@ -77,7 +73,6 @@ func usage() {
 commands:
   run      simulate one configuration and print its statistics
   sweep    run one profile's (engine x L1 size) grid and print the IPC table
-  bench    measure the cycle engine, or gate this build against a parent clgpsim binary
   figures  run/resume the sharded full-paper grid, emit Figure 1/6/7/8 series (mean±CI with -seeds)
   worker   execute one shard of a sweep store (spawned by figures -exec / -ssh)
   store    serve a sweep object store over HTTP for multi-host dispatch
@@ -370,70 +365,5 @@ func cmdSweep(args []string) error {
 	fmt.Printf("\n%d sims in %v (%d workers): %.0f cycles/sec, %.2f sims/sec\n",
 		sum.Sims, outcome.Wall.Round(time.Millisecond), sim.Runner{Workers: *workers}.EffectiveWorkers(),
 		sum.CyclesPerSec(), sum.SimsPerSec())
-	return nil
-}
-
-func cmdBench(args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	coreJSON := fs.String("core-json", "", "write this run's measurement to this path as JSON (what -gate reads from its child runs)")
-	parent := fs.String("gate", "", "gate this build against the parent clgpsim binary at this path: alternate parent and change bench runs on this host and fail on a regression or a breached floor")
-	logSetup := logFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if _, err := logSetup(); err != nil {
-		return err
-	}
-	if *parent != "" {
-		if *coreJSON != "" {
-			return fmt.Errorf("bench: -gate measures through child runs; it does not take -core-json")
-		}
-		return benchGate(*parent)
-	}
-	fmt.Printf("core engine bench: %s x %d engines, %d insts (skip vs no-skip)\n",
-		strings.Join(sim.CoreBenchProfiles, "/"), len(sim.CoreBenchEngines), sim.CoreBenchInsts)
-	cb, err := sim.MeasureCore(nil, nil, sim.CoreBenchInsts, sim.CoreBenchSeed)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("snapshot grid bench: 8-point %s grid, %d insts (warm-restore vs cold, warm-up at half)\n",
-		sim.SnapshotGridProfile, sim.CoreBenchInsts)
-	cb.GridSnapshot, err = sim.MeasureSnapshotGrid(sim.SnapshotGridProfile, sim.CoreBenchInsts, sim.CoreBenchSeed)
-	if err != nil {
-		return err
-	}
-	fmt.Print(sim.FormatCoreBench(cb))
-	if *coreJSON != "" {
-		if err := sim.WriteCoreBench(*coreJSON, cb); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *coreJSON)
-	}
-	return nil
-}
-
-// benchGate runs the paired perf gate of this build against the parent
-// binary: sim.GatePairs alternating rounds of child bench runs, each child
-// writing BENCH_core.<side>-<round>.json in the working directory, judged
-// by sim.Gate.
-func benchGate(parentBin string) error {
-	self, err := os.Executable()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("bench gate: %d alternating pairs of %s (parent) and %s (change)\n", sim.GatePairs, parentBin, self)
-	parent, change, err := sim.MeasurePairs(parentBin, self, ".", sim.GatePairs, os.Stdout)
-	if err != nil {
-		return fmt.Errorf("bench gate: %w", err)
-	}
-	fmt.Print(sim.FormatCoreComparison(parent, change))
-	if bad := sim.Gate(parent, change); len(bad) > 0 {
-		for _, p := range bad {
-			fmt.Fprintf(os.Stderr, "bench gate: %s\n", p)
-		}
-		return fmt.Errorf("bench gate: %d violation(s) against %s", len(bad), parentBin)
-	}
-	fmt.Printf("bench gate: pass (%d grid points within +%.0f%% +%.0fns of the parent, every floor held)\n",
-		len(change[0].Records), 100*sim.MaxRegress, sim.NoiseNs)
 	return nil
 }

@@ -115,14 +115,6 @@ func (a *Arbiter) Pending() int {
 	return n
 }
 
-// PendingFor returns the number of queued requests for one requester class.
-func (a *Arbiter) PendingFor(r Requester) int {
-	if r < 0 || r >= numRequesters {
-		return 0
-	}
-	return a.queues[r].n
-}
-
 // Grant performs one cycle of arbitration at cycle `now`, returning the
 // granted request (highest priority, FIFO within a class) and ok=true, or
 // ok=false when no request is pending. At most one request is granted per
@@ -191,7 +183,3 @@ func (a *Arbiter) Queued(dst []Request) []Request {
 
 // Grants returns the total number of granted requests.
 func (a *Arbiter) Grants() uint64 { return a.grants }
-
-// Conflicts returns the number of grants that left at least one other
-// requester class waiting in the same cycle.
-func (a *Arbiter) Conflicts() uint64 { return a.conflicts }

@@ -53,8 +53,8 @@ func TestPriorityOrder(t *testing.T) {
 		}
 	}
 	// Conflicts: in cycle 0 and 1 at least one other class was waiting.
-	if a.Conflicts() != 2 {
-		t.Errorf("Conflicts = %d, want 2", a.Conflicts())
+	if a.conflicts != 2 {
+		t.Errorf("conflicts = %d, want 2", a.conflicts)
 	}
 }
 
@@ -76,7 +76,7 @@ func TestPendingAndFlush(t *testing.T) {
 	a.Enqueue(Request{From: ReqPrefetch, Tag: 1})
 	a.Enqueue(Request{From: ReqPrefetch, Tag: 2})
 	a.Enqueue(Request{From: ReqDCache, Tag: 3})
-	if a.Pending() != 3 || a.PendingFor(ReqPrefetch) != 2 || a.PendingFor(ReqDCache) != 1 || a.PendingFor(ReqICache) != 0 {
+	if a.Pending() != 3 || a.queues[ReqPrefetch].n != 2 || a.queues[ReqDCache].n != 1 || a.queues[ReqICache].n != 0 {
 		t.Errorf("pending counts wrong: %d", a.Pending())
 	}
 	if n := a.Flush(ReqPrefetch); n != 2 {
@@ -85,12 +85,12 @@ func TestPendingAndFlush(t *testing.T) {
 	if a.Pending() != 1 {
 		t.Errorf("Pending after flush = %d", a.Pending())
 	}
-	if a.Flush(Requester(42)) != 0 || a.PendingFor(Requester(42)) != 0 {
-		t.Errorf("bogus requester flush/pending should be 0")
+	if a.Flush(Requester(42)) != 0 {
+		t.Errorf("bogus requester flush should be 0")
 	}
 	// Bogus requester on enqueue falls into the lowest-priority class.
 	a.Enqueue(Request{From: Requester(42), Tag: 9})
-	if a.PendingFor(ReqPrefetch) != 1 {
+	if a.queues[ReqPrefetch].n != 1 {
 		t.Errorf("bogus requester should be demoted to prefetch class")
 	}
 }
@@ -110,8 +110,8 @@ func TestDCacheAlwaysWinsProperty(t *testing.T) {
 			case 2:
 				a.Enqueue(Request{From: ReqPrefetch, Tag: uint64(op)})
 			default:
-				dPending := a.PendingFor(ReqDCache)
-				iPending := a.PendingFor(ReqICache)
+				dPending := a.queues[ReqDCache].n
+				iPending := a.queues[ReqICache].n
 				r, ok := a.Grant(cycle)
 				cycle++
 				if !ok {

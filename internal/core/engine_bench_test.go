@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"clgp/internal/cacti"
+	"clgp/internal/freelist"
+	"clgp/internal/stats"
 	"clgp/internal/workload"
 )
 
@@ -19,8 +21,8 @@ func BenchmarkEngineCycle(b *testing.B) {
 }
 
 // BenchmarkEngineCycleNoSkip is the per-cycle reference path: every simulated
-// cycle is ticked individually, which is what the ns/cycle perf gate
-// (clgpsim bench) measures the fast-forward win against.
+// cycle is ticked individually, which is what BenchmarkCoreGrid's skip
+// points are judged against.
 func BenchmarkEngineCycleNoSkip(b *testing.B) {
 	benchmarkEngineCycle(b, EngineCLGP, true)
 }
@@ -32,39 +34,200 @@ func BenchmarkEngineCycleNone(b *testing.B) {
 
 func benchmarkEngineCycle(b *testing.B, kind EngineKind, noSkip bool) {
 	w := icacheStressWorkload(b, 400_000, 7)
-	cfg := Config{Tech: cacti.Tech90, L1ISize: 2 << 10, Engine: kind, UseL0: kind != EngineNone, NoSkip: noSkip}
-	eng, err := NewEngine(cfg, w.Dict, w.Trace)
-	if err != nil {
-		b.Fatal(err)
+	benchmarkSteps(b, Config{Tech: cacti.Tech90, L1ISize: 2 << 10, Engine: kind, UseL0: kind != EngineNone, NoSkip: noSkip}, w)
+}
+
+// benchmarkSteps times Step on an engine of cfg over w, one op per Step,
+// restarting on a fresh engine outside the timer whenever the trace runs
+// out. It reports ns per simulated cycle, ns per ticked cycle and the
+// fraction of cycles the event-horizon clock skipped, all over the timed
+// Steps.
+func benchmarkSteps(b *testing.B, cfg Config, w *workload.Workload) {
+	var eng *Engine
+	var startCycles, startSkipped, cycles, skipped uint64
+	start := func() {
+		var err error
+		eng, err = NewEngine(cfg, w.Dict, w.Trace)
+		if err != nil {
+			b.Fatal(err)
+		}
+		// Warm up past cold-start growth of pools and rings so the timed
+		// region is pure steady state. The warm-up is counted in committed
+		// instructions, not Steps, so both clock modes start timing at the
+		// same point of the program.
+		if err := eng.RunUntilCommitted(10_000); err != nil {
+			b.Fatal(err)
+		}
+		startCycles, startSkipped = eng.Cycles(), eng.SkippedCycles()
 	}
-	// Warm up past cold-start growth of pools and rings so the timed region
-	// is pure steady state.
-	for i := 0; i < 20_000 && eng.Step(); i++ {
+	stop := func() {
+		cycles += eng.Cycles() - startCycles
+		skipped += eng.SkippedCycles() - startSkipped
 	}
-	startCycles := eng.Cycles()
-	cycles := uint64(0)
+	start()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if !eng.Step() {
 			// Trace exhausted: restart on a fresh engine outside the timer.
 			b.StopTimer()
-			cycles += eng.Cycles() - startCycles
-			eng, err = NewEngine(cfg, w.Dict, w.Trace)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for j := 0; j < 20_000 && eng.Step(); j++ {
-			}
-			startCycles = eng.Cycles()
+			stop()
+			eng.Release()
+			start()
 			b.StartTimer()
 		}
 	}
 	b.StopTimer()
-	cycles += eng.Cycles() - startCycles
+	stop()
+	eng.Release()
 	if cycles > 0 {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles), "ns/cycle")
+		ns := float64(b.Elapsed().Nanoseconds())
+		b.ReportMetric(ns/float64(cycles), "ns/cycle")
+		if ticked := cycles - skipped; ticked > 0 {
+			b.ReportMetric(ns/float64(ticked), "ns/ticked-cycle")
+		}
+		b.ReportMetric(float64(skipped)/float64(cycles), "skipped/cycle")
 	}
+}
+
+// The core gate's workload: every CoreGrid and SnapshotGrid run simulates
+// coreGridInsts instructions of a profile generated with seed 1.
+const coreGridInsts = 200_000
+
+// coreGridWorkload generates a profile's core-gate workload.
+func coreGridWorkload(b *testing.B, profile string) *workload.Workload {
+	p, err := workload.ProfileByName(profile)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w, err := workload.Generate(p, coreGridInsts, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return w
+}
+
+// coreGridConfig is a CoreGrid point: the 90 nm node with a 2 KB L1I, the
+// regime where both instruction delivery and data stalls are exercised,
+// and an L0 for CLGP.
+func coreGridConfig(kind EngineKind, noSkip bool) Config {
+	return Config{
+		Tech: cacti.Tech90, L1ISize: 2 << 10, Engine: kind,
+		UseL0: kind == EngineCLGP, PreBufferEntries: 8, NoSkip: noSkip,
+	}
+}
+
+// BenchmarkCoreGrid/<profile>/<engine>/<mode> is the cycle loop's cost over
+// the core gate's grid: two front-end-bound profiles and the two miss-heavy
+// pointer chasers the event-horizon clock exists for, each engine, with the
+// clock skipping and ticking every cycle. Before its two modes are timed,
+// each (profile, engine) point runs once in full in each mode, untimed:
+// the cycle counts must agree (the skip-equivalence contract). That run's
+// cycles, the weight make bench-gate gives the point within its profile,
+// and committed instructions are reported as cycles/run and insts/run.
+func BenchmarkCoreGrid(b *testing.B) {
+	for _, prof := range []string{"gzip", "gcc", "mcf", "twolf"} {
+		b.Run(prof, func(b *testing.B) {
+			w := coreGridWorkload(b, prof)
+			for _, kind := range []EngineKind{EngineNone, EngineNextN, EngineFDP, EngineCLGP} {
+				b.Run(kind.String(), func(b *testing.B) {
+					res := fullRun(b, coreGridConfig(kind, false), w)
+					if ref := fullRun(b, coreGridConfig(kind, true), w); ref.Cycles != res.Cycles {
+						b.Fatalf("skip path simulated %d cycles, no-skip %d: equivalence broken", res.Cycles, ref.Cycles)
+					}
+					for _, mode := range []string{"skip", "noskip"} {
+						b.Run(mode, func(b *testing.B) {
+							benchmarkSteps(b, coreGridConfig(kind, mode == "noskip"), w)
+							b.ReportMetric(float64(res.Cycles), "cycles/run")
+							b.ReportMetric(float64(res.Committed), "insts/run")
+						})
+					}
+				})
+			}
+		})
+	}
+}
+
+// fullRun runs an engine of cfg over w to the end, untimed.
+func fullRun(b *testing.B, cfg Config, w *workload.Workload) *stats.Results {
+	eng, err := NewEngine(cfg, w.Dict, w.Trace)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Release()
+	res, err := eng.Run()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
+// BenchmarkSnapshotGrid/{cold,warm} is the warm-state snapshot path over an
+// 8-point gcc grid (each engine at a 1 KB and a 2 KB L1I), one point per op,
+// with warm-up at half the run. A cold op simulates the warm-up, records
+// its snapshot and finishes the run; a warm op restores the point's
+// snapshot, recorded untimed beforehand, and finishes the run. Warm-up
+// dominates, so make bench-gate requires warm ops to be at least 1.2x
+// faster than cold ones.
+func BenchmarkSnapshotGrid(b *testing.B) {
+	w := coreGridWorkload(b, "gcc")
+	fp := workload.Fingerprint(w.Profile, w.Dict)
+	const warmup = coreGridInsts / 2
+	var cfgs []Config
+	for _, kind := range []EngineKind{EngineNone, EngineNextN, EngineFDP, EngineCLGP} {
+		for _, size := range []int{1 << 10, 2 << 10} {
+			cfgs = append(cfgs, Config{Tech: cacti.Tech90, L1ISize: size, Engine: kind})
+		}
+	}
+	// warmUp builds a point's engine and simulates its warm-up.
+	warmUp := func(cfg Config) *Engine {
+		eng, err := NewEngine(cfg, w.Dict, w.Trace)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := eng.RunUntilCommitted(warmup); err != nil {
+			b.Fatal(err)
+		}
+		return eng
+	}
+	snapshot := func(eng *Engine) []byte {
+		data, err := eng.Snapshot(w.Name, fp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return data
+	}
+	finish := func(eng *Engine) {
+		if _, err := eng.Run(); err != nil {
+			b.Fatal(err)
+		}
+		eng.Release()
+	}
+	snaps := make([][]byte, len(cfgs))
+	for i, cfg := range cfgs {
+		eng := warmUp(cfg)
+		snaps[i] = snapshot(eng)
+		eng.Release()
+	}
+	b.Run("cold", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			eng := warmUp(cfgs[i%len(cfgs)])
+			freelist.Artifacts.Put(snapshot(eng))
+			finish(eng)
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			eng, err := NewEngine(cfgs[i%len(cfgs)], w.Dict, w.Trace)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := eng.Restore(snaps[i%len(cfgs)], w.Name, fp); err != nil {
+				b.Fatal(err)
+			}
+			finish(eng)
+		}
+	})
 }
 
 // BenchmarkNewEngine measures one engine build (caches, predictor tables,

@@ -1,44 +1,49 @@
 package core
 
-import (
-	"testing"
+import "testing"
 
-	"clgp/internal/cacti"
-)
-
-// TestInstrumentedLoopZeroAlloc is the allocs/op guard for the telemetry
-// instrumentation: the engine's hot-path counters (fast-forward jumps,
-// cancelled prefetches, skipped cycles, wrong-path fetches) are plain
-// single-writer fields, so stepping the instrumented engine — and snapping
-// its telemetry — must not touch the heap at all. The ns/cycle side of the
-// same budget is enforced by the bench gate (sim.Gate, MaxAllocsPerKCycle).
+// TestInstrumentedLoopZeroAlloc is the allocs/op guard for the cycle loop
+// and its telemetry instrumentation, for every engine in both clock modes
+// at a BenchmarkCoreGrid configuration: the engine's hot-path counters
+// (fast-forward jumps, cancelled prefetches, skipped cycles, wrong-path
+// fetches) are plain single-writer fields, so stepping the instrumented
+// engine — and snapping its telemetry — must not touch the heap at all.
+// The ns/cycle side of the same budget is make bench-gate's
+// (BenchmarkCoreGrid, judged by internal/benchgate).
 func TestInstrumentedLoopZeroAlloc(t *testing.T) {
 	w := icacheStressWorkload(t, 400_000, 7)
-	cfg := Config{Tech: cacti.Tech90, L1ISize: 2 << 10, Engine: EngineCLGP, UseL0: true}
-	eng, err := NewEngine(cfg, w.Dict, w.Trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm past cold-start growth of pools and rings, as the cycle bench does.
-	for i := 0; i < 20_000 && eng.Step(); i++ {
-	}
-	exhausted := false
-	allocs := testing.AllocsPerRun(100, func() {
-		for i := 0; i < 50; i++ {
-			if !eng.Step() {
-				exhausted = true
-				return
-			}
+	for _, kind := range []EngineKind{EngineNone, EngineNextN, EngineFDP, EngineCLGP} {
+		for _, mode := range []string{"skip", "noskip"} {
+			t.Run(kind.String()+"/"+mode, func(t *testing.T) {
+				eng, err := NewEngine(coreGridConfig(kind, mode == "noskip"), w.Dict, w.Trace)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Warm past cold-start growth of pools and rings, as the cycle
+				// bench does.
+				if err := eng.RunUntilCommitted(10_000); err != nil {
+					t.Fatal(err)
+				}
+				exhausted := false
+				allocs := testing.AllocsPerRun(100, func() {
+					for i := 0; i < 50; i++ {
+						if !eng.Step() {
+							exhausted = true
+							return
+						}
+					}
+					snap := eng.TelemetrySnapshot()
+					if snap.Cycles == 0 {
+						t.Error("snapshot of a running engine reports zero cycles")
+					}
+				})
+				if exhausted {
+					t.Fatal("trace exhausted mid-measurement; grow the workload")
+				}
+				if allocs != 0 {
+					t.Errorf("instrumented engine loop allocates %.1f allocs/run, want 0", allocs)
+				}
+			})
 		}
-		snap := eng.TelemetrySnapshot()
-		if snap.Cycles == 0 {
-			t.Error("snapshot of a running engine reports zero cycles")
-		}
-	})
-	if exhausted {
-		t.Fatal("trace exhausted mid-measurement; grow the workload")
-	}
-	if allocs != 0 {
-		t.Errorf("instrumented engine loop allocates %.1f allocs/run, want 0", allocs)
 	}
 }

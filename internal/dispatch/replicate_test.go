@@ -54,9 +54,6 @@ func TestGridSeedAxis(t *testing.T) {
 		if s.Rep > 0 && !strings.HasSuffix(s.Name(), "#r"+strconv.Itoa(s.Rep)) {
 			t.Errorf("replicate %d name %q lacks its suffix", s.Rep, s.Name())
 		}
-		if got := s.PointName(); strings.Contains(got, "#r") {
-			t.Errorf("point name %q carries a replicate suffix", got)
-		}
 	}
 	if len(seeds) != 3 {
 		t.Errorf("replicated grid covers %d seeds, want 3", len(seeds))

@@ -79,14 +79,6 @@ func (s JobSpec) Name() string {
 	return sim.ReplicateName(sim.JobName(s.Profile, eng, tech, s.L1Size, s.UseL0, s.Ideal), s.Rep)
 }
 
-// PointName returns the job's grid-point label without the replicate
-// suffix — the key replicate aggregation groups on.
-func (s JobSpec) PointName() string {
-	p := s
-	p.Rep = 0
-	return p.Name()
-}
-
 // WorkloadKey identifies the workload the job runs against. Jobs with equal
 // keys can share one generated workload, so the shard planner keeps them
 // together.

@@ -6,7 +6,7 @@
 //
 // The hierarchy answers three kinds of accesses — demand instruction
 // fetches, instruction prefetches and data accesses — as Request objects
-// whose ReadyAt cycle is resolved either immediately (hits in L0/L1) or when
+// whose ready cycle is resolved either immediately (hits in L0/L1) or when
 // the bus grants the request and the L2/memory latency elapses.
 package memory
 
@@ -72,9 +72,6 @@ type Request struct {
 
 // Scheduled reports whether the completion time is known yet.
 func (r *Request) Scheduled() bool { return r.scheduled }
-
-// ReadyAt returns the completion cycle (only meaningful once Scheduled).
-func (r *Request) ReadyAt() uint64 { return r.readyAt }
 
 // Ready reports whether the data is available at cycle now. A cancelled
 // request reports ready so that its owner notices it and releases it.
@@ -542,6 +539,3 @@ func (h *Hierarchy) Stats(r *stats.Results) {
 	r.DCacheMisses = h.l1d.Misses()
 	r.BusConflicts = h.busConflictCycles
 }
-
-// L1ILatency returns the configured L1 I-cache latency.
-func (h *Hierarchy) L1ILatency() int { return h.l1i.Latency() }

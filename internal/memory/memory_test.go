@@ -36,8 +36,8 @@ func TestConfigNormalisation(t *testing.T) {
 		t.Errorf("memory latency = %d, want 200 (Table 2)", got)
 	}
 	// The L1 latency must come from Table 3 (4KB at 45nm = 4 cycles).
-	if h.L1ILatency() != 4 {
-		t.Errorf("hierarchy L1ILatency = %d, want 4 (Table 3)", h.L1ILatency())
+	if h.l1i.Latency() != 4 {
+		t.Errorf("hierarchy L1I latency = %d, want 4 (Table 3)", h.l1i.Latency())
 	}
 	if h.HasL0() || h.L0() != nil {
 		t.Errorf("default config should have no L0")
@@ -79,8 +79,8 @@ func TestIFetchL1HitTiming(t *testing.T) {
 		t.Errorf("cold L2 should miss to memory, got %v", r.Source)
 	}
 	// L2(24) + memory(200) from grant cycle 0.
-	if r.ReadyAt() != 224 {
-		t.Errorf("ReadyAt = %d, want 224", r.ReadyAt())
+	if r.readyAt != 224 {
+		t.Errorf("readyAt = %d, want 224", r.readyAt)
 	}
 	if !r.Ready(224) || r.Ready(223) {
 		t.Errorf("Ready gate wrong")
@@ -91,8 +91,8 @@ func TestIFetchL1HitTiming(t *testing.T) {
 	if !r2.Scheduled() || r2.Source != stats.SrcL1 {
 		t.Fatalf("second access should hit L1: %+v", r2)
 	}
-	if r2.ReadyAt() != 304 {
-		t.Errorf("L1 hit ready at %d, want 304 (4-cycle latency)", r2.ReadyAt())
+	if r2.readyAt != 304 {
+		t.Errorf("L1 hit ready at %d, want 304 (4-cycle latency)", r2.readyAt)
 	}
 }
 
@@ -110,8 +110,8 @@ func TestIFetchL0Hit(t *testing.T) {
 	if r2.Source != stats.SrcL0 {
 		t.Fatalf("should hit in L0, got %v", r2.Source)
 	}
-	if r2.ReadyAt() != 301 {
-		t.Errorf("L0 hit should be one cycle, ready at %d", r2.ReadyAt())
+	if r2.readyAt != 301 {
+		t.Errorf("L0 hit should be one cycle, ready at %d", r2.readyAt)
 	}
 }
 
@@ -120,7 +120,7 @@ func TestIdealICacheMode(t *testing.T) {
 	cfg.IdealICache = true
 	h := MustNew(cfg)
 	r := h.AccessIFetch(0x1234, 10, true, false)
-	if !r.Scheduled() || r.Source != stats.SrcL1 || r.ReadyAt() != 11 {
+	if !r.Scheduled() || r.Source != stats.SrcL1 || r.readyAt != 11 {
 		t.Errorf("ideal fetch = %+v", r)
 	}
 }
@@ -141,11 +141,11 @@ func TestNonPipelinedL1Occupancy(t *testing.T) {
 	// the non-pipelined array.
 	r1 := h.AccessIFetch(line1, 1000, true, false)
 	r2 := h.AccessIFetch(line2, 1001, true, false)
-	if r1.ReadyAt() != 1004 {
-		t.Errorf("first hit ready at %d, want 1004", r1.ReadyAt())
+	if r1.readyAt != 1004 {
+		t.Errorf("first hit ready at %d, want 1004", r1.readyAt)
 	}
-	if r2.ReadyAt() <= r1.ReadyAt() {
-		t.Errorf("second hit (%d) should be delayed past the first (%d)", r2.ReadyAt(), r1.ReadyAt())
+	if r2.readyAt <= r1.readyAt {
+		t.Errorf("second hit (%d) should be delayed past the first (%d)", r2.readyAt, r1.readyAt)
 	}
 }
 
@@ -186,8 +186,8 @@ func TestPrefetchFromL1(t *testing.T) {
 	if !pf.Scheduled() || pf.Source != stats.SrcL1 {
 		t.Errorf("prefetch should be served by L1: %+v", pf)
 	}
-	if pf.ReadyAt() != 500+uint64(h.L1ILatency()) {
-		t.Errorf("prefetch ready at %d", pf.ReadyAt())
+	if pf.readyAt != 500+uint64(h.l1i.Latency()) {
+		t.Errorf("prefetch ready at %d", pf.readyAt)
 	}
 	// Prefetch of an absent line goes over the bus to the L2.
 	pf2 := h.AccessIPrefetch(0x40_4000, 500)
@@ -224,12 +224,12 @@ func TestDataAccessPath(t *testing.T) {
 	}
 	// After the fill, the same line hits in one cycle.
 	ld2 := h.AccessData(addr+8, 300, false)
-	if !ld2.Scheduled() || ld2.Source != stats.SrcL1 || ld2.ReadyAt() != 301 {
+	if !ld2.Scheduled() || ld2.Source != stats.SrcL1 || ld2.readyAt != 301 {
 		t.Errorf("warm load = %+v", ld2)
 	}
 	// Stores never stall: they hit or write-allocate immediately.
 	st := h.AccessData(0xa000_0000, 400, true)
-	if !st.Scheduled() || st.ReadyAt() != 401 {
+	if !st.Scheduled() || st.readyAt != 401 {
 		t.Errorf("store = %+v", st)
 	}
 	var res stats.Results
@@ -263,8 +263,8 @@ func TestL2HitAfterMemoryFill(t *testing.T) {
 	if r2.Source != stats.SrcL2 {
 		t.Errorf("lineB should hit in L2, got %v", r2.Source)
 	}
-	if r2.ReadyAt() != 1000+24 {
-		t.Errorf("L2 hit ready at %d, want 1024", r2.ReadyAt())
+	if r2.readyAt != 1000+24 {
+		t.Errorf("L2 hit ready at %d, want 1024", r2.readyAt)
 	}
 }
 
@@ -335,7 +335,7 @@ func TestRequestsAlwaysCompleteProperty(t *testing.T) {
 			if !r.Scheduled() {
 				return false
 			}
-			if r.ReadyAt() < r.issuedAt {
+			if r.readyAt < r.issuedAt {
 				return false
 			}
 		}

@@ -87,9 +87,6 @@ func (b *Buffer) Misses() uint64 { return b.misses }
 // Allocations returns the number of entries allocated for prefetches.
 func (b *Buffer) Allocations() uint64 { return b.allocs }
 
-// Evictions returns the number of valid lines displaced by new allocations.
-func (b *Buffer) Evictions() uint64 { return b.evictions }
-
 // UsedLines returns the number of allocated lines that were fetched at least
 // once before being displaced (prefetch usefulness numerator).
 func (b *Buffer) UsedLines() uint64 { return b.usedLines }
@@ -115,12 +112,6 @@ func (b *Buffer) Contains(line isa.Addr) bool { return b.find(line) >= 0 }
 func (b *Buffer) ContainsValid(line isa.Addr) bool {
 	i := b.find(line)
 	return i >= 0 && b.entries[i].valid
-}
-
-// ContainsPending reports whether the line is allocated but still in flight.
-func (b *Buffer) ContainsPending(line isa.Addr) bool {
-	i := b.find(line)
-	return i >= 0 && !b.entries[i].valid
 }
 
 // Entries returns a snapshot of all allocated entries.

@@ -42,7 +42,7 @@ func TestPrefetchBufferAllocateFillLookup(t *testing.T) {
 	if pb.Allocate(0x100) {
 		t.Errorf("re-allocating a present line should be refused")
 	}
-	if !pb.ContainsPending(0x100) || pb.ContainsValid(0x100) {
+	if !pb.Contains(0x100) || pb.ContainsValid(0x100) {
 		t.Errorf("line should be pending before fill")
 	}
 	// Lookup before the data arrives must miss.
@@ -373,8 +373,8 @@ func TestEvictionAndUsefulnessCounters(t *testing.T) {
 	pb.Fill(0x100)
 	pb.Lookup(0x100) // used, becomes available
 	pb.Allocate(0x200)
-	if pb.Evictions() != 1 {
-		t.Errorf("Evictions = %d, want 1", pb.Evictions())
+	if pb.evictions != 1 {
+		t.Errorf("evictions = %d, want 1", pb.evictions)
 	}
 	if pb.UsedLines() != 1 {
 		t.Errorf("UsedLines = %d, want 1", pb.UsedLines())

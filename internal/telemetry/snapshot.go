@@ -1,9 +1,9 @@
 package telemetry
 
-// Snapshot is the per-run engine telemetry folded into stats.Results and
-// every BENCH_*.json record. The counters are plain uint64s written by a
-// single goroutine (the engine's run loop) — no atomics needed — and copied
-// out once per run, so instrumentation costs one integer add per event.
+// Snapshot is the per-run engine telemetry folded into stats.Results. The
+// counters are plain uint64s written by a single goroutine (the engine's
+// run loop) — no atomics needed — and copied out once per run, so
+// instrumentation costs one integer add per event.
 //
 // Unlike the architectural counters in stats.Results, these values are
 // mode-dependent implementation facts: skipped cycles and fast-forward

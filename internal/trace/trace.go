@@ -68,19 +68,6 @@ type MemTrace struct {
 	end  uint32 // Target of the last record
 }
 
-// NewMemTrace creates a trace holding a copy of recs, which must be a
-// continuous, aligned record sequence (see Append).
-func NewMemTrace(recs []Record) (*MemTrace, error) {
-	t := &MemTrace{}
-	t.Grow(len(recs))
-	for _, r := range recs {
-		if err := t.Append(r); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
-}
-
 // Grow makes room for n more records, so the next n Appends do not
 // reallocate.
 func (t *MemTrace) Grow(n int) { t.ents = slices.Grow(t.ents, n) }

@@ -13,6 +13,18 @@ import (
 	"clgp/internal/isa"
 )
 
+// appendAll returns a trace holding recs, appended one by one, or the first
+// Append error.
+func appendAll(recs []Record) (*MemTrace, error) {
+	t := &MemTrace{}
+	for _, r := range recs {
+		if err := t.Append(r); err != nil {
+			return nil, err
+		}
+	}
+	return t, nil
+}
+
 func mkRecord(pc uint64, taken bool, target, eff uint64) Record {
 	return Record{PC: isa.Addr(pc), Taken: taken, Target: isa.Addr(target), EffAddr: isa.Addr(eff)}
 }
@@ -23,9 +35,9 @@ func TestMemTraceIteration(t *testing.T) {
 		mkRecord(0x1004, true, 0x2000, 0),
 		mkRecord(0x2000, false, 0x2004, 0x8000),
 	}
-	mt, err := NewMemTrace(recs)
+	mt, err := appendAll(recs)
 	if err != nil {
-		t.Fatalf("NewMemTrace: %v", err)
+		t.Fatalf("appendAll: %v", err)
 	}
 	if mt.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", mt.Len())
@@ -187,12 +199,12 @@ func FuzzMemTraceRoundTrip(f *testing.F) {
 		if w := slices.IndexFunc(recs, func(r Record) bool {
 			return r.PC|r.Target|r.EffAddr > math.MaxUint32
 		}); w >= 0 {
-			if _, err := NewMemTrace(recs); !errors.Is(err, ErrWideAddr) || !strings.Contains(err.Error(), fmt.Sprintf("record %d:", w)) {
-				t.Fatalf("record %d has a wide address %+v: NewMemTrace error %v", w, recs[w], err)
+			if _, err := appendAll(recs); !errors.Is(err, ErrWideAddr) || !strings.Contains(err.Error(), fmt.Sprintf("record %d:", w)) {
+				t.Fatalf("record %d has a wide address %+v: Append error %v", w, recs[w], err)
 			}
 			recs = recs[:w]
 		}
-		mt, err := NewMemTrace(recs)
+		mt, err := appendAll(recs)
 		if err != nil {
 			t.Fatalf("valid trace rejected: %v", err)
 		}
@@ -215,8 +227,8 @@ func FuzzMemTraceRoundTrip(f *testing.F) {
 		} else {
 			bad[m].PC = recs[m-1].Target + isa.InstBytes
 		}
-		if _, err := NewMemTrace(bad); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("record %d:", m)) {
-			t.Fatalf("record %d mutated to PC %#x: NewMemTrace error %v", m, bad[m].PC, err)
+		if _, err := appendAll(bad); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("record %d:", m)) {
+			t.Fatalf("record %d mutated to PC %#x: Append error %v", m, bad[m].PC, err)
 		}
 		var at MemTrace
 		for i, r := range bad[:m+1] {

@@ -137,16 +137,6 @@ func checkArgs(p Profile, numInsts int) error {
 	return nil
 }
 
-// MustGenerate is Generate but panics on error; for presets with static
-// parameters (benchmarks, examples).
-func MustGenerate(p Profile, numInsts int, seed int64) *Workload {
-	w, err := Generate(p, numInsts, seed)
-	if err != nil {
-		panic(err)
-	}
-	return w
-}
-
 // blockBuilder accumulates instructions for one basic block.
 type blockBuilder struct {
 	start isa.Addr

@@ -162,10 +162,20 @@ func TestGenerateArgumentValidation(t *testing.T) {
 	}
 }
 
+// mustGenerate is Generate, failing the test on error.
+func mustGenerate(t *testing.T, p Profile, numInsts int, seed int64) *Workload {
+	t.Helper()
+	w, err := Generate(p, numInsts, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
 func TestGenerateDeterminism(t *testing.T) {
 	p, _ := ProfileByName("vpr")
-	w1 := MustGenerate(p, 20000, 77)
-	w2 := MustGenerate(p, 20000, 77)
+	w1 := mustGenerate(t, p, 20000, 77)
+	w2 := mustGenerate(t, p, 20000, 77)
 	if w1.Trace.Len() != w2.Trace.Len() {
 		t.Fatalf("lengths differ: %d vs %d", w1.Trace.Len(), w2.Trace.Len())
 	}
@@ -176,7 +186,7 @@ func TestGenerateDeterminism(t *testing.T) {
 	}
 	// A different seed must (with overwhelming probability) give a different
 	// dynamic path.
-	w3 := MustGenerate(p, 20000, 78)
+	w3 := mustGenerate(t, p, 20000, 78)
 	same := true
 	for i := 0; i < 20000; i++ {
 		if w1.Trace.At(i) != w3.Trace.At(i) {
@@ -196,7 +206,7 @@ func TestGenerateDeterminism(t *testing.T) {
 func TestTraceConsistentWithDictionary(t *testing.T) {
 	for _, name := range []string{"gzip", "gcc", "mcf", "eon"} {
 		p, _ := ProfileByName(name)
-		w := MustGenerate(p, 30000, 3)
+		w := mustGenerate(t, p, 30000, 3)
 		d := w.Dict
 		tr := w.Trace
 		for i := 0; i < tr.Len(); i++ {
@@ -245,7 +255,7 @@ func TestTraceConsistentWithDictionary(t *testing.T) {
 func TestStaticFootprintMatchesProfile(t *testing.T) {
 	for _, name := range []string{"gzip", "mcf", "gcc", "eon", "vortex"} {
 		p, _ := ProfileByName(name)
-		w := MustGenerate(p, 1000, 1)
+		w := mustGenerate(t, p, 1000, 1)
 		insts := 0
 		for _, bb := range w.Dict.Blocks() {
 			insts += len(bb.Insts)
@@ -278,7 +288,7 @@ func TestDynamicFootprintOrdering(t *testing.T) {
 	const n = 150000
 	foot := func(name string) int {
 		p, _ := ProfileByName(name)
-		return dynamicLineFootprint(MustGenerate(p, n, 11).Trace)
+		return dynamicLineFootprint(mustGenerate(t, p, n, 11).Trace)
 	}
 	gzip := foot("gzip")
 	mcf := foot("mcf")
@@ -311,7 +321,7 @@ func TestBranchCompositionPerProfile(t *testing.T) {
 	const n = 80000
 	stats := func(name string) (branchFrac, takenRate float64) {
 		p, _ := ProfileByName(name)
-		w := MustGenerate(p, n, 5)
+		w := mustGenerate(t, p, n, 5)
 		branches, taken := 0, 0
 		for i := 0; i < w.Trace.Len(); i++ {
 			r := w.Trace.At(i)
@@ -340,7 +350,7 @@ func TestBranchCompositionPerProfile(t *testing.T) {
 // profile's configured rate.
 func TestMemoryInstructionFractions(t *testing.T) {
 	p, _ := ProfileByName("gcc")
-	w := MustGenerate(p, 60000, 9)
+	w := mustGenerate(t, p, 60000, 9)
 	loads, stores := 0, 0
 	for i := 0; i < w.Trace.Len(); i++ {
 		switch w.Dict.Inst(w.Trace.At(i).PC).Class {
@@ -365,7 +375,7 @@ func TestMemoryInstructionFractions(t *testing.T) {
 // an empty stack go back to the driver, which is inside the code image).
 func TestCallReturnBalance(t *testing.T) {
 	p, _ := ProfileByName("eon") // call-heavy profile
-	w := MustGenerate(p, 80000, 13)
+	w := mustGenerate(t, p, 80000, 13)
 	calls, rets := 0, 0
 	for i := 0; i < w.Trace.Len(); i++ {
 		switch w.Dict.Inst(w.Trace.At(i).PC).Class {
@@ -391,7 +401,7 @@ func TestCallReturnBalance(t *testing.T) {
 // profile's data segment.
 func TestDataAddressesWithinFootprint(t *testing.T) {
 	p, _ := ProfileByName("mcf")
-	w := MustGenerate(p, 40000, 21)
+	w := mustGenerate(t, p, 40000, 21)
 	limit := DataBase + isa.Addr(p.DataFootprintKB)*1024
 	for i := 0; i < w.Trace.Len(); i++ {
 		r := w.Trace.At(i)
@@ -402,15 +412,6 @@ func TestDataAddressesWithinFootprint(t *testing.T) {
 			t.Fatalf("effective address %#x outside data segment [%#x, %#x)", r.EffAddr, DataBase, limit)
 		}
 	}
-}
-
-func TestMustGeneratePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Errorf("MustGenerate should panic on invalid input")
-		}
-	}()
-	MustGenerate(Profile{}, 100, 1)
 }
 
 // TestBranchOutcomesHistoryCorrelated: branch directions must carry the
@@ -429,7 +430,7 @@ func TestBranchOutcomesHistoryCorrelated(t *testing.T) {
 
 func checkBranchCorrelation(t *testing.T, profile string) {
 	p, _ := ProfileByName(profile)
-	w := MustGenerate(p, 80000, 17)
+	w := mustGenerate(t, p, 80000, 17)
 	driver := w.Dict.Entry() // driver guards are i.i.d. by design; skip them
 
 	outcomes := make(map[isa.Addr][]bool)
