@@ -179,21 +179,25 @@ func TestGateEnforcesInvariants(t *testing.T) {
 	}
 }
 
+// TestGateRejectsMismatchedInsts: a run of another length commits another
+// count at every point, so every point is reported.
+func TestGateRejectsMismatchedInsts(t *testing.T) {
+	parent, change := gateRuns(), gateRuns()
+	for i := range change[3].points {
+		change[3].points[i].insts /= 2
+	}
+	bad := judge(t, parent, change)
+	if len(bad) != 2 || !strings.Contains(bad[0], "gcc/clgp: committed") || !strings.Contains(bad[1], "mcf/clgp: committed") {
+		t.Fatalf("expected a committed-count violation on both points, got %v", bad)
+	}
+}
+
 func TestGateRejectsMismatchedCommitted(t *testing.T) {
 	parent, change := gateRuns(), gateRuns()
 	change[1].points[1].insts--
 	bad := judge(t, parent, change)
 	if len(bad) != 1 || !strings.Contains(bad[0], "mcf/clgp") || !strings.Contains(bad[0], "committed") {
 		t.Fatalf("expected a committed-count violation on mcf/clgp, got %v", bad)
-	}
-	// A run of another length commits another count at every point.
-	parent, change = gateRuns(), gateRuns()
-	for i := range change[3].points {
-		change[3].points[i].insts /= 2
-	}
-	bad = judge(t, parent, change)
-	if len(bad) != 2 || !strings.Contains(bad[0], "gcc/clgp: committed") || !strings.Contains(bad[1], "mcf/clgp: committed") {
-		t.Fatalf("expected a committed-count violation on both points, got %v", bad)
 	}
 	// A record that timed nothing cannot be compared either.
 	parent, change = gateRuns(), gateRuns()
