@@ -48,9 +48,10 @@ bench-smoke:
 # directory: per profile, the median of the per-pair change/parent ratios
 # of cycle-weighted ns/cycle must stay within 10% + 8ns over the parent's
 # median; on the change's medians, skipping must stay >= 0.95x the
-# per-cycle path everywhere and >= 1.6x on mcf at 0 allocs/op, and a warm
-# snapshot restore >= 1.2x a cold warm-up; a point missing from any run
-# fails. Mirrors CI's bench-gate job.
+# per-cycle path everywhere and >= 1.6x on mcf, at most 1 allocs/kcycle,
+# and a warm snapshot restore >= 1.2x a cold warm-up; both modes of a point
+# must report the same cycles/run, and a point missing from any run fails.
+# Mirrors CI's bench-gate job.
 # Run lengths: Steps per CoreGrid leaf in each clock mode (no-skip Steps
 # are single cycles; a million of them spans whole gzip runs, which the
 # skip floor is closest on), and ops (grid points) per SnapshotGrid half.

@@ -16,6 +16,7 @@ package main
 import (
 	"bufio"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -44,6 +45,11 @@ const (
 	// no point may be slower with skipping than without (0.95 leaves
 	// measurement noise room).
 	minSpeedup = 0.95
+	// maxAllocsPerKCycle bounds heap allocations per thousand simulated
+	// cycles over the timed Steps. The loop allocates only when a free list
+	// grows past its high-water mark, so steady state sits far below 1; a
+	// single per-cycle allocation would show up as ~1000.
+	maxAllocsPerKCycle = 1.0
 	// minSnapshotSpeedup is the floor on the snapshot grid's cold/warm
 	// ns/op. A warm op simulates half the instructions of a cold one
 	// (warm-up is half the run), so the work ratio alone predicts ~2x;
@@ -161,11 +167,15 @@ func (r *run) parse(path string) error {
 	return sc.Err()
 }
 
-// pointRec is one CoreGrid point's measurement in one run.
+// pointRec is one CoreGrid point's measurement in one run: each mode's
+// full-run cycles/run and insts/run and timed ns/cycle, the skipped
+// fraction, and the larger allocs/kcycle of the two modes (NaN when a mode
+// reported none).
 type pointRec struct {
-	cycles, insts    float64
-	skipNs, noskipNs float64
-	skipped, allocs  float64
+	cycles, noskipCycles float64
+	insts, noskipInsts   float64
+	skipNs, noskipNs     float64
+	skipped, allocs      float64
 }
 
 // point returns the record of the CoreGrid point "<profile>/<engine>" in r,
@@ -176,11 +186,17 @@ func (r *run) point(name string) (pointRec, bool) {
 	if !ok1 || !ok2 {
 		return pointRec{}, false
 	}
+	allocs := math.NaN()
+	if a, ok := skip["allocs/kcycle"]; ok {
+		if b, ok := noskip["allocs/kcycle"]; ok {
+			allocs = max(a, b)
+		}
+	}
 	return pointRec{
-		cycles: skip["cycles/run"], insts: skip["insts/run"],
+		cycles: skip["cycles/run"], noskipCycles: noskip["cycles/run"],
+		insts: skip["insts/run"], noskipInsts: noskip["insts/run"],
 		skipNs: skip["ns/cycle"], noskipNs: noskip["ns/cycle"],
-		skipped: skip["skipped/cycle"],
-		allocs:  max(skip["allocs/op"], noskip["allocs/op"]),
+		skipped: skip["skipped/cycle"], allocs: allocs,
 	}, true
 }
 
@@ -212,13 +228,14 @@ type pairedPoint struct {
 	// ratio is the median of the per-pair change/parent ns/cycle ratios.
 	ratio float64
 	// speedup, allocs and skipped are the change's medians of the
-	// skip-over-no-skip speedup, allocs/op and the skipped fraction.
+	// skip-over-no-skip speedup, allocs/kcycle and the skipped fraction.
 	speedup, allocs, skipped float64
 }
 
 // pairPoints folds the paired runs into per-point medians, in name order.
 // A point is folded only when every run of both sides measured both its
-// modes, over a non-empty run, with the same insts/run; otherwise it is
+// modes, over a non-empty run, with the same insts/run, the same
+// cycles/run in both modes and an allocs/kcycle figure; otherwise it is
 // reported in bad instead.
 func pairPoints(parent, change []*run) (pts []pairedPoint, bad []string) {
 	for _, name := range pointNames(append(append([]*run(nil), parent...), change...)) {
@@ -259,16 +276,24 @@ func records(runs []*run, name string) []pointRec {
 }
 
 // checkRecords returns why a point's records cannot be compared, or "": every
-// record, on both sides, must have timed a non-empty run in both modes and
-// committed the same instruction count.
+// record, on both sides, must have timed a non-empty run in both modes,
+// simulated as many cycles skipping as ticking every cycle (the
+// skip-equivalence contract), committed the same instruction count and
+// reported allocs/kcycle.
 func checkRecords(parent, change []pointRec) string {
 	for _, recs := range [][]pointRec{parent, change} {
 		for _, r := range recs {
 			if r.cycles <= 0 || r.skipNs <= 0 || r.noskipNs <= 0 {
 				return "a run measured no cycles"
 			}
-			if r.insts != parent[0].insts {
+			if r.cycles != r.noskipCycles {
+				return fmt.Sprintf("skip path simulated %.0f cycles, no-skip %.0f: equivalence broken", r.cycles, r.noskipCycles)
+			}
+			if r.insts != parent[0].insts || r.noskipInsts != parent[0].insts {
 				return "committed-instruction counts differ between runs"
+			}
+			if math.IsNaN(r.allocs) {
+				return "a run reported no allocs/kcycle"
 			}
 		}
 	}
@@ -340,11 +365,12 @@ func weightedNs(group []pairedPoint, side func(pairedPoint) []pointRec) []float6
 // parent's median. Profiles, not single grid points, are judged because a
 // point's ratio alone swings too far between identical builds on a shared
 // host for five pairs to settle it. The floors (minSpeedup,
-// minMissHeavySpeedup, 0 allocs/op, minSnapshotSpeedup) are judged on the
-// change's medians. Every point must be measured in both modes in every
-// run of both sides, over a non-empty run with the same insts/run
-// throughout; a point or snapshot grid missing from any run is reported,
-// never skipped, and so is every failure line a run printed. gate returns
+// minMissHeavySpeedup, maxAllocsPerKCycle, minSnapshotSpeedup) are judged
+// on the change's medians. Every point must be measured in both modes in
+// every run of both sides, over a non-empty run with the same insts/run
+// throughout and the same cycles/run in both modes; a point or snapshot
+// grid missing from any run is reported, never skipped, and so is every
+// failure line a run printed. gate returns
 // one human-readable violation per failure, sorted; an empty slice is a
 // pass.
 func gate(parent, change []*run) []string {
@@ -376,8 +402,9 @@ func gate(parent, change []*run) []string {
 			bad = append(bad, fmt.Sprintf("%s: skipping is slower than the per-cycle path (median %.2fx < %.2fx)",
 				p.name, p.speedup, minSpeedup))
 		}
-		if p.allocs > 0 {
-			bad = append(bad, fmt.Sprintf("%s: median %.0f allocs/op — the loop is allocating", p.name, p.allocs))
+		if p.allocs > maxAllocsPerKCycle {
+			bad = append(bad, fmt.Sprintf("%s: median %.3f allocs/kcycle above %.0f — the loop is allocating",
+				p.name, p.allocs, maxAllocsPerKCycle))
 		}
 	}
 	if ps, cs := snapshotSpeedups(parent), snapshotSpeedups(change); len(ps) != len(parent) || len(cs) != len(change) {

@@ -15,9 +15,13 @@ const gatePairs = 5
 type point struct {
 	name          string // "<profile>/<engine>"
 	cycles, insts float64
+	// noskipCycles is the no-skip mode's cycles/run; 0 reports cycles.
+	noskipCycles float64
 	// ns is the skip mode's ns/cycle; the no-skip mode's is ns * speedup.
 	ns, speedup float64
-	allocs      float64
+	// allocs is both modes' allocs/kcycle; a negative value leaves the
+	// metric out.
+	allocs float64
 }
 
 // fixture is one side's run in one pair. snapshot is the snapshot grid's
@@ -58,12 +62,22 @@ func (f fixture) files(procs string) map[string]string {
 		if _, ok := parts[profile]; !ok {
 			parts[profile] = header
 		}
+		noskipCycles := p.noskipCycles
+		if noskipCycles == 0 {
+			noskipCycles = p.cycles
+		}
+		// An op is 4 cycles, so allocs/op is allocs/kcycle * 4/1000,
+		// rounded down as the testing package prints it.
+		allocsPerKCycle := ""
+		if p.allocs >= 0 {
+			allocsPerKCycle = fmt.Sprintf("\t         %.4f allocs/kcycle", p.allocs)
+		}
 		for _, mode := range []struct {
-			name string
-			ns   float64
-		}{{"skip", p.ns}, {"noskip", p.ns * p.speedup}} {
-			parts[profile] += fmt.Sprintf("BenchmarkCoreGrid/%s/%s%s \t  400000\t       %.1f ns/op\t    %.0f cycles/run\t    %.0f insts/run\t       %.2f ns/cycle\t       %.1f ns/ticked-cycle\t         0.7500 skipped/cycle\t       0 B/op\t       %.0f allocs/op\n",
-				p.name, mode.name, procs, 4*mode.ns, p.cycles, p.insts, mode.ns, 4*mode.ns, p.allocs)
+			name       string
+			ns, cycles float64
+		}{{"skip", p.ns, p.cycles}, {"noskip", p.ns * p.speedup, noskipCycles}} {
+			parts[profile] += fmt.Sprintf("BenchmarkCoreGrid/%s/%s%s \t  400000\t       %.1f ns/op%s\t    %.0f cycles/run\t    %.0f insts/run\t       %.2f ns/cycle\t       %.1f ns/ticked-cycle\t         0.7500 skipped/cycle\t       0 B/op\t       %d allocs/op\n",
+				p.name, mode.name, procs, 4*mode.ns, allocsPerKCycle, mode.cycles, p.insts, mode.ns, 4*mode.ns, int(max(p.allocs, 0)*4/1000))
 		}
 	}
 	if f.snapshot > 0 {
@@ -162,20 +176,31 @@ func TestGateMedianAbsorbsOutlier(t *testing.T) {
 // TestGateEnforcesInvariants: every within-run floor is judged on the
 // change's median, so a breach in 1 of 5 runs passes and in 3 of 5 fails.
 func TestGateEnforcesInvariants(t *testing.T) {
-	breach := func(runs int) []string {
+	breach := func(runs int, allocs float64) []string {
 		parent, change := gateRuns(), gateRuns()
 		for _, f := range change[:runs] {
 			f.points[1].speedup = 1.2 // miss-heavy floor is higher
 			f.points[0].speedup = 0.8 // slower than per-cycle
-			f.points[0].allocs = 12   // allocating on the hot path
+			// Allocating on the hot path, less than once per Step: the
+			// run prints 0 allocs/op, and only allocs/kcycle shows it.
+			f.points[0].allocs = allocs
 		}
 		return judge(t, parent, change)
 	}
-	if bad := breach(1); len(bad) != 0 {
+	if bad := breach(1, 12); len(bad) != 0 {
 		t.Errorf("floors breached in 1 of %d runs should pass, got %v", gatePairs, bad)
 	}
-	if bad := breach(3); len(bad) != 3 {
+	bad := breach(3, 12)
+	if len(bad) != 3 {
 		t.Errorf("floors breached in 3 of %d runs: expected 3 violations, got %v", gatePairs, bad)
+	}
+	if !strings.Contains(strings.Join(bad, "\n"), "gcc/clgp: median 12.000 allocs/kcycle above 1") {
+		t.Errorf("expected an allocs/kcycle violation on gcc/clgp, got %v", bad)
+	}
+	// Free-list growth in the timed Steps stays far below one allocation
+	// per thousand cycles and passes.
+	if bad := breach(gatePairs, 0.5); len(bad) != 2 || strings.Contains(strings.Join(bad, "\n"), "allocs") {
+		t.Errorf("0.5 allocs/kcycle should pass the allocation floor, got %v", bad)
 	}
 }
 
@@ -205,6 +230,25 @@ func TestGateRejectsMismatchedCommitted(t *testing.T) {
 	bad = judge(t, parent, change)
 	if len(bad) != 1 || !strings.Contains(bad[0], "gcc/clgp: a run measured no cycles") {
 		t.Fatalf("expected an empty-measurement violation on gcc/clgp, got %v", bad)
+	}
+	// Nor can one without allocs/kcycle: its allocation floor is unknown.
+	parent, change = gateRuns(), gateRuns()
+	parent[1].points[1].allocs = -1
+	bad = judge(t, parent, change)
+	if len(bad) != 1 || !strings.Contains(bad[0], "mcf/clgp: a run reported no allocs/kcycle") {
+		t.Fatalf("expected a missing-allocs/kcycle violation on mcf/clgp, got %v", bad)
+	}
+}
+
+// TestGateRejectsSkipCycleMismatch: both modes of a point simulate the same
+// run, so a no-skip cycles/run that differs from the skip one in any run
+// breaks the skip-equivalence contract.
+func TestGateRejectsSkipCycleMismatch(t *testing.T) {
+	parent, change := gateRuns(), gateRuns()
+	change[1].points[0].noskipCycles = change[1].points[0].cycles + 1
+	bad := judge(t, parent, change)
+	if len(bad) != 1 || !strings.Contains(bad[0], "gcc/clgp: skip path simulated 10000 cycles, no-skip 10001: equivalence broken") {
+		t.Fatalf("expected a skip-equivalence violation on gcc/clgp, got %v", bad)
 	}
 }
 
@@ -245,16 +289,16 @@ func TestGateFlagsMissingGridPoints(t *testing.T) {
 	}
 }
 
-// TestGateFlagsFailedRuns: a run whose benchmark failed (a skip/no-skip
-// cycle mismatch is b.Fatal) or exited non-zero is reported with the lines
-// it printed, beside the points it could not measure.
+// TestGateFlagsFailedRuns: a run whose benchmark failed (b.Fatal on an
+// engine error) or exited non-zero is reported with the lines it printed,
+// beside the points it could not measure.
 func TestGateFlagsFailedRuns(t *testing.T) {
 	dir := t.TempDir()
 	for _, side := range []string{"parent", "change"} {
 		for i, f := range gateRuns() {
 			for part, text := range f.files("-2") {
 				if side == "change" && i == 1 && part == "gcc" {
-					text = "--- FAIL: BenchmarkCoreGrid/gcc/clgp\n    engine_bench_test.go:1: skip path simulated 2 cycles, no-skip 3: equivalence broken\nFAIL\nFAIL: exit status 1\n"
+					text = "--- FAIL: BenchmarkCoreGrid/gcc/clgp/skip\n    engine_bench_test.go:1: trace exhausted before commit\nFAIL\nFAIL: exit status 1\n"
 				}
 				path := filepath.Join(dir, fmt.Sprintf("%s-%d.%s.txt", side, i+1, part))
 				if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
@@ -269,7 +313,7 @@ func TestGateFlagsFailedRuns(t *testing.T) {
 	}
 	bad := strings.Join(gate(parent, change), "\n")
 	for _, want := range []string{
-		"change-2.gcc.txt: --- FAIL: BenchmarkCoreGrid/gcc/clgp",
+		"change-2.gcc.txt: --- FAIL: BenchmarkCoreGrid/gcc/clgp/skip",
 		"change-2.gcc.txt: FAIL: exit status 1",
 		"gcc/clgp: measured in 5/5 parent and 4/5 change runs",
 	} {

@@ -2,12 +2,13 @@ package core
 
 import "testing"
 
-// TestInstrumentedLoopZeroAlloc is the allocs/op guard for the cycle loop
+// TestInstrumentedLoopZeroAlloc is the allocation guard for the cycle loop
 // and its telemetry instrumentation, for every engine in both clock modes
 // at a BenchmarkCoreGrid configuration: the engine's hot-path counters
 // (fast-forward jumps, cancelled prefetches, skipped cycles, wrong-path
 // fetches) are plain single-writer fields, so stepping the instrumented
-// engine — and snapping its telemetry — must not touch the heap at all.
+// engine — and snapping its telemetry — must not touch the heap beyond
+// the rare growth of a free list.
 // The ns/cycle side of the same budget is make bench-gate's
 // (BenchmarkCoreGrid, judged by internal/benchgate).
 func TestInstrumentedLoopZeroAlloc(t *testing.T) {
@@ -24,24 +25,25 @@ func TestInstrumentedLoopZeroAlloc(t *testing.T) {
 				if err := eng.RunUntilCommitted(10_000); err != nil {
 					t.Fatal(err)
 				}
-				exhausted := false
-				allocs := testing.AllocsPerRun(100, func() {
+				// Count allocations over the whole window at once and hold
+				// them to make bench-gate's floor, at most one per thousand
+				// simulated cycles: the loop allocates only when a free list
+				// grows past its high-water mark. testing.AllocsPerRun's
+				// per-run average is rounded down, so it would pass up to one
+				// allocation per run.
+				before, start := mallocs(), eng.Cycles()
+				for run := 0; run < 400; run++ {
 					for i := 0; i < 50; i++ {
 						if !eng.Step() {
-							exhausted = true
-							return
+							t.Fatal("trace exhausted mid-measurement; grow the workload")
 						}
 					}
-					snap := eng.TelemetrySnapshot()
-					if snap.Cycles == 0 {
+					if snap := eng.TelemetrySnapshot(); snap.Cycles == 0 {
 						t.Error("snapshot of a running engine reports zero cycles")
 					}
-				})
-				if exhausted {
-					t.Fatal("trace exhausted mid-measurement; grow the workload")
 				}
-				if allocs != 0 {
-					t.Errorf("instrumented engine loop allocates %.1f allocs/run, want 0", allocs)
+				if allocs, cycles := mallocs()-before, eng.Cycles()-start; 1000*allocs > cycles {
+					t.Errorf("instrumented engine loop allocates %d times in %d cycles, more than once per 1000", allocs, cycles)
 				}
 			})
 		}
