@@ -212,9 +212,14 @@ export CHECK_SWEEP_TRACE
 # Warm-state snapshots end to end: a cold figures sweep records warm-state
 # artifacts into the store, a second sweep over the same store restores them,
 # and the emitted figure CSVs must be byte-identical to a sweep that never
-# snapshotted at all; a single run recording, then restoring, its warm state
-# through -snapshot-dir must match a plain run (wall time and fast-forward
-# telemetry aside). Mirrors CI's snapshot-smoke job.
+# snapshotted at all. A third sweep runs over a copy of the store whose
+# artifacts are re-stamped to format version 2, as a store written by an
+# older build holds: every restore fails on the version, so each job warms
+# up cold, the CSVs must still match, and every artifact must be re-recorded
+# byte-identical to the cold sweep's, at the current version. A single run
+# recording, then restoring, its warm state through -snapshot-dir must match
+# a plain run (wall time and fast-forward telemetry aside). Mirrors CI's
+# snapshot-smoke job.
 snapshot-smoke:
 	rm -rf /tmp/clgp-snapshot-smoke && mkdir -p /tmp/clgp-snapshot-smoke
 	$(GO) build -o /tmp/clgp-snapshot-smoke/clgpsim ./cmd/clgpsim
@@ -229,6 +234,16 @@ snapshot-smoke:
 		diff fig-plain/figure1_ipc_vs_l1_90nm.csv fig-warm/figure1_ipc_vs_l1_90nm.csv && \
 		diff fig-plain/cycle_breakdown_90nm.csv fig-cold/cycle_breakdown_90nm.csv && \
 		diff fig-plain/cycle_breakdown_90nm.csv fig-warm/cycle_breakdown_90nm.csv
+	cd /tmp/clgp-snapshot-smoke && cp -r fig-cold fig-stale && rm -rf fig-stale/shards && \
+		for f in fig-stale/snapshots/*.clgs; do \
+			printf '\002\000\000\000' | dd of=$$f bs=1 seek=4 count=4 conv=notrunc status=none && \
+			test "$$(od -An -tu4 -j4 -N4 $$f | tr -d ' ')" = 2 || exit 1; done && \
+		./clgpsim figures -insts 20000 -profiles gzip,mcf -warmup 10000 -dir fig-stale -resume && \
+		diff fig-plain/figure6_ipc_90nm.csv fig-stale/figure6_ipc_90nm.csv && \
+		diff fig-plain/figure1_ipc_vs_l1_90nm.csv fig-stale/figure1_ipc_vs_l1_90nm.csv && \
+		diff fig-plain/cycle_breakdown_90nm.csv fig-stale/cycle_breakdown_90nm.csv && \
+		for f in fig-cold/snapshots/*.clgs; do \
+			cmp $$f fig-stale/snapshots/$$(basename $$f) || exit 1; done
 	cd /tmp/clgp-snapshot-smoke && \
 		./clgpsim run -profile gzip -insts 50000 -seed 1 -engine clgp -l1 2048 > plain-full.txt && \
 		./clgpsim run -profile gzip -insts 50000 -seed 1 -engine clgp -l1 2048 \
@@ -240,7 +255,7 @@ snapshot-smoke:
 			grep -v -e "wall time" -e "fast-forwarded" $$f-full.txt > $$f.txt || exit 1; done && \
 		diff plain.txt cold.txt && \
 		diff plain.txt warm.txt
-	@echo "snapshot-smoke: cold-recording and warm-restoring sweeps and a single -snapshot-dir run match the plain runs"
+	@echo "snapshot-smoke: cold-recording, warm-restoring and stale-store sweeps and a single -snapshot-dir run match the plain runs"
 
 clean:
 	$(GO) clean ./...

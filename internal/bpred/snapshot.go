@@ -14,17 +14,9 @@ const rasTag uint32 = 0x53534152
 // maxRAS bounds a decoded RAS depth.
 const maxRAS = 1 << 16
 
-// walkEntries walks a stream table, whose loaded size must match tab's.
-func walkEntries(w *snap.Walker, tab []entry, name string) {
-	n := len(tab)
-	w.Int(&n)
-	if w.Err() != nil {
-		return
-	}
-	if n != len(tab) {
-		w.Failf("bpred: %s table size mismatch: snapshot %d, predictor %d", name, n, len(tab))
-		return
-	}
+// walkEntries walks every entry of a stream table. The table's size is the
+// receiving predictor's, which Restore's warm key pins.
+func walkEntries(w *snap.Walker, tab []entry) {
 	for i := range tab {
 		en := &tab[i]
 		w.Bool(&en.valid)
@@ -52,11 +44,11 @@ func checkEntries(w *snap.Walker, tab []entry, name string) {
 
 // Walk walks the predictor: both stream tables, the RAS, the speculative
 // global history and the counters. A loaded predictor must match the
-// receiving one's table sizes and RAS depth.
+// receiving one's RAS depth.
 func (p *Predictor) Walk(w *snap.Walker) {
 	w.Tag(stateTag)
-	walkEntries(w, p.first, "first-level")
-	walkEntries(w, p.second, "second-level")
+	walkEntries(w, p.first)
+	walkEntries(w, p.second)
 	ras := p.ras.Snapshot()
 	WalkRASSnapshot(w, &ras)
 	if w.Err() != nil {

@@ -84,11 +84,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// Offsets into a predictor payload: the section tag and the first-level
-// table's 8-byte length, then 27 bytes per entry (valid u8, tag u64,
-// numInsts i64, next u64, end u8, conf u8).
+// Offsets into a predictor payload: the section tag, then the first-level
+// table's entries, 27 bytes each (valid u8, tag u64, numInsts i64, next
+// u64, end u8, conf u8).
 const (
-	entriesOff  = 4 + 8
+	entriesOff  = 4
 	numInstsOff = 1 + 8
 	endOff      = 1 + 8 + 8 + 8
 	confOff     = endOff + 1

@@ -91,8 +91,7 @@ type Arbiter struct {
 
 	grants    uint64
 	conflicts uint64
-	lastGrant uint64
-	hasGrant  bool
+	lastGrant uint64 // meaningful once grants > 0
 }
 
 // New creates an empty arbiter.
@@ -121,7 +120,7 @@ func (a *Arbiter) Pending() int {
 // cycle; calling Grant twice with the same cycle number returns ok=false the
 // second time.
 func (a *Arbiter) Grant(now uint64) (Request, bool) {
-	if a.hasGrant && a.lastGrant == now {
+	if a.grants > 0 && a.lastGrant == now {
 		return Request{}, false
 	}
 	waiting := 0
@@ -141,7 +140,6 @@ func (a *Arbiter) Grant(now uint64) (Request, bool) {
 			a.conflicts++
 		}
 		a.lastGrant = now
-		a.hasGrant = true
 		return req, true
 	}
 	return Request{}, false

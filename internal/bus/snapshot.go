@@ -10,10 +10,10 @@ const stateTag uint32 = 0x41535542
 const maxQueue = 1 << 20
 
 // Walk walks the arbiter: each class's pending requests in FIFO order plus
-// the grant bookkeeping. Request tags are slot indices into the memory
-// hierarchy's slot table, which the hierarchy preserves positionally across
-// a snapshot, so the tags stay valid verbatim. Loading re-bases each queue
-// at zero.
+// the grant counters and the last grant's cycle. Request tags are slot
+// indices into the memory hierarchy's slot table, which the hierarchy
+// preserves positionally across a snapshot, so the tags stay valid
+// verbatim. Loading re-bases each queue at zero.
 func (a *Arbiter) Walk(w *snap.Walker) {
 	w.Tag(stateTag)
 	for cls := range a.queues {
@@ -35,5 +35,4 @@ func (a *Arbiter) Walk(w *snap.Walker) {
 	w.U64(&a.grants)
 	w.U64(&a.conflicts)
 	w.U64(&a.lastGrant)
-	w.Bool(&a.hasGrant)
 }

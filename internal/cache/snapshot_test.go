@@ -92,15 +92,12 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// Offsets into a cache payload: the section tag and eight 8-byte header
-// fields (geometry, stamp, busy-until and the two port words, statistics),
-// then 17 bytes per way (valid u8, tag u64, lru u64) in set-major order.
+// Offsets into a cache payload: the section tag and four 8-byte header
+// fields (stamp, busy-until, statistics), then 17 bytes per way (valid u8,
+// tag u64, lru u64) in set-major order.
 const (
-	stampOff  = 4 + 2*8
-	busyOff   = 4 + 3*8
-	lastOff   = 4 + 4*8
-	countOff  = 4 + 5*8
-	waysOff   = 4 + 8*8
+	stampOff  = 4
+	waysOff   = 4 + 4*8
 	wayBytes  = 1 + 8 + 8
 	wayTagOff = 1
 	wayLRUOff = 1 + 8
@@ -149,51 +146,6 @@ func TestLoadStateRejectsImpossibleWays(t *testing.T) {
 	}
 	for name, mutate := range cases {
 		err := load(t, smallCache(t, 256, 64, 2, 1), resealed(t, c, mutate))
-		if !errors.Is(err, snap.ErrCorrupt) {
-			t.Errorf("%s: got %v, want ErrCorrupt", name, err)
-		}
-	}
-}
-
-// TestLoadStateRejectsPortWords pins the port words the occupancy leaves in
-// the format (the last start cycle and a count of 1 after an access, zeros
-// before one) and rejects every pair that does not follow from busy-until.
-func TestLoadStateRejectsPortWords(t *testing.T) {
-	idle := smallCache(t, 256, 64, 2, 3)
-	used := smallCache(t, 256, 64, 2, 3)
-	used.Occupy(10)
-	used.Occupy(11) // starts at 13, done at 16
-	for name, tc := range map[string]struct {
-		c                 *Cache
-		busy, last, count uint64
-	}{"idle": {idle, 0, 0, 0}, "used": {used, 16, 13, 1}} {
-		_, p, err := snap.Open(seal(tc.c))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := [3]uint64{binary.LittleEndian.Uint64(p[busyOff:]), binary.LittleEndian.Uint64(p[lastOff:]), binary.LittleEndian.Uint64(p[countOff:])}
-		if want := [3]uint64{tc.busy, tc.last, tc.count}; got != want {
-			t.Errorf("%s: busy-until and port words = %v, want %v", name, got, want)
-		}
-	}
-
-	put := func(off int, v uint64) func([]byte) {
-		return func(p []byte) { binary.LittleEndian.PutUint64(p[off:], v) }
-	}
-	cases := map[string]struct {
-		c      *Cache
-		mutate func([]byte)
-	}{
-		"idle with a last start":   {idle, put(lastOff, 5)},
-		"idle with a count":        {idle, put(countOff, 1)},
-		"used with a stale start":  {used, put(lastOff, 10)},
-		"used with two accesses":   {used, put(countOff, 2)},
-		"used with a zero count":   {used, put(countOff, 0)},
-		"busy-until moved":         {used, put(busyOff, 17)},
-		"busy-until below latency": {used, func(p []byte) { put(busyOff, 2)(p); put(lastOff, 1<<64-1)(p) }},
-	}
-	for name, tc := range cases {
-		err := load(t, smallCache(t, 256, 64, 2, 3), resealed(t, tc.c, tc.mutate))
 		if !errors.Is(err, snap.ErrCorrupt) {
 			t.Errorf("%s: got %v, want ErrCorrupt", name, err)
 		}

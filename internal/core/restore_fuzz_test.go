@@ -211,7 +211,7 @@ func TestStallWatchdogSkipMatchesNoSkip(t *testing.T) {
 		xor  byte
 	}{
 		{"pein-stall-after-restore", "PEIN", 21, 0x2b, 0x80},
-		{"reqs-wedge-after-restore", "REQS", 48, 0xeecd, 0x80},
+		{"reqs-wedge-after-restore", "REQS", 48, 0x59, 0x80},
 	} {
 		start, end, ok := section(fx.payload, tc.tag, tc.nth)
 		if !ok {
@@ -232,12 +232,13 @@ func TestStallWatchdogSkipMatchesNoSkip(t *testing.T) {
 			if err := eng.Restore(data, fx.w.Name, workload.Fingerprint(fx.w.Profile, fx.w.Dict)); err != nil {
 				t.Fatalf("%s NoSkip=%v: restore: %v", tc.name, noSkip, err)
 			}
+			restoredAt := eng.Cycles()
 			if _, err := eng.Run(); err == nil || !strings.Contains(err.Error(), "no forward progress") {
 				t.Fatalf("%s NoSkip=%v: run returned %v, want the no-progress error", tc.name, noSkip, err)
 			}
-			if eng.Cycles() != eng.deadline || eng.deadline < fx.meta.Cycle+stallCycles || eng.deadline >= eng.maxCycles {
+			if eng.Cycles() != eng.deadline || eng.deadline < restoredAt+stallCycles || eng.deadline >= eng.maxCycles {
 				t.Errorf("%s NoSkip=%v: stopped at cycle %d with deadline %d, restored at cycle %d, maxCycles %d",
-					tc.name, noSkip, eng.Cycles(), eng.deadline, fx.meta.Cycle, eng.maxCycles)
+					tc.name, noSkip, eng.Cycles(), eng.deadline, restoredAt, eng.maxCycles)
 			}
 			cycles[i] = eng.Cycles()
 		}

@@ -122,8 +122,8 @@ func warmedEngine(t *testing.T, profile string, cfg Config) (*Engine, *workload.
 // snap.Version, update FORMAT.md, and re-pin.
 func TestSnapshotBytesPinned(t *testing.T) {
 	const (
-		wantLen = 352059
-		wantSum = "c1b9482b2f59a6c628e1fad49b69a9cfd7081981a6fd32677b8fd3555fe87058"
+		wantLen = 351816
+		wantSum = "7a2a01450609fdda394d079435241769a72ac7ed0df12a55f1d8ad953ea0db7b"
 	)
 	eng, w := pinnedSnapshotEngine(t)
 	data, err := eng.Snapshot(w.Name, workload.Fingerprint(w.Profile, w.Dict))
@@ -147,17 +147,17 @@ func TestSnapshotBytesPinned(t *testing.T) {
 		wantSum string
 	}{
 		{"none", Config{Tech: cacti.Tech90, L1ISize: 2 << 10, Engine: EngineNone},
-			350289, "2a60f3f66596ce72af9de02b564117d67c186e8b6a296336c9054631c662bbdb"},
+			350119, "73295fffdd963ec3460bb11d4d8c2ef2d6848ed7c0264448e14c50357c2d8b0d"},
 		{"nextn", Config{Tech: cacti.Tech90, L1ISize: 2 << 10, Engine: EngineNextN},
-			350678, "3f7258aea5a3b1d6150873cd12a14ab11687fafc28a03b69d914739254ae22b7"},
+			350491, "46d59633c51b254d2c99c68fcec47b375b223f59a8327a1f7312a1aa7b125751"},
 		{"fdp", Config{Tech: cacti.Tech90, L1ISize: 2 << 10, Engine: EngineFDP},
-			350892, "4da76301fcce7ba2028128f123f45b0201d61eff3e99078de20ca3b6e0e7ab7b"},
+			350707, "95f6aa17690b67ed2936e146caebab80f327ec657e17a14b70575058a30e4f47"},
 		{"clgp-no-l0", Config{Tech: cacti.Tech90, L1ISize: 2 << 10, Engine: EngineCLGP},
-			351740, "535e06bb8e0e57e9bced734448d1ad2fcc56ed11a579aad3e3181b374d2b973e"},
+			351537, "5d57cce308dfac2294da52eba58c67adf994ecbe03de4f90664d5c9baa04a33a"},
 		{"ideal", Config{Tech: cacti.Tech90, L1ISize: 2 << 10, Engine: EngineNone, IdealICache: true},
-			350289, "597dc7da7742f1de8057523b204640381c25291a4f760293f73fe593715a7ef5"},
+			350119, "4c86c59d7975bbab384f214e6212dee56d5ba1b33e85146d47b15dc7fe87bbcc"},
 		{"clgp-45nm", Config{Tech: cacti.Tech45, L1ISize: 2 << 10, Engine: EngineCLGP, UseL0: true},
-			351748, "036d60448b677e034ef85e8275fdd2dd0c0b2da400d513a67e18aadaa6c22c5b"},
+			351513, "83326e704063470f61239ab67b5f15b9f991ef823bcc5ffa5f837908b42ee079"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng, w := warmedEngine(t, "gcc", tc.cfg)
@@ -273,24 +273,48 @@ func TestSnapshotMidWrongPathEpisode(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsVersion1: version 1 snapshots carried wrong-path
-// instructions as records; this build reads only version 2, so a version 1
-// container fails with ErrBadVersion, and a sweep runs that job cold.
-func TestRestoreRejectsVersion1(t *testing.T) {
+// TestRestoreRejectsOlderVersions: version 1 snapshots carried wrong-path
+// instructions as records, and version 2 carried copies of state that
+// loading now rebuilds. This build reads only the current version, so an
+// older container fails with ErrBadVersion, and a sweep runs that job cold.
+func TestRestoreRejectsOlderVersions(t *testing.T) {
+	eng, w := pinnedSnapshotEngine(t)
+	fp := workload.Fingerprint(w.Profile, w.Dict)
+	for _, version := range []uint32{1, 2} {
+		data, err := eng.Snapshot(w.Name, fp)
+		if err != nil {
+			t.Fatalf("snapshot: %v", err)
+		}
+		// Re-stamp the version and re-seal the checksum, so the version is
+		// the only thing wrong with the container.
+		binary.LittleEndian.PutUint32(data[4:], version)
+		body := data[:len(data)-4]
+		binary.LittleEndian.PutUint32(data[len(body):], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+		err = MustNewEngine(eng.Config(), w.Dict, w.Trace).Restore(data, w.Name, fp)
+		if !errors.Is(err, snap.ErrBadVersion) {
+			t.Errorf("restoring a version %d container returned %v, want ErrBadVersion", version, err)
+		}
+	}
+}
+
+// TestRestoreRebuildsCommitFrontier: the commit frontier travels once, as
+// the back end's committed count, and loading sets the engine's
+// lastCommitted from it. A restored engine must stand where the saved one
+// stood: same cycle, same frontier.
+func TestRestoreRebuildsCommitFrontier(t *testing.T) {
 	eng, w := pinnedSnapshotEngine(t)
 	fp := workload.Fingerprint(w.Profile, w.Dict)
 	data, err := eng.Snapshot(w.Name, fp)
 	if err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
-	// Re-stamp the version and re-seal the checksum, so the version is the
-	// only thing wrong with the container.
-	binary.LittleEndian.PutUint32(data[4:], 1)
-	body := data[:len(data)-4]
-	binary.LittleEndian.PutUint32(data[len(body):], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
-	err = MustNewEngine(eng.Config(), w.Dict, w.Trace).Restore(data, w.Name, fp)
-	if !errors.Is(err, snap.ErrBadVersion) {
-		t.Fatalf("restoring a version 1 container returned %v, want ErrBadVersion", err)
+	r := MustNewEngine(eng.Config(), w.Dict, w.Trace)
+	if err := r.Restore(data, w.Name, fp); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if r.cycle != eng.cycle || r.lastCommitted != eng.lastCommitted || r.backend.Committed() != eng.backend.Committed() {
+		t.Errorf("restored at cycle %d with %d committed (back end %d), saved at cycle %d with %d (back end %d)",
+			r.cycle, r.lastCommitted, r.backend.Committed(), eng.cycle, eng.lastCommitted, eng.backend.Committed())
 	}
 }
 

@@ -179,8 +179,6 @@ type CLTQ struct {
 	head          int
 	n             int
 	blockCount    int
-	lastBlockID   uint64
-	haveLastBlock bool
 	// scanHint is the logical index below which every entry is known to be
 	// prefetched, so NextUnprefetched does not rescan the whole queue.
 	scanHint int
@@ -277,8 +275,6 @@ func (q *CLTQ) Push(fb FetchBlock) bool {
 		remaining -= n
 	}
 	q.blockCount++
-	q.lastBlockID = fb.SeqID
-	q.haveLastBlock = true
 	return true
 }
 
@@ -345,7 +341,6 @@ func (q *CLTQ) Flush() {
 	q.head = 0
 	q.n = 0
 	q.blockCount = 0
-	q.haveLastBlock = false
 	q.scanHint = 0
 }
 

@@ -14,23 +14,15 @@ const cltqTag uint32 = 0x51544C43
 // maxEntries bounds a decoded queue length.
 const maxEntries = 1 << 20
 
-// Walk walks the FTQ's queued blocks in FIFO order. A loaded queue must
-// match the receiving one's capacity; loading re-bases the ring at zero,
-// which is behaviour-neutral.
+// Walk walks the FTQ's queued blocks in FIFO order. The capacity is the
+// receiving queue's, which Restore's warm key pins, and bounds the loaded
+// block count; loading re-bases the ring at zero, which is
+// behaviour-neutral.
 func (q *FTQ) Walk(w *snap.Walker) {
 	w.Tag(ftqTag)
-	capacity, n := len(q.blocks), q.n
-	w.Int(&capacity)
-	w.Count(&n, maxEntries)
+	n := q.n
+	w.Count(&n, len(q.blocks))
 	if w.Err() != nil {
-		return
-	}
-	if capacity != len(q.blocks) {
-		w.Failf("ftq: capacity mismatch: snapshot %d, queue %d", capacity, len(q.blocks))
-		return
-	}
-	if n > capacity {
-		w.Failf("ftq: %d queued blocks exceed capacity %d", n, capacity)
 		return
 	}
 	if w.Loading() {
@@ -47,11 +39,14 @@ func (q *FTQ) Walk(w *snap.Walker) {
 	}
 }
 
-// Walk walks the CLTQ's line entries in FIFO order plus the block accounting
-// and the prefetched-prefix scan hint. The QueuedLines scratch buffer is
-// dead state and not saved. Loading re-bases the ring at zero; ring
-// capacity is a behaviour-neutral implementation detail, so any stored
-// entry count within the block bound is accepted.
+// Walk walks the CLTQ's line entries in FIFO order. The QueuedLines
+// scratch buffer is dead state and not saved, and loading rebuilds the
+// rest: the block count is the number of entries that end a block (Push
+// ends every block with one, and Pop counts a block out only on one), and
+// the scan hint restarts at zero, which NextUnprefetched re-derives (it
+// only caches the prefetched prefix). Loading re-bases the ring at zero;
+// ring capacity is a behaviour-neutral implementation detail, so any
+// stored entry count within the bound is accepted.
 func (q *CLTQ) Walk(w *snap.Walker) {
 	w.Tag(cltqTag)
 	n := q.n
@@ -64,6 +59,7 @@ func (q *CLTQ) Walk(w *snap.Walker) {
 			q.entries = make([]CLTQEntry, max(16, n))
 		}
 		q.head, q.n = 0, n
+		q.blockCount, q.scanHint = 0, 0
 	}
 	for i := 0; i < n; i++ {
 		en := q.at(i)
@@ -77,29 +73,21 @@ func (q *CLTQ) Walk(w *snap.Walker) {
 		w.U64(&en.BlockID)
 		w.Bool(&en.Prefetched)
 		w.Bool(&en.Occupied)
+		if w.Loading() && en.LastOfBlock {
+			q.blockCount++
+		}
 	}
-	w.Int(&q.blockCount)
-	w.U64(&q.lastBlockID)
-	w.Bool(&q.haveLastBlock)
-	w.Int(&q.scanHint)
 	if w.Loading() {
 		q.check(w)
 	}
 }
 
-// check rejects loaded CLTQ state Push and Pop never produce: an entry
-// holding no instructions or more than fit in its line, a block count past
-// the capacity, or a scan hint past the queue.
+// check rejects loaded CLTQ entries Push never produces: one holding no
+// instructions or more than fit in its line.
 func (q *CLTQ) check(w *snap.Walker) {
 	for i := 0; i < q.n && w.Err() == nil; i++ {
 		if got := q.at(i).NumInsts; got < 1 || got > q.lineSize/isa.InstBytes {
 			w.Failf("cltq: entry %d holds %d instructions, want 1..%d", i, got, q.lineSize/isa.InstBytes)
 		}
-	}
-	if w.Err() == nil && (q.blockCount < 0 || q.blockCount > q.blockCapacity) {
-		w.Failf("cltq: block count %d outside [0, %d]", q.blockCount, q.blockCapacity)
-	}
-	if w.Err() == nil && (q.scanHint < 0 || q.scanHint > q.n) {
-		w.Failf("cltq: scan hint %d outside [0, %d]", q.scanHint, q.n)
 	}
 }

@@ -91,12 +91,14 @@ func (s *ReqSet) WalkID(w *snap.Walker, r **Request) {
 // allocates one fresh Request per record, which owners then resolve by ID
 // through At (a loaded table assigns no IDs of its own), and rejects a
 // Kind or Source outside its enumeration: restored requests index per-kind
-// and per-source tables.
+// and per-source tables. A request's pending-prefetch index is not saved:
+// loading leaves it at -1, and the hierarchy's walk sets it for every
+// request its pending list names.
 func (s *ReqSet) Walk(w *snap.Walker) {
 	w.Tag(reqStateTag)
 	snap.Slice(w, &s.list, maxLiveRequests, func(p **Request) {
 		if w.Loading() {
-			*p = new(Request)
+			*p = &Request{pfIdx: -1}
 		}
 		r := *p
 		snap.Word(w, &r.Line)
@@ -108,11 +110,6 @@ func (s *ReqSet) Walk(w *snap.Walker) {
 		w.Bool(&r.cancelled)
 		w.U64(&r.readyAt)
 		w.U64(&r.issuedAt)
-		pfIdx := int64(r.pfIdx)
-		w.I64(&pfIdx)
-		if w.Loading() {
-			r.pfIdx = int32(pfIdx)
-		}
 	})
 	if !w.Loading() || w.Err() != nil {
 		return
@@ -139,20 +136,12 @@ func (h *Hierarchy) AddLiveRequests(s *ReqSet) {
 // table (positionally — bus request tags are slot indices), the free-slot
 // and pending-prefetch index stacks verbatim (their LIFO order steers future
 // slot allocation), and the hierarchy counters. The request free-list is
-// deliberately dead state and not saved. A loaded hierarchy must match the
-// receiving one's configuration, and its slot bookkeeping must pass
-// checkSlots.
+// deliberately dead state and not saved. Whether an L0 exists comes from
+// the receiving hierarchy's configuration, which Restore's warm key pins.
+// A loaded hierarchy's slot bookkeeping must pass checkSlots, which also
+// gives each waiting prefetch its index in the pending list.
 func (h *Hierarchy) Walk(w *snap.Walker, s *ReqSet) {
 	w.Tag(memStateTag)
-	hasL0 := h.l0 != nil
-	w.Bool(&hasL0)
-	if w.Err() != nil {
-		return
-	}
-	if hasL0 != (h.l0 != nil) {
-		w.Failf("memory: L0 presence mismatch: snapshot %v, hierarchy %v", hasL0, h.l0 != nil)
-		return
-	}
 	if h.l0 != nil {
 		h.l0.Walk(w)
 	}
@@ -175,9 +164,10 @@ func (h *Hierarchy) Walk(w *snap.Walker, s *ReqSet) {
 // checkSlots rejects slot bookkeeping that enqueueBus, Tick and
 // untrackPrefetch cannot produce: every slot is live or on the free list,
 // exactly once; the bus queues hold exactly the live slots, each once and in
-// its kind's class; and pfPending lists each waiting prefetch at the index
-// its pfIdx records. Such state would later index out of range, hand one tag
-// to two requests, or leave a request waiting for a grant that never comes.
+// its kind's class; and pfPending lists every waiting prefetch exactly once.
+// Such state would later index out of range, hand one tag to two requests,
+// or leave a request waiting for a grant that never comes. It sets each
+// listed request's pfIdx to its position in pfPending.
 func (h *Hierarchy) checkSlots(w *snap.Walker) {
 	if w.Err() != nil {
 		return
@@ -220,9 +210,10 @@ func (h *Hierarchy) checkSlots(w *snap.Walker) {
 			w.Failf("memory: pending prefetch tag %d outside a slot table of %d", tag, len(h.slots))
 		case h.slots[tag] == nil || h.slots[tag].Kind != KindIPrefetch:
 			w.Failf("memory: pending prefetch tag %d names no waiting prefetch", tag)
-		case h.slots[tag].pfIdx != int32(i):
-			w.Failf("memory: pending prefetch %d (tag %d) records index %d", i, tag, h.slots[tag].pfIdx)
+		case h.slots[tag].pfIdx >= 0:
+			w.Failf("memory: pending prefetch tag %d listed twice", tag)
 		default:
+			h.slots[tag].pfIdx = int32(i)
 			continue
 		}
 		return
@@ -233,9 +224,8 @@ func (h *Hierarchy) checkSlots(w *snap.Walker) {
 			w.Failf("memory: empty slot %d missing from the free list", tag)
 		case r != nil && !queued[tag]:
 			w.Failf("memory: live slot %d is not queued on the bus", tag)
-		case r != nil && r.Kind == KindIPrefetch &&
-			(r.pfIdx < 0 || int(r.pfIdx) >= len(h.pfPending) || h.pfPending[r.pfIdx] != uint32(tag)):
-			w.Failf("memory: waiting prefetch in slot %d not pending at its index %d", tag, r.pfIdx)
+		case r != nil && r.Kind == KindIPrefetch && (r.pfIdx < 0 || h.pfPending[r.pfIdx] != uint32(tag)):
+			w.Failf("memory: waiting prefetch in slot %d is not pending", tag)
 		default:
 			continue
 		}

@@ -3,6 +3,7 @@ package memory
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -56,12 +57,24 @@ func loadHierarchy(data []byte) (*Hierarchy, error) {
 	return h, d.Err()
 }
 
+// TestSlotStateRoundTrip restores slotState's hierarchy into a fresh one:
+// every slot's request must equal the saved one field for field, its
+// pending-prefetch index (rebuilt from pfPending) included, and the two
+// hierarchies must then drain identically.
 func TestSlotStateRoundTrip(t *testing.T) {
 	h := slotState(t)
 	data := saveHierarchy(h)
 	back, err := loadHierarchy(data)
 	if err != nil {
 		t.Fatalf("restore: %v", err)
+	}
+	if !reflect.DeepEqual(back.slots, h.slots) {
+		for tag := range h.slots {
+			if !reflect.DeepEqual(back.slots[tag], h.slots[tag]) {
+				t.Errorf("slot %d restored as %+v, saved as %+v", tag, back.slots[tag], h.slots[tag])
+			}
+		}
+		t.FailNow()
 	}
 	if again := saveHierarchy(back); !bytes.Equal(again, data) {
 		t.Fatal("restored hierarchy re-saves to different bytes")
@@ -95,9 +108,7 @@ func TestLoadStateRejectsImpossibleSlots(t *testing.T) {
 		{"pending tag out of range", "outside", func(h *Hierarchy) { h.pfPending = append(h.pfPending, 5) }},
 		{"pending tag names nil", "names no waiting prefetch", func(h *Hierarchy) { h.pfPending[0] = 4 }},
 		{"pending tag names data", "names no waiting prefetch", func(h *Hierarchy) { h.pfPending[0] = 0 }},
-		{"pending index mismatch", "records index", func(h *Hierarchy) {
-			h.pfPending[0], h.pfPending[1] = h.pfPending[1], h.pfPending[0]
-		}},
+		{"pending tag repeated", "listed twice", func(h *Hierarchy) { h.pfPending = append(h.pfPending, 1) }},
 		{"waiting prefetch untracked", "not pending", func(h *Hierarchy) { h.pfPending = h.pfPending[:2] }},
 	}
 	for _, tc := range cases {
@@ -171,10 +182,10 @@ func TestSaveRejectsUnregisteredRequest(t *testing.T) {
 
 // Offsets into a saved request table: the section tag and the entry count,
 // then reqBytes per request (line u64, kind u8, source u8, four bools,
-// readyAt u64, issuedAt u64, pfIdx i64).
+// readyAt u64, issuedAt u64).
 const (
 	reqsOff      = 4 + 8
-	reqBytes     = 8 + 1 + 1 + 4 + 3*8
+	reqBytes     = 8 + 1 + 1 + 4 + 2*8
 	reqKindOff   = 8
 	reqSourceOff = 9
 )

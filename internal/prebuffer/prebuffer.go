@@ -181,7 +181,7 @@ type PrefetchBuffer struct {
 	// free counts the entries claimable by Allocate (unallocated or
 	// available), maintained on every transition so FreeSlots — polled by the
 	// engine's event-horizon check every idle cycle — is O(1) instead of a
-	// scan. freeSlotsScan is the reference; tests cross-check the two.
+	// scan. Loading a snapshot sets it from freeSlotsScan.
 	free int
 }
 
@@ -270,7 +270,8 @@ func (pb *PrefetchBuffer) Invalidate(line isa.Addr) {
 func (pb *PrefetchBuffer) FreeSlots() int { return pb.free }
 
 // freeSlotsScan is the reference implementation of FreeSlots: an exhaustive
-// scan of the entries. Tests cross-check the counter against it.
+// scan of the entries. Loading a snapshot rebuilds the counter from it, and
+// tests cross-check the two.
 func (pb *PrefetchBuffer) freeSlotsScan() int {
 	n := 0
 	for i := range pb.entries {
@@ -295,7 +296,8 @@ type PrestageBuffer struct {
 	// replaceable counts the entries claimable by Request (unallocated or
 	// with a zero consumers counter), maintained on every consumer-count
 	// transition so ReplaceableSlots — polled by CLGP's event-horizon check
-	// every idle cycle — is O(1). replaceableSlotsScan is the reference.
+	// every idle cycle — is O(1). Loading a snapshot sets it from
+	// replaceableSlotsScan.
 	replaceable int
 }
 
@@ -414,8 +416,8 @@ func (sb *PrestageBuffer) ResetConsumers() {
 func (sb *PrestageBuffer) ReplaceableSlots() int { return sb.replaceable }
 
 // replaceableSlotsScan is the reference implementation of ReplaceableSlots:
-// an exhaustive scan of the entries. Tests cross-check the counter against
-// it.
+// an exhaustive scan of the entries. Loading a snapshot rebuilds the counter
+// from it, and tests cross-check the two.
 func (sb *PrestageBuffer) replaceableSlotsScan() int {
 	n := 0
 	for i := range sb.entries {

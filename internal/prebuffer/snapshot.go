@@ -6,19 +6,10 @@ import "clgp/internal/snap"
 const stateTag uint32 = 0x46554250
 
 // walk walks the shared buffer mechanics: every entry verbatim, the LRU
-// stamp and the statistics. A loaded buffer must match the receiving one's
-// size.
+// stamp and the statistics. The entry count is the receiving buffer's,
+// which Restore's warm key pins.
 func (b *Buffer) walk(w *snap.Walker) {
 	w.Tag(stateTag)
-	n := len(b.entries)
-	w.Int(&n)
-	if w.Err() != nil {
-		return
-	}
-	if n != len(b.entries) {
-		w.Failf("prebuffer %s: size mismatch: snapshot %d, buffer %d", b.name, n, len(b.entries))
-		return
-	}
 	for i := range b.entries {
 		en := &b.entries[i]
 		snap.Word(w, &en.line)
@@ -60,12 +51,11 @@ func (b *Buffer) check(w *snap.Walker) {
 	}
 }
 
-// Walk walks the FDP prefetch buffer (shared mechanics plus the free-slot
-// counter). Loading rejects consumers on any entry (only the prestage
-// buffer counts them) and a free count that disagrees with the entries.
+// Walk walks the FDP prefetch buffer. Loading rejects consumers on any
+// entry (only the prestage buffer counts them) and rebuilds the free-slot
+// counter from the entries.
 func (pb *PrefetchBuffer) Walk(w *snap.Walker) {
 	pb.walk(w)
-	w.Int(&pb.free)
 	if !w.Loading() {
 		return
 	}
@@ -76,25 +66,15 @@ func (pb *PrefetchBuffer) Walk(w *snap.Walker) {
 			return
 		}
 	}
-	if w.Err() != nil {
-		return
-	}
-	if scan := pb.freeSlotsScan(); pb.free != scan {
-		w.Failf("prebuffer %s: free count %d, entries say %d", pb.name, pb.free, scan)
-	}
+	pb.free = pb.freeSlotsScan()
 }
 
-// Walk walks the CLGP prestage buffer (shared mechanics plus the
-// replaceable-slot counter). Loading rejects a replaceable count that
-// disagrees with the entries.
+// Walk walks the CLGP prestage buffer. Loading rebuilds the
+// replaceable-slot counter from the entries.
 func (sb *PrestageBuffer) Walk(w *snap.Walker) {
 	sb.walk(w)
-	w.Int(&sb.replaceable)
-	if !w.Loading() {
-		return
-	}
-	sb.check(w)
-	if scan := sb.replaceableSlotsScan(); w.Err() == nil && sb.replaceable != scan {
-		w.Failf("prebuffer %s: replaceable count %d, entries say %d", sb.name, sb.replaceable, scan)
+	if w.Loading() {
+		sb.check(w)
+		sb.replaceable = sb.replaceableSlotsScan()
 	}
 }

@@ -3,6 +3,7 @@ package prebuffer
 import (
 	"encoding/binary"
 	"errors"
+	"reflect"
 	"testing"
 
 	"clgp/internal/snap"
@@ -13,18 +14,14 @@ type state interface {
 	Walk(*snap.Walker)
 }
 
-// Offsets into a buffer payload: the section tag and the entry count, then
-// 28 bytes per entry (line u64, allocated u8, valid u8, consumers i64,
-// used u8, lru u64, available u8), six 8-byte counters, and the flavour's
-// own count (free or replaceable).
+// Offsets into a buffer payload: the section tag, then 28 bytes per entry
+// (line u64, allocated u8, valid u8, consumers i64, used u8, lru u64,
+// available u8), then six 8-byte counters.
 const (
-	entriesOff   = 4 + 8
+	entriesOff   = 4
 	entryBytes   = 8 + 1 + 1 + 8 + 1 + 8 + 1
 	consumersOff = 8 + 1 + 1
 )
-
-// countOff returns the offset of the flavour's count in an n-entry payload.
-func countOff(n int) int { return entriesOff + n*entryBytes + 6*8 }
 
 // resealed saves b, lets mutate edit the payload, and re-seals it with a
 // valid checksum, so only the loading walk's own checks stand between the edit and
@@ -63,11 +60,6 @@ func load(t *testing.T, b state, data []byte) error {
 // putInt64 overwrites the 8-byte integer at off.
 func putInt64(p []byte, off int, v int64) { binary.LittleEndian.PutUint64(p[off:], uint64(v)) }
 
-// addInt64 adds delta to the 8-byte integer at off.
-func addInt64(p []byte, off int, delta int64) {
-	putInt64(p, off, int64(binary.LittleEndian.Uint64(p[off:]))+delta)
-}
-
 // duplicateLine copies entry 0's line into entry 1; both are allocated.
 func duplicateLine(p []byte) {
 	copy(p[entriesOff+entryBytes:][:8], p[entriesOff:][:8])
@@ -87,10 +79,9 @@ func rejectsAll(t *testing.T, b state, fresh func() state, cases map[string]func
 	}
 }
 
-// TestLoadStateRejectsImpossibleEntries: a line allocated in two entries, a
-// negative consumers counter, and a replaceable count that disagrees with
-// the entries can never arise from the prestage buffer's own operations, so
-// restoring any of them must fail loudly.
+// TestLoadStateRejectsImpossibleEntries: a line allocated in two entries or
+// a negative consumers counter can never arise from the prestage buffer's
+// own operations, so restoring either must fail loudly.
 func TestLoadStateRejectsImpossibleEntries(t *testing.T) {
 	const n = 4
 	sb, err := NewPrestageBuffer(n, 1)
@@ -106,15 +97,11 @@ func TestLoadStateRejectsImpossibleEntries(t *testing.T) {
 		"negative consumers": func(p []byte) {
 			putInt64(p, entriesOff+consumersOff, -1)
 		},
-		"replaceable disagrees with the entries": func(p []byte) {
-			addInt64(p, countOff(n), 1)
-		},
 	})
 }
 
 // TestPrefetchLoadStateRejectsImpossibleEntries: the same for the prefetch
-// buffer, which never counts consumers and whose free count is the number
-// of unallocated or available entries.
+// buffer, which never counts consumers.
 func TestPrefetchLoadStateRejectsImpossibleEntries(t *testing.T) {
 	const n = 4
 	pb, err := NewPrefetchBuffer(n, 1)
@@ -132,8 +119,43 @@ func TestPrefetchLoadStateRejectsImpossibleEntries(t *testing.T) {
 		"consumers on a prefetch entry": func(p []byte) {
 			putInt64(p, entriesOff+consumersOff, 1)
 		},
-		"free disagrees with the entries": func(p []byte) {
-			addInt64(p, countOff(n), -1)
-		},
 	})
+}
+
+// TestSnapshotRoundTrip saves each flavour after a mix of allocations,
+// fills, hits and invalidations and loads it into a fresh buffer of the
+// same size: the restored buffer must equal the saved one field for field,
+// counters rebuilt from the entries (free, replaceable) included.
+func TestSnapshotRoundTrip(t *testing.T) {
+	const n = 4
+	pb, _ := NewPrefetchBuffer(n, 1)
+	pb.Allocate(0x100)
+	pb.Allocate(0x140)
+	pb.Allocate(0x180)
+	pb.Fill(0x100)
+	pb.Fill(0x140)
+	pb.Lookup(0x100)
+	pb.Invalidate(0x140)
+	sb, _ := NewPrestageBuffer(n, 1)
+	sb.Request(0x100)
+	sb.Request(0x140)
+	sb.Request(0x140)
+	sb.Request(0x180)
+	sb.Fill(0x100)
+	sb.Fill(0x140)
+	sb.Lookup(0x100)
+	sb.Lookup(0x140)
+	freshPB, _ := NewPrefetchBuffer(n, 1)
+	freshSB, _ := NewPrestageBuffer(n, 1)
+	for _, tc := range []struct {
+		name         string
+		saved, fresh state
+	}{{"prefetch", pb, freshPB}, {"prestage", sb, freshSB}} {
+		if err := load(t, tc.fresh, resealed(t, tc.saved, func([]byte) {})); err != nil {
+			t.Fatalf("%s: load: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(tc.fresh, tc.saved) {
+			t.Errorf("%s: restored buffer differs from the saved one:\nrestored: %+v\nsaved:    %+v", tc.name, tc.fresh, tc.saved)
+		}
+	}
 }

@@ -5,7 +5,9 @@ import (
 	"clgp/internal/snap"
 )
 
-// Section tags for the engine snapshot records.
+// Section tags for the engine snapshot records. Each engine's record opens
+// with engineTag; which scheme wrote it is not saved, since the receiving
+// engine's scheme is its configuration's, which Restore's warm key pins.
 const (
 	commonTag uint32 = 0x4D435046 // "FPCM"
 	candTag   uint32 = 0x44435046 // "FPCD"
@@ -69,21 +71,9 @@ func (bc *blockCursor) walk(w *snap.Walker) {
 	}
 }
 
-// walkHeader walks the header that frames each engine's record with its
-// name, so restoring a snapshot into an engine of a different scheme fails
-// loudly.
-func walkHeader(w *snap.Walker, name string) {
-	w.Tag(engineTag)
-	got := name
-	w.String(&got)
-	if w.Err() == nil && got != name {
-		w.Failf("prefetch: engine mismatch: snapshot %q, engine %q", got, name)
-	}
-}
-
 // Walk implements Engine: shared state, the CLTQ and the prestage buffer.
 func (e *CLGPEngine) Walk(w *snap.Walker, s *memory.ReqSet) {
-	walkHeader(w, e.Name())
+	w.Tag(engineTag)
 	e.common.walk(w, s)
 	e.q.Walk(w)
 	e.buf.Walk(w)
@@ -92,7 +82,7 @@ func (e *CLGPEngine) Walk(w *snap.Walker, s *memory.ReqSet) {
 // Walk implements Engine: shared state, the FTQ cursor, the candidate ring
 // and the prefetch buffer.
 func (e *filterEngine) Walk(w *snap.Walker, s *memory.ReqSet) {
-	walkHeader(w, e.name)
+	w.Tag(engineTag)
 	e.common.walk(w, s)
 	e.blockCursor.walk(w)
 	e.candidates.walk(w)
@@ -104,6 +94,6 @@ func (e *NoneEngine) AddLiveRequests(s *memory.ReqSet) {}
 
 // Walk implements Engine: only the FTQ cursor carries state.
 func (e *NoneEngine) Walk(w *snap.Walker, s *memory.ReqSet) {
-	walkHeader(w, e.Name())
+	w.Tag(engineTag)
 	e.blockCursor.walk(w)
 }

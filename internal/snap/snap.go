@@ -28,7 +28,7 @@ const Magic uint32 = 0x53474C43
 // it reads. Any layout change to the payload (component walks included) must
 // bump it: restore compatibility across versions is intentionally not
 // attempted — snapshots are cheap, regenerable cache artifacts.
-const Version uint32 = 2
+const Version uint32 = 3
 
 // Sentinel errors, matched with errors.Is by callers that distinguish
 // "not a snapshot" from "damaged snapshot".
@@ -42,9 +42,10 @@ var (
 )
 
 // Meta identifies what a snapshot captures: which record stream (workload
-// name + fingerprint, trace length), which warm-relevant configuration
-// (WarmKey), and where along the run it was taken (committed instructions and
-// cycle). Restore validates every field before touching engine state.
+// name + fingerprint, trace length) and which warm-relevant configuration
+// (WarmKey). Restore validates every field before touching engine state.
+// Where along the run the snapshot was taken (committed instructions and
+// cycle) is engine state, carried once, in the payload.
 type Meta struct {
 	// Workload is the workload/profile name.
 	Workload string
@@ -56,11 +57,6 @@ type Meta struct {
 	WarmKey uint64
 	// TraceLen is the full trace length in records.
 	TraceLen int64
-	// Committed is the number of committed instructions at the snapshot
-	// point (the warm-up boundary).
-	Committed uint64
-	// Cycle is the engine cycle at the snapshot point.
-	Cycle uint64
 }
 
 // Encoder accumulates the little-endian binary stream. The zero value is
@@ -296,13 +292,11 @@ func Seal(m Meta, write func(*Encoder)) []byte {
 	e := Encoder{buf: freelist.Artifacts.Get(int(sealHint.Load()))}
 	e.U32(Magic)
 	e.U32(Version)
-	e.U32(uint32(4 + len(m.Workload) + 5*8))
+	e.U32(uint32(4 + len(m.Workload) + 3*8))
 	e.String(m.Workload)
 	e.U64(m.Fingerprint)
 	e.U64(m.WarmKey)
 	e.I64(m.TraceLen)
-	e.U64(m.Committed)
-	e.U64(m.Cycle)
 	e.U64(0) // payload length, patched below
 	start := e.Len()
 	write(&e)
@@ -344,8 +338,6 @@ func Open(data []byte) (Meta, []byte, error) {
 	m.Fingerprint = md.U64()
 	m.WarmKey = md.U64()
 	m.TraceLen = md.I64()
-	m.Committed = md.U64()
-	m.Cycle = md.U64()
 	if md.Err() != nil {
 		return Meta{}, nil, fmt.Errorf("%w: meta block: %v", ErrCorrupt, md.Err())
 	}

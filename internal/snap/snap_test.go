@@ -16,8 +16,6 @@ func testMeta() Meta {
 		Fingerprint: 0xdeadbeefcafe0123,
 		WarmKey:     0x0123456789abcdef,
 		TraceLen:    200_000,
-		Committed:   100_000,
-		Cycle:       412_345,
 	}
 }
 
